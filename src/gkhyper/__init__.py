@@ -25,7 +25,13 @@ from .covariance import (
     matern_deriv,
     build_cov_operator,
 )
-from .gengk import GenGKFactorization, gengk_bidiag, verify_relations, bidiagonal_matrix
+from .gengk import (
+    BidiagSpectrum,
+    GenGKFactorization,
+    gengk_bidiag,
+    verify_relations,
+    bidiagonal_matrix,
+)
 from .marginal import (
     HyperParams,
     Hyperprior,
@@ -34,11 +40,11 @@ from .marginal import (
     hyperprior_neglog,
     objective_exact,
     objective_gengk,
+    objective_gengk_value,
     gradient_gengk,
     objective_svd,
 )
 from .monitor import (
-    MonitorReport,
     xi_recurrence,
     mc_xi_estimate,
     err_indicator,

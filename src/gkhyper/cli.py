@@ -27,6 +27,7 @@ from .marginal import (
     MarginalModel,
     objective_exact,
     objective_gengk,
+    objective_gengk_value,
 )
 from .monitor import err_indicator, mc_xi_estimate, normal_matrix_apply, prop2_bound, xi_recurrence
 from .operators import dense_matrix
@@ -150,13 +151,13 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
     if dense_ok:
         exact = objective_exact(model, theta)
         a_d = dense_matrix(model.forward)
-        q_d = dense_matrix(model.prior_cov(theta))
+        q_d = dense_matrix(q_op)
         xi0 = float(np.sum((a_d.T @ a_d / theta.noise_var) * q_d.T))
         xi_exact = xi_recurrence(fact.alphas, fact.betas, xi0)
 
     rows = []
     for k in range(1, k_max + 1):
-        approx = objective_gengk(model, theta, k, fact=truncate_factorization(fact, k))
+        approx = objective_gengk_value(model, theta, truncate_factorization(fact, k))
         if dense_ok:
             abs_err = abs(exact.value - approx.value)
             re_obj = abs_err / abs(exact.value)

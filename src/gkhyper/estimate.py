@@ -44,7 +44,6 @@ class OptimizeOptions:
     grad_tol: float = 1e-6
     bounds: np.ndarray | None = None          # (K, 2) positive intervals
     parameterization: str = "log"
-    seed: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -99,15 +98,11 @@ def _run_lbfgsb(eval_fn, theta0, opts: OptimizeOptions) -> tuple[np.ndarray, Opt
         theta = np.exp(x) if log_space else x
         evaluation = eval_fn(theta)
         grad = evaluation.gradient
+        if not np.isfinite(evaluation.value) or not np.all(np.isfinite(grad)):
+            raise FloatingPointError(f"objective or gradient is not finite at theta = {theta}")
         gx = grad * theta if log_space else grad
         trace.record(theta, evaluation.value, np.max(np.abs(gx)))
         return evaluation.value, gx
-
-    first = eval_fn(theta0)
-    if not np.isfinite(first.value) or not np.all(np.isfinite(first.gradient)):
-        raise FloatingPointError("objective is not finite at the starting point")
-    trace.record(theta0, first.value, np.max(np.abs(first.gradient * theta0))
-                 if log_space else np.max(np.abs(first.gradient)))
 
     x0 = np.log(theta0) if log_space else theta0
     opt_bounds = np.log(bounds) if log_space else bounds
@@ -196,45 +191,35 @@ class TwoParamModel:
 class TwoParamEvaluator:
     """Objective/gradient over (theta1, theta2) from one precomputed run.
 
-    Caches the SVD of the unit-parameter bidiagonal; each evaluation is a
-    handful of O(k) scalar reductions and never touches the forward operator.
+    Reads the unit-parameter factorization's spectral core, rescaled in O(k)
+    per evaluation; it never touches the forward operator.
     """
 
     def __init__(self, model: TwoParamModel, fact_hat: GenGKFactorization):
         self.model = model
         self.fact_hat = fact_hat
-        b = fact_hat.bidiagonal()
-        p, s, _ = np.linalg.svd(b, full_matrices=True)
-        s_full = np.zeros(b.shape[0])
-        s_full[: s.shape[0]] = s
-        self._w_row2 = p[0, :] ** 2
-        self._s_full2 = s_full**2
-        self._s2 = s**2
-        self._beta1_hat = fact_hat.beta1
         self._m = model.forward.nrows
 
     def evaluate(self, theta1: float, theta2: float) -> ObjectiveEvaluation:
         if theta1 <= 0 or theta2 <= 0:
             raise ValueError("theta1 and theta2 must be positive")
         m = self._m
-        sig2_full = (theta2**2 / theta1) * self._s_full2
-        sig2 = (theta2**2 / theta1) * self._s2
-        beta1sq = self._beta1_hat**2 / theta1
-        denom_full = 1.0 + sig2_full
-        denom = 1.0 + sig2
-
-        logdet_term = 0.5 * (m * np.log(theta1) + float(np.sum(np.log1p(sig2))))
-        quad_weights = self._w_row2 / denom_full
-        quad_term = 0.5 * beta1sq * float(np.sum(quad_weights))
+        spec = self.fact_hat.spectrum.rescaled(theta1, theta2)
+        logdet_term, quad_term = spec.terms(m * np.log(theta1))
         neglogprior, hgrad = self.model.hyperprior.neglog(np.array([theta1, theta2]))
 
+        sig2_full = spec.s_full**2
+        sig2 = spec.s**2
+        w_row2 = spec.p[0, :] ** 2
+        beta1sq = spec.beta1**2
+        denom_full = 1.0 + sig2_full
         # ||r||^2 = (beta1^2/theta1) sum w_j^2/(1+sig_j^2)^2 and
         # ||(UB)' r||^2 = beta1^2 sum sig_j^2 w_j^2/(1+sig_j^2)^2, both via
         # the weighted orthogonality of the rescaled bases
-        r_norm2 = (beta1sq / theta1) * float(np.sum(self._w_row2 / denom_full**2))
-        ubr_norm2 = beta1sq * float(np.sum(sig2_full * self._w_row2 / denom_full**2))
+        r_norm2 = (beta1sq / theta1) * float(np.sum(w_row2 / denom_full**2))
+        ubr_norm2 = beta1sq * float(np.sum(sig2_full * w_row2 / denom_full**2))
 
-        gain = float(np.sum(sig2 / denom))
+        gain = float(np.sum(sig2 / (1.0 + sig2)))
         g1 = hgrad[0] + 0.5 * (m / theta1 - gain / theta1) - 0.5 * r_norm2
         g2 = hgrad[1] + gain / theta2 - ubr_norm2 / theta2
 
@@ -249,12 +234,11 @@ class TwoParamEvaluator:
         )
 
 
-def precompute_two_param(model: TwoParamModel, k: int,
-                         reorth: bool = True) -> GenGKFactorization:
+def precompute_two_param(model: TwoParamModel, k: int) -> GenGKFactorization:
     """One-time bidiagonalization with unit noise variance and the frozen Q0."""
     unit_noise = NoiseCovariance(1.0, model.forward.nrows)
     return gengk_bidiag(model.forward, unit_noise, model.prior_shape,
-                        model.prior_mean, model.data, k, reorth=reorth)
+                        model.prior_mean, model.data, k)
 
 
 def objective_two_param(model: TwoParamModel, fact_hat: GenGKFactorization,
@@ -292,17 +276,6 @@ def optimize_two_param(model: TwoParamModel, theta0,
     return theta_star, trace
 
 
-def _projected_coefficients(fact: GenGKFactorization) -> np.ndarray:
-    """Solve (I + B'B) z = B' (beta1 e1) through the SVD of B."""
-    b = fact.bidiagonal()
-    k = fact.k
-    if k == 0:
-        return np.zeros(0)
-    _, s, wt = np.linalg.svd(b, full_matrices=False)
-    rhs = fact.beta1 * b[0, :]
-    return wt.T @ ((wt @ rhs) / (1.0 + s**2))
-
-
 def map_reconstruct(model: MarginalModel | TwoParamModel, theta,
                     k: int | None = None,
                     fact: GenGKFactorization | None = None) -> np.ndarray:
@@ -322,7 +295,7 @@ def map_reconstruct(model: MarginalModel | TwoParamModel, theta,
         fact = gengk_bidiag(model.forward, model.noise_cov(theta),
                             model.prior_cov(theta, 0), model.prior_mean,
                             model.data, k_run)
-    z = _projected_coefficients(fact)
+    z = fact.spectrum.coefficients()
     return model.mean_vector() + fact.qv_basis[:, : fact.k] @ z
 
 

@@ -8,7 +8,8 @@ Q are ever formed. Weighted norms use the operator forms
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .covariance import CovarianceOperator
 from .operators import LinearOperatorHandle, NoiseCovariance
 
 __all__ = [
+    "BidiagSpectrum",
     "GenGKFactorization",
     "gengk_bidiag",
     "verify_relations",
@@ -38,10 +40,56 @@ def bidiagonal_matrix(alphas, betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=float)
     k = len(alphas) - 1
     b = np.zeros((k + 1, k))
-    for j in range(k):
-        b[j, j] = alphas[j]
-        b[j + 1, j] = betas[j + 1]
+    j = np.arange(k)
+    b[j, j] = alphas[:k]
+    b[j + 1, j] = betas[1 : k + 1]
     return b
+
+
+@dataclass(frozen=True, eq=False)
+class BidiagSpectrum:
+    """SVD B = P diag(s) W' of a (k+1) x k bidiagonal plus the initialization norm.
+
+    p is (k+1) x (k+1), s holds the k singular values, s_full is s padded
+    with a zero to length k+1, and the columns of w (k x k) are the right
+    singular vectors. Everything the approximate objective, its gradient and
+    the projected MAP estimate need from B comes from here.
+    """
+
+    p: np.ndarray
+    s: np.ndarray
+    s_full: np.ndarray
+    w: np.ndarray
+    beta1: float
+
+    def terms(self, noise_logdet: float) -> tuple[float, float]:
+        """(logdet_term, quad_term) of the approximate objective.
+
+        Forming I + B B' explicitly is numerically troublesome for the log
+        determinant, so it is evaluated through the singular values; the
+        quadratic term uses the first row of P.
+        """
+        s, s_full = self.s, self.s_full
+        logdet_term = 0.5 * (noise_logdet + float(np.sum(np.log1p(s * s))))
+        w_row = self.p[0, :]
+        quad_term = 0.5 * self.beta1**2 * float(np.sum(w_row * w_row / (1.0 + s_full * s_full)))
+        return logdet_term, quad_term
+
+    def coefficients(self) -> np.ndarray:
+        """z solving (I + B'B) z = B' beta1 e1, with B' e1 = W diag(s) P[0, :k]'."""
+        s = self.s
+        return self.w @ (self.beta1 * s * self.p[0, : s.shape[0]] / (1.0 + s * s))
+
+    def rescaled(self, theta1: float, theta2: float) -> "BidiagSpectrum":
+        """Spectrum of two_param_rescale(fact, theta1, theta2) in O(k).
+
+        B scales by theta2/sqrt(theta1) and beta1 by 1/sqrt(theta1); the
+        singular vectors do not change.
+        """
+        root1 = np.sqrt(theta1)
+        coeff = theta2 / root1
+        return replace(self, s=self.s * coeff, s_full=self.s_full * coeff,
+                       beta1=self.beta1 / root1)
 
 
 @dataclass
@@ -53,6 +101,11 @@ class GenGKFactorization:
     downstream consumers (reconstruction, monitoring) need no extra Q applies.
     betas[0] is the initialization norm beta1. When the iteration broke down,
     breakdown_at records the step and the trailing basis columns are zero.
+
+    spectrum is the SVD of the bidiagonal, taken on first use and cached; it
+    is the one spectral core that the objective, gradient, MAP coefficients
+    and two-parameter fast path read. The arrays are not to be modified once
+    it has been taken.
     """
 
     u_basis: np.ndarray
@@ -69,6 +122,14 @@ class GenGKFactorization:
 
     def bidiagonal(self) -> np.ndarray:
         return bidiagonal_matrix(self.alphas, self.betas)
+
+    @cached_property
+    def spectrum(self) -> BidiagSpectrum:
+        b = self.bidiagonal()
+        p, s, wt = np.linalg.svd(b, full_matrices=True)
+        s_full = np.zeros(b.shape[0])
+        s_full[: s.shape[0]] = s
+        return BidiagSpectrum(p, s, s_full, wt.T, self.beta1)
 
 
 def _orthogonalize(w, basis_cols, weighted_cols):

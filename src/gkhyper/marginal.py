@@ -8,11 +8,20 @@ that never forms Z. The objective is
     F(theta) = -log pi(theta) + 1/2 logdet Z + 1/2 ||A mu - d||^2_{Z^{-1}},
 
 with additive constants dropped throughout.
+
+The approximate path reads one spectral core per factorization,
+GenGKFactorization.spectrum (the SVD of the bidiagonal B_k plus beta1): the
+log-determinant and quadratic terms come from BidiagSpectrum.terms, and the
+gradient takes its projected pieces from the same P, s and W.
+objective_gengk_value is the objective alone from an existing
+factorization, for sweeps over k that need no gradient. The truncated-SVD
+path stays independent of the core, as the dense oracle it is checked
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -29,6 +38,7 @@ __all__ = [
     "hyperprior_neglog",
     "objective_exact",
     "objective_gengk",
+    "objective_gengk_value",
     "gradient_gengk",
     "objective_svd",
 ]
@@ -248,34 +258,11 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     )
 
 
-def _svd_of_bidiagonal(b: np.ndarray):
-    """Full SVD of the (k+1) x k bidiagonal, singular values padded to k+1."""
-    p, s, wt = np.linalg.svd(b, full_matrices=True)
-    s_full = np.zeros(b.shape[0])
-    s_full[: s.shape[0]] = s
-    return p, s, s_full, wt
-
-
-def _gengk_terms(fact: GenGKFactorization, noise: NoiseCovariance):
-    """logdet and quadratic terms of the approximate objective from B's SVD.
-
-    Forming I + B B' explicitly is numerically troublesome for the log
-    determinant, so it is always evaluated through the singular values of B;
-    the same factorization serves the quadratic term via the first row of the
-    left singular vectors.
-    """
-    b = fact.bidiagonal()
-    p, s, s_full, wt = _svd_of_bidiagonal(b)
-    logdet_term = 0.5 * (noise.logdet() + float(np.sum(np.log1p(s * s))))
-    w_row = p[0, :]
-    quad_term = 0.5 * fact.beta1**2 * float(np.sum(w_row * w_row / (1.0 + s_full * s_full)))
-    return logdet_term, quad_term, (p, s, s_full, wt)
-
-
 def _gengk_gradient(model: MarginalModel, theta: HyperParams,
                     fact: GenGKFactorization, noise: NoiseCovariance,
-                    q_op: CovarianceOperator, svd_parts) -> np.ndarray:
-    p, s, s_full, wt = svd_parts
+                    q_op: CovarianceOperator) -> np.ndarray:
+    spec = fact.spectrum
+    p, s, s_full, w_mat = spec.p, spec.s, spec.s_full, spec.w
     k = fact.k
     b = fact.bidiagonal()
     u = fact.u_basis
@@ -291,7 +278,6 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
 
     gain = s * s / (1.0 + s * s)          # eigenvalues of T(I+T)^{-1}
     shrink = 1.0 / (1.0 + s * s)          # eigenvalues of (I+T)^{-1}
-    w_mat = wt.T
 
     neglogprior, hgrad = model.hyperprior.neglog(theta.values)
     grad = np.empty(len(theta))
@@ -322,9 +308,28 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
     return grad
 
 
+def objective_gengk_value(model: MarginalModel, theta: HyperParams,
+                          fact: GenGKFactorization) -> ObjectiveEvaluation:
+    """Approximate objective alone from a factorization computed at theta.
+
+    Reads the factorization's spectral core only: no covariance build, no
+    operator applies and no gradient (gradient is None).
+    """
+    logdet_term, quad_term = fact.spectrum.terms(model.noise_cov(theta).logdet())
+    neglogprior, _ = model.hyperprior.neglog(theta.values)
+    return ObjectiveEvaluation(
+        value=neglogprior + logdet_term + quad_term,
+        neglogprior_term=neglogprior,
+        logdet_term=logdet_term,
+        quad_term=quad_term,
+        gradient=None,
+        k_used=fact.k,
+        matvec_report={"forward": 0, "adjoint": 0},
+    )
+
+
 def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
-                    fact: GenGKFactorization | None = None,
-                    reorth: bool = True) -> ObjectiveEvaluation:
+                    fact: GenGKFactorization | None = None) -> ObjectiveEvaluation:
     """Approximate objective and gradient from k bidiagonalization steps.
 
     When fact is omitted the bidiagonalization is run fresh at theta (the
@@ -338,28 +343,17 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
     if fact is None:
         k_run = min(int(k), min(model.nrows, model.ncols))
         fact = gengk_bidiag(model.forward, noise, q_op, model.prior_mean,
-                            model.data, k_run, reorth=reorth)
-    logdet_term, quad_term, svd_parts = _gengk_terms(fact, noise)
-    neglogprior, _ = model.hyperprior.neglog(theta.values)
-    grad = _gengk_gradient(model, theta, fact, noise, q_op, svd_parts)
-    return ObjectiveEvaluation(
-        value=neglogprior + logdet_term + quad_term,
-        neglogprior_term=neglogprior,
-        logdet_term=logdet_term,
-        quad_term=quad_term,
-        gradient=grad,
-        k_used=fact.k,
-        matvec_report=_count_delta(model.forward, before),
-    )
+                            model.data, k_run)
+    return replace(objective_gengk_value(model, theta, fact),
+                   gradient=_gengk_gradient(model, theta, fact, noise, q_op),
+                   matvec_report=_count_delta(model.forward, before))
 
 
 def gradient_gengk(model: MarginalModel, theta: HyperParams,
                    fact: GenGKFactorization) -> np.ndarray:
     """Gradient approximation from an existing factorization at theta."""
-    noise = model.noise_cov(theta)
-    _, _, svd_parts = _gengk_terms(fact, noise)
-    q_op = model.prior_cov(theta, 0)
-    return _gengk_gradient(model, theta, fact, noise, q_op, svd_parts)
+    return _gengk_gradient(model, theta, fact, model.noise_cov(theta),
+                           model.prior_cov(theta, 0))
 
 
 def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> ObjectiveEvaluation:

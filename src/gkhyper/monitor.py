@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .gengk import GenGKFactorization
 from .operators import LinearOperatorHandle, NoiseCovariance
 
 __all__ = [
-    "MonitorReport",
     "xi_recurrence",
     "mc_xi_estimate",
     "err_indicator",
@@ -27,21 +25,6 @@ __all__ = [
     "sample_size_bound",
     "normal_matrix_apply",
 ]
-
-
-@dataclass
-class MonitorReport:
-    """xi-hat and error-indicator sequences over k = 1 .. k_max."""
-
-    xi_hat: np.ndarray
-    err_mc: np.ndarray
-    beta1: float
-    n_mc: int
-    probe_kind: str
-
-    def __post_init__(self):
-        if len(self.xi_hat) != len(self.err_mc):
-            raise ValueError("xi_hat and err_mc lengths differ")
 
 
 def xi_recurrence(alphas, betas, xi0: float) -> np.ndarray:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import yaml
 
-from gkhyper.cli import main, read_csv, read_theta_star
+from gkhyper.cli import _build_problem, main, read_csv, read_theta_star
 from gkhyper.config import ConfigError, config_from_dict, load_config
+from gkhyper.gengk import gengk_bidiag, truncate_factorization
+from gkhyper.marginal import HyperParams, objective_exact, objective_gengk
 
 
 SMALL_HEAT = {
@@ -153,6 +155,32 @@ def test_monitor_outputs_and_bound_column(tmp_path):
     assert np.all(table["prop2_bound"] >= table["abs_err_objective"] - 1e-12)
     assert np.all(np.isfinite(table["err_mc"]))
     assert np.all(table["err_mc"] >= 0)
+
+
+def test_monitor_errors_equal_full_evaluation(tmp_path):
+    # the monitor reads the objective alone; its errors are those of the
+    # full objective-and-gradient evaluation at every truncation, bit for bit
+    cfg_path = write_config(tmp_path, SMALL_HEAT)
+    out = tmp_path / "mon"
+    assert main(["monitor", "--config", str(cfg_path), "--out", str(out)]) == 0
+    table = read_csv(out / "error_vs_k.csv")
+
+    cfg = load_config(cfg_path)
+    _, model = _build_problem(cfg)
+    theta = HyperParams(np.asarray(cfg.monitor.theta, dtype=float))
+    fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                        model.prior_mean, model.data, cfg.monitor.k_max)
+    exact = objective_exact(model, theta)
+    assert list(table["k"]) == list(range(1, fact.k + 1))
+    for k in range(1, fact.k + 1):
+        approx = objective_gengk(model, theta, k, fact=truncate_factorization(fact, k))
+        abs_err = abs(exact.value - approx.value)
+        assert table["abs_err_objective"][k - 1] == abs_err
+        assert table["re_objective"][k - 1] == abs_err / abs(exact.value)
+        assert table["re_logdet"][k - 1] == (abs(exact.logdet_term - approx.logdet_term)
+                                             / abs(exact.logdet_term))
+        assert table["re_quad"][k - 1] == (abs(exact.quad_term - approx.quad_term)
+                                           / abs(exact.quad_term))
 
 
 def test_monitor_single_row(tmp_path):

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from gkhyper import estimate
 from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
 from gkhyper.estimate import (
     OptimizeOptions,
@@ -15,7 +18,13 @@ from gkhyper.estimate import (
     two_param_rescale,
 )
 from gkhyper.gengk import gengk_bidiag, verify_relations
-from gkhyper.marginal import HyperParams, Hyperprior, MarginalModel, objective_gengk
+from gkhyper.marginal import (
+    HyperParams,
+    Hyperprior,
+    MarginalModel,
+    gradient_gengk,
+    objective_gengk,
+)
 from gkhyper.operators import DenseOperator, NoiseCovariance, ZeroOperator
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, relative_error
 
@@ -70,6 +79,26 @@ def test_func_count_matches_forward_applications():
     # every objective evaluation runs one fresh factorization: 2(k+1) applies
     assert after[0] - before[0] == trace.func_count * (k + 1)
     assert after[1] - before[1] == trace.func_count * (k + 1)
+
+
+@pytest.mark.parametrize("bad_call, value, grad", [(1, np.nan, 1.0), (2, 1.0, np.inf)])
+def test_nonfinite_evaluation_raises(monkeypatch, rng, bad_call, value, grad):
+    # the check covers every evaluation the optimizer asks for, not only theta0
+    model, _ = zero_model(rng)
+    thetas = []
+
+    def fake_objective(model, theta, k):
+        thetas.append(theta.values)
+        if len(thetas) < bad_call:
+            return SimpleNamespace(value=float(theta.values @ theta.values),
+                                   gradient=2.0 * theta.values)
+        return SimpleNamespace(value=value, gradient=np.full(len(theta), grad))
+
+    monkeypatch.setattr(estimate, "objective_gengk", fake_objective)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        optimize_hyperparams(model, HyperParams(np.ones(3)),
+                             OptimizeOptions(k=4, bounds=WIDE_BOUNDS))
+    assert len(thetas) == bad_call
 
 
 # --- two-parameter fast path
@@ -127,6 +156,11 @@ def test_rescaled_objective_matches_fresh_run():
         assert abs(rescaled.value - fresh.value) <= 1e-8 * abs(fresh.value)
         assert abs(closed.value - fresh.value) <= 1e-8 * abs(fresh.value)
         assert np.allclose(closed.gradient, fresh.gradient[:2], rtol=1e-7)
+        # the O(k) rescaled core is the spectrum of the rescaled factorization
+        spec = fact_hat.spectrum.rescaled(theta1, theta2)
+        fresh_spec = two_param_rescale(fact_hat, theta1, theta2).spectrum
+        assert np.allclose(spec.s, fresh_spec.s, rtol=0, atol=1e-12 * spec.s[0])
+        assert np.isclose(spec.beta1, fresh_spec.beta1, rtol=1e-15)
 
 
 def test_rescale_preserves_relation_residuals():
@@ -214,6 +248,46 @@ def test_map_reconstruct_matches_dense_closed_form(rng):
     projected = map_reconstruct(model, theta, k=16)
     closed = map_reconstruct_exact(model, theta)
     assert np.linalg.norm(projected - closed) <= 1e-8 * np.linalg.norm(closed)
+
+
+def test_map_reconstruct_matches_dense_projected_solve(rng):
+    n = 12
+    A = DenseOperator(rng.standard_normal((n, n)) / np.sqrt(n))
+    mu = rng.standard_normal(n)
+    theta = HyperParams(np.array([0.2, 1.0, 0.3]))
+    for d in (rng.standard_normal(n), A.apply(mu)):
+        model = MarginalModel(forward=A, data=d, geometry=rng.uniform(0, 1, (n, 2)),
+                              prior_mean=mu)
+        fact = gengk_bidiag(A, model.noise_cov(theta), model.prior_cov(theta), mu, d, 8)
+        b = fact.bidiagonal()
+        z = np.linalg.solve(np.eye(fact.k) + b.T @ b, fact.beta1 * b[0, :])
+        expected = mu + fact.qv_basis[:, : fact.k] @ z
+        s_hat = map_reconstruct(model, theta, fact=fact)
+        assert np.linalg.norm(fact.spectrum.coefficients() - z) <= 1e-12 * np.linalg.norm(z)
+        assert np.linalg.norm(s_hat - expected) <= 1e-12 * np.linalg.norm(expected)
+    # the second data vector is explained by the prior mean: beta1 = 0, k = 0
+    assert fact.k == 0 and fact.beta1 == 0.0
+    assert np.array_equal(s_hat, mu)
+
+
+def test_one_svd_per_factorization(monkeypatch):
+    prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
+    theta = HyperParams(np.array([1e-5, 0.4, 0.08]))
+    fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                        None, model.data, 10)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    objective_gengk(model, theta, 10, fact=fact)
+    gradient_gengk(model, theta, fact)
+    map_reconstruct(model, theta, fact=fact)
+    assert calls == [(11, 10)]
 
 
 def test_heat_reconstruction_error_band():
