@@ -37,7 +37,6 @@ from .marginal import (
     Hyperprior,
     MarginalModel,
     ObjectiveEvaluation,
-    hyperprior_neglog,
     objective_exact,
     objective_gengk,
     objective_gengk_value,

@@ -19,6 +19,20 @@ class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
 
 
+# theta of both problems
+_THETA = "3 positive values (noise variance, prior std, correlation length)"
+
+
+def _positive(values, where: str, shape: tuple, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.shape != shape or np.any(arr <= 0):
+        raise ConfigError(f"{where} must be {what}, got {values!r}")
+    return arr
+
+
 @dataclass
 class ProblemConfig:
     name: str = "heat1d"
@@ -78,12 +92,13 @@ class EstimateConfig:
     def validate(self):
         if self.k < 1:
             raise ConfigError("estimate.k must be at least 1")
-        theta0 = np.asarray(self.theta0, dtype=float)
-        bounds = np.asarray(self.bounds, dtype=float)
-        if theta0.ndim != 1 or np.any(theta0 <= 0):
-            raise ConfigError("theta0 must be a positive vector")
-        if bounds.shape != (theta0.size, 2) or np.any(bounds <= 0):
-            raise ConfigError("bounds must be a positive (K, 2) table")
+        theta0 = _positive(self.theta0, "estimate.theta0", (3,), _THETA)
+        bounds = _positive(self.bounds, "estimate.bounds", (3, 2),
+                           "3 positive [low, high] rows")
+        if np.any(bounds[:, 0] >= bounds[:, 1]):
+            raise ConfigError("estimate.bounds must have low < high in every row")
+        if np.any(theta0 < bounds[:, 0]) or np.any(theta0 > bounds[:, 1]):
+            raise ConfigError("estimate.theta0 must lie within estimate.bounds")
         if self.parameterization not in ("log", "linear"):
             raise ConfigError("parameterization must be log or linear")
 
@@ -102,8 +117,7 @@ class MonitorConfig:
             raise ConfigError("monitor.n_mc must be at least 1")
         if self.probe_kind not in ("gaussian", "rademacher"):
             raise ConfigError("probe_kind must be gaussian or rademacher")
-        if np.any(np.asarray(self.theta, dtype=float) <= 0):
-            raise ConfigError("monitor.theta must be positive")
+        _positive(self.theta, "monitor.theta", (3,), _THETA)
 
 
 @dataclass
@@ -118,8 +132,7 @@ class BenchmarkConfig:
             raise ConfigError("benchmark.sizes must be integers >= 2")
         if self.k < 1 or self.repeats < 1:
             raise ConfigError("benchmark.k and repeats must be positive")
-        if np.any(np.asarray(self.theta, dtype=float) <= 0):
-            raise ConfigError("benchmark.theta must be positive")
+        _positive(self.theta, "benchmark.theta", (3,), _THETA)
 
 
 @dataclass
@@ -130,8 +143,7 @@ class ReconstructConfig:
     def validate(self):
         if self.k < 1:
             raise ConfigError("reconstruct.k must be at least 1")
-        if np.any(np.asarray(self.theta, dtype=float) <= 0):
-            raise ConfigError("reconstruct.theta must be positive")
+        _positive(self.theta, "reconstruct.theta", (3,), _THETA)
 
 
 @dataclass

@@ -37,6 +37,9 @@ CLOSED_FORM_NU = (0.5, 1.5, 2.5)
 
 _FD_ELL_REL_STEP = 1e-6
 
+# grid shapes whose clipped embedding has been logged at WARNING in this process
+_CLIP_WARNED: set[tuple[int, ...]] = set()
+
 
 @dataclass(frozen=True)
 class MaternKernel:
@@ -111,41 +114,35 @@ def _matern_deriv_ell_closed(kernel: MaternKernel, r: np.ndarray) -> np.ndarray:
     raise ValueError(f"no closed-form ell-derivative for nu={nu}")
 
 
-def matern_deriv(kernel: MaternKernel, r, wrt: str):
-    """Derivative of the kernel value with respect to a hyperparameter.
+def matern_deriv(kernel: MaternKernel, r):
+    """Derivative dM/dell of the kernel value in the correlation length theta3.
 
-    wrt="sigma_std" differentiates with respect to theta2 (the standard
-    deviation): dM/dtheta2 = (2/theta2) M(r). wrt="ell" uses the analytic
-    formula for nu in {1/2, 3/2, 5/2}; other nu fall back to a central
-    finite difference (step 1e-6 * ell) and emit a warning because the
-    result is approximate.
+    Uses the analytic formula for nu in {1/2, 3/2, 5/2}; other nu fall back
+    to a central finite difference (step 1e-6 * ell) and emit a warning
+    because the result is approximate. The prior-std derivative needs no
+    kernel: dQ/dtheta2 = (2/theta2) Q (CovarianceOperator.derivative).
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("distances must be nonnegative")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if wrt == "sigma_std":
-        out = (2.0 / kernel.prior_std) * np.atleast_1d(matern_eval(kernel, r))
-    elif wrt == "ell":
-        if kernel.nu in CLOSED_FORM_NU or any(
-            _is_close(kernel.nu, v) for v in CLOSED_FORM_NU
-        ):
-            out = _matern_deriv_ell_closed(kernel, r)
-        else:
-            warnings.warn(
-                f"nu={kernel.nu} has no analytic ell-derivative; "
-                "using a central finite difference (approximate)",
-                stacklevel=2,
-            )
-            h = _FD_ELL_REL_STEP * kernel.ell
-            kp = MaternKernel(kernel.nu, kernel.sigma2, kernel.ell + h)
-            km = MaternKernel(kernel.nu, kernel.sigma2, kernel.ell - h)
-            out = (
-                np.atleast_1d(matern_eval(kp, r)) - np.atleast_1d(matern_eval(km, r))
-            ) / (2.0 * h)
+    if kernel.nu in CLOSED_FORM_NU or any(
+        _is_close(kernel.nu, v) for v in CLOSED_FORM_NU
+    ):
+        out = _matern_deriv_ell_closed(kernel, r)
     else:
-        raise ValueError(f"wrt must be 'sigma_std' or 'ell', got {wrt!r}")
+        warnings.warn(
+            f"nu={kernel.nu} has no analytic ell-derivative; "
+            "using a central finite difference (approximate)",
+            stacklevel=2,
+        )
+        h = _FD_ELL_REL_STEP * kernel.ell
+        kp = MaternKernel(kernel.nu, kernel.sigma2, kernel.ell + h)
+        km = MaternKernel(kernel.nu, kernel.sigma2, kernel.ell - h)
+        out = (
+            np.atleast_1d(matern_eval(kp, r)) - np.atleast_1d(matern_eval(km, r))
+        ) / (2.0 * h)
     return float(out[0]) if scalar else out
 
 
@@ -153,7 +150,7 @@ def _kernel_or_ell_deriv(kernel: MaternKernel, deriv_index: int, r):
     # deriv_index 2 never reaches a kernel evaluation: dQ/dtheta2 is a scaled Q
     if deriv_index == 0:
         return matern_eval(kernel, r)
-    return matern_deriv(kernel, r, "ell")
+    return matern_deriv(kernel, r)
 
 
 @dataclass(frozen=True)
@@ -293,7 +290,8 @@ class _FFTGridCovariance(CovarianceOperator):
     the operator zero-pads the input into the embedding, multiplies by the
     circulant eigenvalues in Fourier space and crops. Negative embedding
     eigenvalues of Q (possible for some nu/ell) are clipped at zero, and
-    ``clipped`` counts them.
+    ``clipped`` counts them. The first clipping build per grid shape in a
+    process logs a WARNING, later ones log at DEBUG.
 
     Derivative operators differentiate the clipped Q that is applied: the
     clipped set is locally constant in theta (away from a zero eigenvalue),
@@ -323,7 +321,11 @@ class _FFTGridCovariance(CovarianceOperator):
             q_clip_mask = eig < 0.0
             self.clipped = int(np.count_nonzero(q_clip_mask))
             if self.clipped:
-                log.warning(
+                # once per grid shape at WARNING: Q is rebuilt per evaluation
+                level = logging.DEBUG if grid.shape in _CLIP_WARNED else logging.WARNING
+                _CLIP_WARNED.add(grid.shape)
+                log.log(
+                    level,
                     "circulant embedding has %d negative eigenvalues "
                     "(min %.3e); clipping at zero",
                     self.clipped,
@@ -347,16 +349,14 @@ class _FFTGridCovariance(CovarianceOperator):
         return _FFTGridCovariance(self.kernel, 3, self.grid, self._q_clip_mask)
 
 
-def build_cov_operator(geometry, kernel: MaternKernel, deriv_index: int = 0,
+def build_cov_operator(geometry, kernel: MaternKernel,
                        backend: str = "auto") -> CovarianceOperator:
-    """Build a matrix-free covariance (or derivative) operator.
+    """Build the matrix-free prior covariance Q of a Matern kernel.
 
     geometry is either a RegularGrid (FFT backend available) or an
     (n_points, dim) coordinate array (dense backend only). backend "auto"
-    picks FFT on grids, dense on point sets. A derivative operator is
-    ``Q.derivative(deriv_index)`` of the Q built here: deriv_index 2 gives
-    (2/theta2) Q through Q's own apply, deriv_index 3 the derivative of the
-    (clipped, on the FFT backend) Q in the correlation length.
+    picks FFT on grids, dense on point sets. Derivative operators are taken
+    from the Q built here, through ``Q.derivative(2)`` and ``Q.derivative(3)``.
     """
     if isinstance(geometry, RegularGrid):
         if backend in ("auto", "fft"):
@@ -376,4 +376,4 @@ def build_cov_operator(geometry, kernel: MaternKernel, deriv_index: int = 0,
         if backend not in ("auto", "dense"):
             raise ValueError(f"unknown backend {backend!r}")
         q = _DenseCovariance(kernel, 0, points)
-    return q if deriv_index == 0 else q.derivative(deriv_index)
+    return q

@@ -293,7 +293,7 @@ def map_reconstruct(model: MarginalModel | TwoParamModel, theta,
         theta = theta if isinstance(theta, HyperParams) else HyperParams(np.asarray(theta))
         k_run = min(int(k), min(model.nrows, model.ncols))
         fact = gengk_bidiag(model.forward, model.noise_cov(theta),
-                            model.prior_cov(theta, 0), model.prior_mean,
+                            model.prior_cov(theta), model.prior_mean,
                             model.data, k_run)
     z = fact.spectrum.coefficients()
     return model.mean_vector() + fact.qv_basis[:, : fact.k] @ z
@@ -307,7 +307,7 @@ def map_reconstruct_exact(model: MarginalModel, theta: HyperParams) -> np.ndarra
     if model.ncols > model.dense_cap:
         raise ValueError("problem exceeds the dense cap for the closed-form oracle")
     a_dense = dense_matrix(model.forward)
-    q_dense = dense_matrix(model.prior_cov(theta, 0))
+    q_dense = dense_matrix(model.prior_cov(theta))
     q_inv = np.linalg.inv(0.5 * (q_dense + q_dense.T))
     lhs = a_dense.T @ a_dense / theta.noise_var + q_inv
     rhs = a_dense.T @ model.data / theta.noise_var + q_inv @ model.mean_vector()

@@ -35,7 +35,6 @@ __all__ = [
     "Hyperprior",
     "MarginalModel",
     "ObjectiveEvaluation",
-    "hyperprior_neglog",
     "objective_exact",
     "objective_gengk",
     "objective_gengk_value",
@@ -104,18 +103,15 @@ class Hyperprior:
         )
 
 
-def hyperprior_neglog(prior: Hyperprior, theta: HyperParams) -> tuple[float, np.ndarray]:
-    """Negative log hyperprior and its gradient (constants dropped)."""
-    return prior.neglog(theta.values)
-
-
 @dataclass
 class MarginalModel:
     """Problem data plus the theta-to-covariance rules.
 
-    The prior covariance family is Matern with fixed smoothness nu over the
-    given geometry (RegularGrid or point array); the noise covariance is
-    theta1 * I. prior_mean None means zero.
+    theta is (noise variance, prior std, correlation length); both rules
+    reject a theta of any other length. The noise covariance is theta1 * I.
+    The prior covariance Q is Matern with fixed smoothness nu over the given
+    geometry (RegularGrid or point array), and its theta-derivatives are
+    Q.derivative(2) and Q.derivative(3) of that Q. prior_mean None means zero.
     """
 
     forward: LinearOperatorHandle
@@ -124,7 +120,6 @@ class MarginalModel:
     nu: float = 1.5
     hyperprior: Hyperprior = field(default_factory=Hyperprior)
     prior_mean: np.ndarray | None = None
-    cov_backend: str = "auto"
     dense_cap: int = DENSE_CAP_DEFAULT
 
     def __post_init__(self):
@@ -155,12 +150,20 @@ class MarginalModel:
             return np.zeros(self.ncols)
         return self.prior_mean.copy()
 
+    @staticmethod
+    def _check_theta(theta: HyperParams) -> None:
+        if len(theta) != 3:
+            raise ValueError("theta must be (noise variance, prior std, correlation "
+                             f"length), got {len(theta)} values")
+
     def noise_cov(self, theta: HyperParams) -> NoiseCovariance:
+        self._check_theta(theta)
         return NoiseCovariance(theta.noise_var, self.nrows)
 
-    def prior_cov(self, theta: HyperParams, deriv_index: int = 0):
+    def prior_cov(self, theta: HyperParams) -> CovarianceOperator:
+        self._check_theta(theta)
         kernel = MaternKernel(self.nu, theta.prior_std**2, theta.corr_length)
-        return build_cov_operator(self.geometry, kernel, deriv_index, self.cov_backend)
+        return build_cov_operator(self.geometry, kernel)
 
 
 @dataclass
@@ -192,15 +195,6 @@ def _count_delta(op: LinearOperatorHandle, before: tuple[int, int]) -> dict:
     return {"forward": after[0] - before[0], "adjoint": after[1] - before[1]}
 
 
-def _assemble_z(model: MarginalModel, theta: HyperParams):
-    a_dense = dense_matrix(model.forward)
-    q_dense = dense_matrix(model.prior_cov(theta, 0))
-    z = a_dense @ q_dense @ a_dense.T
-    z[np.diag_indices_from(z)] += theta.noise_var
-    z = 0.5 * (z + z.T)
-    return a_dense, z
-
-
 def _require_dense(model: MarginalModel, what: str) -> None:
     if model.nrows > model.dense_cap:
         raise ValueError(
@@ -209,17 +203,28 @@ def _require_dense(model: MarginalModel, what: str) -> None:
         )
 
 
+def _assemble_gradient(hgrad: np.ndarray, *terms: tuple[float, float]) -> np.ndarray:
+    # dF/dtheta_i = d(-log pi)/dtheta_i + tr(Z^{-1} dZ_i)/2 - r' dZ_i r/2, with
+    # each term given as (trace, -r' dZ_i r/2)
+    return np.array([h + 0.5 * trace + quad for h, (trace, quad) in zip(hgrad, terms)])
+
+
 def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvaluation:
     """Dense-oracle objective and gradient (guarded by the dense cap).
 
     Z is assembled through matvecs only, then factored once; the gradient
-    uses the dense derivative matrices dZ/dtheta_i = A (dQ/dtheta_i) A' +
-    dR/dtheta_i with a fixed (zero-derivative) prior mean.
+    uses dZ/dtheta1 = I and the dense derivative matrices dZ/dtheta_i =
+    A (dQ/dtheta_i) A' for i = 2, 3, probed from the one Q built here, with a
+    fixed (zero-derivative) prior mean.
     """
     _require_dense(model, "the exact objective")
     before = model.forward.matvec_count.snapshot()
     m = model.nrows
-    a_dense, z = _assemble_z(model, theta)
+    q_op = model.prior_cov(theta)
+    a_dense = dense_matrix(model.forward)
+    z = a_dense @ dense_matrix(q_op) @ a_dense.T
+    z[np.diag_indices_from(z)] += theta.noise_var
+    z = 0.5 * (z + z.T)
     try:
         cho = cho_factor(z, lower=True)
     except LinAlgError as exc:
@@ -234,18 +239,15 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     neglogprior, hgrad = model.hyperprior.neglog(theta.values)
 
     z_inv = cho_solve(cho, np.eye(m))
-    grad = np.empty(len(theta))
-    for i in range(1, len(theta) + 1):
-        if i == 1:
-            trace_term = float(np.trace(z_inv))
-            quad_term_i = -0.5 * float(w @ w)
-        else:
-            dq_dense = dense_matrix(model.prior_cov(theta, i))
-            dz = a_dense @ dq_dense @ a_dense.T
-            dz = 0.5 * (dz + dz.T)
-            trace_term = float(np.sum(z_inv * dz))
-            quad_term_i = -0.5 * float(w @ (dz @ w))
-        grad[i - 1] = hgrad[i - 1] + 0.5 * trace_term + quad_term_i
+
+    def q_term(dq: CovarianceOperator) -> tuple[float, float]:
+        dz = a_dense @ dense_matrix(dq) @ a_dense.T
+        dz = 0.5 * (dz + dz.T)
+        return float(np.sum(z_inv * dz)), -0.5 * float(w @ (dz @ w))
+
+    noise_term = float(np.trace(z_inv)), -0.5 * float(w @ w)  # dZ/dtheta1 = I
+    grad = _assemble_gradient(hgrad, noise_term, q_term(q_op.derivative(2)),
+                              q_term(q_op.derivative(3)))
 
     return ObjectiveEvaluation(
         value=neglogprior + 0.5 * logdet + quad,
@@ -279,32 +281,26 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
     gain = s * s / (1.0 + s * s)          # eigenvalues of T(I+T)^{-1}
     shrink = 1.0 / (1.0 + s * s)          # eigenvalues of (I+T)^{-1}
 
-    neglogprior, hgrad = model.hyperprior.neglog(theta.values)
-    grad = np.empty(len(theta))
-    for i in range(1, len(theta) + 1):
-        trace_term = 0.0
-        dz_r = np.zeros_like(r_vec)
-        if i == 1:
-            trace_term += noise.deriv_inner_inv(1)
-            rinv_u = noise.apply_inv(u)
-            psi_r = rinv_u.T @ noise.deriv_apply(1, rinv_u)
-            bw = p[:, :k] * s
-            mat = bw.T @ psi_r @ bw
-            trace_term -= float(np.sum(np.diag(mat) * shrink))
-            dz_r += noise.deriv_apply(1, r_vec)
-        elif k > 0:
-            dq = q_op.derivative(i)
-            dq_vk = np.column_stack([dq.apply(vk[:, j]) for j in range(k)])
-            psi_q = vk.T @ dq_vk
-            mat = w_mat.T @ psi_q @ w_mat
-            trace_term += float(np.sum(np.diag(mat) * gain))
-            dz_r += ub @ (psi_q @ ub_t_r)
-        quad_term_i = -0.5 * float(dz_r @ r_vec)
-        if not np.isfinite(trace_term) or not np.isfinite(quad_term_i):
-            raise FloatingPointError(
-                f"non-finite gradient contribution for component {i}"
-            )
-        grad[i - 1] = hgrad[i - 1] + 0.5 * trace_term + quad_term_i
+    # dR/dtheta1 = I: <dR/dtheta1, R^{-1}> = m/theta1 and psi_R = (R^{-1} U)'(R^{-1} U),
+    # formed from two distinct arrays (one buffer and its transpose would go to syrk)
+    bw = p[:, :k] * s
+    psi_r = noise.apply_inv(u).T @ noise.apply_inv(u)
+    noise_term = (noise.m / noise.theta1 - float(np.sum(np.diag(bw.T @ psi_r @ bw) * shrink)),
+                  -0.5 * float(r_vec @ r_vec))
+
+    def q_term(dq: CovarianceOperator) -> tuple[float, float]:
+        if k == 0:
+            return 0.0, 0.0
+        dq_vk = np.column_stack([dq.apply(vk[:, j]) for j in range(k)])
+        psi_q = vk.T @ dq_vk
+        return (float(np.sum(np.diag(w_mat.T @ psi_q @ w_mat) * gain)),
+                -0.5 * float((ub @ (psi_q @ ub_t_r)) @ r_vec))
+
+    _, hgrad = model.hyperprior.neglog(theta.values)
+    grad = _assemble_gradient(hgrad, noise_term, q_term(q_op.derivative(2)),
+                              q_term(q_op.derivative(3)))
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError(f"non-finite gradient {grad}")
     return grad
 
 
@@ -339,7 +335,7 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
     """
     before = model.forward.matvec_count.snapshot()
     noise = model.noise_cov(theta)
-    q_op = model.prior_cov(theta, 0)
+    q_op = model.prior_cov(theta)
     if fact is None:
         k_run = min(int(k), min(model.nrows, model.ncols))
         fact = gengk_bidiag(model.forward, noise, q_op, model.prior_mean,
@@ -353,7 +349,7 @@ def gradient_gengk(model: MarginalModel, theta: HyperParams,
                    fact: GenGKFactorization) -> np.ndarray:
     """Gradient approximation from an existing factorization at theta."""
     return _gengk_gradient(model, theta, fact, model.noise_cov(theta),
-                           model.prior_cov(theta, 0))
+                           model.prior_cov(theta))
 
 
 def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> ObjectiveEvaluation:
@@ -367,7 +363,7 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
     before = model.forward.matvec_count.snapshot()
     noise = model.noise_cov(theta)
     a_dense = dense_matrix(model.forward)
-    q_dense = dense_matrix(model.prior_cov(theta, 0))
+    q_dense = dense_matrix(model.prior_cov(theta))
     evals, evecs = np.linalg.eigh(0.5 * (q_dense + q_dense.T))
     q_half = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
     a_hat = (a_dense @ q_half) / np.sqrt(theta.noise_var)

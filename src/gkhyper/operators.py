@@ -192,10 +192,9 @@ class MaskedOperator(LinearOperatorHandle):
 class NoiseCovariance:
     """Scalar-diagonal noise covariance theta1 * I_m.
 
-    All operations (inverse, square root, log-determinant, derivatives with
-    respect to the hyperparameter components) are closed form. Derivative
-    indices are 1-based hyperparameter positions: d/d theta1 = I, the rest
-    vanish.
+    Inverse, square root and log-determinant are closed form. Its only
+    hyperparameter derivative is dR/dtheta1 = I, so the gradient code writes
+    it in place (<dR/dtheta1, R^{-1}> = m/theta1) instead of asking for it.
     """
 
     def __init__(self, theta1: float, m: int) -> None:
@@ -221,19 +220,6 @@ class NoiseCovariance:
 
     def logdet(self) -> float:
         return self.m * np.log(self.theta1)
-
-    def deriv_apply(self, i: int, x):
-        """Apply d R / d theta_i; identity for i=1, zero otherwise."""
-        x = np.asarray(x, dtype=float)
-        if i == 1:
-            return x.copy()
-        return np.zeros_like(x)
-
-    def deriv_inner_inv(self, i: int) -> float:
-        """Frobenius inner product <dR/dtheta_i, R^{-1}>; m/theta1 for i=1."""
-        if i == 1:
-            return self.m / self.theta1
-        return 0.0
 
     def __repr__(self) -> str:
         return f"NoiseCovariance(theta1={self.theta1}, m={self.m})"

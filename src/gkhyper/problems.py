@@ -184,7 +184,7 @@ def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, truncation: int,
         raise ValueError("truncation must lie in [0, n]")
     if truncation == 0:
         return np.zeros(n)
-    cov = dense_matrix(build_cov_operator(grid, kernel, 0, backend="dense"))
+    cov = dense_matrix(build_cov_operator(grid, kernel, backend="dense"))
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:truncation]
     rng = np.random.default_rng(seed)

@@ -66,6 +66,37 @@ def test_bad_values_rejected():
         config_from_dict({"seed": "abc"})
 
 
+BAD_THETA = [
+    {"estimate": {"theta0": [1e-4, 0.5], "bounds": [[1e-10, 1.0], [1e-3, 10.0]]}},
+    {"estimate": {"theta0": [1e-4, 0.5, 0.1, 1.0],
+                  "bounds": [[1e-10, 1.0], [1e-3, 10.0], [5e-3, 0.5], [0.1, 2.0]]}},
+    {"estimate": {"bounds": [[1e-10, 1.0], [10.0, 1e-3], [5e-3, 0.5]]}},
+    {"estimate": {"theta0": [1e-4, 0.5, 0.9]}},
+    {"monitor": {"theta": [1e-5, 0.4, 0.08, 1.0]}},
+    {"reconstruct": {"theta": [1e-5, 0.4, 0.08, 1.0]}},
+    {"benchmark": {"theta": [1e-5, 0.4, 0.08, 1.0]}},
+]
+
+
+@pytest.mark.parametrize("payload", BAD_THETA)
+def test_bad_theta_rejected_at_load(payload):
+    # wrong length, inverted bounds and a start outside the bounds
+    with pytest.raises(ConfigError, match="theta|bounds"):
+        config_from_dict(payload)
+
+
+def test_bad_theta_exits_one_before_any_build(tmp_path, monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr("gkhyper.cli._build_problem", no_build)
+    for i, payload in enumerate(BAD_THETA):
+        cfg = write_config(tmp_path, {**SMALL_HEAT, **payload}, name=f"bad{i}.yaml")
+        out = tmp_path / f"out{i}"
+        assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.yaml")

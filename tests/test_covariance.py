@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
+from gkhyper import covariance
 from gkhyper.covariance import (
     MaternKernel,
     RegularGrid,
@@ -62,7 +64,7 @@ def test_negative_distance_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         matern_eval(MaternKernel(1.5, 1.0, 1.0), -0.1)
     with pytest.raises(ValueError, match="nonnegative"):
-        matern_deriv(MaternKernel(1.5, 1.0, 1.0), -0.1, "ell")
+        matern_deriv(MaternKernel(1.5, 1.0, 1.0), -0.1)
 
 
 def test_kernel_parameter_validation():
@@ -73,18 +75,9 @@ def test_kernel_parameter_validation():
             MaternKernel(**kwargs)
 
 
-def test_sigma_std_derivative():
-    # M(0) = theta2^2, so dM/dtheta2 at the origin is 2 theta2
-    k = MaternKernel(1.5, 4.0, 0.3)  # theta2 = 2
-    assert matern_deriv(k, 0.0, "sigma_std") == 4.0
-    r = 0.7
-    assert np.isclose(matern_deriv(k, r, "sigma_std"),
-                      matern_eval(k, r) * 2 / 2.0, rtol=1e-14)
-
-
 def test_ell_derivative_at_origin_vanishes():
     for nu in (0.5, 1.5, 2.5):
-        assert matern_deriv(MaternKernel(nu, 2.0, 0.4), 0.0, "ell") == 0.0
+        assert matern_deriv(MaternKernel(nu, 2.0, 0.4), 0.0) == 0.0
 
 
 def test_ell_derivative_matches_finite_difference():
@@ -92,7 +85,7 @@ def test_ell_derivative_matches_finite_difference():
     h = 1e-6 * 0.5
     fd = (matern_eval(MaternKernel(1.5, 1.0, 0.5 + h), 0.5)
           - matern_eval(MaternKernel(1.5, 1.0, 0.5 - h), 0.5)) / (2 * h)
-    assert np.isclose(matern_deriv(k, 0.5, "ell"), fd, rtol=1e-6)
+    assert np.isclose(matern_deriv(k, 0.5), fd, rtol=1e-6)
 
 
 def test_ell_derivative_random_pairs(rng):
@@ -105,22 +98,17 @@ def test_ell_derivative_random_pairs(rng):
             h = 1e-6 * ell
             fd = (matern_eval(MaternKernel(nu, 1.7, ell + h), r)
                   - matern_eval(MaternKernel(nu, 1.7, ell - h), r)) / (2 * h)
-            assert np.isclose(matern_deriv(k, r, "ell"), fd, rtol=1e-5, atol=1e-12)
+            assert np.isclose(matern_deriv(k, r), fd, rtol=1e-5, atol=1e-12)
 
 
 def test_unsupported_nu_falls_back_to_finite_difference():
     k = MaternKernel(1.2, 1.0, 0.4)
     with pytest.warns(UserWarning, match="approximate"):
-        val = matern_deriv(k, 0.3, "ell")
+        val = matern_deriv(k, 0.3)
     h = 1e-6 * 0.4
     fd = (bessel_reference(1.2, 1.0, 0.4 + h, 0.3)
           - bessel_reference(1.2, 1.0, 0.4 - h, 0.3)) / (2 * h)
     assert np.isclose(val, fd, rtol=1e-6)
-
-
-def test_bad_wrt_rejected():
-    with pytest.raises(ValueError, match="wrt"):
-        matern_deriv(MaternKernel(1.5, 1.0, 1.0), 0.1, "nu")
 
 
 def test_single_point_grid():
@@ -173,14 +161,14 @@ def test_variance_derivative_operator_is_scaled_q(rng):
     grid = RegularGrid((9,), (0.1,))
     kernel = MaternKernel(1.5, 2.25, 0.08)  # theta2 = 1.5
     q = build_cov_operator(grid, kernel)
-    dq = build_cov_operator(grid, kernel, deriv_index=2)
+    dq = build_cov_operator(grid, kernel).derivative(2)
     x = rng.standard_normal(9)
     assert np.array_equal(dq.apply(x), (2 / 1.5) * q.apply(x))
 
 
 def test_ell_derivative_operator_matches_dense_fd(rng):
     grid = RegularGrid((10,), (0.1,))
-    dq = build_cov_operator(grid, MaternKernel(1.5, 1.0, 0.09), deriv_index=3)
+    dq = build_cov_operator(grid, MaternKernel(1.5, 1.0, 0.09)).derivative(3)
     h = 1e-7 * 0.09
     ref_p = dense_reference(grid.points(), MaternKernel(1.5, 1.0, 0.09 + h))
     ref_m = dense_reference(grid.points(), MaternKernel(1.5, 1.0, 0.09 - h))
@@ -212,7 +200,7 @@ def test_negative_embedding_is_clipped_for_q_only():
     kernel = MaternKernel(1.5, 1.0, 0.9)
     q = build_cov_operator(grid, kernel, backend="fft")
     assert q.clipped > 0 and q.min_embedding_eig < 0
-    dq = build_cov_operator(grid, kernel, deriv_index=3, backend="fft")
+    dq = build_cov_operator(grid, kernel, backend="fft").derivative(3)
     assert dq.clipped == 0  # derivatives are never clipped
 
     # ...but they differentiate the clipped Q that is applied: dQ/dtheta3
@@ -231,12 +219,25 @@ def test_negative_embedding_is_clipped_for_q_only():
     # dQ/dtheta2 is (2/theta2) Q bit for bit, and its applies go on its own
     # counter, never on Q's
     q.matvec_count.reset()
-    for dq2 in (build_cov_operator(grid, kernel, deriv_index=2, backend="fft"),
+    for dq2 in (build_cov_operator(grid, kernel, backend="fft").derivative(2),
                 q.derivative(2)):
         x = rng.standard_normal(16)
         assert np.array_equal(dq2.apply(x), (2 / 1.0) * q.apply(x))  # theta2 = 1
         assert dq2.matvec_count.snapshot() == (1, 0)
     assert q.matvec_count.snapshot() == (2, 0)
+
+
+def test_clipping_warning_logged_once_per_grid_shape(caplog, monkeypatch):
+    # Q is rebuilt per evaluation, so only the first clipping build of a grid
+    # shape warns; every operator still records its own clipping
+    monkeypatch.setattr(covariance, "_CLIP_WARNED", set())
+    caplog.set_level(logging.DEBUG, logger="gkhyper.covariance")
+    kernel = MaternKernel(1.5, 1.0, 0.9)
+    ops = [build_cov_operator(RegularGrid((n,), (1 / n,)), kernel) for n in (16, 16, 17)]
+    levels = [r.levelno for r in caplog.records if "clipping at zero" in r.getMessage()]
+    assert levels == [logging.WARNING, logging.DEBUG, logging.WARNING]
+    assert all(op.clipped > 0 and op.min_embedding_eig < 0 for op in ops)
+    assert ops[0].clipped == ops[1].clipped
 
 
 def test_dense_variance_derivative_is_scaled_q(rng):
@@ -251,7 +252,7 @@ def test_dense_variance_derivative_is_scaled_q(rng):
     with pytest.raises(ValueError, match="deriv_index"):
         q.derivative(1)
     with pytest.raises(ValueError, match="deriv_index"):
-        build_cov_operator(points, kernel, deriv_index=4)
+        build_cov_operator(points, kernel).derivative(4)
     with pytest.raises(ValueError, match="of Q itself"):
         dq.derivative(3)
 

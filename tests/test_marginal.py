@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient
-from gkhyper.covariance import MaternKernel, RegularGrid, matern_eval
+from gkhyper import marginal
+from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator, matern_eval
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
 from gkhyper.marginal import (
     HyperParams,
     Hyperprior,
     MarginalModel,
     gradient_gengk,
-    hyperprior_neglog,
     objective_exact,
     objective_gengk,
     objective_svd,
@@ -163,6 +163,29 @@ def test_dense_cap_guard(rng):
         objective_svd(model, theta, 3)
 
 
+def test_exact_objective_builds_q_once(rng, monkeypatch):
+    # dQ/dtheta2 and dQ/dtheta3 are probed from the Q the value is built with
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build_cov_operator(*args, **kwargs)
+
+    monkeypatch.setattr(marginal, "build_cov_operator", counting_build)
+    objective_exact(make_dense_model(rng), HyperParams(np.array([0.2, 1.1, 0.4])))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("values", [[0.2, 1.1], [0.2, 1.1, 0.4, 0.3]])
+def test_objectives_reject_theta_of_wrong_length(rng, values):
+    model = make_dense_model(rng)
+    theta = HyperParams(np.array(values))
+    for objective in (objective_exact, lambda m, t: objective_gengk(m, t, 4)):
+        with pytest.raises(ValueError, match="correlation length"):
+            objective(model, theta)
+    assert model.forward.matvec_count.snapshot() == (0, 0)
+
+
 def test_gradient_gengk_standalone(rng):
     model = make_dense_model(rng, m=12, n=12)
     theta = HyperParams(np.array([0.4, 1.0, 0.3]))
@@ -220,15 +243,13 @@ def test_svd_bound_holds_on_heat64():
 
 
 def test_flat_hyperprior():
-    value, grad = hyperprior_neglog(Hyperprior("flat"),
-                                    HyperParams(np.array([2.0, 3.0, 4.0])))
+    value, grad = Hyperprior("flat").neglog(np.array([2.0, 3.0, 4.0]))
     assert value == 0.0
     assert np.array_equal(grad, np.zeros(3))
 
 
 def test_gamma_hyperprior_values():
-    value, grad = hyperprior_neglog(Hyperprior("gamma", 1e-4),
-                                    HyperParams(np.array([1.0, 1.0, 1.0])))
+    value, grad = Hyperprior("gamma", 1e-4).neglog(np.array([1.0, 1.0, 1.0]))
     assert np.isclose(value, 3e-4, rtol=1e-15)
     assert np.allclose(grad, 1e-4 * np.ones(3))
 

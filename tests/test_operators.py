@@ -104,15 +104,9 @@ def test_noise_covariance_closed_forms():
     assert r.logdet() == 0.0
     r2 = NoiseCovariance(0.25, 4)
     assert np.isclose(r2.logdet(), 4 * np.log(0.25), rtol=1e-15)
-    # <dR/dtheta1, R^{-1}>_F = m / theta1
-    r3 = NoiseCovariance(2.0, 6)
-    assert r3.deriv_inner_inv(1) == 3.0
-    assert r3.deriv_inner_inv(2) == 0.0
     x = np.arange(4.0)
     assert np.allclose(NoiseCovariance(0.5, 4).apply_inv(x), 2.0 * x)
     assert np.allclose(NoiseCovariance(4.0, 4).sqrt_apply(x), 2.0 * x)
-    assert np.allclose(r3.deriv_apply(1, np.ones(6)), np.ones(6))
-    assert np.allclose(r3.deriv_apply(3, np.ones(6)), np.zeros(6))
 
 
 def test_noise_covariance_domain_errors():
