@@ -40,7 +40,7 @@ from .marginal import (
     objective_exact,
     objective_gengk,
     objective_gengk_value,
-    gradient_gengk,
+    objective_rescaled,
     objective_svd,
 )
 from .monitor import (
@@ -54,11 +54,9 @@ from .monitor import (
 from .estimate import (
     OptimizeOptions,
     OptimizeTrace,
-    TwoParamModel,
     optimize_hyperparams,
     two_param_rescale,
     precompute_two_param,
-    objective_two_param,
     optimize_two_param,
     map_reconstruct,
     map_reconstruct_exact,

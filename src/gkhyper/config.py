@@ -23,6 +23,23 @@ class ConfigError(ValueError):
 _THETA = "3 positive values (noise variance, prior std, correlation length)"
 
 
+def _check_numbers(section, where: str) -> None:
+    # NaN passes every "<= 0" test, so non-finite numbers are rejected first;
+    # a fraction in an integer field would otherwise fail inside the build
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, str):
+            continue
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            continue  # not numeric; the section's own checks report it
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{where}.{f.name} must be finite, got {value!r}")
+        if f.type in ("int", int) and np.any(arr % 1 != 0):
+            raise ConfigError(f"{where}.{f.name} must be an integer, got {value!r}")
+
+
 def _positive(values, where: str, shape: tuple, what: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
@@ -159,9 +176,16 @@ class RunConfig:
     dense_cap: int = 4096
 
     def validate(self):
-        for section in (self.problem, self.kernel, self.hyperprior, self.estimate,
-                        self.monitor, self.benchmark, self.reconstruct):
-            section.validate()
+        for name in _SECTIONS:
+            section = getattr(self, name)
+            _check_numbers(section, name)
+            try:
+                section.validate()
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as exc:
+                # a value of the wrong type, e.g. a string where a number belongs
+                raise ConfigError(f"bad values in {name!r}: {exc}") from exc
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.dense_cap < 1:
@@ -207,7 +231,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         if scalar in raw:
             try:
                 kwargs[scalar] = int(raw[scalar])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{scalar} must be an integer") from exc
     cfg = RunConfig(**kwargs)
     cfg.validate()

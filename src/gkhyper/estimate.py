@@ -4,9 +4,13 @@ The optimizer is a bound-constrained limited-memory quasi-Newton method run by
 default in log-parameterization (positivity is structural, so log space removes
 the constraint without moving the argmin); a projected linear-space mode is
 retained for comparison. Each evaluation in the general path re-runs the
-bidiagonalization at the candidate theta. When only the noise and prior
-variances are unknown, a single precomputed factorization is rescaled in
-closed form and the optimization costs no further forward-operator applies.
+bidiagonalization at the candidate theta. When the correlation length is
+fixed, the fast path runs on the same MarginalModel: one factorization at
+theta = (1, 1, ell) is read through marginal.objective_rescaled for every
+(noise variance, prior std), and the optimization and the regularization
+sweep cost no further forward-operator applies. two_param_rescale, the
+rescaled factorization itself, stays as the reference the O(k) path is
+checked against.
 """
 
 from __future__ import annotations
@@ -17,17 +21,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .gengk import GenGKFactorization, gengk_bidiag
-from .marginal import HyperParams, Hyperprior, MarginalModel, ObjectiveEvaluation, objective_gengk
-from .operators import LinearOperatorHandle, NoiseCovariance, dense_matrix
+from .marginal import HyperParams, MarginalModel, objective_gengk, objective_rescaled
+from .operators import dense_matrix
 
 __all__ = [
     "OptimizeOptions",
     "OptimizeTrace",
-    "TwoParamModel",
     "optimize_hyperparams",
     "two_param_rescale",
     "precompute_two_param",
-    "objective_two_param",
     "optimize_two_param",
     "map_reconstruct",
     "map_reconstruct_exact",
@@ -167,105 +169,33 @@ def two_param_rescale(fact_hat: GenGKFactorization, theta1: float,
     )
 
 
-@dataclass
-class TwoParamModel:
-    """Fixed-prior-shape model: R = theta1 I, Q = theta2^2 Q0 with Q0 frozen."""
-
-    forward: LinearOperatorHandle
-    data: np.ndarray
-    prior_shape: object                       # Q0 operator
-    hyperprior: Hyperprior = field(default_factory=Hyperprior)
-    prior_mean: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.forward.nrows,):
-            raise ValueError("data length does not match the forward operator")
-
-    def mean_vector(self) -> np.ndarray:
-        if self.prior_mean is None:
-            return np.zeros(self.forward.ncols)
-        return np.asarray(self.prior_mean, dtype=float)
-
-
-class TwoParamEvaluator:
-    """Objective/gradient over (theta1, theta2) from one precomputed run.
-
-    Reads the unit-parameter factorization's spectral core, rescaled in O(k)
-    per evaluation; it never touches the forward operator.
-    """
-
-    def __init__(self, model: TwoParamModel, fact_hat: GenGKFactorization):
-        self.model = model
-        self.fact_hat = fact_hat
-        self._m = model.forward.nrows
-
-    def evaluate(self, theta1: float, theta2: float) -> ObjectiveEvaluation:
-        if theta1 <= 0 or theta2 <= 0:
-            raise ValueError("theta1 and theta2 must be positive")
-        m = self._m
-        spec = self.fact_hat.spectrum.rescaled(theta1, theta2)
-        logdet_term, quad_term = spec.terms(m * np.log(theta1))
-        neglogprior, hgrad = self.model.hyperprior.neglog(np.array([theta1, theta2]))
-
-        sig2_full = spec.s_full**2
-        sig2 = spec.s**2
-        w_row2 = spec.p[0, :] ** 2
-        beta1sq = spec.beta1**2
-        denom_full = 1.0 + sig2_full
-        # ||r||^2 = (beta1^2/theta1) sum w_j^2/(1+sig_j^2)^2 and
-        # ||(UB)' r||^2 = beta1^2 sum sig_j^2 w_j^2/(1+sig_j^2)^2, both via
-        # the weighted orthogonality of the rescaled bases
-        r_norm2 = (beta1sq / theta1) * float(np.sum(w_row2 / denom_full**2))
-        ubr_norm2 = beta1sq * float(np.sum(sig2_full * w_row2 / denom_full**2))
-
-        gain = float(np.sum(sig2 / (1.0 + sig2)))
-        g1 = hgrad[0] + 0.5 * (m / theta1 - gain / theta1) - 0.5 * r_norm2
-        g2 = hgrad[1] + gain / theta2 - ubr_norm2 / theta2
-
-        return ObjectiveEvaluation(
-            value=neglogprior + logdet_term + quad_term,
-            neglogprior_term=neglogprior,
-            logdet_term=logdet_term,
-            quad_term=quad_term,
-            gradient=np.array([g1, g2]),
-            k_used=self.fact_hat.k,
-            matvec_report={"forward": 0, "adjoint": 0},
-        )
-
-
-def precompute_two_param(model: TwoParamModel, k: int) -> GenGKFactorization:
-    """One-time bidiagonalization with unit noise variance and the frozen Q0."""
-    unit_noise = NoiseCovariance(1.0, model.forward.nrows)
-    return gengk_bidiag(model.forward, unit_noise, model.prior_shape,
+def precompute_two_param(model: MarginalModel, ell: float, k: int) -> GenGKFactorization:
+    """One-time bidiagonalization at theta = (1, 1, ell) for the fast path."""
+    unit = HyperParams(np.array([1.0, 1.0, ell]))
+    return gengk_bidiag(model.forward, model.noise_cov(unit), model.prior_cov(unit),
                         model.prior_mean, model.data, k)
 
 
-def objective_two_param(model: TwoParamModel, fact_hat: GenGKFactorization,
-                        theta1: float, theta2: float) -> ObjectiveEvaluation:
-    return TwoParamEvaluator(model, fact_hat).evaluate(theta1, theta2)
-
-
-def optimize_two_param(model: TwoParamModel, theta0,
+def optimize_two_param(model: MarginalModel, ell: float, theta0,
                        opts: OptimizeOptions,
                        fact_hat: GenGKFactorization | None = None
                        ) -> tuple[np.ndarray, OptimizeTrace]:
-    """Optimize (noise variance, prior std) with the factorization precomputed.
+    """Optimize (noise variance, prior std) with the correlation length fixed at ell.
 
-    After the one-time bidiagonalization (done here if fact_hat is not
-    supplied) no evaluation applies the forward operator, which is asserted
-    against the matvec counters.
+    After the one-time bidiagonalization at (1, 1, ell) (done here if
+    fact_hat is not supplied) every evaluation is objective_rescaled, and no
+    evaluation applies the forward operator, which is asserted against the
+    matvec counters.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (2,):
         raise ValueError("theta0 must have two components")
     if fact_hat is None:
-        fact_hat = precompute_two_param(model, opts.k)
-    evaluator = TwoParamEvaluator(model, fact_hat)
+        fact_hat = precompute_two_param(model, ell, opts.k)
     before = model.forward.matvec_count.snapshot()
 
     def eval_fn(theta_values):
-        return evaluator.evaluate(theta_values[0], theta_values[1])
+        return objective_rescaled(model, HyperParams(np.append(theta_values, ell)), fact_hat)
 
     theta_star, trace = _run_lbfgsb(eval_fn, theta0, opts)
     after = model.forward.matvec_count.snapshot()
@@ -276,18 +206,15 @@ def optimize_two_param(model: TwoParamModel, theta0,
     return theta_star, trace
 
 
-def map_reconstruct(model: MarginalModel | TwoParamModel, theta,
+def map_reconstruct(model: MarginalModel, theta,
                     k: int | None = None,
                     fact: GenGKFactorization | None = None) -> np.ndarray:
     """Projected MAP estimate s = mu + Q V_k z with (I + T_k) z = B' beta1 e1.
 
-    Accepts either model flavor; for the general model a factorization is
-    computed at theta when not supplied. The cached Q V columns make the
-    final synthesis free of extra covariance applies.
+    A factorization is computed at theta when not supplied. The cached Q V
+    columns make the final synthesis free of extra covariance applies.
     """
     if fact is None:
-        if isinstance(model, TwoParamModel):
-            raise ValueError("the two-parameter model needs an explicit factorization")
         if k is None:
             raise ValueError("either k or an existing factorization is required")
         theta = theta if isinstance(theta, HyperParams) else HyperParams(np.asarray(theta))
@@ -314,14 +241,16 @@ def map_reconstruct_exact(model: MarginalModel, theta: HyperParams) -> np.ndarra
     return np.linalg.solve(lhs, rhs)
 
 
-def optimal_lambda_sweep(model: TwoParamModel, fact_hat: GenGKFactorization,
+def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,
                          s_true, lambda_grid, theta1: float):
     """Reconstruction-error sweep over the regularization parameter.
 
-    For each lambda the prior std is theta2 = 1/lambda and the MAP estimate
-    comes from the rescaled factorization; requires the ground truth (synthetic
-    problems only). Returns (best_lambda, re_curve) with re_curve of shape
-    (len(grid), 2) holding (lambda, RE).
+    fact_hat is a unit factorization from precompute_two_param. For each
+    lambda the prior std is theta2 = 1/lambda, and the MAP estimate is
+    mu + (Q0 V_k z)/lambda with z from fact_hat's spectral core rescaled to
+    (theta1, theta2), so the sweep takes one SVD in all. Requires the ground
+    truth (synthetic problems only). Returns (best_lambda, re_curve) with
+    re_curve of shape (len(grid), 2) holding (lambda, RE).
     """
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
@@ -332,10 +261,12 @@ def optimal_lambda_sweep(model: TwoParamModel, fact_hat: GenGKFactorization,
     s_norm = np.linalg.norm(s_true)
     if s_norm == 0:
         raise ValueError("ground truth must be nonzero")
+    mean = model.mean_vector()
+    qv = fact_hat.qv_basis[:, : fact_hat.k]
     curve = np.empty((lambda_grid.size, 2))
     for idx, lam in enumerate(lambda_grid):
-        fact = two_param_rescale(fact_hat, theta1, 1.0 / lam)
-        s_hat = map_reconstruct(model, (theta1, 1.0 / lam), fact=fact)
+        z = fact_hat.spectrum.rescaled(theta1, 1.0 / lam).coefficients()
+        s_hat = mean + (qv @ z) / lam
         curve[idx] = (lam, np.linalg.norm(s_true - s_hat) / s_norm)
     best = lambda_grid[int(np.argmin(curve[:, 1]))]
     return float(best), curve

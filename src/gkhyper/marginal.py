@@ -14,9 +14,12 @@ GenGKFactorization.spectrum (the SVD of the bidiagonal B_k plus beta1): the
 log-determinant and quadratic terms come from BidiagSpectrum.terms, and the
 gradient takes its projected pieces from the same P, s and W.
 objective_gengk_value is the objective alone from an existing
-factorization, for sweeps over k that need no gradient. The truncated-SVD
-path stays independent of the core, as the dense oracle it is checked
-against.
+factorization, for sweeps over k that need no gradient. objective_rescaled
+is the fast path with theta3 fixed: since R = theta1 I and
+Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3) rescales
+exactly to any (theta1, theta2), so the objective and its (theta1, theta2)
+gradient cost O(k) and apply no operator. The truncated-SVD path stays
+independent of the core, as the dense oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .covariance import CovarianceOperator, MaternKernel, RegularGrid, build_cov_operator
-from .gengk import GenGKFactorization, gengk_bidiag
+from .gengk import BidiagSpectrum, GenGKFactorization, gengk_bidiag
 from .operators import LinearOperatorHandle, NoiseCovariance, dense_matrix
 
 __all__ = [
@@ -38,7 +41,7 @@ __all__ = [
     "objective_exact",
     "objective_gengk",
     "objective_gengk_value",
-    "gradient_gengk",
+    "objective_rescaled",
     "objective_svd",
 ]
 
@@ -304,14 +307,9 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
     return grad
 
 
-def objective_gengk_value(model: MarginalModel, theta: HyperParams,
-                          fact: GenGKFactorization) -> ObjectiveEvaluation:
-    """Approximate objective alone from a factorization computed at theta.
-
-    Reads the factorization's spectral core only: no covariance build, no
-    operator applies and no gradient (gradient is None).
-    """
-    logdet_term, quad_term = fact.spectrum.terms(model.noise_cov(theta).logdet())
+def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectrum,
+                    k: int) -> ObjectiveEvaluation:
+    logdet_term, quad_term = spec.terms(model.noise_cov(theta).logdet())
     neglogprior, _ = model.hyperprior.neglog(theta.values)
     return ObjectiveEvaluation(
         value=neglogprior + logdet_term + quad_term,
@@ -319,9 +317,51 @@ def objective_gengk_value(model: MarginalModel, theta: HyperParams,
         logdet_term=logdet_term,
         quad_term=quad_term,
         gradient=None,
-        k_used=fact.k,
+        k_used=k,
         matvec_report={"forward": 0, "adjoint": 0},
     )
+
+
+def objective_gengk_value(model: MarginalModel, theta: HyperParams,
+                          fact: GenGKFactorization) -> ObjectiveEvaluation:
+    """Approximate objective alone from a factorization computed at theta.
+
+    Reads the factorization's spectral core only: no covariance build, no
+    operator applies and no gradient (gradient is None).
+    """
+    return _spectral_value(model, theta, fact.spectrum, fact.k)
+
+
+def objective_rescaled(model: MarginalModel, theta: HyperParams,
+                       fact_unit: GenGKFactorization) -> ObjectiveEvaluation:
+    """Approximate objective and (theta1, theta2) gradient from a unit run.
+
+    fact_unit must have been computed at (1, 1, theta3). Its spectral core is
+    rescaled to (theta1, theta2) in O(k); no covariance is built and no
+    operator is applied. The gradient has two components, since theta3 is
+    held fixed.
+    """
+    theta1, theta2 = theta.noise_var, theta.prior_std
+    spec = fact_unit.spectrum.rescaled(theta1, theta2)
+    evaluation = _spectral_value(model, theta, spec, fact_unit.k)
+
+    sig2_full = spec.s_full**2
+    w_row2 = spec.p[0, :] ** 2
+    beta1sq = spec.beta1**2
+    denom_full = 1.0 + sig2_full
+    # gain = tr(Z^{-1} A Q A') = sum s^2/(1+s^2) on the projected problem;
+    # ||r||^2 and ||(UB)' r||^2 follow from the weighted orthogonality of the
+    # rescaled bases
+    gain = float(np.sum(spec.s**2 / (1.0 + spec.s**2)))
+    r_norm2 = (beta1sq / theta1) * float(np.sum(w_row2 / denom_full**2))
+    ubr_norm2 = beta1sq * float(np.sum(sig2_full * w_row2 / denom_full**2))
+
+    # dR/dtheta1 = I and dQ/dtheta2 = (2/theta2) Q
+    noise_term = model.nrows / theta1 - gain / theta1, -0.5 * r_norm2
+    prior_term = 2.0 * gain / theta2, -ubr_norm2 / theta2
+    _, hgrad = model.hyperprior.neglog(theta.values)
+    return replace(evaluation,
+                   gradient=_assemble_gradient(hgrad[:2], noise_term, prior_term))
 
 
 def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
@@ -343,13 +383,6 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
     return replace(objective_gengk_value(model, theta, fact),
                    gradient=_gengk_gradient(model, theta, fact, noise, q_op),
                    matvec_report=_count_delta(model.forward, before))
-
-
-def gradient_gengk(model: MarginalModel, theta: HyperParams,
-                   fact: GenGKFactorization) -> np.ndarray:
-    """Gradient approximation from an existing factorization at theta."""
-    return _gengk_gradient(model, theta, fact, model.noise_cov(theta),
-                           model.prior_cov(theta))
 
 
 def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> ObjectiveEvaluation:

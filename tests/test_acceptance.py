@@ -9,17 +9,14 @@ import yaml
 
 from conftest import fd_gradient
 from gkhyper.cli import main as cli_main
-from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
+from gkhyper.covariance import RegularGrid
 from gkhyper.estimate import (
     OptimizeOptions,
-    TwoParamModel,
     map_reconstruct,
-    objective_two_param,
     optimal_lambda_sweep,
     optimize_hyperparams,
     optimize_two_param,
     precompute_two_param,
-    two_param_rescale,
 )
 from gkhyper.gengk import gengk_bidiag, truncate_factorization, verify_relations
 from gkhyper.marginal import (
@@ -28,6 +25,7 @@ from gkhyper.marginal import (
     MarginalModel,
     objective_exact,
     objective_gengk,
+    objective_rescaled,
     objective_svd,
 )
 from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply, prop2_bound, xi_recurrence
@@ -239,17 +237,14 @@ def test_criterion_8_two_parameter_fast_path():
     # (a) rescaled factorization reproduces the fresh objective on 64 unknowns
     prob = build_heat_problem(n=64, noise_level=0.02, seed=1)
     ell = 0.08
-    q0 = build_cov_operator(prob.geometry, MaternKernel(1.5, 1.0, ell))
-    model3 = MarginalModel(forward=prob.forward, data=prob.data,
-                           geometry=prob.geometry)
-    model2 = TwoParamModel(forward=prob.forward, data=prob.data, prior_shape=q0)
-    fact_hat = precompute_two_param(model2, 20)
+    model = MarginalModel(forward=prob.forward, data=prob.data,
+                          geometry=prob.geometry)
+    fact_hat = precompute_two_param(model, ell, 20)
     worst = 0.0
     for theta1, theta2 in [(1.0, 1.0), (3e-5, 0.7), (4.0, 2.0)]:
         theta = HyperParams(np.array([theta1, theta2, ell]))
-        fresh = objective_gengk(model3, theta, 20)
-        rescaled = objective_gengk(
-            model3, theta, 20, fact=two_param_rescale(fact_hat, theta1, theta2))
+        fresh = objective_gengk(model, theta, 20)
+        rescaled = objective_rescaled(model, theta, fact_hat)
         worst = max(worst, abs(rescaled.value - fresh.value) / abs(fresh.value))
     assert worst <= 1e-8
 
@@ -259,20 +254,19 @@ def test_criterion_8_two_parameter_fast_path():
     tomo = build_ray_tomo_problem(g=24, n_rays=600, noise_level=0.02, seed=2,
                                   nu=1.5, prior_std=true_theta2, ell=ell)
     m = len(tomo.data)
-    q0 = build_cov_operator(tomo.geometry, MaternKernel(1.5, 1.0, ell))
-    tpm = TwoParamModel(forward=tomo.forward, data=tomo.data, prior_shape=q0,
-                        hyperprior=Hyperprior("gamma", 1e-4))
+    tomo_model = MarginalModel(forward=tomo.forward, data=tomo.data,
+                               geometry=tomo.geometry, hyperprior=Hyperprior("gamma", 1e-4))
     k = min(m, tomo.forward.ncols)
-    fact_tomo = precompute_two_param(tpm, k)
+    fact_tomo = precompute_two_param(tomo_model, ell, k)
     before = tomo.forward.matvec_count.snapshot()
     opts = OptimizeOptions(k=k, bounds=np.array([[1e-12, 10.0], [1e-4, 50.0]]))
-    theta_star, _ = optimize_two_param(tpm, np.array([1e-4, 0.3]), opts,
+    theta_star, _ = optimize_two_param(tomo_model, ell, np.array([1e-4, 0.3]), opts,
                                        fact_hat=fact_tomo)
     assert tomo.forward.matvec_count.snapshot() == before
 
     lam_grid = np.geomspace(0.1, 20.0, 14)
     true_theta1 = (0.02 * np.linalg.norm(tomo.d_clean)) ** 2 / m
-    _, curve = optimal_lambda_sweep(tpm, fact_tomo, tomo.s_true, lam_grid,
+    _, curve = optimal_lambda_sweep(tomo_model, fact_tomo, tomo.s_true, lam_grid,
                                     theta_star[0])
     idx = int(np.argmin(curve[:, 1]))
     lo = 1.0 / lam_grid[min(idx + 1, lam_grid.size - 1)]

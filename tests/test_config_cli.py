@@ -97,6 +97,40 @@ def test_bad_theta_exits_one_before_any_build(tmp_path, monkeypatch):
         assert not out.exists()
 
 
+BAD_NUMBERS = [
+    {"monitor": {"theta": [float("nan"), 0.4, 0.08]}},
+    {"reconstruct": {"theta": [1e-5, float("inf"), 0.08]}},
+    {"hyperprior": {"kind": "gamma", "gamma": float("nan")}},
+    {"problem": {"name": "heat1d", "n": 64, "noise_level": float("nan")}},
+    {"problem": {"name": "heat1d", "n": 64, "kappa": float("inf")}},
+    {"kernel": {"nu": float("inf")}},
+    {"estimate": {"bounds": [[1e-10, 1.0], [1e-3, float("nan")], [5e-3, 0.5]]}},
+    {"seed": float("inf")},
+    {"problem": {"name": "heat1d", "n": 64.5}},
+    {"monitor": {"k_max": 12.5, "theta": [1e-5, 0.4, 0.08]}},
+    {"benchmark": {"sizes": ["a"]}},
+    {"estimate": {"k": "foo"}},
+]
+
+
+@pytest.mark.parametrize("payload", BAD_NUMBERS)
+def test_bad_numbers_exit_one_before_any_build(tmp_path, monkeypatch, capsys, payload):
+    # non-finite numbers, fractions in integer fields and values of the
+    # wrong type are configuration errors
+    with pytest.raises(ConfigError):
+        config_from_dict(payload)
+
+    def no_build(cfg):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr("gkhyper.cli._build_problem", no_build)
+    cfg = write_config(tmp_path, {**SMALL_HEAT, **payload})
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.yaml")

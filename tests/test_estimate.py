@@ -7,10 +7,8 @@ from gkhyper import estimate
 from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
 from gkhyper.estimate import (
     OptimizeOptions,
-    TwoParamModel,
     map_reconstruct,
     map_reconstruct_exact,
-    objective_two_param,
     optimal_lambda_sweep,
     optimize_hyperparams,
     optimize_two_param,
@@ -22,8 +20,9 @@ from gkhyper.marginal import (
     HyperParams,
     Hyperprior,
     MarginalModel,
-    gradient_gengk,
     objective_gengk,
+    objective_gengk_value,
+    objective_rescaled,
 )
 from gkhyper.operators import DenseOperator, NoiseCovariance, ZeroOperator
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, relative_error
@@ -104,18 +103,16 @@ def test_nonfinite_evaluation_raises(monkeypatch, rng, bad_call, value, grad):
 # --- two-parameter fast path
 
 
-def heat_two_param_setup(n=64, seed=1, ell=0.08):
+def heat_two_param_setup(n=64, seed=1, ell=0.08, hyperprior=Hyperprior()):
     prob = build_heat_problem(n=n, noise_level=0.02, seed=seed)
-    q0 = build_cov_operator(prob.geometry, MaternKernel(1.5, 1.0, ell))
-    model3 = MarginalModel(forward=prob.forward, data=prob.data,
-                           geometry=prob.geometry)
-    model2 = TwoParamModel(forward=prob.forward, data=prob.data, prior_shape=q0)
-    return prob, model3, model2, ell
+    model = MarginalModel(forward=prob.forward, data=prob.data,
+                          geometry=prob.geometry, hyperprior=hyperprior)
+    return prob, model, ell
 
 
 def test_rescale_identity_at_unit_parameters():
-    prob, _, model2, _ = heat_two_param_setup()
-    fact_hat = precompute_two_param(model2, 12)
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 12)
     fact = two_param_rescale(fact_hat, 1.0, 1.0)
     assert np.array_equal(fact.u_basis, fact_hat.u_basis)
     assert np.array_equal(fact.v_basis, fact_hat.v_basis)
@@ -124,8 +121,8 @@ def test_rescale_identity_at_unit_parameters():
 
 
 def test_rescale_ratio_arithmetic():
-    prob, _, model2, _ = heat_two_param_setup()
-    fact_hat = precompute_two_param(model2, 8)
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 8)
     fact = two_param_rescale(fact_hat, 4.0, 2.0)
     # theta2 / sqrt(theta1) = 1: bidiagonal unchanged, U doubled, V halved
     assert np.allclose(fact.bidiagonal(), fact_hat.bidiagonal())
@@ -135,8 +132,8 @@ def test_rescale_ratio_arithmetic():
 
 
 def test_rescale_rejects_nonpositive():
-    prob, _, model2, _ = heat_two_param_setup()
-    fact_hat = precompute_two_param(model2, 4)
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 4)
     with pytest.raises(ValueError):
         two_param_rescale(fact_hat, -1.0, 1.0)
     with pytest.raises(ValueError):
@@ -144,32 +141,35 @@ def test_rescale_rejects_nonpositive():
 
 
 def test_rescaled_objective_matches_fresh_run():
-    prob, model3, model2, ell = heat_two_param_setup(n=64)
-    k = 20
-    fact_hat = precompute_two_param(model2, k)
-    for theta1, theta2 in [(1.0, 1.0), (3e-5, 0.7), (4.0, 2.0)]:
-        theta = HyperParams(np.array([theta1, theta2, ell]))
-        fresh = objective_gengk(model3, theta, k)
-        rescaled = objective_gengk(model3, theta, k,
-                                   fact=two_param_rescale(fact_hat, theta1, theta2))
-        closed = objective_two_param(model2, fact_hat, theta1, theta2)
-        assert abs(rescaled.value - fresh.value) <= 1e-8 * abs(fresh.value)
-        assert abs(closed.value - fresh.value) <= 1e-8 * abs(fresh.value)
-        assert np.allclose(closed.gradient, fresh.gradient[:2], rtol=1e-7)
-        # the O(k) rescaled core is the spectrum of the rescaled factorization
-        spec = fact_hat.spectrum.rescaled(theta1, theta2)
-        fresh_spec = two_param_rescale(fact_hat, theta1, theta2).spectrum
-        assert np.allclose(spec.s, fresh_spec.s, rtol=0, atol=1e-12 * spec.s[0])
-        assert np.isclose(spec.beta1, fresh_spec.beta1, rtol=1e-15)
+    # the Gamma hyperprior is over all three theta, theta3 included
+    for hyperprior in (Hyperprior(), Hyperprior("gamma", 1e-2)):
+        prob, model, ell = heat_two_param_setup(n=64, hyperprior=hyperprior)
+        k = 20
+        fact_hat = precompute_two_param(model, ell, k)
+        for theta1, theta2 in [(1.0, 1.0), (3e-5, 0.7), (4.0, 2.0)]:
+            theta = HyperParams(np.array([theta1, theta2, ell]))
+            fresh = objective_gengk(model, theta, k)
+            rescaled = objective_gengk(model, theta, k,
+                                       fact=two_param_rescale(fact_hat, theta1, theta2))
+            closed = objective_rescaled(model, theta, fact_hat)
+            assert abs(rescaled.value - fresh.value) <= 1e-8 * abs(fresh.value)
+            assert abs(closed.value - fresh.value) <= 1e-8 * abs(fresh.value)
+            assert np.allclose(closed.gradient, fresh.gradient[:2], rtol=1e-7)
+            # the O(k) rescaled core is the spectrum of the rescaled factorization
+            spec = fact_hat.spectrum.rescaled(theta1, theta2)
+            fresh_spec = two_param_rescale(fact_hat, theta1, theta2).spectrum
+            assert np.allclose(spec.s, fresh_spec.s, rtol=0, atol=1e-12 * spec.s[0])
+            assert np.isclose(spec.beta1, fresh_spec.beta1, rtol=1e-15)
 
 
 def test_rescale_preserves_relation_residuals():
-    prob, _, model2, ell = heat_two_param_setup(n=48)
+    prob, model, ell = heat_two_param_setup(n=48)
     k = 15
-    fact_hat = precompute_two_param(model2, k)
+    fact_hat = precompute_two_param(model, ell, k)
     unit_noise = NoiseCovariance(1.0, 48)
+    q0 = build_cov_operator(prob.geometry, MaternKernel(1.5, 1.0, ell))
     res_before = verify_relations(fact_hat, prob.forward, unit_noise,
-                                  model2.prior_shape, None, prob.data)
+                                  q0, None, prob.data)
     theta1, theta2 = 2.5e-4, 0.6
     fact = two_param_rescale(fact_hat, theta1, theta2)
     scaled_noise = NoiseCovariance(theta1, 48)
@@ -181,24 +181,28 @@ def test_rescale_preserves_relation_residuals():
 
 
 def test_two_param_gradient_matches_finite_differences():
-    prob, _, model2, _ = heat_two_param_setup()
-    fact_hat = precompute_two_param(model2, 16)
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 16)
     theta1, theta2 = 2e-5, 0.6
-    ev = objective_two_param(model2, fact_hat, theta1, theta2)
+
+    def rescaled(t1, t2):
+        return objective_rescaled(model, HyperParams(np.array([t1, t2, ell])), fact_hat)
+
+    ev = rescaled(theta1, theta2)
     fd = np.zeros(2)
     for i, (d1, d2) in enumerate([(1e-6 * theta1, 0.0), (0.0, 1e-6 * theta2)]):
-        fp = objective_two_param(model2, fact_hat, theta1 + d1, theta2 + d2).value
-        fm = objective_two_param(model2, fact_hat, theta1 - d1, theta2 - d2).value
+        fp = rescaled(theta1 + d1, theta2 + d2).value
+        fm = rescaled(theta1 - d1, theta2 - d2).value
         fd[i] = (fp - fm) / (2 * (d1 + d2))
     assert np.all(np.abs(ev.gradient - fd) <= 1e-6 * np.abs(fd))
 
 
 def test_optimize_two_param_never_touches_forward_map():
-    prob, _, model2, _ = heat_two_param_setup()
-    fact_hat = precompute_two_param(model2, 20)
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 20)
     before = prob.forward.matvec_count.snapshot()
     opts = OptimizeOptions(k=20, bounds=np.array([[1e-12, 10.0], [1e-4, 50.0]]))
-    theta_star, trace = optimize_two_param(model2, np.array([1e-4, 0.3]), opts,
+    theta_star, trace = optimize_two_param(model, ell, np.array([1e-4, 0.3]), opts,
                                            fact_hat=fact_hat)
     assert prob.forward.matvec_count.snapshot() == before
     assert trace.converged
@@ -213,13 +217,12 @@ def test_two_param_self_consistency_on_tomography():
                                   nu=1.5, prior_std=true_theta2, ell=ell)
     m = len(tomo.data)
     true_theta1 = (0.02 * np.linalg.norm(tomo.d_clean)) ** 2 / m
-    q0 = build_cov_operator(tomo.geometry, MaternKernel(1.5, 1.0, ell))
-    model2 = TwoParamModel(forward=tomo.forward, data=tomo.data, prior_shape=q0,
-                           hyperprior=Hyperprior("gamma", 1e-4))
+    model = MarginalModel(forward=tomo.forward, data=tomo.data, geometry=tomo.geometry,
+                          hyperprior=Hyperprior("gamma", 1e-4))
     k = min(m, tomo.forward.ncols)
-    fact_hat = precompute_two_param(model2, k)
+    fact_hat = precompute_two_param(model, ell, k)
     opts = OptimizeOptions(k=k, bounds=np.array([[1e-12, 10.0], [1e-4, 50.0]]))
-    theta_star, _ = optimize_two_param(model2, np.array([1e-4, 0.3]), opts,
+    theta_star, _ = optimize_two_param(model, ell, np.array([1e-4, 0.3]), opts,
                                        fact_hat=fact_hat)
     assert abs(theta_star[0] - true_theta1) <= 0.2 * true_theta1
     assert abs(theta_star[1] - true_theta2) <= 0.2 * true_theta2
@@ -284,8 +287,8 @@ def test_one_svd_per_factorization(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    objective_gengk(model, theta, 10, fact=fact)
-    gradient_gengk(model, theta, fact)
+    objective_gengk_value(model, theta, fact)
+    objective_gengk(model, theta, 10, fact=fact).gradient
     map_reconstruct(model, theta, fact=fact)
     assert calls == [(11, 10)]
 
@@ -308,28 +311,52 @@ def test_heat_reconstruction_error_band():
 
 
 def test_lambda_sweep_single_point():
-    prob, _, model2, _ = heat_two_param_setup()
-    fact_hat = precompute_two_param(model2, 16)
-    best, curve = optimal_lambda_sweep(model2, fact_hat, prob.s_true,
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 16)
+    best, curve = optimal_lambda_sweep(model, fact_hat, prob.s_true,
                                        np.array([2.0]), 1e-5)
     assert best == 2.0
     assert curve.shape == (1, 2)
 
 
 def test_lambda_sweep_curve_finite_positive():
-    prob, _, model2, _ = heat_two_param_setup()
-    fact_hat = precompute_two_param(model2, 16)
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 16)
     grid = np.geomspace(0.1, 10.0, 9)
-    _, curve = optimal_lambda_sweep(model2, fact_hat, prob.s_true, grid, 1e-5)
+    _, curve = optimal_lambda_sweep(model, fact_hat, prob.s_true, grid, 1e-5)
     assert np.all(np.isfinite(curve))
     assert np.all(curve[:, 1] > 0)
 
 
+def test_lambda_sweep_reads_one_spectral_core(monkeypatch):
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 16)
+    grid = np.geomspace(0.1, 10.0, 9)
+    theta1 = 1e-5
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    _, curve = optimal_lambda_sweep(model, fact_hat, prob.s_true, grid, theta1)
+    assert calls == [(17, 16)]
+    monkeypatch.undo()
+    for lam, re in curve:
+        theta = HyperParams(np.array([theta1, 1.0 / lam, ell]))
+        s_ref = map_reconstruct(model, theta,
+                                fact=two_param_rescale(fact_hat, theta1, 1.0 / lam))
+        re_ref = relative_error(prob.s_true, s_ref)
+        assert abs(re - re_ref) <= 1e-12 * re_ref
+
+
 def test_lambda_sweep_empty_grid_rejected():
-    prob, _, model2, _ = heat_two_param_setup()
-    fact_hat = precompute_two_param(model2, 8)
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 8)
     with pytest.raises(ValueError, match="empty"):
-        optimal_lambda_sweep(model2, fact_hat, prob.s_true, np.array([]), 1e-5)
+        optimal_lambda_sweep(model, fact_hat, prob.s_true, np.array([]), 1e-5)
 
 
 def test_lambda_sweep_finds_generative_scale():
@@ -338,13 +365,12 @@ def test_lambda_sweep_finds_generative_scale():
     true_theta2, ell = 0.8, 0.08
     tomo = build_ray_tomo_problem(g=24, n_rays=600, noise_level=0.02, seed=2,
                                   nu=1.5, prior_std=true_theta2, ell=ell)
-    q0 = build_cov_operator(tomo.geometry, MaternKernel(1.5, 1.0, ell))
-    model2 = TwoParamModel(forward=tomo.forward, data=tomo.data, prior_shape=q0)
+    model = MarginalModel(forward=tomo.forward, data=tomo.data, geometry=tomo.geometry)
     k = min(len(tomo.data), tomo.forward.ncols)
-    fact_hat = precompute_two_param(model2, k)
+    fact_hat = precompute_two_param(model, ell, k)
     grid = np.geomspace(0.25, 10.0, 9)  # theta2 = 1/lambda from 4.0 to 0.1
     true_theta1 = (0.02 * np.linalg.norm(tomo.d_clean)) ** 2 / len(tomo.data)
-    best, curve = optimal_lambda_sweep(model2, fact_hat, tomo.s_true, grid,
+    best, curve = optimal_lambda_sweep(model, fact_hat, tomo.s_true, grid,
                                        true_theta1)
     idx = int(np.argmin(curve[:, 1]))
     closest = int(np.argmin(np.abs(np.log(1.0 / grid) - np.log(true_theta2))))
