@@ -1,4 +1,5 @@
-"""Print a SHA-256 of every `gkhyper estimate`/`monitor` output on the shipped configs.
+"""Print a SHA-256 of every `gkhyper estimate`/`monitor`/`reconstruct` output on the
+shipped configs.
 
 Usage: python3 scripts/output_digest.py [ROOT]
 
@@ -20,7 +21,7 @@ env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=nproc,
            OMP_NUM_THREADS=nproc, MKL_NUM_THREADS=nproc)
 with tempfile.TemporaryDirectory() as tmp:
     for config in sorted((root / "configs").glob("*.yaml")):
-        for command in ("estimate", "monitor"):
+        for command in ("estimate", "monitor", "reconstruct"):
             out = Path(tmp) / config.stem / command
             subprocess.run([sys.executable, "-m", "gkhyper.cli", command, "--config",
                             str(config), "--out", str(out)], env=env, cwd=tmp,

@@ -1,8 +1,8 @@
-"""Command-line driver: estimate, monitor, benchmark and reconstruct workflows.
+"""Command-line driver: the estimate, monitor and reconstruct workflows.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 numerical failure.
-All numeric CSV/JSON fields are written with full repr precision so that
-identical config + seed reproduces outputs bit-identically (timing excepted).
+Exit codes: 0 success, 1 usage/configuration/validation error, 2 numerical
+failure. All numeric CSV/JSON fields are written with full repr precision so
+that identical config + seed reproduces outputs bit-identically.
 Outputs are held in memory and written only after the workflow finished, so a
 failing run leaves no partial files.
 """
@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +24,6 @@ from .marginal import (
     Hyperprior,
     MarginalModel,
     objective_exact,
-    objective_gengk,
     objective_gengk_value,
 )
 from .monitor import err_indicator, mc_xi_estimate, normal_matrix_apply, prop2_bound, xi_recurrence
@@ -34,7 +31,7 @@ from .operators import dense_matrix
 from .estimate import OptimizeOptions, map_reconstruct, optimize_hyperparams
 from .problems import build_heat_problem, build_ray_tomo_problem, relative_error
 
-__all__ = ["main", "cmd_estimate", "cmd_monitor", "cmd_benchmark", "cmd_reconstruct",
+__all__ = ["main", "cmd_estimate", "cmd_monitor", "cmd_reconstruct",
            "read_csv", "read_theta_star"]
 
 
@@ -180,38 +177,6 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _time_call(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def cmd_benchmark(cfg: RunConfig, out_dir: Path) -> int:
-    bc = cfg.benchmark
-    if cfg.problem.name != "heat1d":
-        raise ValueError("the timing benchmark sweeps heat1d problem sizes")
-    theta = HyperParams(np.asarray(bc.theta, dtype=float))
-    rows = []
-    for n in bc.sizes:
-        cfg_n = replace(cfg, problem=replace(cfg.problem, n=int(n)))
-        prob, model = _build_problem(cfg_n)
-        k = min(bc.k, min(model.nrows, model.ncols))
-        t_gengk = _time_call(lambda: objective_gengk(model, theta, k), bc.repeats)
-        if model.nrows <= model.dense_cap:
-            t_exact = _time_call(lambda: objective_exact(model, theta), max(1, bc.repeats // 3))
-            speedup = t_exact / t_gengk
-        else:
-            t_exact = float("nan")
-            speedup = float("nan")
-        rows.append([int(n), t_exact, t_gengk, speedup])
-    outputs = {"timing.csv": _render_csv(["n", "exact_seconds", "gengk_seconds", "speedup"], rows)}
-    _write_outputs(out_dir, outputs)
-    return 0
-
-
 def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
     prob, model = _build_problem(cfg)
     rc = cfg.reconstruct
@@ -225,7 +190,6 @@ def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
 _COMMANDS = {
     "estimate": cmd_estimate,
     "monitor": cmd_monitor,
-    "benchmark": cmd_benchmark,
     "reconstruct": cmd_reconstruct,
 }
 
@@ -243,7 +207,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means a numerical failure
+        return 1 if exc.code else 0
 
     try:
         cfg = load_config(args.config)

@@ -6,6 +6,7 @@ default; all validation happens before any compute.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,11 +24,16 @@ class ConfigError(ValueError):
 _THETA = "3 positive values (noise variance, prior std, correlation length)"
 
 
-def _check_numbers(section, where: str) -> None:
+def _check_numbers(obj, prefix: str = "") -> None:
     # NaN passes every "<= 0" test, so non-finite numbers are rejected first;
-    # a fraction in an integer field would otherwise fail inside the build
-    for f in fields(section):
-        value = getattr(section, f.name)
+    # an integer field takes an integer only, since a fraction, a string or a
+    # bool would otherwise be truncated or fail inside the build
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int":
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
+            continue
         if isinstance(value, str):
             continue
         try:
@@ -35,9 +41,7 @@ def _check_numbers(section, where: str) -> None:
         except (TypeError, ValueError):
             continue  # not numeric; the section's own checks report it
         if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"{where}.{f.name} must be finite, got {value!r}")
-        if f.type in ("int", int) and np.any(arr % 1 != 0):
-            raise ConfigError(f"{where}.{f.name} must be an integer, got {value!r}")
+            raise ConfigError(f"{prefix}{f.name} must be finite, got {value!r}")
 
 
 def _positive(values, where: str, shape: tuple, what: str) -> np.ndarray:
@@ -118,6 +122,10 @@ class EstimateConfig:
             raise ConfigError("estimate.theta0 must lie within estimate.bounds")
         if self.parameterization not in ("log", "linear"):
             raise ConfigError("parameterization must be log or linear")
+        if self.max_iters < 1:
+            raise ConfigError("estimate.max_iters must be at least 1")
+        if self.grad_tol < 0:
+            raise ConfigError("estimate.grad_tol must be nonnegative")
 
 
 @dataclass
@@ -138,21 +146,6 @@ class MonitorConfig:
 
 
 @dataclass
-class BenchmarkConfig:
-    sizes: list = field(default_factory=lambda: [256, 512])
-    k: int = 22
-    repeats: int = 3
-    theta: list = field(default_factory=lambda: [1e-5, 0.4, 0.08])
-
-    def validate(self):
-        if not self.sizes or any(int(s) < 2 for s in self.sizes):
-            raise ConfigError("benchmark.sizes must be integers >= 2")
-        if self.k < 1 or self.repeats < 1:
-            raise ConfigError("benchmark.k and repeats must be positive")
-        _positive(self.theta, "benchmark.theta", (3,), _THETA)
-
-
-@dataclass
 class ReconstructConfig:
     theta: list = field(default_factory=lambda: [1e-5, 0.4, 0.08])
     k: int = 22
@@ -170,7 +163,6 @@ class RunConfig:
     hyperprior: HyperpriorConfig = field(default_factory=HyperpriorConfig)
     estimate: EstimateConfig = field(default_factory=EstimateConfig)
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
-    benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
     reconstruct: ReconstructConfig = field(default_factory=ReconstructConfig)
     seed: int = 0
     dense_cap: int = 4096
@@ -178,7 +170,7 @@ class RunConfig:
     def validate(self):
         for name in _SECTIONS:
             section = getattr(self, name)
-            _check_numbers(section, name)
+            _check_numbers(section, f"{name}.")
             try:
                 section.validate()
             except ConfigError:
@@ -186,6 +178,7 @@ class RunConfig:
             except (TypeError, ValueError) as exc:
                 # a value of the wrong type, e.g. a string where a number belongs
                 raise ConfigError(f"bad values in {name!r}: {exc}") from exc
+        _check_numbers(self)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.dense_cap < 1:
@@ -198,7 +191,6 @@ _SECTIONS = {
     "hyperprior": HyperpriorConfig,
     "estimate": EstimateConfig,
     "monitor": MonitorConfig,
-    "benchmark": BenchmarkConfig,
     "reconstruct": ReconstructConfig,
 }
 
@@ -210,10 +202,7 @@ def _build_section(cls, payload, where):
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown keys in {where!r}: {sorted(unknown)}")
-    try:
-        return cls(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad values in {where!r}: {exc}") from exc
+    return cls(**payload)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -223,16 +212,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    kwargs = {}
+    kwargs = {name: raw[name] for name in ("seed", "dense_cap") if name in raw}
     for name, cls in _SECTIONS.items():
         if name in raw:
             kwargs[name] = _build_section(cls, raw[name], name)
-    for scalar in ("seed", "dense_cap"):
-        if scalar in raw:
-            try:
-                kwargs[scalar] = int(raw[scalar])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{scalar} must be an integer") from exc
     cfg = RunConfig(**kwargs)
     cfg.validate()
     return cfg

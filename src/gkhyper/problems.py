@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import toeplitz
 
 from .covariance import MaternKernel, RegularGrid, build_cov_operator
 from .operators import DenseOperator, LinearOperatorHandle, SparseOperator, dense_matrix
@@ -78,11 +79,7 @@ def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(
         4.0 * math.pi * kappa**2
     )
-    mat = np.zeros((n, n))
-    for lag in range(n):
-        idx = np.arange(n - lag)
-        mat[idx + lag, idx] = column[lag]
-    return DenseOperator(mat)
+    return DenseOperator(toeplitz(column, np.zeros(n)))
 
 
 def heat_true_signal(n: int) -> np.ndarray:

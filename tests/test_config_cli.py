@@ -20,8 +20,6 @@ SMALL_HEAT = {
         "max_iters": 60,
     },
     "monitor": {"k_max": 12, "n_mc": 5, "theta": [1e-5, 0.4, 0.08]},
-    "benchmark": {"sizes": [48, 64], "k": 8, "repeats": 2,
-                  "theta": [1e-5, 0.4, 0.08]},
     "reconstruct": {"theta": [1e-5, 0.4, 0.08], "k": 10},
     "seed": 0,
 }
@@ -41,6 +39,11 @@ def test_defaults_roundtrip():
     assert cfg.problem.name == "heat1d"
     assert cfg.estimate.k == 22
     cfg.validate()
+
+
+def test_integer_scalars_accepted():
+    cfg = config_from_dict({"seed": 3, "dense_cap": 100})
+    assert (cfg.seed, cfg.dense_cap) == (3, 100)
 
 
 def test_unknown_top_level_key_rejected():
@@ -74,7 +77,6 @@ BAD_THETA = [
     {"estimate": {"theta0": [1e-4, 0.5, 0.9]}},
     {"monitor": {"theta": [1e-5, 0.4, 0.08, 1.0]}},
     {"reconstruct": {"theta": [1e-5, 0.4, 0.08, 1.0]}},
-    {"benchmark": {"theta": [1e-5, 0.4, 0.08, 1.0]}},
 ]
 
 
@@ -108,15 +110,20 @@ BAD_NUMBERS = [
     {"seed": float("inf")},
     {"problem": {"name": "heat1d", "n": 64.5}},
     {"monitor": {"k_max": 12.5, "theta": [1e-5, 0.4, 0.08]}},
-    {"benchmark": {"sizes": ["a"]}},
     {"estimate": {"k": "foo"}},
+    {"estimate": {"max_iters": 0}},
+    {"estimate": {"grad_tol": -1.0}},
+    {"seed": 1.5},
+    {"dense_cap": 100.9},
+    {"seed": "3"},
+    {"seed": True},
 ]
 
 
 @pytest.mark.parametrize("payload", BAD_NUMBERS)
 def test_bad_numbers_exit_one_before_any_build(tmp_path, monkeypatch, capsys, payload):
-    # non-finite numbers, fractions in integer fields and values of the
-    # wrong type are configuration errors
+    # non-finite numbers, fractions and strings in integer fields, values of
+    # the wrong type and optimizer limits out of range are configuration errors
     with pytest.raises(ConfigError):
         config_from_dict(payload)
 
@@ -211,6 +218,25 @@ def test_negative_cli_seed_rejected(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate", "--out", "{out}"],
+    ["estimate", "--config", "{cfg}", "--out", "{out}", "--seed", "x"],
+    ["benchmark", "--config", "{cfg}", "--out", "{out}"],
+])
+def test_usage_errors_exit_one_without_outputs(tmp_path, args):
+    # argparse's own exit code 2 would read as a numerical failure
+    cfg = write_config(tmp_path, SMALL_HEAT)
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg, out=out) for a in args]
+    assert main(argv) == 1
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "estimate" in capsys.readouterr().out
+
+
 def test_monitor_outputs_and_bound_column(tmp_path):
     cfg = write_config(tmp_path, SMALL_HEAT)
     out = tmp_path / "mon"
@@ -256,26 +282,6 @@ def test_monitor_single_row(tmp_path):
     assert main(["monitor", "--config", str(cfg), "--out", str(out)]) == 0
     table = read_csv(out / "error_vs_k.csv")
     assert len(table["k"]) == 1
-
-
-def test_benchmark_small_sizes(tmp_path):
-    cfg = write_config(tmp_path, SMALL_HEAT)
-    out = tmp_path / "bench"
-    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
-    table = read_csv(out / "timing.csv")
-    assert list(table["n"]) == [48.0, 64.0]
-    # both paths complete; the speedup column is present even if modest
-    assert np.all(np.isfinite(table["exact_seconds"]))
-    assert np.all(np.isfinite(table["gengk_seconds"]))
-    assert np.all(np.isfinite(table["speedup"]))
-
-
-def test_benchmark_requires_heat(tmp_path):
-    payload = dict(SMALL_HEAT)
-    payload["problem"] = {"name": "ray_tomo", "grid": 8, "n_rays": 20}
-    cfg = write_config(tmp_path, payload)
-    assert main(["benchmark", "--config", str(cfg), "--out",
-                 str(tmp_path / "x")]) == 1
 
 
 def test_reconstruct_command(tmp_path):
