@@ -24,16 +24,25 @@ class ConfigError(ValueError):
 _THETA = "3 positive values (noise variance, prior std, correlation length)"
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _check_numbers(obj, prefix: str = "") -> None:
     # NaN passes every "<= 0" test, so non-finite numbers are rejected first;
     # an integer field takes an integer only, since a fraction, a string or a
-    # bool would otherwise be truncated or fail inside the build
+    # bool would otherwise be truncated or fail inside the build; a bool
+    # anywhere else would be read as 0 or 1
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "int":
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
             continue
+        if _has_bool(value):
+            raise ConfigError(f"{prefix}{f.name} must not be a bool, got {value!r}")
         if isinstance(value, str):
             continue
         try:

@@ -134,7 +134,13 @@ class GenGKFactorization:
 
 def _orthogonalize(w, basis_cols, weighted_cols):
     # classical Gram-Schmidt applied twice; weighted_cols holds W @ basis so
-    # that coefficients <w, b_i>_W come out as plain dot products
+    # that coefficients <w, b_i>_W come out as plain dot products. The columns
+    # are leading views of preallocated bases. Up to 3 columns, OpenBLAS's
+    # dgemv takes a separately unrolled path when the leading dimension equals
+    # the column count, so the coefficients are taken on a contiguous copy
+    # there; it gives the same bits as a basis stacked column by column.
+    if weighted_cols.shape[1] <= 3:
+        weighted_cols = np.ascontiguousarray(weighted_cols)
     for _ in range(2):
         coeff = weighted_cols.T @ w
         w = w - basis_cols @ coeff
@@ -165,77 +171,73 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
     beta1 = float(np.sqrt(max(R.apply_inv(r0) @ r0, 0.0)))
     tol = BREAKDOWN_RTOL * beta1
 
-    def finish(us, vs, qvs, alphas, betas, breakdown):
-        fact = GenGKFactorization(
-            u_basis=np.column_stack(us),
-            v_basis=np.column_stack(vs),
-            qv_basis=np.column_stack(qvs),
+    # working bases; columns past the last step taken stay zero, and ru_basis
+    # holds R^{-1} U
+    u_basis, ru_basis = np.zeros((m, k + 1)), np.zeros((m, k + 1))
+    v_basis, qv_basis = np.zeros((n, k + 1)), np.zeros((n, k + 1))
+    alphas, betas = [], [beta1]
+
+    def finish(breakdown):
+        # the factorization gets copies made after the loop, not the working
+        # arrays made before it: returning those kept about 4 MB more of the
+        # heap resident between solves of a 1024-pixel monitor run
+        cols = len(alphas)
+        return GenGKFactorization(
+            u_basis=u_basis[:, :cols].copy(),
+            v_basis=v_basis[:, :cols].copy(),
+            qv_basis=qv_basis[:, :cols].copy(),
             alphas=np.asarray(alphas, dtype=float),
             betas=np.asarray(betas, dtype=float),
-            k=len(alphas) - 1,
+            k=cols - 1,
             breakdown_at=breakdown,
         )
-        return fact
 
     if beta1 == 0.0:
         # data exactly explained by the prior mean
-        zeros_m, zeros_n = np.zeros(m), np.zeros(n)
-        return finish([zeros_m], [zeros_n], [zeros_n], [0.0], [0.0], 0)
+        alphas.append(0.0)
+        return finish(0)
 
-    u1 = r0 / beta1
-    us, alphas, betas = [u1], [], [beta1]
-
-    w = A.apply_adjoint(R.apply_inv(u1))
+    u = u_basis[:, 0] = r0 / beta1
+    ru = ru_basis[:, 0] = R.apply_inv(u)
+    w = A.apply_adjoint(ru)
     if not np.all(np.isfinite(w)):
         raise FloatingPointError("non-finite adjoint output at initialization")
     qw = Q.apply(w)
     alpha = float(np.sqrt(max(qw @ w, 0.0)))
-    if alpha <= tol:
-        alphas.append(alpha)
-        zeros_n = np.zeros(n)
-        return finish(us, [zeros_n], [zeros_n], alphas, betas, 0)
-    vs, qvs = [w / alpha], [qw / alpha]
     alphas.append(alpha)
+    if alpha <= tol:
+        return finish(0)
+    v = v_basis[:, 0] = w / alpha
+    qv = qv_basis[:, 0] = qw / alpha
 
-    breakdown = None
     for j in range(1, k + 1):
-        w = A.apply(qvs[-1]) - alphas[-1] * us[-1]
+        w = A.apply(qv) - alpha * u
         if not np.all(np.isfinite(w)):
             raise FloatingPointError(f"non-finite forward output at iteration {j}")
         if reorth:
-            u_cols = np.column_stack(us)
-            w = _orthogonalize(w, u_cols, R.apply_inv(u_cols))
+            w = _orthogonalize(w, u_basis[:, :j], ru_basis[:, :j])
         beta = float(np.sqrt(max(R.apply_inv(w) @ w, 0.0)))
-        if beta <= tol:
-            breakdown = j
-            betas.append(beta)
-            alphas.append(0.0)
-            us.append(np.zeros(m))
-            vs.append(np.zeros(n))
-            qvs.append(np.zeros(n))
-            break
-        u = w / beta
-        us.append(u)
         betas.append(beta)
+        if beta <= tol:
+            alphas.append(0.0)
+            return finish(j)
+        u = u_basis[:, j] = w / beta
+        ru = ru_basis[:, j] = R.apply_inv(u)
 
-        g = A.apply_adjoint(R.apply_inv(u)) - beta * vs[-1]
+        g = A.apply_adjoint(ru) - beta * v
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite adjoint output at iteration {j}")
         if reorth:
-            g = _orthogonalize(g, np.column_stack(vs), np.column_stack(qvs))
+            g = _orthogonalize(g, v_basis[:, :j], qv_basis[:, :j])
         qg = Q.apply(g)
         alpha = float(np.sqrt(max(qg @ g, 0.0)))
-        if alpha <= tol:
-            breakdown = j
-            alphas.append(alpha)
-            vs.append(np.zeros(n))
-            qvs.append(np.zeros(n))
-            break
-        vs.append(g / alpha)
-        qvs.append(qg / alpha)
         alphas.append(alpha)
+        if alpha <= tol:
+            return finish(j)
+        v = v_basis[:, j] = g / alpha
+        qv = qv_basis[:, j] = qg / alpha
 
-    return finish(us, vs, qvs, alphas, betas, breakdown)
+    return finish(None)
 
 
 def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorization:

@@ -117,6 +117,10 @@ BAD_NUMBERS = [
     {"dense_cap": 100.9},
     {"seed": "3"},
     {"seed": True},
+    {"problem": {"name": "heat1d", "n": 64, "noise_level": True}},
+    {"hyperprior": {"kind": "gamma", "gamma": True}},
+    {"estimate": {"theta0": [True, 0.5, 0.1]}},
+    {"monitor": {"theta": [1e-4, True, 0.08]}},
 ]
 
 

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from gkhyper.covariance import MaternKernel, build_cov_operator
 from gkhyper.gengk import (
+    BREAKDOWN_RTOL,
     bidiagonal_matrix,
     gengk_bidiag,
     truncate_factorization,
     verify_relations,
 )
 from gkhyper.operators import DenseOperator, IdentityOperator, NoiseCovariance
-from gkhyper.problems import build_heat_problem
+from gkhyper.problems import build_heat_problem, build_ray_tomo_problem
 
 
 class IdentityCovariance:
@@ -164,6 +165,10 @@ def test_zero_residual_data(rng):
     assert fact.k == 0
     assert fact.beta1 == 0.0
     assert fact.breakdown_at == 0
+    for basis, rows in ((fact.u_basis, 6), (fact.v_basis, 5), (fact.qv_basis, 5)):
+        assert basis.shape == (rows, 1)
+        assert basis.flags.c_contiguous
+        assert not basis.any()
 
 
 @settings(max_examples=20, deadline=None)
@@ -174,3 +179,90 @@ def test_coefficients_nonnegative(seed, m, n):
     fact = gengk_bidiag(A, R, Q, None, d, min(m, n) // 2)
     assert np.all(fact.alphas >= 0.0)
     assert np.all(fact.betas >= 0.0)
+
+
+def _stacked_bidiag(A, R, Q, d, k, reorth):
+    """Reference loop that rebuilds each basis from a list of columns per step.
+
+    The bits of gengk_bidiag on its preallocated bases must match this one.
+    """
+    m, n = A.shape
+    r0 = d - A.apply(np.zeros(n))
+    beta1 = float(np.sqrt(max(R.apply_inv(r0) @ r0, 0.0)))
+    tol = BREAKDOWN_RTOL * beta1
+    us, alphas, betas = [r0 / beta1], [], [beta1]
+    w = A.apply_adjoint(R.apply_inv(us[0]))
+    qw = Q.apply(w)
+    alpha = float(np.sqrt(max(qw @ w, 0.0)))
+    vs, qvs = [w / alpha], [qw / alpha]
+    alphas.append(alpha)
+    breakdown = None
+
+    def orth(w, cols, weighted):
+        for _ in range(2):
+            w = w - cols @ (weighted.T @ w)
+        return w
+
+    for j in range(1, k + 1):
+        w = A.apply(qvs[-1]) - alphas[-1] * us[-1]
+        if reorth:
+            u_cols = np.column_stack(us)
+            w = orth(w, u_cols, R.apply_inv(u_cols))
+        beta = float(np.sqrt(max(R.apply_inv(w) @ w, 0.0)))
+        if beta <= tol:
+            breakdown = j
+            betas.append(beta)
+            alphas.append(0.0)
+            us.append(np.zeros(m))
+            vs.append(np.zeros(n))
+            qvs.append(np.zeros(n))
+            break
+        us.append(w / beta)
+        betas.append(beta)
+        g = A.apply_adjoint(R.apply_inv(us[-1])) - beta * vs[-1]
+        if reorth:
+            g = orth(g, np.column_stack(vs), np.column_stack(qvs))
+        qg = Q.apply(g)
+        alpha = float(np.sqrt(max(qg @ g, 0.0)))
+        if alpha <= tol:
+            breakdown = j
+            alphas.append(alpha)
+            vs.append(np.zeros(n))
+            qvs.append(np.zeros(n))
+            break
+        vs.append(g / alpha)
+        qvs.append(qg / alpha)
+        alphas.append(alpha)
+    return (np.column_stack(us), np.column_stack(vs), np.column_stack(qvs),
+            np.asarray(alphas), np.asarray(betas), breakdown)
+
+
+def _bit_identity_problems():
+    heat = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    ray = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0,
+                                 prior_std=0.8, ell=0.08)
+    return [(heat, (1e-5, 0.4, 0.1)), (ray, (1e-4, 0.8, 0.08))]
+
+
+@pytest.mark.parametrize("reorth", [True, False])
+def test_bits_match_stacked_reference(reorth):
+    # dense heat and sparse ray operators, short runs and a run to k = min(m, n),
+    # which breaks down when the bases are kept orthogonal
+    for prob, theta in _bit_identity_problems():
+        m, n = prob.forward.shape
+        R = NoiseCovariance(theta[0], m)
+        Q = build_cov_operator(prob.geometry, MaternKernel(1.5, theta[1], theta[2]))
+        for k in (1, 2, 3, 4, 5, min(m, n)):
+            fact = gengk_bidiag(prob.forward, R, Q, None, prob.data, k, reorth=reorth)
+            u, v, qv, alphas, betas, breakdown = _stacked_bidiag(
+                prob.forward, R, Q, prob.data, k, reorth)
+            assert fact.breakdown_at == breakdown
+            if k == min(m, n) and reorth:
+                assert breakdown is not None
+            assert fact.k == len(alphas) - 1
+            assert np.array_equal(fact.alphas, alphas)
+            assert np.array_equal(fact.betas, betas)
+            for got, want in ((fact.u_basis, u), (fact.v_basis, v), (fact.qv_basis, qv)):
+                assert got.shape == want.shape == (want.shape[0], fact.k + 1)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, want)
