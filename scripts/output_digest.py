@@ -1,13 +1,17 @@
 """Print a SHA-256 of every `gkhyper estimate`/`monitor`/`reconstruct` output on the
-shipped configs.
+shipped configs, and the exact bits of the objective at three standard theta.
 
 Usage: python3 scripts/output_digest.py [ROOT [OTHER]]
 
-ROOT is the checkout to run (default: the one holding this script). Given a
-second checkout OTHER, both are digested and only the outputs that differ
-between them are printed, one path a line; the exit status is 1 if any do.
-BLAS and OpenMP threads are pinned to the CPUs this process may use, as
-perfbench does, so that two checkouts digested on one host can be compared.
+ROOT is the checkout to run (default: the one holding this script). For each
+shipped config it also evaluates `objective_gengk` (at the config's
+`estimate.k`) and `objective_exact` at the theta in THETAS, and prints the
+value and the three gradient components as `float.hex`, which is exact. Given
+a second checkout OTHER, both are digested and only the outputs and numbers
+that differ between them are printed, one name a line; the exit status is 1
+if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
+use, as perfbench does, so that two checkouts digested on one host can be
+compared.
 """
 
 import hashlib
@@ -17,9 +21,29 @@ import sys
 import tempfile
 from pathlib import Path
 
+THETAS = ((1e-4, 0.5, 0.1), (7.7e-6, 0.45, 0.185), (1e-5, 0.4, 0.9))
+
+# run by each checkout's own package, so that every number comes from its code
+OBJECTIVES = f"""
+import sys
+from gkhyper.cli import _build_problem
+from gkhyper.config import load_config
+from gkhyper.marginal import HyperParams, objective_exact, objective_gengk
+
+cfg = load_config(sys.argv[1])
+model = _build_problem(cfg)[1]
+for theta in {THETAS!r}:
+    params = HyperParams(theta)
+    for name, ev in (("objective_gengk", objective_gengk(model, params, cfg.estimate.k)),
+                     ("objective_exact", objective_exact(model, params))):
+        for label, x in zip(("value", "grad1", "grad2", "grad3"), (ev.value, *ev.gradient)):
+            print(float(x).hex(), f"{{name}}/theta={{theta}}/{{label}}")
+"""
+
 
 def digests(root: Path) -> dict:
-    """SHA-256 of every output file of root's CLI on root's shipped configs."""
+    """SHA-256 of every output file of root's CLI on root's shipped configs, and
+    the float.hex of root's objective values and gradients."""
     nproc = str(len(os.sched_getaffinity(0)))
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=nproc,
                OMP_NUM_THREADS=nproc, MKL_NUM_THREADS=nproc)
@@ -34,6 +58,12 @@ def digests(root: Path) -> dict:
                 for path in sorted(out.iterdir()):
                     result[str(path.relative_to(tmp))] = hashlib.sha256(
                         path.read_bytes()).hexdigest()
+            numbers = subprocess.run([sys.executable, "-c", OBJECTIVES, str(config)], env=env,
+                                     cwd=tmp, check=True, stderr=subprocess.DEVNULL,
+                                     stdout=subprocess.PIPE, text=True).stdout
+            for line in numbers.splitlines():
+                bits, name = line.split(" ", 1)
+                result[f"{config.stem}/{name}"] = bits
     return result
 
 

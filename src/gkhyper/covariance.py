@@ -24,6 +24,7 @@ __all__ = [
     "MaternKernel",
     "RegularGrid",
     "CovarianceOperator",
+    "apply_block",
     "matern_eval",
     "matern_deriv",
     "build_cov_operator",
@@ -36,6 +37,11 @@ log = logging.getLogger(__name__)
 CLOSED_FORM_NU = (0.5, 1.5, 2.5)
 
 _FD_ELL_REL_STEP = 1e-6
+
+# columns per shared forward transform in apply_block: a chunk's complex
+# embedding stays in cache on the shipped grids, where one 120-column block
+# ran slower per column than chunks of 16
+_BLOCK_COLUMNS = 16
 
 # grid shapes whose clipped embedding has been logged at WARNING in this process
 _CLIP_WARNED: set[tuple[int, ...]] = set()
@@ -211,6 +217,11 @@ class CovarianceOperator(LinearOperatorHandle):
     the prior standard deviation and the correlation length. A derivative
     operator is obtained from the Q it differentiates, through
     ``derivative``, and counts its applies on its own counter.
+
+    ``apply_block`` runs an apply in two steps, so that one first step serves
+    Q and its derivatives: their Q's ``_forward_block`` takes an (n, p)
+    column block to the transform they share, and each operator's
+    ``_inverse_block`` finishes its own apply from it into an (n, p) output.
     """
 
     def __init__(self, kernel: MaternKernel, deriv_index: int, backend: str, n: int):
@@ -218,10 +229,24 @@ class CovarianceOperator(LinearOperatorHandle):
         self.kernel = kernel
         self.deriv_index = int(deriv_index)
         self.backend = backend
+        # the Q a derivative was taken from; None for Q itself, so that Q
+        # holds no reference cycle and is freed as soon as it is dropped
+        self._source: CovarianceOperator | None = None
 
     def _apply_adjoint(self, y):
         # symmetric by construction
         return self._apply(y)
+
+    @property
+    def _root(self) -> CovarianceOperator:
+        # the Q whose transform this operator reads
+        return self if self._source is None else self._source
+
+    def _forward_block(self, x: np.ndarray):
+        raise NotImplementedError
+
+    def _inverse_block(self, shared, out: np.ndarray) -> None:
+        raise NotImplementedError
 
     def derivative(self, deriv_index: int) -> CovarianceOperator:
         """dQ/dtheta2 (deriv_index 2) or dQ/dtheta3 (deriv_index 3) of this Q.
@@ -233,10 +258,13 @@ class CovarianceOperator(LinearOperatorHandle):
         if self.deriv_index != 0:
             raise ValueError("derivatives are taken of Q itself (deriv_index 0)")
         if deriv_index == 2:
-            return _ScaledCovariance(self, 2.0 / self.kernel.prior_std)
-        if deriv_index == 3:
-            return self._ell_derivative()
-        raise ValueError(f"a derivative needs deriv_index 2 or 3, got {deriv_index}")
+            op = _ScaledCovariance(self, 2.0 / self.kernel.prior_std)
+        elif deriv_index == 3:
+            op = self._ell_derivative()
+        else:
+            raise ValueError(f"a derivative needs deriv_index 2 or 3, got {deriv_index}")
+        op._source = self
+        return op
 
     def _ell_derivative(self) -> CovarianceOperator:
         raise NotImplementedError
@@ -256,6 +284,43 @@ class _ScaledCovariance(CovarianceOperator):
 
     def _apply(self, x):
         return self._scale * self._q._apply(x)
+
+    def _inverse_block(self, shared, out):
+        self._q._inverse_block(shared, out)
+        out *= self._scale
+
+
+def _check_block(x, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ValueError(f"apply_block: expected an ({n}, p) block, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("apply_block: input contains non-finite entries")
+    return x
+
+
+def apply_block(ops, x) -> list[np.ndarray]:
+    """Apply Q and/or its derivatives, all taken from one Q, to an (n, p) block.
+
+    Returns one C-contiguous (n, p) array per operator, each column bit for
+    bit the operator's ``apply`` of that column. The block is checked once,
+    and each operator's counter goes up by p. The forward transform of each
+    chunk of columns is computed once and read by every operator.
+    """
+    ops = list(ops)
+    if not ops or any(op._root is not ops[0]._root for op in ops):
+        raise ValueError("apply_block needs operators taken from one Q")
+    x = _check_block(x, ops[0].ncols)
+    p = x.shape[1]
+    for op in ops:
+        op.matvec_count.bump_forward(p)
+    outs = [np.empty(x.shape) for _ in ops]
+    for start in range(0, p, _BLOCK_COLUMNS):
+        cols = slice(start, start + _BLOCK_COLUMNS)
+        shared = ops[0]._root._forward_block(x[:, cols])
+        for op, out in zip(ops, outs):
+            op._inverse_block(shared, out[:, cols])
+    return outs
 
 
 def _distance_matrix(geometry) -> np.ndarray:
@@ -278,6 +343,14 @@ class _DenseCovariance(CovarianceOperator):
 
     def _apply(self, x):
         return self._mat @ x
+
+    def _forward_block(self, x):
+        return x
+
+    def _inverse_block(self, x, out):
+        # one matvec per column: a single matrix product would round differently
+        for j in range(x.shape[1]):
+            out[:, j] = self._mat @ x[:, j]
 
     def _ell_derivative(self):
         return _DenseCovariance(self.kernel, 3, self._geometry)
@@ -337,13 +410,32 @@ class _FFTGridCovariance(CovarianceOperator):
         self._eig = eig
         self._embed_shape = embed_shape
 
+    def _forward_block(self, x):
+        # fftn of each zero-padded column as a grid field, one axis at a time,
+        # last axis first as fftn goes
+        fields = x.T.reshape(x.shape[1], *self.grid.shape)
+        for axis in range(fields.ndim - 1, 0, -1):
+            fields = np.fft.fft(fields, n=self._embed_shape[axis - 1], axis=axis)
+        return fields
+
+    def _inverse(self, spectra: np.ndarray) -> np.ndarray:
+        # ifftn in fftn's axis order, cropping each axis to the grid after its
+        # pass: the later passes skip the padding, the kept entries are the same
+        spectra = self._eig * spectra
+        for axis in range(spectra.ndim - 1, 0, -1):
+            crop = (slice(None),) * axis + (slice(0, self.grid.shape[axis - 1]),)
+            spectra = np.fft.ifft(spectra, axis=axis)[crop]
+        return spectra.real
+
     def _apply(self, x):
-        field = x.reshape(self.grid.shape)
-        padded = np.zeros(self._embed_shape)
-        sl = tuple(slice(0, s) for s in self.grid.shape)
-        padded[sl] = field
-        out = np.fft.ifftn(self._eig * np.fft.fftn(padded)).real[sl]
-        return out.reshape(-1)
+        out = self._inverse(self._forward_block(x[:, None]))[0]
+        # a stride-2 real view in 1-d and a contiguous copy in 2-d, as
+        # ifftn(...).real[crop].reshape(-1) returned them: the dot products
+        # downstream round differently on any other layout
+        return out if out.ndim == 1 else out.flatten()
+
+    def _inverse_block(self, spectra, out):
+        out[...] = self._inverse(spectra).reshape(out.shape[1], -1).T
 
     def _ell_derivative(self):
         return _FFTGridCovariance(self.kernel, 3, self.grid, self._q_clip_mask)

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .covariance import CovarianceOperator, MaternKernel, RegularGrid, build_cov_operator
+from .covariance import (CovarianceOperator, MaternKernel, RegularGrid, apply_block,
+                         build_cov_operator)
 from .gengk import BidiagSpectrum, GenGKFactorization, gengk_bidiag
 from .operators import LinearOperatorHandle, NoiseCovariance, dense_matrix
 
@@ -291,17 +292,17 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
     noise_term = (noise.m / noise.theta1 - float(np.sum(np.diag(bw.T @ psi_r @ bw) * shrink)),
                   -0.5 * float(r_vec @ r_vec))
 
-    def q_term(dq: CovarianceOperator) -> tuple[float, float]:
+    def q_term(dq_vk: np.ndarray) -> tuple[float, float]:
         if k == 0:
             return 0.0, 0.0
-        dq_vk = np.column_stack([dq.apply(vk[:, j]) for j in range(k)])
         psi_q = vk.T @ dq_vk
         return (float(np.sum(np.diag(w_mat.T @ psi_q @ w_mat) * gain)),
                 -0.5 * float((ub @ (psi_q @ ub_t_r)) @ r_vec))
 
+    # dQ/dtheta2 V_k and dQ/dtheta3 V_k from one forward transform per chunk
+    dq2_vk, dq3_vk = apply_block((q_op.derivative(2), q_op.derivative(3)), vk)
     _, hgrad = model.hyperprior.neglog(theta.values)
-    grad = _assemble_gradient(hgrad, noise_term, q_term(q_op.derivative(2)),
-                              q_term(q_op.derivative(3)))
+    grad = _assemble_gradient(hgrad, noise_term, q_term(dq2_vk), q_term(dq3_vk))
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError(f"non-finite gradient {grad}")
     return grad

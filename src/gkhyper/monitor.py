@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 
+from .covariance import apply_block
 from .gengk import GenGKFactorization
 from .operators import LinearOperatorHandle, NoiseCovariance
 
@@ -84,7 +85,7 @@ def mc_xi_estimate(h_apply, Q, fact: GenGKFactorization, n_mc: int,
     rng = np.random.default_rng(seed)
     omega, scale = _draw_probes(n, n_mc, probe_kind, rng)
 
-    q_omega = np.column_stack([Q.apply(omega[:, j]) for j in range(omega.shape[1])])
+    q_omega = apply_block((Q,), omega)[0]
     y = np.column_stack([h_apply(q_omega[:, j]) for j in range(omega.shape[1])])
 
     full_trace = float(np.sum(omega * y)) * scale

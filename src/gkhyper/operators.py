@@ -34,9 +34,9 @@ class MatvecCounter:
         self.forward = 0
         self.adjoint = 0
 
-    def bump_forward(self) -> None:
+    def bump_forward(self, count: int = 1) -> None:
         with self._lock:
-            self.forward += 1
+            self.forward += count
 
     def bump_adjoint(self) -> None:
         with self._lock:
@@ -129,12 +129,14 @@ class SparseOperator(LinearOperatorHandle):
     def __init__(self, matrix) -> None:
         super().__init__(*matrix.shape)
         self._mat = matrix.tocsr()
+        # a CSC view of the same arrays, built once instead of per adjoint
+        self._mat_t = self._mat.T
 
     def _apply(self, x):
         return np.asarray(self._mat @ x).ravel()
 
     def _apply_adjoint(self, y):
-        return np.asarray(self._mat.T @ y).ravel()
+        return np.asarray(self._mat_t @ y).ravel()
 
 
 class IdentityOperator(LinearOperatorHandle):

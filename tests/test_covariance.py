@@ -12,6 +12,7 @@ from gkhyper import covariance
 from gkhyper.covariance import (
     MaternKernel,
     RegularGrid,
+    apply_block,
     build_cov_operator,
     matern_deriv,
     matern_eval,
@@ -291,3 +292,90 @@ def test_kernel_positive_and_nonincreasing(nu, r1, r2, ell):
     v_lo, v_hi = matern_eval(k, lo), matern_eval(k, hi)
     assert v_lo > 0 and v_hi > 0
     assert v_hi <= v_lo + 1e-12
+
+
+BLOCK_WIDTHS = (1, 15, 16, 17, 40)  # both sides of the 16-column chunk edges
+
+
+def _block_operators():
+    # 1-d and 2-d FFT grids, a clipping embedding, and the dense backend
+    cases = [(RegularGrid((64,), (1 / 64,)), 0.1, "fft"),
+             (RegularGrid((2048,), (1 / 2048,)), 0.05, "fft"),
+             (RegularGrid((8, 8), (1 / 8, 1 / 8)), 0.2, "fft"),
+             (RegularGrid((24, 24), (1 / 24, 1 / 24)), 0.08, "fft"),
+             (RegularGrid((16,), (1 / 16,)), 0.9, "fft"),
+             (RegularGrid((5, 4), (0.2, 0.25)), 0.3, "dense")]
+    for grid, ell, backend in cases:
+        q = build_cov_operator(grid, MaternKernel(1.5, 0.64, ell), backend=backend)
+        yield q, (q, q.derivative(2), q.derivative(3))
+
+
+def test_apply_block_matches_per_column_apply_bit_for_bit(rng):
+    clipped = 0
+    for q, ops in _block_operators():
+        clipped += getattr(q, "clipped", 0)
+        for p in BLOCK_WIDTHS:
+            # a column slice of a wider array, as V_k is of the genGK basis
+            x = rng.standard_normal((q.ncols, p + 1))[:, :p]
+            for op, got in zip(ops, apply_block(ops, x)):
+                want = np.column_stack([op.apply(x[:, j]) for j in range(p)])
+                assert got.shape == (q.ncols, p) and got.flags.c_contiguous
+                assert np.array_equal(got, want), (q.ncols, q.backend, p)
+            # any subset of the operators reads the same shared transform
+            alone = apply_block(ops[2:], x)[0]
+            assert np.array_equal(alone, apply_block(ops, x)[2])
+    assert clipped > 0
+
+
+def test_fft_apply_keeps_its_layout(rng):
+    # the dot products that read Q.apply round by the layout they see, so
+    # the outputs depend on it: a stride-2 view of the complex inverse in 1-d,
+    # a contiguous copy in 2-d (a uniform layout changed every heat output)
+    q1 = build_cov_operator(RegularGrid((32,), (1 / 32,)), MaternKernel(1.5, 1.0, 0.1))
+    for op in (q1, q1.derivative(3)):
+        out = op.apply(rng.standard_normal(32))
+        assert out.strides == (16,) and not out.flags.c_contiguous
+    q2 = build_cov_operator(RegularGrid((6, 5), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
+    for op in (q2, q2.derivative(3)):
+        out = op.apply(rng.standard_normal(30))
+        assert out.shape == (30,) and out.flags.c_contiguous
+
+
+def test_apply_block_counts_p_applies_per_operator(rng):
+    q = build_cov_operator(RegularGrid((6, 6), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
+    dq2, dq3 = q.derivative(2), q.derivative(3)
+    apply_block((dq2, dq3), rng.standard_normal((36, 17)))
+    assert dq2.matvec_count.snapshot() == dq3.matvec_count.snapshot() == (17, 0)
+    assert q.matvec_count.snapshot() == (0, 0)  # dQ/dtheta2 reads Q's transform only
+    apply_block((q,), rng.standard_normal((36, 3)))
+    assert q.matvec_count.snapshot() == (3, 0)
+    assert dq2.matvec_count.snapshot() == (17, 0)
+
+
+def test_apply_block_empty_block(rng):
+    q = build_cov_operator(RegularGrid((8,), (0.1,)), MaternKernel(1.5, 1.0, 0.3))
+    for out in apply_block((q, q.derivative(2)), np.zeros((8, 0))):
+        assert out.shape == (8, 0)
+    assert q.matvec_count.snapshot() == (0, 0)
+
+
+def test_apply_block_rejects_bad_input_before_any_transform(monkeypatch, rng):
+    q = build_cov_operator(RegularGrid((4, 4), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
+    dq3 = q.derivative(3)
+
+    def no_transform(self, x):
+        raise AssertionError("transform ran on a rejected block")
+
+    monkeypatch.setattr(type(q), "_forward_block", no_transform)
+    good = rng.standard_normal((16, 3))
+    bad_values = good.copy()
+    bad_values[5, 1] = np.nan
+    for bad in (rng.standard_normal((15, 3)), rng.standard_normal(16),
+                rng.standard_normal((16, 3, 1)), bad_values, np.where(good > 0, np.inf, good)):
+        with pytest.raises(ValueError):
+            apply_block((q, dq3), bad)
+    assert q.matvec_count.snapshot() == dq3.matvec_count.snapshot() == (0, 0)
+    other = build_cov_operator(RegularGrid((4, 4), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
+    for ops in ((), (q, other.derivative(2))):
+        with pytest.raises(ValueError, match="one Q"):
+            apply_block(ops, good)

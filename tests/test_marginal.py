@@ -14,7 +14,7 @@ from gkhyper.marginal import (
     objective_svd,
 )
 from gkhyper.operators import DenseOperator, ZeroOperator, dense_matrix
-from gkhyper.problems import build_heat_problem
+from gkhyper.problems import build_heat_problem, build_ray_tomo_problem
 
 
 def make_dense_model(rng, m=8, n=8, hyperprior=Hyperprior("flat"), grid=True):
@@ -276,3 +276,24 @@ def test_hyperparams_validation():
     assert theta.noise_var == 1e-6
     assert theta.prior_std == 0.5
     assert theta.corr_length == 0.1
+
+
+def _per_column_apply(ops, x):
+    # the column-at-a-time dQ V_k that the shared-transform block apply replaces
+    return [np.column_stack([op.apply(x[:, j]) for j in range(x.shape[1])]) for op in ops]
+
+
+def test_gengk_gradient_bits_match_per_column_reference(monkeypatch):
+    heat = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    ray = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0,
+                                 prior_std=0.8, ell=0.08)
+    for prob, k in ((heat, 12), (ray, 30)):
+        model = MarginalModel(forward=prob.forward, data=prob.data,
+                              geometry=prob.geometry, nu=1.5)
+        for values in ((1e-4, 0.5, 0.1), (7.7e-6, 0.45, 0.185), (1e-5, 0.4, 0.9)):
+            theta = HyperParams(np.array(values))
+            got = objective_gengk(model, theta, k).gradient
+            with monkeypatch.context() as patch:
+                patch.setattr(marginal, "apply_block", _per_column_apply)
+                want = objective_gengk(model, theta, k).gradient
+            assert [x.hex() for x in got] == [x.hex() for x in want]
