@@ -1,12 +1,16 @@
 """Print a SHA-256 of every `gkhyper estimate`/`monitor`/`reconstruct` output on the
-shipped configs, and the exact bits of the objective at three standard theta.
+shipped configs, and the exact bits of the objective at three standard theta and
+along a truncation sweep.
 
 Usage: python3 scripts/output_digest.py [ROOT [OTHER]]
 
 ROOT is the checkout to run (default: the one holding this script). For each
 shipped config it also evaluates `objective_gengk` (at the config's
 `estimate.k`) and `objective_exact` at the theta in THETAS, and prints the
-value and the three gradient components as `float.hex`, which is exact. Given
+value and the three gradient components as `float.hex`, which is exact. It
+does the same for `objective_gengk` read from truncations of one
+factorization, taken at the config's `monitor.theta` with K = `monitor.k_max`
+steps, at the k in SWEEP_KS and at K. Given
 a second checkout OTHER, both are digested and only the outputs and numbers
 that differ between them are printed, one name a line; the exit status is 1
 if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
@@ -23,21 +27,35 @@ from pathlib import Path
 
 THETAS = ((1e-4, 0.5, 0.1), (7.7e-6, 0.45, 0.185), (1e-5, 0.4, 0.9))
 
+# the small-k dgemv path and both sides of a 16-column chunk edge
+SWEEP_KS = (1, 3, 16, 17)
+
 # run by each checkout's own package, so that every number comes from its code
 OBJECTIVES = f"""
 import sys
 from gkhyper.cli import _build_problem
 from gkhyper.config import load_config
+from gkhyper.gengk import gengk_bidiag, truncate_factorization
 from gkhyper.marginal import HyperParams, objective_exact, objective_gengk
+
+def show(name, ev):
+    for label, x in zip(("value", "grad1", "grad2", "grad3"), (ev.value, *ev.gradient)):
+        print(float(x).hex(), f"{{name}}/{{label}}")
 
 cfg = load_config(sys.argv[1])
 model = _build_problem(cfg)[1]
 for theta in {THETAS!r}:
     params = HyperParams(theta)
-    for name, ev in (("objective_gengk", objective_gengk(model, params, cfg.estimate.k)),
-                     ("objective_exact", objective_exact(model, params))):
-        for label, x in zip(("value", "grad1", "grad2", "grad3"), (ev.value, *ev.gradient)):
-            print(float(x).hex(), f"{{name}}/theta={{theta}}/{{label}}")
+    show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, cfg.estimate.k))
+    show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
+
+theta = HyperParams(cfg.monitor.theta)
+k_max = min(cfg.monitor.k_max, model.nrows, model.ncols)
+fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                    model.prior_mean, model.data, k_max)
+for k in sorted({{k for k in {SWEEP_KS!r} if k <= fact.k}} | {{fact.k}}):
+    show(f"sweep/theta={{tuple(cfg.monitor.theta)}}/k={{k}}",
+         objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)))
 """
 
 

@@ -55,7 +55,6 @@ from .estimate import (
     OptimizeOptions,
     OptimizeTrace,
     optimize_hyperparams,
-    two_param_rescale,
     precompute_two_param,
     optimize_two_param,
     map_reconstruct,

@@ -8,9 +8,7 @@ bidiagonalization at the candidate theta. When the correlation length is
 fixed, the fast path runs on the same MarginalModel: one factorization at
 theta = (1, 1, ell) is read through marginal.objective_rescaled for every
 (noise variance, prior std), and the optimization and the regularization
-sweep cost no further forward-operator applies. two_param_rescale, the
-rescaled factorization itself, stays as the reference the O(k) path is
-checked against.
+sweep cost no further forward-operator applies.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ __all__ = [
     "OptimizeOptions",
     "OptimizeTrace",
     "optimize_hyperparams",
-    "two_param_rescale",
     "precompute_two_param",
     "optimize_two_param",
     "map_reconstruct",
@@ -137,36 +134,6 @@ def optimize_hyperparams(model: MarginalModel, theta0: HyperParams,
 
     theta_star, trace = _run_lbfgsb(eval_fn, theta0.values, opts)
     return HyperParams(theta_star), trace
-
-
-def two_param_rescale(fact_hat: GenGKFactorization, theta1: float,
-                      theta2: float) -> GenGKFactorization:
-    """Closed-form factorization at (theta1, theta2) from the unit-parameter run.
-
-    With R = theta1 I and Q = theta2^2 Q0, a factorization computed for
-    (R, Q) = (I, Q0) rescales exactly: U picks up sqrt(theta1), V shrinks by
-    theta2, the bidiagonal scales by theta2/sqrt(theta1), and the
-    initialization norm by 1/sqrt(theta1). The weighted orthogonality
-    relations hold exactly for the new parameters.
-    """
-    theta1 = float(theta1)
-    theta2 = float(theta2)
-    if theta1 <= 0 or theta2 <= 0:
-        raise ValueError("theta1 and theta2 must be positive")
-    root1 = np.sqrt(theta1)
-    coeff = theta2 / root1
-    betas = fact_hat.betas.copy()
-    betas[0] /= root1
-    betas[1:] *= coeff
-    return GenGKFactorization(
-        u_basis=fact_hat.u_basis * root1,
-        v_basis=fact_hat.v_basis / theta2,
-        qv_basis=fact_hat.qv_basis * theta2,   # (theta2^2 Q0)(v/theta2)
-        alphas=fact_hat.alphas * coeff,
-        betas=betas,
-        k=fact_hat.k,
-        breakdown_at=fact_hat.breakdown_at,
-    )
 
 
 def precompute_two_param(model: MarginalModel, ell: float, k: int) -> GenGKFactorization:

@@ -8,12 +8,12 @@ Q are ever formed. Weighted norms use the operator forms
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .covariance import CovarianceOperator
+from .covariance import CovarianceOperator, apply_block
 from .operators import LinearOperatorHandle, NoiseCovariance
 
 __all__ = [
@@ -81,10 +81,11 @@ class BidiagSpectrum:
         return self.w @ (self.beta1 * s * self.p[0, : s.shape[0]] / (1.0 + s * s))
 
     def rescaled(self, theta1: float, theta2: float) -> "BidiagSpectrum":
-        """Spectrum of two_param_rescale(fact, theta1, theta2) in O(k).
+        """Spectrum of a unit factorization rescaled to (theta1, theta2), in O(k).
 
-        B scales by theta2/sqrt(theta1) and beta1 by 1/sqrt(theta1); the
-        singular vectors do not change.
+        A factorization taken with (R, Q) = (I, Q0) rescales exactly to
+        (theta1 I, theta2^2 Q0): B scales by theta2/sqrt(theta1) and beta1 by
+        1/sqrt(theta1); the singular vectors do not change.
         """
         root1 = np.sqrt(theta1)
         coeff = theta2 / root1
@@ -92,20 +93,53 @@ class BidiagSpectrum:
                        beta1=self.beta1 / root1)
 
 
+class _DerivativeProducts:
+    """dQ/dtheta2 V_K and dQ/dtheta3 V_K of one factorization's basis V_K.
+
+    Both blocks come from one apply_block call on the first read and are
+    kept. A factorization and every truncation of it hold the same object,
+    so a sweep over k applies each derivative to V_K once.
+    """
+
+    def __init__(self, q_op: CovarianceOperator, v_k: np.ndarray):
+        self._q_op = q_op
+        self._v_k = v_k
+        self._ops: tuple[CovarianceOperator, ...] = ()
+        self._blocks = None
+
+    @property
+    def applies(self) -> int:
+        """Column applies of the two derivatives made so far."""
+        return sum(op.matvec_count.forward for op in self._ops)
+
+    def leading(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._blocks is None:
+            self._ops = (self._q_op.derivative(2), self._q_op.derivative(3))
+            self._blocks = apply_block(self._ops, self._v_k)
+        # a C-contiguous copy, the layout apply_block gives a k-column block:
+        # OpenBLAS picks kernels by leading dimension, and so V_k' dQ V_k
+        # makes the BLAS call it makes on a fresh k-step factorization
+        return tuple(np.ascontiguousarray(block[:, :k]) for block in self._blocks)
+
+
 @dataclass
 class GenGKFactorization:
     """Result of k bidiagonalization steps.
 
     u_basis (m x (k+1)) is orthonormal in the R^{-1} inner product, v_basis
-    (n x (k+1)) in the Q inner product; qv_basis caches Q @ v columns so that
+    (n x (k+1)) in the Q inner product of q_op, the prior covariance the
+    factorization was taken with; qv_basis caches Q @ v columns so that
     downstream consumers (reconstruction, monitoring) need no extra Q applies.
     betas[0] is the initialization norm beta1. When the iteration broke down,
     breakdown_at records the step and the trailing basis columns are zero.
 
     spectrum is the SVD of the bidiagonal, taken on first use and cached; it
     is the one spectral core that the objective, gradient, MAP coefficients
-    and two-parameter fast path read. The arrays are not to be modified once
-    it has been taken.
+    and two-parameter fast path read. dq_basis gives the derivative products
+    dQ/dtheta2 V_k and dQ/dtheta3 V_k that the gradient reads; they are
+    taken for the whole basis on first use and cached, and a truncation
+    shares q_op and that cache with the factorization it was cut from. The
+    arrays are not to be modified once either has been taken.
     """
 
     u_basis: np.ndarray
@@ -114,7 +148,15 @@ class GenGKFactorization:
     alphas: np.ndarray
     betas: np.ndarray
     k: int
+    q_op: CovarianceOperator
     breakdown_at: int | None = None
+    # None makes a fresh cache over v_basis[:, :k]; a truncation passes its
+    # factorization's cache
+    _dq: _DerivativeProducts | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._dq is None:
+            self._dq = _DerivativeProducts(self.q_op, self.v_basis[:, : self.k])
 
     @property
     def beta1(self) -> float:
@@ -130,6 +172,14 @@ class GenGKFactorization:
         s_full = np.zeros(b.shape[0])
         s_full[: s.shape[0]] = s
         return BidiagSpectrum(p, s, s_full, wt.T, self.beta1)
+
+    def dq_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dQ/dtheta2 V_k, dQ/dtheta3 V_k) of q_op, each a C-contiguous (n, k) array."""
+        return self._dq.leading(self.k)
+
+    def cov_applies(self) -> tuple[int, int]:
+        """(Q applies, dQ column applies) made so far on q_op and the cache."""
+        return self.q_op.matvec_count.forward, self._dq.applies
 
 
 def _orthogonalize(w, basis_cols, weighted_cols):
@@ -189,6 +239,7 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
             alphas=np.asarray(alphas, dtype=float),
             betas=np.asarray(betas, dtype=float),
             k=cols - 1,
+            q_op=Q,
             breakdown_at=breakdown,
         )
 
@@ -241,7 +292,13 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
 
 
 def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorization:
-    """View of the leading k iterations of an existing factorization."""
+    """View of the leading k iterations of an existing factorization.
+
+    The truncation shares fact's q_op and its cache of derivative products,
+    not copies of them: the first truncation that reads dq_basis takes the
+    products for all of fact's columns, and every later one reads its
+    leading k columns from them.
+    """
     if k < 0 or k > fact.k:
         raise ValueError(f"k must lie in [0, {fact.k}]")
     return GenGKFactorization(
@@ -251,7 +308,9 @@ def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorizati
         alphas=fact.alphas[: k + 1],
         betas=fact.betas[: k + 1],
         k=k,
+        q_op=fact.q_op,
         breakdown_at=fact.breakdown_at if (fact.breakdown_at or 0) <= k else None,
+        _dq=fact._dq,
     )
 
 

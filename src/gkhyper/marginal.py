@@ -12,10 +12,14 @@ with additive constants dropped throughout.
 The approximate path reads one spectral core per factorization,
 GenGKFactorization.spectrum (the SVD of the bidiagonal B_k plus beta1): the
 log-determinant and quadratic terms come from BidiagSpectrum.terms, and the
-gradient takes its projected pieces from the same P, s and W.
-objective_gengk_value is the objective alone from an existing
-factorization, for sweeps over k that need no gradient. objective_rescaled
-is the fast path with theta3 fixed: since R = theta1 I and
+gradient takes its projected pieces from the same P, s and W. Its derivative
+products dQ/dtheta_i V_k come from the factorization too
+(GenGKFactorization.dq_basis), taken with the Q the factorization carries;
+they are computed once per factorization and shared by its truncations, so a
+sweep of objective_gengk over k builds no covariance and applies each
+derivative to V_K once. objective_gengk_value is the objective alone from an
+existing factorization, for sweeps over k that need no gradient.
+objective_rescaled is the fast path with theta3 fixed: since R = theta1 I and
 Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3) rescales
 exactly to any (theta1, theta2), so the objective and its (theta1, theta2)
 gradient cost O(k) and apply no operator. The truncated-SVD path stays
@@ -176,8 +180,9 @@ class ObjectiveEvaluation:
 
     value = neglogprior_term + logdet_term + quad_term holds by construction
     (same accumulation). k_used is 0 for the dense oracle; matvec_report
-    counts forward/adjoint applications of the forward map spent on this
-    evaluation.
+    counts the applications spent on this evaluation: "forward" and
+    "adjoint" of the forward map, "q" of the prior covariance Q and "dq" of
+    its two derivatives together, in columns.
     """
 
     value: float
@@ -194,9 +199,11 @@ class ObjectiveEvaluation:
                 raise FloatingPointError(f"objective term {name} is not finite")
 
 
-def _count_delta(op: LinearOperatorHandle, before: tuple[int, int]) -> dict:
+def _count_delta(op: LinearOperatorHandle, before: tuple[int, int],
+                 q: int = 0, dq: int = 0) -> dict:
     after = op.matvec_count.snapshot()
-    return {"forward": after[0] - before[0], "adjoint": after[1] - before[1]}
+    return {"forward": after[0] - before[0], "adjoint": after[1] - before[1],
+            "q": q, "dq": dq}
 
 
 def _require_dense(model: MarginalModel, what: str) -> None:
@@ -218,15 +225,18 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
 
     Z is assembled through matvecs only, then factored once; the gradient
     uses dZ/dtheta1 = I and the dense derivative matrices dZ/dtheta_i =
-    A (dQ/dtheta_i) A' for i = 2, 3, probed from the one Q built here, with a
-    fixed (zero-derivative) prior mean.
+    A (dQ/dtheta_i) A' for i = 2, 3, with a fixed (zero-derivative) prior
+    mean. Dense Q, dQ/dtheta2 and dQ/dtheta3 are probed together from the one
+    Q built here, one shared forward transform per chunk of identity columns.
     """
     _require_dense(model, "the exact objective")
     before = model.forward.matvec_count.snapshot()
-    m = model.nrows
+    m, n = model.nrows, model.ncols
     q_op = model.prior_cov(theta)
+    q_dense, dq2_dense, dq3_dense = apply_block(
+        (q_op, q_op.derivative(2), q_op.derivative(3)), np.eye(n))
     a_dense = dense_matrix(model.forward)
-    z = a_dense @ dense_matrix(q_op) @ a_dense.T
+    z = a_dense @ q_dense @ a_dense.T
     z[np.diag_indices_from(z)] += theta.noise_var
     z = 0.5 * (z + z.T)
     try:
@@ -244,14 +254,13 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
 
     z_inv = cho_solve(cho, np.eye(m))
 
-    def q_term(dq: CovarianceOperator) -> tuple[float, float]:
-        dz = a_dense @ dense_matrix(dq) @ a_dense.T
+    def q_term(dq_dense: np.ndarray) -> tuple[float, float]:
+        dz = a_dense @ dq_dense @ a_dense.T
         dz = 0.5 * (dz + dz.T)
         return float(np.sum(z_inv * dz)), -0.5 * float(w @ (dz @ w))
 
     noise_term = float(np.trace(z_inv)), -0.5 * float(w @ w)  # dZ/dtheta1 = I
-    grad = _assemble_gradient(hgrad, noise_term, q_term(q_op.derivative(2)),
-                              q_term(q_op.derivative(3)))
+    grad = _assemble_gradient(hgrad, noise_term, q_term(dq2_dense), q_term(dq3_dense))
 
     return ObjectiveEvaluation(
         value=neglogprior + 0.5 * logdet + quad,
@@ -260,13 +269,12 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
         quad_term=quad,
         gradient=grad,
         k_used=0,
-        matvec_report=_count_delta(model.forward, before),
+        matvec_report=_count_delta(model.forward, before, q=n, dq=2 * n),
     )
 
 
 def _gengk_gradient(model: MarginalModel, theta: HyperParams,
-                    fact: GenGKFactorization, noise: NoiseCovariance,
-                    q_op: CovarianceOperator) -> np.ndarray:
+                    fact: GenGKFactorization, noise: NoiseCovariance) -> np.ndarray:
     spec = fact.spectrum
     p, s, s_full, w_mat = spec.p, spec.s, spec.s_full, spec.w
     k = fact.k
@@ -299,8 +307,7 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
         return (float(np.sum(np.diag(w_mat.T @ psi_q @ w_mat) * gain)),
                 -0.5 * float((ub @ (psi_q @ ub_t_r)) @ r_vec))
 
-    # dQ/dtheta2 V_k and dQ/dtheta3 V_k from one forward transform per chunk
-    dq2_vk, dq3_vk = apply_block((q_op.derivative(2), q_op.derivative(3)), vk)
+    dq2_vk, dq3_vk = fact.dq_basis()
     _, hgrad = model.hyperprior.neglog(theta.values)
     grad = _assemble_gradient(hgrad, noise_term, q_term(dq2_vk), q_term(dq3_vk))
     if not np.all(np.isfinite(grad)):
@@ -319,7 +326,7 @@ def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectr
         quad_term=quad_term,
         gradient=None,
         k_used=k,
-        matvec_report={"forward": 0, "adjoint": 0},
+        matvec_report={"forward": 0, "adjoint": 0, "q": 0, "dq": 0},
     )
 
 
@@ -370,20 +377,35 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
     """Approximate objective and gradient from k bidiagonalization steps.
 
     When fact is omitted the bidiagonalization is run fresh at theta (the
-    per-evaluation cost model assumes this); a supplied factorization must
-    have been computed at the same theta. If the iteration broke down before
-    k steps the achieved count is used and recorded in k_used.
+    per-evaluation cost model assumes this). A supplied factorization must
+    have been computed at the same theta: its Q is used as it is, and a
+    ValueError is raised when that Q's variance or correlation length is not
+    theta2^2 or theta3. Its derivative products are read from its cache, so
+    in a sweep over truncations of one factorization only the first read
+    applies dQ. If the iteration broke down before k steps the achieved
+    count is used and recorded in k_used.
     """
     before = model.forward.matvec_count.snapshot()
     noise = model.noise_cov(theta)
-    q_op = model.prior_cov(theta)
     if fact is None:
         k_run = min(int(k), min(model.nrows, model.ncols))
-        fact = gengk_bidiag(model.forward, noise, q_op, model.prior_mean,
-                            model.data, k_run)
-    return replace(objective_gengk_value(model, theta, fact),
-                   gradient=_gengk_gradient(model, theta, fact, noise, q_op),
-                   matvec_report=_count_delta(model.forward, before))
+        fact = gengk_bidiag(model.forward, noise, model.prior_cov(theta),
+                            model.prior_mean, model.data, k_run)
+        cov_before = (0, 0)
+    else:
+        kernel = fact.q_op.kernel
+        if kernel.sigma2 != theta.prior_std**2 or kernel.ell != theta.corr_length:
+            raise ValueError(
+                f"the factorization was taken with prior variance {kernel.sigma2!r} and "
+                f"correlation length {kernel.ell!r}, not at theta = {theta.values}")
+        cov_before = fact.cov_applies()
+    evaluation = objective_gengk_value(model, theta, fact)
+    gradient = _gengk_gradient(model, theta, fact, noise)
+    q_after, dq_after = fact.cov_applies()
+    return replace(evaluation, gradient=gradient,
+                   matvec_report=_count_delta(model.forward, before,
+                                              q=q_after - cov_before[0],
+                                              dq=dq_after - cov_before[1]))
 
 
 def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> ObjectiveEvaluation:
@@ -418,5 +440,5 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
         quad_term=quad_term,
         gradient=None,
         k_used=k_eff,
-        matvec_report=_count_delta(model.forward, before),
+        matvec_report=_count_delta(model.forward, before, q=model.ncols),
     )

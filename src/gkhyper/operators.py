@@ -7,8 +7,6 @@ public contract so that cost claims stay testable.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 __all__ = [
@@ -25,30 +23,30 @@ __all__ = [
 
 
 class MatvecCounter:
-    """Forward/adjoint application counter; increments are lock-protected."""
+    """Forward/adjoint application counter of one operator.
 
-    __slots__ = ("_lock", "forward", "adjoint")
+    It is bumped on every apply, so it takes no lock: nothing in the package
+    applies an operator from more than one thread.
+    """
+
+    __slots__ = ("forward", "adjoint")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.forward = 0
         self.adjoint = 0
 
     def bump_forward(self, count: int = 1) -> None:
-        with self._lock:
-            self.forward += count
+        self.forward += count
 
     def bump_adjoint(self) -> None:
-        with self._lock:
-            self.adjoint += 1
+        self.adjoint += 1
 
     def snapshot(self) -> tuple[int, int]:
         return (self.forward, self.adjoint)
 
     def reset(self) -> None:
-        with self._lock:
-            self.forward = 0
-            self.adjoint = 0
+        self.forward = 0
+        self.adjoint = 0
 
     def __repr__(self) -> str:
         return f"MatvecCounter(forward={self.forward}, adjoint={self.adjoint})"
@@ -69,8 +67,7 @@ class LinearOperatorHandle:
     """An m-by-n linear map accessible only through matvecs.
 
     Subclasses implement ``_apply`` / ``_apply_adjoint``. Handles are immutable
-    after construction and safe for concurrent application; the shared counter
-    tolerates concurrent increments.
+    after construction apart from their counter, which is not thread-safe.
     """
 
     def __init__(self, nrows: int, ncols: int) -> None:

@@ -13,9 +13,8 @@ from gkhyper.estimate import (
     optimize_hyperparams,
     optimize_two_param,
     precompute_two_param,
-    two_param_rescale,
 )
-from gkhyper.gengk import gengk_bidiag, verify_relations
+from gkhyper.gengk import GenGKFactorization, gengk_bidiag, verify_relations
 from gkhyper.marginal import (
     HyperParams,
     Hyperprior,
@@ -110,10 +109,38 @@ def heat_two_param_setup(n=64, seed=1, ell=0.08, hyperprior=Hyperprior()):
     return prob, model, ell
 
 
+def two_param_rescale(model, fact_hat, theta1, theta2):
+    # closed-form factorization at (theta1, theta2, ell) from the unit run at
+    # (1, 1, ell): with R = theta1 I and Q = theta2^2 Q0, U picks up
+    # sqrt(theta1), V shrinks by theta2, the bidiagonal scales by
+    # theta2/sqrt(theta1) and the initialization norm by 1/sqrt(theta1); it
+    # carries the Q of the new parameters
+    theta1 = float(theta1)
+    theta2 = float(theta2)
+    if theta1 <= 0 or theta2 <= 0:
+        raise ValueError("theta1 and theta2 must be positive")
+    root1 = np.sqrt(theta1)
+    coeff = theta2 / root1
+    betas = fact_hat.betas.copy()
+    betas[0] /= root1
+    betas[1:] *= coeff
+    ell = fact_hat.q_op.kernel.ell
+    return GenGKFactorization(
+        u_basis=fact_hat.u_basis * root1,
+        v_basis=fact_hat.v_basis / theta2,
+        qv_basis=fact_hat.qv_basis * theta2,   # (theta2^2 Q0)(v/theta2)
+        alphas=fact_hat.alphas * coeff,
+        betas=betas,
+        k=fact_hat.k,
+        q_op=model.prior_cov(HyperParams(np.array([theta1, theta2, ell]))),
+        breakdown_at=fact_hat.breakdown_at,
+    )
+
+
 def test_rescale_identity_at_unit_parameters():
     prob, model, ell = heat_two_param_setup()
     fact_hat = precompute_two_param(model, ell, 12)
-    fact = two_param_rescale(fact_hat, 1.0, 1.0)
+    fact = two_param_rescale(model, fact_hat, 1.0, 1.0)
     assert np.array_equal(fact.u_basis, fact_hat.u_basis)
     assert np.array_equal(fact.v_basis, fact_hat.v_basis)
     assert np.array_equal(fact.alphas, fact_hat.alphas)
@@ -123,7 +150,7 @@ def test_rescale_identity_at_unit_parameters():
 def test_rescale_ratio_arithmetic():
     prob, model, ell = heat_two_param_setup()
     fact_hat = precompute_two_param(model, ell, 8)
-    fact = two_param_rescale(fact_hat, 4.0, 2.0)
+    fact = two_param_rescale(model, fact_hat, 4.0, 2.0)
     # theta2 / sqrt(theta1) = 1: bidiagonal unchanged, U doubled, V halved
     assert np.allclose(fact.bidiagonal(), fact_hat.bidiagonal())
     assert np.allclose(fact.u_basis, 2.0 * fact_hat.u_basis)
@@ -135,9 +162,9 @@ def test_rescale_rejects_nonpositive():
     prob, model, ell = heat_two_param_setup()
     fact_hat = precompute_two_param(model, ell, 4)
     with pytest.raises(ValueError):
-        two_param_rescale(fact_hat, -1.0, 1.0)
+        two_param_rescale(model, fact_hat, -1.0, 1.0)
     with pytest.raises(ValueError):
-        two_param_rescale(fact_hat, 1.0, 0.0)
+        two_param_rescale(model, fact_hat, 1.0, 0.0)
 
 
 def test_rescaled_objective_matches_fresh_run():
@@ -150,14 +177,14 @@ def test_rescaled_objective_matches_fresh_run():
             theta = HyperParams(np.array([theta1, theta2, ell]))
             fresh = objective_gengk(model, theta, k)
             rescaled = objective_gengk(model, theta, k,
-                                       fact=two_param_rescale(fact_hat, theta1, theta2))
+                                       fact=two_param_rescale(model, fact_hat, theta1, theta2))
             closed = objective_rescaled(model, theta, fact_hat)
             assert abs(rescaled.value - fresh.value) <= 1e-8 * abs(fresh.value)
             assert abs(closed.value - fresh.value) <= 1e-8 * abs(fresh.value)
             assert np.allclose(closed.gradient, fresh.gradient[:2], rtol=1e-7)
             # the O(k) rescaled core is the spectrum of the rescaled factorization
             spec = fact_hat.spectrum.rescaled(theta1, theta2)
-            fresh_spec = two_param_rescale(fact_hat, theta1, theta2).spectrum
+            fresh_spec = two_param_rescale(model, fact_hat, theta1, theta2).spectrum
             assert np.allclose(spec.s, fresh_spec.s, rtol=0, atol=1e-12 * spec.s[0])
             assert np.isclose(spec.beta1, fresh_spec.beta1, rtol=1e-15)
 
@@ -171,7 +198,7 @@ def test_rescale_preserves_relation_residuals():
     res_before = verify_relations(fact_hat, prob.forward, unit_noise,
                                   q0, None, prob.data)
     theta1, theta2 = 2.5e-4, 0.6
-    fact = two_param_rescale(fact_hat, theta1, theta2)
+    fact = two_param_rescale(model, fact_hat, theta1, theta2)
     scaled_noise = NoiseCovariance(theta1, 48)
     scaled_q = build_cov_operator(prob.geometry,
                                   MaternKernel(1.5, theta2**2, ell))
@@ -347,7 +374,7 @@ def test_lambda_sweep_reads_one_spectral_core(monkeypatch):
     for lam, re in curve:
         theta = HyperParams(np.array([theta1, 1.0 / lam, ell]))
         s_ref = map_reconstruct(model, theta,
-                                fact=two_param_rescale(fact_hat, theta1, 1.0 / lam))
+                                fact=two_param_rescale(model, fact_hat, theta1, 1.0 / lam))
         re_ref = relative_error(prob.s_true, s_ref)
         assert abs(re - re_ref) <= 1e-12 * re_ref
 

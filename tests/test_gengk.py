@@ -151,6 +151,12 @@ def test_truncate_factorization(rng):
     assert sub.k == 3
     assert sub.u_basis.shape == (10, 4)
     assert np.array_equal(sub.alphas, fact.alphas[:4])
+    # the truncation shares the Q and the derivative products of fact
+    assert sub.q_op is fact.q_op is Q
+    for got, full in zip(sub.dq_basis(), fact.dq_basis()):
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, full[:, :3])
+    assert fact.cov_applies()[1] == 2 * 6
     res = verify_relations(sub, A, R, Q, None, d)
     assert all(x < 1e-12 for x in res)
     with pytest.raises(ValueError):

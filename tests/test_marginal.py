@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient
-from gkhyper import marginal
+from gkhyper import gengk, marginal
 from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator, matern_eval
-from gkhyper.gengk import gengk_bidiag, truncate_factorization
+from gkhyper.gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
 from gkhyper.marginal import (
     HyperParams,
     Hyperprior,
@@ -283,17 +283,120 @@ def _per_column_apply(ops, x):
     return [np.column_stack([op.apply(x[:, j]) for j in range(x.shape[1])]) for op in ops]
 
 
-def test_gengk_gradient_bits_match_per_column_reference(monkeypatch):
+def _hex(ev):
+    return [float(x).hex() for x in (ev.value, *ev.gradient)]
+
+
+GUARD_THETAS = ((1e-4, 0.5, 0.1), (7.7e-6, 0.45, 0.185), (1e-5, 0.4, 0.9))
+
+
+def _guard_models():
     heat = build_heat_problem(n=64, noise_level=0.02, seed=0)
     ray = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0,
                                  prior_std=0.8, ell=0.08)
-    for prob, k in ((heat, 12), (ray, 30)):
-        model = MarginalModel(forward=prob.forward, data=prob.data,
-                              geometry=prob.geometry, nu=1.5)
-        for values in ((1e-4, 0.5, 0.1), (7.7e-6, 0.45, 0.185), (1e-5, 0.4, 0.9)):
+    return [MarginalModel(forward=prob.forward, data=prob.data,
+                          geometry=prob.geometry, nu=1.5) for prob in (heat, ray)]
+
+
+def test_gengk_gradient_bits_match_per_column_reference(monkeypatch):
+    for model, k in zip(_guard_models(), (12, 30)):
+        for values in GUARD_THETAS:
             theta = HyperParams(np.array(values))
             got = objective_gengk(model, theta, k).gradient
             with monkeypatch.context() as patch:
-                patch.setattr(marginal, "apply_block", _per_column_apply)
+                patch.setattr(gengk, "apply_block", _per_column_apply)
                 want = objective_gengk(model, theta, k).gradient
             assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def _own_factorization(fact, k, q_op):
+    # the leading k steps as a factorization of their own: its own Q and its
+    # own derivative products, taken for V_k alone
+    sub = truncate_factorization(fact, k)
+    return GenGKFactorization(sub.u_basis, sub.v_basis, sub.qv_basis, sub.alphas,
+                              sub.betas, sub.k, q_op, sub.breakdown_at)
+
+
+def _broken_down_model():
+    rng = np.random.default_rng(7)
+    m, n, r = 10, 9, 3
+    A = DenseOperator(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)))
+    return MarginalModel(forward=A, data=A.apply(rng.standard_normal(n)),
+                         geometry=rng.uniform(0, 1, (n, 2)))
+
+
+def test_truncation_sweep_bits_match_fresh_per_column_reference(monkeypatch):
+    # every truncation reads the leading columns of one dQ V_K; the reference
+    # applies Q.derivative(2) and (3) of a fresh Q to V_k column by column, as
+    # a k-step factorization of its own. K covers the small-k dgemv path and
+    # both sides of the 16-column chunk edge; the rank-3 model breaks down at
+    # step 3 on the dense backend
+    models = _guard_models()
+    cases = [(models[0], 20, 20, GUARD_THETAS), (models[1], 30, 30, GUARD_THETAS[:2]),
+             (_broken_down_model(), 8, 3, ((0.5, 1.0, 0.3),))]
+    for model, k_max, k_reached, thetas in cases:
+        for values in thetas:
+            theta = HyperParams(np.array(values))
+            fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                                model.prior_mean, model.data, k_max)
+            assert fact.k == k_reached
+            got = [_hex(objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)))
+                   for k in range(1, fact.k + 1)]
+            with monkeypatch.context() as patch:
+                patch.setattr(gengk, "apply_block", _per_column_apply)
+                want = [_hex(objective_gengk(
+                    model, theta, k, fact=_own_factorization(fact, k, model.prior_cov(theta))))
+                    for k in range(1, fact.k + 1)]
+            assert got == want
+
+
+def _three_dense_matrices(ops, x):
+    # the column-at-a-time probing of Q, dQ/dtheta2 and dQ/dtheta3 that the
+    # shared-transform block apply replaces in the dense oracle
+    assert np.array_equal(x, np.eye(x.shape[0]))
+    return [dense_matrix(op) for op in ops]
+
+
+def test_exact_objective_bits_match_three_dense_matrices(monkeypatch):
+    models = _guard_models() + [make_dense_model(np.random.default_rng(3), m=10, n=12,
+                                                 grid=False)]
+    for model in models:
+        for values in GUARD_THETAS:
+            theta = HyperParams(np.array(values))
+            got = objective_exact(model, theta)
+            with monkeypatch.context() as patch:
+                patch.setattr(marginal, "apply_block", _three_dense_matrices)
+                want = objective_exact(model, theta)
+            assert _hex(got) == _hex(want)
+            n = model.ncols
+            assert (got.matvec_report["q"], got.matvec_report["dq"]) == (n, 2 * n)
+
+
+def test_matvec_report_counts_q_and_dq_applies():
+    model = _guard_models()[1]
+    theta = HyperParams(np.array([1e-4, 0.5, 0.1]))
+    k = 12
+    fresh = objective_gengk(model, theta, k)
+    assert fresh.matvec_report == {"forward": k + 1, "adjoint": k + 1, "q": k + 1,
+                                   "dq": 2 * k}
+    # a sweep over truncations of one factorization applies dQ to V_K on the
+    # first read only, and Q never
+    k_max = 20
+    fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                        model.prior_mean, model.data, k_max)
+    reports = [objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)).matvec_report
+               for k in (5, 1, 20, 17)]
+    zero = {"forward": 0, "adjoint": 0, "q": 0}
+    assert reports == [{**zero, "dq": 2 * k_max}] + [{**zero, "dq": 0}] * 3
+
+
+def test_gengk_with_factorization_at_another_theta_raises():
+    model = _guard_models()[0]
+    theta = HyperParams(np.array([1e-4, 0.5, 0.1]))
+    fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                        model.prior_mean, model.data, 8)
+    for other in ((1e-4, 0.6, 0.1), (1e-4, 0.5, 0.12)):
+        with pytest.raises(ValueError, match="factorization was taken"):
+            objective_gengk(model, HyperParams(np.array(other)), 8, fact=fact)
+    # at its own theta it evaluates
+    assert objective_gengk(model, theta, 8, fact=fact).k_used == 8
