@@ -11,11 +11,9 @@ from .operators import (
     DenseOperator,
     SparseOperator,
     IdentityOperator,
-    ZeroOperator,
     MaskedOperator,
     NoiseCovariance,
     dense_matrix,
-    adjoint_probe_defect,
 )
 from .covariance import (
     MaternKernel,

@@ -31,8 +31,7 @@ from .operators import dense_matrix
 from .estimate import OptimizeOptions, map_reconstruct, optimize_hyperparams
 from .problems import build_heat_problem, build_ray_tomo_problem, relative_error
 
-__all__ = ["main", "cmd_estimate", "cmd_monitor", "cmd_reconstruct",
-           "read_csv", "read_theta_star"]
+__all__ = ["main", "cmd_estimate", "cmd_monitor", "cmd_reconstruct"]
 
 
 def _fmt(x) -> str:
@@ -50,18 +49,6 @@ def _write_outputs(out_dir: Path, outputs: dict[str, str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():
         (out_dir / name).write_text(text)
-
-
-def read_csv(path) -> dict[str, np.ndarray]:
-    """Read one of this package's CSV outputs into named columns."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    return {name: np.asarray(data[name], dtype=float) for name in data.dtype.names}
-
-
-def read_theta_star(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _build_problem(cfg: RunConfig):
@@ -144,8 +131,7 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
                             probe_kind=mc.probe_kind)
     err_mc = np.array([err_indicator(x, fact.beta1) for x in xi_hat])
 
-    dense_ok = model.nrows <= model.dense_cap
-    if dense_ok:
+    if model.dense_ok:
         exact = objective_exact(model, theta)
         a_d = dense_matrix(model.forward)
         q_d = dense_matrix(q_op)
@@ -155,7 +141,7 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
     rows = []
     for k in range(1, k_max + 1):
         approx = objective_gengk_value(model, theta, truncate_factorization(fact, k))
-        if dense_ok:
+        if model.dense_ok:
             abs_err = abs(exact.value - approx.value)
             re_obj = abs_err / abs(exact.value)
             re_logdet = abs(exact.logdet_term - approx.logdet_term) / abs(exact.logdet_term)

@@ -129,8 +129,9 @@ class EstimateConfig:
             raise ConfigError("estimate.bounds must have low < high in every row")
         if np.any(theta0 < bounds[:, 0]) or np.any(theta0 > bounds[:, 1]):
             raise ConfigError("estimate.theta0 must lie within estimate.bounds")
-        if self.parameterization not in ("log", "linear"):
-            raise ConfigError("parameterization must be log or linear")
+        if self.parameterization != "log":
+            raise ConfigError("estimate.parameterization must be log (L-BFGS-B runs "
+                              f"in log theta), got {self.parameterization!r}")
         if self.max_iters < 1:
             raise ConfigError("estimate.max_iters must be at least 1")
         if self.grad_tol < 0:

@@ -133,9 +133,7 @@ def matern_deriv(kernel: MaternKernel, r):
         raise ValueError("distances must be nonnegative")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if kernel.nu in CLOSED_FORM_NU or any(
-        _is_close(kernel.nu, v) for v in CLOSED_FORM_NU
-    ):
+    if any(_is_close(kernel.nu, v) for v in CLOSED_FORM_NU):
         out = _matern_deriv_ell_closed(kernel, r)
     else:
         warnings.warn(

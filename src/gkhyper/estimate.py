@@ -1,9 +1,8 @@
 """Hyperparameter optimization, MAP reconstruction, and the two-parameter fast path.
 
-The optimizer is a bound-constrained limited-memory quasi-Newton method run by
-default in log-parameterization (positivity is structural, so log space removes
-the constraint without moving the argmin); a projected linear-space mode is
-retained for comparison. Each evaluation in the general path re-runs the
+The optimizer is L-BFGS-B run in log theta within explicit positive bounds
+(positivity is structural, so log space removes that constraint without
+moving the argmin). Each evaluation in the general path re-runs the
 bidiagonalization at the candidate theta. When the correlation length is
 fixed, the fast path runs on the same MarginalModel: one factorization at
 theta = (1, 1, ell) is read through marginal.objective_rescaled for every
@@ -36,25 +35,28 @@ __all__ = [
 
 @dataclass
 class OptimizeOptions:
-    """Settings for the outer optimization loop."""
+    """Settings for the outer optimization loop, which searches log theta.
+
+    bounds (required, keyword only) holds one positive [low, high] row per
+    component of theta; parameterization accepts only "log".
+    """
 
     k: int = 20
     max_iters: int = 200
     grad_tol: float = 1e-6
-    bounds: np.ndarray | None = None          # (K, 2) positive intervals
+    bounds: np.ndarray = field(kw_only=True)
     parameterization: str = "log"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.parameterization not in ("log", "linear"):
-            raise ValueError("parameterization must be 'log' or 'linear'")
-        if self.bounds is not None:
-            self.bounds = np.asarray(self.bounds, dtype=float)
-            if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
-                raise ValueError("bounds must be a (K, 2) array")
-            if np.any(self.bounds <= 0) or np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-                raise ValueError("bounds must be strictly positive nonempty intervals")
+        if self.parameterization != "log":
+            raise ValueError("parameterization must be 'log'")
+        self.bounds = np.asarray(self.bounds, dtype=float)
+        if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
+            raise ValueError("bounds must be a (K, 2) array")
+        if np.any(self.bounds <= 0) or np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
+            raise ValueError("bounds must be strictly positive nonempty intervals")
 
 
 @dataclass
@@ -76,44 +78,35 @@ class OptimizeTrace:
         self.grad_norms.append(float(grad_norm))
 
 
-def _default_bounds(theta0: np.ndarray) -> np.ndarray:
-    lo = np.minimum(theta0 * 1e-6, 1e-12)
-    hi = np.maximum(theta0 * 1e6, 1e2)
-    return np.column_stack([lo, hi])
-
-
 def _run_lbfgsb(eval_fn, theta0, opts: OptimizeOptions) -> tuple[np.ndarray, OptimizeTrace]:
     theta0 = np.asarray(theta0, dtype=float)
-    bounds = opts.bounds if opts.bounds is not None else _default_bounds(theta0)
+    bounds = opts.bounds
     if bounds.shape[0] != theta0.shape[0]:
         raise ValueError("bounds do not match the parameter dimension")
     if np.any(theta0 < bounds[:, 0]) or np.any(theta0 > bounds[:, 1]):
         raise ValueError("the starting point lies outside the bounds")
 
     trace = OptimizeTrace()
-    log_space = opts.parameterization == "log"
 
     def wrapped(x):
-        theta = np.exp(x) if log_space else x
+        theta = np.exp(x)
         evaluation = eval_fn(theta)
         grad = evaluation.gradient
         if not np.isfinite(evaluation.value) or not np.all(np.isfinite(grad)):
             raise FloatingPointError(f"objective or gradient is not finite at theta = {theta}")
-        gx = grad * theta if log_space else grad
+        gx = grad * theta
         trace.record(theta, evaluation.value, np.max(np.abs(gx)))
         return evaluation.value, gx
 
-    x0 = np.log(theta0) if log_space else theta0
-    opt_bounds = np.log(bounds) if log_space else bounds
     res = minimize(
         wrapped,
-        x0,
+        np.log(theta0),
         jac=True,
         method="L-BFGS-B",
-        bounds=[tuple(row) for row in opt_bounds],
+        bounds=[tuple(row) for row in np.log(bounds)],
         options={"maxiter": opts.max_iters, "gtol": opts.grad_tol, "ftol": 1e-14},
     )
-    theta_star = np.exp(res.x) if log_space else res.x
+    theta_star = np.exp(res.x)
     trace.iterations = int(res.nit)
     trace.converged = bool(res.success)
     trace.reason = str(res.message)
@@ -137,10 +130,11 @@ def optimize_hyperparams(model: MarginalModel, theta0: HyperParams,
 
 
 def precompute_two_param(model: MarginalModel, ell: float, k: int) -> GenGKFactorization:
-    """One-time bidiagonalization at theta = (1, 1, ell) for the fast path."""
+    """One-time bidiagonalization at theta = (1, 1, ell) for the fast path,
+    with k clamped to min(m, n) as in optimize_hyperparams."""
     unit = HyperParams(np.array([1.0, 1.0, ell]))
     return gengk_bidiag(model.forward, model.noise_cov(unit), model.prior_cov(unit),
-                        model.prior_mean, model.data, k)
+                        model.prior_mean, model.data, min(int(k), model.nrows, model.ncols))
 
 
 def optimize_two_param(model: MarginalModel, ell: float, theta0,
@@ -198,8 +192,7 @@ def map_reconstruct_exact(model: MarginalModel, theta: HyperParams) -> np.ndarra
 
     s = (A' R^{-1} A + Q^{-1})^{-1} (A' R^{-1} d + Q^{-1} mu).
     """
-    if model.ncols > model.dense_cap:
-        raise ValueError("problem exceeds the dense cap for the closed-form oracle")
+    model.require_dense("the closed-form MAP estimate")
     a_dense = dense_matrix(model.forward)
     q_dense = dense_matrix(model.prior_cov(theta))
     q_inv = np.linalg.inv(0.5 * (q_dense + q_dense.T))

@@ -153,6 +153,17 @@ class MarginalModel:
     def ncols(self) -> int:
         return self.forward.ncols
 
+    @property
+    def dense_ok(self) -> bool:
+        """Dense oracles form m x m and n x n matrices: both within dense_cap."""
+        return max(self.nrows, self.ncols) <= self.dense_cap
+
+    def require_dense(self, what: str) -> None:
+        if not self.dense_ok:
+            raise ValueError(f"{what} forms dense m x m and n x n matrices (m = {self.nrows}, "
+                             f"n = {self.ncols}), over the dense cap {self.dense_cap}; use "
+                             "the bidiagonalization path")
+
     def mean_vector(self) -> np.ndarray:
         if self.prior_mean is None:
             return np.zeros(self.ncols)
@@ -206,14 +217,6 @@ def _count_delta(op: LinearOperatorHandle, before: tuple[int, int],
             "q": q, "dq": dq}
 
 
-def _require_dense(model: MarginalModel, what: str) -> None:
-    if model.nrows > model.dense_cap:
-        raise ValueError(
-            f"{what} assembles an {model.nrows} x {model.nrows} matrix, over the "
-            f"dense cap {model.dense_cap}; use the bidiagonalization path"
-        )
-
-
 def _assemble_gradient(hgrad: np.ndarray, *terms: tuple[float, float]) -> np.ndarray:
     # dF/dtheta_i = d(-log pi)/dtheta_i + tr(Z^{-1} dZ_i)/2 - r' dZ_i r/2, with
     # each term given as (trace, -r' dZ_i r/2)
@@ -229,7 +232,7 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     mean. Dense Q, dQ/dtheta2 and dQ/dtheta3 are probed together from the one
     Q built here, one shared forward transform per chunk of identity columns.
     """
-    _require_dense(model, "the exact objective")
+    model.require_dense("the exact objective")
     before = model.forward.matvec_count.snapshot()
     m, n = model.nrows, model.ncols
     q_op = model.prior_cov(theta)
@@ -415,7 +418,7 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
     evaluates the objective of the resulting data-space covariance. At
     k = rank(Ahat) this reproduces the exact objective. No gradient.
     """
-    _require_dense(model, "the truncated-SVD objective")
+    model.require_dense("the truncated-SVD objective")
     before = model.forward.matvec_count.snapshot()
     noise = model.noise_cov(theta)
     a_dense = dense_matrix(model.forward)

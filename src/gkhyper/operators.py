@@ -14,11 +14,9 @@ __all__ = [
     "DenseOperator",
     "SparseOperator",
     "IdentityOperator",
-    "ZeroOperator",
     "MaskedOperator",
     "NoiseCovariance",
     "dense_matrix",
-    "adjoint_probe_defect",
 ]
 
 
@@ -147,17 +145,6 @@ class IdentityOperator(LinearOperatorHandle):
         return y.copy()
 
 
-class ZeroOperator(LinearOperatorHandle):
-    def __init__(self, nrows: int, ncols: int) -> None:
-        super().__init__(nrows, ncols)
-
-    def _apply(self, x):
-        return np.zeros(self.nrows)
-
-    def _apply_adjoint(self, y):
-        return np.zeros(self.ncols)
-
-
 class MaskedOperator(LinearOperatorHandle):
     """Restrict an operator to a retained subset of its input components.
 
@@ -191,7 +178,7 @@ class MaskedOperator(LinearOperatorHandle):
 class NoiseCovariance:
     """Scalar-diagonal noise covariance theta1 * I_m.
 
-    Inverse, square root and log-determinant are closed form. Its only
+    Inverse, inverse square root and log-determinant are closed form. Its only
     hyperparameter derivative is dR/dtheta1 = I, so the gradient code writes
     it in place (<dR/dtheta1, R^{-1}> = m/theta1) instead of asking for it.
     """
@@ -205,14 +192,8 @@ class NoiseCovariance:
         self.theta1 = theta1
         self.m = int(m)
 
-    def apply(self, x):
-        return self.theta1 * np.asarray(x, dtype=float)
-
     def apply_inv(self, x):
         return np.asarray(x, dtype=float) / self.theta1
-
-    def sqrt_apply(self, x):
-        return np.sqrt(self.theta1) * np.asarray(x, dtype=float)
 
     def inv_sqrt_apply(self, x):
         return np.asarray(x, dtype=float) / np.sqrt(self.theta1)
@@ -248,18 +229,3 @@ def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:
         e[i] = 0.0
     return rows.T
 
-
-def adjoint_probe_defect(op: LinearOperatorHandle, n_probes: int = 20, rng=None) -> float:
-    """Max relative defect |<Ax,y> - <x,A'y>| over random probe pairs."""
-    rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(n_probes):
-        x = rng.standard_normal(op.ncols)
-        y = rng.standard_normal(op.nrows)
-        ax = op.apply(x)
-        aty = op.apply_adjoint(y)
-        lhs = float(ax @ y)
-        rhs = float(x @ aty)
-        scale = max(np.linalg.norm(ax) * np.linalg.norm(y), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst

@@ -15,12 +15,12 @@ import scipy.sparse as sp
 from scipy.linalg import toeplitz
 
 from .covariance import MaternKernel, RegularGrid, build_cov_operator
-from .operators import DenseOperator, LinearOperatorHandle, SparseOperator, dense_matrix
+from .operators import (DenseOperator, LinearOperatorHandle, MaskedOperator,
+                        SparseOperator, dense_matrix)
 
 __all__ = [
     "ProblemInstance",
     "heat_1d",
-    "heat_kernel_value",
     "heat_true_signal",
     "ray_tomo_2d",
     "ray_row",
@@ -48,20 +48,6 @@ class ProblemInstance:
     seed: int | None
 
 
-def heat_kernel_value(gap: float, kappa: float = 1.0) -> float:
-    """Causal heat kernel value at time gap t - s > 0.
-
-    k(t - s) = (4 pi kappa^2)^{-1/2} (t - s)^{-3/2} exp(-1 / (4 kappa^2 (t-s))).
-    kappa controls the degree of ill-posedness (kappa = 1 is severely
-    ill-posed, kappa = 5 essentially well-posed).
-    """
-    if gap <= 0:
-        raise ValueError("the heat kernel is causal; gap must be positive")
-    return gap ** (-1.5) * math.exp(-1.0 / (4.0 * kappa**2 * gap)) / math.sqrt(
-        4.0 * math.pi * kappa**2
-    )
-
-
 def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     """Midpoint-quadrature Volterra operator for 1-d inverse heat conduction.
 
@@ -69,6 +55,8 @@ def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     sampled at cell midpoints, so entry (i, j) is h * k((i - j + 1/2) h) for
     j <= i and zero above the diagonal: the operator is exactly lower
     triangular and every kernel evaluation happens at a strictly positive gap.
+    The kernel is k(t) = (4 pi kappa^2)^{-1/2} t^{-3/2} exp(-1 / (4 kappa^2 t));
+    kappa = 1 is severely ill-posed, kappa = 5 essentially well-posed.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -255,7 +243,7 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
     truncation = grid.size if truncation is None else truncation
     s_true = smooth_phantom(grid, kernel, truncation, seed=rng[1], mask=mask)
     if mask is not None:
-        forward = _masked_forward(forward, mask)
+        forward = MaskedOperator(forward, mask)
         s_true = s_true[np.asarray(mask, dtype=int)]
         grid_or_points = grid.points()[np.asarray(mask, dtype=int)]
     else:
@@ -272,9 +260,3 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
         geometry=grid_or_points,
         seed=seed,
     )
-
-
-def _masked_forward(forward, mask):
-    from .operators import MaskedOperator
-
-    return MaskedOperator(forward, mask)

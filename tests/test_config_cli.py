@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gkhyper.cli import _build_problem, main, read_csv, read_theta_star
+from gkhyper.cli import _build_problem, main
 from gkhyper.config import ConfigError, config_from_dict, load_config
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
 from gkhyper.marginal import HyperParams, objective_exact, objective_gengk
@@ -29,6 +29,18 @@ def write_config(tmp_path, payload, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload))
     return path
+
+
+def read_csv(path) -> dict[str, np.ndarray]:
+    """Read one of the CLI's CSV outputs into named columns."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    data = np.atleast_1d(data)
+    return {name: np.asarray(data[name], dtype=float) for name in data.dtype.names}
+
+
+def read_theta_star(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
 
 
 # --- configuration schema
@@ -121,13 +133,15 @@ BAD_NUMBERS = [
     {"hyperprior": {"kind": "gamma", "gamma": True}},
     {"estimate": {"theta0": [True, 0.5, 0.1]}},
     {"monitor": {"theta": [1e-4, True, 0.08]}},
+    {"estimate": {"parameterization": "linear"}},
 ]
 
 
 @pytest.mark.parametrize("payload", BAD_NUMBERS)
 def test_bad_numbers_exit_one_before_any_build(tmp_path, monkeypatch, capsys, payload):
     # non-finite numbers, fractions and strings in integer fields, values of
-    # the wrong type and optimizer limits out of range are configuration errors
+    # the wrong type, optimizer limits out of range and a parameterization
+    # other than log are configuration errors
     with pytest.raises(ConfigError):
         config_from_dict(payload)
 
@@ -286,6 +300,26 @@ def test_monitor_single_row(tmp_path):
     assert main(["monitor", "--config", str(cfg), "--out", str(out)]) == 0
     table = read_csv(out / "error_vs_k.csv")
     assert len(table["k"]) == 1
+
+
+def test_monitor_dense_cap_between_m_and_n(tmp_path):
+    # m = 80 rays lie under the cap, n = 100 pixels over it: the exact
+    # columns are NaN and the Monte Carlo columns are still written
+    payload = {
+        "problem": {"name": "ray_tomo", "grid": 10, "n_rays": 80,
+                    "noise_level": 0.02, "prior_std": 0.8, "ell": 0.1},
+        "monitor": {"k_max": 10, "n_mc": 4, "theta": [1e-5, 0.8, 0.1]},
+        "dense_cap": 90,
+        "seed": 1,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "mon"
+    assert main(["monitor", "--config", str(cfg), "--out", str(out)]) == 0
+    table = read_csv(out / "error_vs_k.csv")
+    assert list(table["k"]) == list(range(1, 11))
+    for name in ("re_objective", "abs_err_objective", "re_logdet", "re_quad", "prop2_bound"):
+        assert np.all(np.isnan(table[name])), name
+    assert np.all(np.isfinite(table["xi_hat"])) and np.all(np.isfinite(table["err_mc"]))
 
 
 def test_reconstruct_command(tmp_path):

@@ -23,7 +23,7 @@ from gkhyper.marginal import (
     objective_gengk_value,
     objective_rescaled,
 )
-from gkhyper.operators import DenseOperator, NoiseCovariance, ZeroOperator
+from gkhyper.operators import DenseOperator, NoiseCovariance
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, relative_error
 
 
@@ -32,7 +32,7 @@ WIDE_BOUNDS = np.array([[1e-8, 1e3], [1e-8, 1e3], [1e-8, 1e3]])
 
 def zero_model(rng, m=12):
     d = rng.standard_normal(m)
-    return MarginalModel(forward=ZeroOperator(m, m), data=d,
+    return MarginalModel(forward=DenseOperator(np.zeros((m, m))), data=d,
                          geometry=RegularGrid((m,), (1.0 / m,))), d
 
 
@@ -47,21 +47,16 @@ def test_zero_operator_closed_form_minimizer(rng):
     assert trace.func_count == len(trace.values)
 
 
-def test_log_and_linear_parameterizations_agree(rng):
-    model, d = zero_model(rng)
-    theta0 = HyperParams(np.array([1.0, 1.0, 0.5]))
-    t_log, _ = optimize_hyperparams(
-        model, theta0, OptimizeOptions(k=4, bounds=WIDE_BOUNDS, parameterization="log"))
-    t_lin, _ = optimize_hyperparams(
-        model, theta0, OptimizeOptions(k=4, bounds=WIDE_BOUNDS, parameterization="linear"))
-    assert abs(t_log.values[0] - t_lin.values[0]) <= 1e-4 * t_lin.values[0]
-
-
 def test_start_outside_bounds_rejected(rng):
     model, _ = zero_model(rng)
     opts = OptimizeOptions(k=4, bounds=np.array([[1.0, 2.0]] * 3))
     with pytest.raises(ValueError, match="outside"):
         optimize_hyperparams(model, HyperParams(np.array([0.5, 1.5, 1.5])), opts)
+    # the search runs in log theta within explicit bounds only
+    with pytest.raises(ValueError, match="parameterization"):
+        OptimizeOptions(k=4, bounds=WIDE_BOUNDS, parameterization="linear")
+    with pytest.raises(TypeError, match="bounds"):
+        OptimizeOptions(k=4)
 
 
 def test_func_count_matches_forward_applications():
@@ -233,6 +228,21 @@ def test_optimize_two_param_never_touches_forward_map():
                                            fact_hat=fact_hat)
     assert prob.forward.matvec_count.snapshot() == before
     assert trace.converged
+    assert theta_star.shape == (2,)
+
+
+def test_two_param_clamps_k_to_min_dimension():
+    # a k that optimize_hyperparams and map_reconstruct clamp to min(m, n) = 6
+    tomo = build_ray_tomo_problem(g=8, n_rays=6, noise_level=0.02, seed=0)
+    model = MarginalModel(forward=tomo.forward, data=tomo.data, geometry=tomo.geometry)
+    ell = 0.2
+    opts = OptimizeOptions(k=10, bounds=np.array([[1e-12, 10.0], [1e-4, 50.0]]))
+    fact_hat = precompute_two_param(model, ell, opts.k)
+    full = precompute_two_param(model, ell, 6)
+    assert fact_hat.k == full.k <= 6
+    assert np.array_equal(fact_hat.alphas, full.alphas)
+    assert np.array_equal(fact_hat.betas, full.betas)
+    theta_star, _ = optimize_two_param(model, ell, np.array([1e-4, 0.3]), opts)
     assert theta_star.shape == (2,)
 
 

@@ -13,7 +13,8 @@ from gkhyper.marginal import (
     objective_gengk,
     objective_svd,
 )
-from gkhyper.operators import DenseOperator, ZeroOperator, dense_matrix
+from gkhyper.estimate import map_reconstruct_exact
+from gkhyper.operators import DenseOperator, dense_matrix
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem
 
 
@@ -41,7 +42,7 @@ def reference_z(model, theta):
 
 def test_zero_operator_closed_form(rng):
     d = rng.standard_normal(7)
-    model = MarginalModel(forward=ZeroOperator(7, 7), data=d,
+    model = MarginalModel(forward=DenseOperator(np.zeros((7, 7))), data=d,
                           geometry=RegularGrid((7,), (1 / 7,)))
     theta = HyperParams(np.array([1.0, 0.9, 0.2]))
     ev = objective_exact(model, theta)
@@ -81,7 +82,7 @@ def test_theta1_gradient_decomposition(rng):
 
 def test_zero_operator_gengk_equals_exact(rng):
     d = rng.standard_normal(6)
-    model = MarginalModel(forward=ZeroOperator(6, 6), data=d,
+    model = MarginalModel(forward=DenseOperator(np.zeros((6, 6))), data=d,
                           geometry=RegularGrid((6,), (1 / 6,)))
     theta = HyperParams(np.array([0.7, 1.2, 0.3]))
     ex = objective_exact(model, theta)
@@ -153,13 +154,22 @@ def test_k_beyond_breakdown_is_recorded(rng):
 
 
 def test_dense_cap_guard(rng):
-    model = make_dense_model(rng)
-    model.dense_cap = 4
+    # every dense oracle forms m x m and n x n matrices, so the cap bounds
+    # max(m, n): a square model, a wide one (m = 6 under the cap, n = 64
+    # over it) and a tall one
     theta = HyperParams(np.array([0.5, 1.0, 0.3]))
-    with pytest.raises(ValueError, match="dense cap"):
-        objective_exact(model, theta)
-    with pytest.raises(ValueError, match="dense cap"):
-        objective_svd(model, theta, 3)
+    for m, n, cap in ((8, 8, 4), (6, 64, 16), (64, 6, 16)):
+        model = make_dense_model(rng, m=m, n=n)
+        model.dense_cap = cap
+        assert not model.dense_ok
+        before = model.forward.matvec_count.snapshot()
+        with pytest.raises(ValueError, match="dense cap"):
+            objective_exact(model, theta)
+        with pytest.raises(ValueError, match="dense cap"):
+            objective_svd(model, theta, 3)
+        with pytest.raises(ValueError, match="dense cap"):
+            map_reconstruct_exact(model, theta)
+        assert model.forward.matvec_count.snapshot() == before
 
 
 def test_exact_objective_builds_q_once(rng, monkeypatch):
@@ -208,7 +218,7 @@ def test_svd_full_rank_identity(rng):
 
 def test_svd_zero_operator(rng):
     d = rng.standard_normal(5)
-    model = MarginalModel(forward=ZeroOperator(5, 5), data=d,
+    model = MarginalModel(forward=DenseOperator(np.zeros((5, 5))), data=d,
                           geometry=RegularGrid((5,), (0.2,)))
     theta = HyperParams(np.array([0.9, 1.0, 0.3]))
     ex = objective_exact(model, theta)

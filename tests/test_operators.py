@@ -8,22 +8,30 @@ from gkhyper.operators import (
     IdentityOperator,
     MaskedOperator,
     NoiseCovariance,
-    ZeroOperator,
-    adjoint_probe_defect,
     dense_matrix,
 )
+
+
+def adjoint_probe_defect(op, n_probes: int = 20, rng=None) -> float:
+    """Max relative defect |<Ax,y> - <x,A'y>| over random probe pairs."""
+    rng = np.random.default_rng(rng)
+    worst = 0.0
+    for _ in range(n_probes):
+        x = rng.standard_normal(op.ncols)
+        y = rng.standard_normal(op.nrows)
+        ax = op.apply(x)
+        aty = op.apply_adjoint(y)
+        lhs = float(ax @ y)
+        rhs = float(x @ aty)
+        scale = max(np.linalg.norm(ax) * np.linalg.norm(y), 1e-300)
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
 
 
 def test_identity_apply():
     op = IdentityOperator(3)
     assert np.array_equal(op.apply([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
     assert np.array_equal(op.apply_adjoint([4.0, 5.0, 6.0]), [4.0, 5.0, 6.0])
-
-
-def test_zero_apply():
-    op = ZeroOperator(2, 3)
-    assert np.array_equal(op.apply([7.0, -1.0, 2.0]), [0.0, 0.0])
-    assert np.array_equal(op.apply_adjoint([1.0, 1.0]), [0.0, 0.0, 0.0])
 
 
 def test_dimension_mismatch_rejected():
@@ -106,7 +114,7 @@ def test_noise_covariance_closed_forms():
     assert np.isclose(r2.logdet(), 4 * np.log(0.25), rtol=1e-15)
     x = np.arange(4.0)
     assert np.allclose(NoiseCovariance(0.5, 4).apply_inv(x), 2.0 * x)
-    assert np.allclose(NoiseCovariance(4.0, 4).sqrt_apply(x), 2.0 * x)
+    assert np.allclose(NoiseCovariance(4.0, 4).inv_sqrt_apply(x), 0.5 * x)
 
 
 def test_noise_covariance_domain_errors():

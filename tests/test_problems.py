@@ -13,7 +13,6 @@ from gkhyper.problems import (
     build_heat_problem,
     build_ray_tomo_problem,
     heat_1d,
-    heat_kernel_value,
     heat_true_signal,
     ray_row,
     ray_tomo_2d,
@@ -23,6 +22,18 @@ from gkhyper.problems import (
 
 
 # --- 1-d inverse heat
+
+
+def heat_kernel_value(gap: float, kappa: float = 1.0) -> float:
+    """Causal heat kernel value at time gap t - s > 0 (reference for heat_1d).
+
+    k(t - s) = (4 pi kappa^2)^{-1/2} (t - s)^{-3/2} exp(-1 / (4 kappa^2 (t-s))).
+    """
+    if gap <= 0:
+        raise ValueError("the heat kernel is causal; gap must be positive")
+    return gap ** (-1.5) * math.exp(-1.0 / (4.0 * kappa**2 * gap)) / math.sqrt(
+        4.0 * math.pi * kappa**2
+    )
 
 
 def test_heat_operator_causality():
