@@ -10,7 +10,10 @@ shipped config it also evaluates `objective_gengk` (at the config's
 value and the three gradient components as `float.hex`, which is exact. It
 does the same for `objective_gengk` read from truncations of one
 factorization, taken at the config's `monitor.theta` with K = `monitor.k_max`
-steps, at the k in SWEEP_KS and at K. Given
+steps, at the k in SWEEP_KS and at K. The shipped configs all run on grids,
+so it does the same for `objective_gengk` (k = POINT_SET_K) and
+`objective_exact` at THETAS on a masked ray g = 8 model, whose geometry is a
+point array and whose covariance takes the dense backend. Given
 a second checkout OTHER, both are digested and only the outputs and numbers
 that differ between them are printed, one name a line; the exit status is 1
 if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
@@ -30,17 +33,22 @@ THETAS = ((1e-4, 0.5, 0.1), (7.7e-6, 0.45, 0.185), (1e-5, 0.4, 0.9))
 # the small-k dgemv path and both sides of a 16-column chunk edge
 SWEEP_KS = (1, 3, 16, 17)
 
+POINT_SET_K = 12
+
 # run by each checkout's own package, so that every number comes from its code
-OBJECTIVES = f"""
-import sys
-from gkhyper.cli import _build_problem
-from gkhyper.config import load_config
-from gkhyper.gengk import gengk_bidiag, truncate_factorization
+SHOW = """
 from gkhyper.marginal import HyperParams, objective_exact, objective_gengk
 
 def show(name, ev):
     for label, x in zip(("value", "grad1", "grad2", "grad3"), (ev.value, *ev.gradient)):
-        print(float(x).hex(), f"{{name}}/{{label}}")
+        print(float(x).hex(), f"{name}/{label}")
+"""
+
+OBJECTIVES = SHOW + f"""
+import sys
+from gkhyper.cli import _build_problem
+from gkhyper.config import load_config
+from gkhyper.gengk import gengk_bidiag, truncate_factorization
 
 cfg = load_config(sys.argv[1])
 model = _build_problem(cfg)[1]
@@ -57,6 +65,31 @@ for k in sorted({{k for k in {SWEEP_KS!r} if k <= fact.k}} | {{fact.k}}):
     show(f"sweep/theta={{tuple(cfg.monitor.theta)}}/k={{k}}",
          objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)))
 """
+
+# the pixels of a g = 8 grid whose centres lie in the inscribed disk
+POINT_SET = SHOW + f"""
+import numpy as np
+from gkhyper.marginal import MarginalModel
+from gkhyper.problems import build_ray_tomo_problem
+
+centres = (np.arange(8) + 0.5) / 8 - 0.5
+mask = np.flatnonzero(np.hypot(*np.meshgrid(centres, centres, indexing="ij")).ravel() < 0.5)
+prob = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0, prior_std=0.8,
+                              ell=0.08, mask=mask)
+model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry, nu=1.5)
+for theta in {THETAS!r}:
+    params = HyperParams(theta)
+    show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, {POINT_SET_K}))
+    show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
+"""
+
+
+def _numbers(script: str, args: list, env: dict, cwd: str, prefix: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
+                         check=True, stderr=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                         text=True).stdout
+    return {f"{prefix}/{name}": bits
+            for bits, name in (line.split(" ", 1) for line in out.splitlines())}
 
 
 def digests(root: Path) -> dict:
@@ -76,12 +109,8 @@ def digests(root: Path) -> dict:
                 for path in sorted(out.iterdir()):
                     result[str(path.relative_to(tmp))] = hashlib.sha256(
                         path.read_bytes()).hexdigest()
-            numbers = subprocess.run([sys.executable, "-c", OBJECTIVES, str(config)], env=env,
-                                     cwd=tmp, check=True, stderr=subprocess.DEVNULL,
-                                     stdout=subprocess.PIPE, text=True).stdout
-            for line in numbers.splitlines():
-                bits, name = line.split(" ", 1)
-                result[f"{config.stem}/{name}"] = bits
+            result.update(_numbers(OBJECTIVES, [str(config)], env, tmp, config.stem))
+        result.update(_numbers(POINT_SET, [], env, tmp, "point_set"))
     return result
 
 

@@ -134,7 +134,7 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
     if model.dense_ok:
         exact = objective_exact(model, theta)
         a_d = dense_matrix(model.forward)
-        q_d = dense_matrix(q_op)
+        q_d = q_op.apply_block(np.eye(model.ncols))
         xi0 = float(np.sum((a_d.T @ a_d / theta.noise_var) * q_d.T))
         xi_exact = xi_recurrence(fact.alphas, fact.betas, xi0)
 

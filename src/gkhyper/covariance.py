@@ -13,6 +13,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -24,7 +25,6 @@ __all__ = [
     "MaternKernel",
     "RegularGrid",
     "CovarianceOperator",
-    "apply_block",
     "matern_eval",
     "matern_deriv",
     "build_cov_operator",
@@ -38,7 +38,7 @@ CLOSED_FORM_NU = (0.5, 1.5, 2.5)
 
 _FD_ELL_REL_STEP = 1e-6
 
-# columns per shared forward transform in apply_block: a chunk's complex
+# columns per shared forward transform in a block apply: a chunk's complex
 # embedding stays in cache on the shipped grids, where one 120-column block
 # ran slower per column than chunks of 16
 _BLOCK_COLUMNS = 16
@@ -126,7 +126,7 @@ def matern_deriv(kernel: MaternKernel, r):
     Uses the analytic formula for nu in {1/2, 3/2, 5/2}; other nu fall back
     to a central finite difference (step 1e-6 * ell) and emit a warning
     because the result is approximate. The prior-std derivative needs no
-    kernel: dQ/dtheta2 = (2/theta2) Q (CovarianceOperator.derivative).
+    kernel: dQ/dtheta2 = (2/theta2) Q (see CovarianceOperator).
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
@@ -148,13 +148,6 @@ def matern_deriv(kernel: MaternKernel, r):
             np.atleast_1d(matern_eval(kp, r)) - np.atleast_1d(matern_eval(km, r))
         ) / (2.0 * h)
     return float(out[0]) if scalar else out
-
-
-def _kernel_or_ell_deriv(kernel: MaternKernel, deriv_index: int, r):
-    # deriv_index 2 never reaches a kernel evaluation: dQ/dtheta2 is a scaled Q
-    if deriv_index == 0:
-        return matern_eval(kernel, r)
-    return matern_deriv(kernel, r)
 
 
 @dataclass(frozen=True)
@@ -209,83 +202,58 @@ class RegularGrid:
 
 
 class CovarianceOperator(LinearOperatorHandle):
-    """Symmetric matrix-free covariance (or covariance-derivative) operator.
+    """Symmetric matrix-free Matern covariance Q of the prior.
 
-    deriv_index 0 is Q itself, 2 and 3 are the derivatives with respect to
-    the prior standard deviation and the correlation length. A derivative
-    operator is obtained from the Q it differentiates, through
-    ``derivative``, and counts its applies on its own counter.
-
-    ``apply_block`` runs an apply in two steps, so that one first step serves
-    Q and its derivatives: their Q's ``_forward_block`` takes an (n, p)
-    column block to the transform they share, and each operator's
-    ``_inverse_block`` finishes its own apply from it into an (n, p) output.
+    ``apply_block`` applies Q to an (n, p) column block and
+    ``apply_block_with_theta3_derivative`` also dQ/dtheta3, both in one chunk
+    loop: ``_forward_block`` takes each chunk of columns to a transform that
+    ``_inverse_block`` finishes into Q X, and into dQ/dtheta3 X from the
+    backend's derivative data, built on first use. dQ/dtheta2 = (2/theta2) Q
+    needs no operator: callers scale Q X. The counter goes up by the Q
+    columns applied.
     """
 
-    def __init__(self, kernel: MaternKernel, deriv_index: int, backend: str, n: int):
+    # tools that split Q applies from derivative applies read this; every
+    # covariance operator is Q itself
+    deriv_index = 0
+
+    def __init__(self, kernel: MaternKernel, backend: str, n: int):
         super().__init__(n, n)
         self.kernel = kernel
-        self.deriv_index = int(deriv_index)
         self.backend = backend
-        # the Q a derivative was taken from; None for Q itself, so that Q
-        # holds no reference cycle and is freed as soon as it is dropped
-        self._source: CovarianceOperator | None = None
 
     def _apply_adjoint(self, y):
         # symmetric by construction
         return self._apply(y)
 
-    @property
-    def _root(self) -> CovarianceOperator:
-        # the Q whose transform this operator reads
-        return self if self._source is None else self._source
-
     def _forward_block(self, x: np.ndarray):
         raise NotImplementedError
 
-    def _inverse_block(self, shared, out: np.ndarray) -> None:
+    def _inverse_block(self, shared, data, out: np.ndarray) -> None:
         raise NotImplementedError
 
-    def derivative(self, deriv_index: int) -> CovarianceOperator:
-        """dQ/dtheta2 (deriv_index 2) or dQ/dtheta3 (deriv_index 3) of this Q.
+    def apply_block(self, x) -> np.ndarray:
+        """Q X for an (n, p) block, each column bit for bit ``apply`` of it."""
+        return self._apply_chunks(x, False)[0]
 
-        dQ/dtheta2 = (2/theta2) Q exactly, applied through this operator's own
-        embedding or matrix; dQ/dtheta3 is built by the backend so that it is
-        the derivative of the Q this operator applies.
-        """
-        if self.deriv_index != 0:
-            raise ValueError("derivatives are taken of Q itself (deriv_index 0)")
-        if deriv_index == 2:
-            op = _ScaledCovariance(self, 2.0 / self.kernel.prior_std)
-        elif deriv_index == 3:
-            op = self._ell_derivative()
-        else:
-            raise ValueError(f"a derivative needs deriv_index 2 or 3, got {deriv_index}")
-        op._source = self
-        return op
+    def apply_block_with_theta3_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(Q X, dQ/dtheta3 X) for an (n, p) block, from one shared transform."""
+        return tuple(self._apply_chunks(x, True))
 
-    def _ell_derivative(self) -> CovarianceOperator:
-        raise NotImplementedError
-
-
-class _ScaledCovariance(CovarianceOperator):
-    """dQ/dtheta2 = (2/theta2) Q through Q's private apply.
-
-    Q's public ``apply`` is never called, so Q's matvec counter (and a trace
-    that splits Q from dQ applies) sees only the applies of Q itself.
-    """
-
-    def __init__(self, q: CovarianceOperator, scale: float):
-        super().__init__(q.kernel, 2, q.backend, q.ncols)
-        self._q = q
-        self._scale = scale
-
-    def _apply(self, x):
-        return self._scale * self._q._apply(x)
-
-    def _inverse_block(self, shared, out):
-        self._q._inverse_block(shared, out)
-        out *= self._scale
+    def _apply_chunks(self, x, ell_derivative: bool) -> list[np.ndarray]:
+        # one C-contiguous (n, p) output per product; the block is checked
+        # before any transform, and the forward transform of each chunk is shared
+        x = _check_block(x, self.ncols)
+        datas = (self._data, self._ell_data) if ell_derivative else (self._data,)
+        p = x.shape[1]
+        self.matvec_count.bump_forward(p)
+        outs = [np.empty(x.shape) for _ in datas]
+        for start in range(0, p, _BLOCK_COLUMNS):
+            cols = slice(start, start + _BLOCK_COLUMNS)
+            shared = self._forward_block(x[:, cols])
+            for data, out in zip(datas, outs):
+                self._inverse_block(shared, data, out[:, cols])
+        return outs
 
 
 def _check_block(x, n: int) -> np.ndarray:
@@ -295,30 +263,6 @@ def _check_block(x, n: int) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("apply_block: input contains non-finite entries")
     return x
-
-
-def apply_block(ops, x) -> list[np.ndarray]:
-    """Apply Q and/or its derivatives, all taken from one Q, to an (n, p) block.
-
-    Returns one C-contiguous (n, p) array per operator, each column bit for
-    bit the operator's ``apply`` of that column. The block is checked once,
-    and each operator's counter goes up by p. The forward transform of each
-    chunk of columns is computed once and read by every operator.
-    """
-    ops = list(ops)
-    if not ops or any(op._root is not ops[0]._root for op in ops):
-        raise ValueError("apply_block needs operators taken from one Q")
-    x = _check_block(x, ops[0].ncols)
-    p = x.shape[1]
-    for op in ops:
-        op.matvec_count.bump_forward(p)
-    outs = [np.empty(x.shape) for _ in ops]
-    for start in range(0, p, _BLOCK_COLUMNS):
-        cols = slice(start, start + _BLOCK_COLUMNS)
-        shared = ops[0]._root._forward_block(x[:, cols])
-        for op, out in zip(ops, outs):
-            op._inverse_block(shared, out[:, cols])
-    return outs
 
 
 def _distance_matrix(geometry) -> np.ndarray:
@@ -333,25 +277,26 @@ def _geometry_size(geometry) -> int:
 
 
 class _DenseCovariance(CovarianceOperator):
-    def __init__(self, kernel, deriv_index, geometry):
-        super().__init__(kernel, deriv_index, "dense", _geometry_size(geometry))
+    def __init__(self, kernel, geometry):
+        super().__init__(kernel, "dense", _geometry_size(geometry))
         # the geometry, not the n x n distance matrix, is kept for dQ/dtheta3
         self._geometry = geometry
-        self._mat = _kernel_or_ell_deriv(kernel, deriv_index, _distance_matrix(geometry))
+        self._data = matern_eval(kernel, _distance_matrix(geometry))
+
+    @cached_property
+    def _ell_data(self):
+        return matern_deriv(self.kernel, _distance_matrix(self._geometry))
 
     def _apply(self, x):
-        return self._mat @ x
+        return self._data @ x
 
     def _forward_block(self, x):
         return x
 
-    def _inverse_block(self, x, out):
+    def _inverse_block(self, x, mat, out):
         # one matvec per column: a single matrix product would round differently
         for j in range(x.shape[1]):
-            out[:, j] = self._mat @ x[:, j]
-
-    def _ell_derivative(self):
-        return _DenseCovariance(self.kernel, 3, self._geometry)
+            out[:, j] = mat @ x[:, j]
 
 
 class _FFTGridCovariance(CovarianceOperator):
@@ -364,49 +309,49 @@ class _FFTGridCovariance(CovarianceOperator):
     ``clipped`` counts them. The first clipping build per grid shape in a
     process logs a WARNING, later ones log at DEBUG.
 
-    Derivative operators differentiate the clipped Q that is applied: the
-    clipped set is locally constant in theta (away from a zero eigenvalue),
-    so dQ/dtheta3 is the embedding of dM/dell with its eigenvalues zeroed at
-    Q's clipped modes, and dQ/dtheta2 is (2/theta2) Q. A derivative is not
-    required to be PSD and is never clipped by its own sign (its ``clipped``
-    is 0).
+    dQ/dtheta3 differentiates the clipped Q that is applied: the clipped set
+    is locally constant in theta (away from a zero eigenvalue), so its
+    eigenvalues are those of the embedded dM/dell, zeroed at Q's clipped
+    modes and never clipped by their own sign.
     """
 
-    def __init__(self, kernel, deriv_index, grid: RegularGrid, q_clip_mask=None):
-        super().__init__(kernel, deriv_index, "fft", grid.size)
+    def __init__(self, kernel, grid: RegularGrid):
+        super().__init__(kernel, "fft", grid.size)
         self.grid = grid
-        embed_shape = tuple(2 * s for s in grid.shape)
+        self._embed_shape = tuple(2 * s for s in grid.shape)
+        eig = np.fft.fftn(matern_eval(kernel, self._radius())).real
+        self.min_embedding_eig = float(eig.min())
+        self._clip_mask = eig < 0.0
+        self.clipped = int(np.count_nonzero(self._clip_mask))
+        if self.clipped:
+            # once per grid shape at WARNING: Q is rebuilt per evaluation
+            level = logging.DEBUG if grid.shape in _CLIP_WARNED else logging.WARNING
+            _CLIP_WARNED.add(grid.shape)
+            log.log(
+                level,
+                "circulant embedding has %d negative eigenvalues "
+                "(min %.3e); clipping at zero",
+                self.clipped,
+                self.min_embedding_eig,
+            )
+        self._data = self._clip(eig)
+
+    def _radius(self) -> np.ndarray:
+        # lag distance of every embedding node on the doubled torus
         lag_axes = []
-        for size, s, h in zip(embed_shape, grid.shape, grid.spacing):
+        for size, h in zip(self._embed_shape, self.grid.spacing):
             idx = np.arange(size)
             lag_axes.append(np.minimum(idx, size - idx) * h)
-        if grid.ndim == 1:
-            radius = lag_axes[0]
-        else:
-            radius = np.hypot(lag_axes[0][:, None], lag_axes[1][None, :])
-        base = _kernel_or_ell_deriv(kernel, deriv_index, radius)
-        eig = np.fft.fftn(base).real
-        self.min_embedding_eig = float(eig.min())
-        self.clipped = 0
-        if deriv_index == 0:
-            q_clip_mask = eig < 0.0
-            self.clipped = int(np.count_nonzero(q_clip_mask))
-            if self.clipped:
-                # once per grid shape at WARNING: Q is rebuilt per evaluation
-                level = logging.DEBUG if grid.shape in _CLIP_WARNED else logging.WARNING
-                _CLIP_WARNED.add(grid.shape)
-                log.log(
-                    level,
-                    "circulant embedding has %d negative eigenvalues "
-                    "(min %.3e); clipping at zero",
-                    self.clipped,
-                    self.min_embedding_eig,
-                )
-        if np.any(q_clip_mask):
-            eig = np.where(q_clip_mask, 0.0, eig)
-        self._q_clip_mask = q_clip_mask
-        self._eig = eig
-        self._embed_shape = embed_shape
+        if self.grid.ndim == 1:
+            return lag_axes[0]
+        return np.hypot(lag_axes[0][:, None], lag_axes[1][None, :])
+
+    def _clip(self, eig: np.ndarray) -> np.ndarray:
+        return np.where(self._clip_mask, 0.0, eig) if self.clipped else eig
+
+    @cached_property
+    def _ell_data(self):
+        return self._clip(np.fft.fftn(matern_deriv(self.kernel, self._radius())).real)
 
     def _forward_block(self, x):
         # fftn of each zero-padded column as a grid field, one axis at a time,
@@ -416,27 +361,24 @@ class _FFTGridCovariance(CovarianceOperator):
             fields = np.fft.fft(fields, n=self._embed_shape[axis - 1], axis=axis)
         return fields
 
-    def _inverse(self, spectra: np.ndarray) -> np.ndarray:
+    def _inverse(self, spectra: np.ndarray, eig: np.ndarray) -> np.ndarray:
         # ifftn in fftn's axis order, cropping each axis to the grid after its
         # pass: the later passes skip the padding, the kept entries are the same
-        spectra = self._eig * spectra
+        spectra = eig * spectra
         for axis in range(spectra.ndim - 1, 0, -1):
             crop = (slice(None),) * axis + (slice(0, self.grid.shape[axis - 1]),)
             spectra = np.fft.ifft(spectra, axis=axis)[crop]
         return spectra.real
 
     def _apply(self, x):
-        out = self._inverse(self._forward_block(x[:, None]))[0]
+        out = self._inverse(self._forward_block(x[:, None]), self._data)[0]
         # a stride-2 real view in 1-d and a contiguous copy in 2-d, as
         # ifftn(...).real[crop].reshape(-1) returned them: the dot products
         # downstream round differently on any other layout
         return out if out.ndim == 1 else out.flatten()
 
-    def _inverse_block(self, spectra, out):
-        out[...] = self._inverse(spectra).reshape(out.shape[1], -1).T
-
-    def _ell_derivative(self):
-        return _FFTGridCovariance(self.kernel, 3, self.grid, self._q_clip_mask)
+    def _inverse_block(self, spectra, eig, out):
+        out[...] = self._inverse(spectra, eig).reshape(out.shape[1], -1).T
 
 
 def build_cov_operator(geometry, kernel: MaternKernel,
@@ -445,14 +387,14 @@ def build_cov_operator(geometry, kernel: MaternKernel,
 
     geometry is either a RegularGrid (FFT backend available) or an
     (n_points, dim) coordinate array (dense backend only). backend "auto"
-    picks FFT on grids, dense on point sets. Derivative operators are taken
-    from the Q built here, through ``Q.derivative(2)`` and ``Q.derivative(3)``.
+    picks FFT on grids, dense on point sets. The theta-derivatives are applied
+    through the Q built here (``apply_block_with_theta3_derivative``).
     """
     if isinstance(geometry, RegularGrid):
         if backend in ("auto", "fft"):
-            q = _FFTGridCovariance(kernel, 0, geometry)
+            q = _FFTGridCovariance(kernel, geometry)
         elif backend == "dense":
-            q = _DenseCovariance(kernel, 0, geometry)
+            q = _DenseCovariance(kernel, geometry)
         else:
             raise ValueError(f"unknown backend {backend!r}")
     else:
@@ -465,5 +407,5 @@ def build_cov_operator(geometry, kernel: MaternKernel,
             raise ValueError("fft backend requires an equispaced rectangular grid")
         if backend not in ("auto", "dense"):
             raise ValueError(f"unknown backend {backend!r}")
-        q = _DenseCovariance(kernel, 0, points)
+        q = _DenseCovariance(kernel, points)
     return q

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .covariance import CovarianceOperator, apply_block
+from .covariance import CovarianceOperator
 from .operators import LinearOperatorHandle, NoiseCovariance
 
 __all__ = [
@@ -96,30 +96,29 @@ class BidiagSpectrum:
 class _DerivativeProducts:
     """dQ/dtheta2 V_K and dQ/dtheta3 V_K of one factorization's basis V_K.
 
-    Both blocks come from one apply_block call on the first read and are
-    kept. A factorization and every truncation of it hold the same object,
-    so a sweep over k applies each derivative to V_K once.
+    On the first read one block apply gives Q V_K and dQ/dtheta3 V_K from a
+    shared transform, and Q V_K is scaled in place into dQ/dtheta2 V_K =
+    (2/theta2) Q V_K; both blocks are kept. A factorization and every
+    truncation of it hold the same object, so a sweep over k applies Q and
+    dQ/dtheta3 to V_K once.
     """
 
     def __init__(self, q_op: CovarianceOperator, v_k: np.ndarray):
         self._q_op = q_op
         self._v_k = v_k
-        self._ops: tuple[CovarianceOperator, ...] = ()
         self._blocks = None
 
     @property
     def applies(self) -> int:
-        """Column applies of the two derivatives made so far."""
-        return sum(op.matvec_count.forward for op in self._ops)
+        """dQ/dtheta3 column applies made so far (the Q columns count on Q)."""
+        return 0 if self._blocks is None else self._v_k.shape[1]
 
     def leading(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if self._blocks is None:
-            self._ops = (self._q_op.derivative(2), self._q_op.derivative(3))
-            self._blocks = apply_block(self._ops, self._v_k)
-        # a C-contiguous copy, the layout apply_block gives a k-column block:
-        # OpenBLAS picks kernels by leading dimension, and so V_k' dQ V_k
-        # makes the BLAS call it makes on a fresh k-step factorization
-        return tuple(np.ascontiguousarray(block[:, :k]) for block in self._blocks)
+            q_v, dq3_v = self._q_op.apply_block_with_theta3_derivative(self._v_k)
+            q_v *= 2.0 / self._q_op.kernel.prior_std
+            self._blocks = (q_v, dq3_v)
+        return tuple(block[:, :k] for block in self._blocks)
 
 
 @dataclass
@@ -137,7 +136,8 @@ class GenGKFactorization:
     is the one spectral core that the objective, gradient, MAP coefficients
     and two-parameter fast path read. dq_basis gives the derivative products
     dQ/dtheta2 V_k and dQ/dtheta3 V_k that the gradient reads; they are
-    taken for the whole basis on first use and cached, and a truncation
+    taken for the whole basis on first use by one q_op block apply (Q V_K,
+    scaled by 2/theta2, and dQ/dtheta3 V_K) and cached, and a truncation
     shares q_op and that cache with the factorization it was cut from. The
     arrays are not to be modified once either has been taken.
     """
@@ -174,11 +174,11 @@ class GenGKFactorization:
         return BidiagSpectrum(p, s, s_full, wt.T, self.beta1)
 
     def dq_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dQ/dtheta2 V_k, dQ/dtheta3 V_k) of q_op, each a C-contiguous (n, k) array."""
+        """(dQ/dtheta2 V_k, dQ/dtheta3 V_k) of q_op: views of the leading k columns."""
         return self._dq.leading(self.k)
 
     def cov_applies(self) -> tuple[int, int]:
-        """(Q applies, dQ column applies) made so far on q_op and the cache."""
+        """(Q column applies on q_op, dQ/dtheta3 column applies) made so far."""
         return self.q_op.matvec_count.forward, self._dq.applies
 
 

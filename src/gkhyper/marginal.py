@@ -14,10 +14,11 @@ GenGKFactorization.spectrum (the SVD of the bidiagonal B_k plus beta1): the
 log-determinant and quadratic terms come from BidiagSpectrum.terms, and the
 gradient takes its projected pieces from the same P, s and W. Its derivative
 products dQ/dtheta_i V_k come from the factorization too
-(GenGKFactorization.dq_basis), taken with the Q the factorization carries;
-they are computed once per factorization and shared by its truncations, so a
-sweep of objective_gengk over k builds no covariance and applies each
-derivative to V_K once. objective_gengk_value is the objective alone from an
+(GenGKFactorization.dq_basis), taken with the Q the factorization carries:
+one block apply gives Q V_K and dQ/dtheta3 V_K, and dQ/dtheta2 V_K =
+(2/theta2) Q V_K. They are computed once per factorization and shared by its
+truncations, so a sweep of objective_gengk over k builds no covariance and
+applies Q and dQ/dtheta3 to V_K once. objective_gengk_value is the objective alone from an
 existing factorization, for sweeps over k that need no gradient.
 objective_rescaled is the fast path with theta3 fixed: since R = theta1 I and
 Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3) rescales
@@ -33,8 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .covariance import (CovarianceOperator, MaternKernel, RegularGrid, apply_block,
-                         build_cov_operator)
+from .covariance import CovarianceOperator, MaternKernel, RegularGrid, build_cov_operator
 from .gengk import BidiagSpectrum, GenGKFactorization, gengk_bidiag
 from .operators import LinearOperatorHandle, NoiseCovariance, dense_matrix
 
@@ -118,8 +118,9 @@ class MarginalModel:
     theta is (noise variance, prior std, correlation length); both rules
     reject a theta of any other length. The noise covariance is theta1 * I.
     The prior covariance Q is Matern with fixed smoothness nu over the given
-    geometry (RegularGrid or point array), and its theta-derivatives are
-    Q.derivative(2) and Q.derivative(3) of that Q. prior_mean None means zero.
+    geometry (RegularGrid or point array); its theta-derivatives are applied
+    through that Q: dQ/dtheta2 = (2/theta2) Q, and dQ/dtheta3 by
+    Q.apply_block_with_theta3_derivative. prior_mean None means zero.
     """
 
     forward: LinearOperatorHandle
@@ -193,7 +194,8 @@ class ObjectiveEvaluation:
     (same accumulation). k_used is 0 for the dense oracle; matvec_report
     counts the applications spent on this evaluation: "forward" and
     "adjoint" of the forward map, "q" of the prior covariance Q and "dq" of
-    its two derivatives together, in columns.
+    dQ/dtheta3, in columns. dQ/dtheta2 = (2/theta2) Q applies nothing of its
+    own: the Q columns it is scaled from count in "q".
     """
 
     value: float
@@ -229,15 +231,15 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     Z is assembled through matvecs only, then factored once; the gradient
     uses dZ/dtheta1 = I and the dense derivative matrices dZ/dtheta_i =
     A (dQ/dtheta_i) A' for i = 2, 3, with a fixed (zero-derivative) prior
-    mean. Dense Q, dQ/dtheta2 and dQ/dtheta3 are probed together from the one
-    Q built here, one shared forward transform per chunk of identity columns.
+    mean. Dense Q and dQ/dtheta3 are probed together from the one Q built
+    here, one shared forward transform per chunk of identity columns, and
+    dQ/dtheta2 is (2/theta2) Q, scaled from dense Q.
     """
     model.require_dense("the exact objective")
     before = model.forward.matvec_count.snapshot()
     m, n = model.nrows, model.ncols
     q_op = model.prior_cov(theta)
-    q_dense, dq2_dense, dq3_dense = apply_block(
-        (q_op, q_op.derivative(2), q_op.derivative(3)), np.eye(n))
+    q_dense, dq3_dense = q_op.apply_block_with_theta3_derivative(np.eye(n))
     a_dense = dense_matrix(model.forward)
     z = a_dense @ q_dense @ a_dense.T
     z[np.diag_indices_from(z)] += theta.noise_var
@@ -263,6 +265,9 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
         return float(np.sum(z_inv * dz)), -0.5 * float(w @ (dz @ w))
 
     noise_term = float(np.trace(z_inv)), -0.5 * float(w @ w)  # dZ/dtheta1 = I
+    # Z is formed, so Q is scaled in place into dQ/dtheta2 = (2/theta2) Q
+    dq2_dense = q_dense
+    dq2_dense *= 2.0 / q_op.kernel.prior_std
     grad = _assemble_gradient(hgrad, noise_term, q_term(dq2_dense), q_term(dq3_dense))
 
     return ObjectiveEvaluation(
@@ -272,7 +277,7 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
         quad_term=quad,
         gradient=grad,
         k_used=0,
-        matvec_report=_count_delta(model.forward, before, q=n, dq=2 * n),
+        matvec_report=_count_delta(model.forward, before, q=n, dq=n),
     )
 
 
@@ -385,7 +390,7 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
     ValueError is raised when that Q's variance or correlation length is not
     theta2^2 or theta3. Its derivative products are read from its cache, so
     in a sweep over truncations of one factorization only the first read
-    applies dQ. If the iteration broke down before k steps the achieved
+    applies Q and dQ/dtheta3 to V_K. If the iteration broke down before k steps the achieved
     count is used and recorded in k_used.
     """
     before = model.forward.matvec_count.snapshot()

@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 
-from .covariance import apply_block
 from .gengk import GenGKFactorization
 from .operators import LinearOperatorHandle, NoiseCovariance
 
@@ -85,7 +84,7 @@ def mc_xi_estimate(h_apply, Q, fact: GenGKFactorization, n_mc: int,
     rng = np.random.default_rng(seed)
     omega, scale = _draw_probes(n, n_mc, probe_kind, rng)
 
-    q_omega = apply_block((Q,), omega)[0]
+    q_omega = Q.apply_block(omega)
     y = np.column_stack([h_apply(q_omega[:, j]) for j in range(omega.shape[1])])
 
     full_trace = float(np.sum(omega * y)) * scale
@@ -103,7 +102,7 @@ def mc_xi_estimate(h_apply, Q, fact: GenGKFactorization, n_mc: int,
 
 
 def err_indicator(xi_hat: float, beta1: float) -> float:
-    """Monte Carlo error indicator (xi + beta1^2 xi/(1+xi)) / 2.
+    """Monte Carlo error indicator: prop2_bound at the estimate xi_hat.
 
     Sampling noise can push xi_hat slightly negative; negative values are
     clamped to zero, with a warning when the excursion is beyond noise level.
@@ -116,7 +115,7 @@ def err_indicator(xi_hat: float, beta1: float) -> float:
                 stacklevel=2,
             )
         xi_hat = 0.0
-    return 0.5 * (xi_hat + beta1**2 * xi_hat / (1.0 + xi_hat))
+    return prop2_bound(xi_hat, beta1)
 
 
 def prop2_bound(xi_k: float, beta1: float) -> float:

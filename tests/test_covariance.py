@@ -12,11 +12,11 @@ from gkhyper import covariance
 from gkhyper.covariance import (
     MaternKernel,
     RegularGrid,
-    apply_block,
     build_cov_operator,
     matern_deriv,
     matern_eval,
 )
+from gkhyper.gengk import _DerivativeProducts
 
 
 def bessel_reference(nu, sigma2, ell, r):
@@ -157,25 +157,34 @@ def test_symmetry_and_positive_semidefiniteness(rng):
         assert x @ qx >= -1e-10 * norm_estimate * (x @ x)
 
 
+def _derivative_products(q, x):
+    # (dQ/dtheta2 X, dQ/dtheta3 X) as the gradient takes them from a basis X
+    return _DerivativeProducts(q, x).leading(x.shape[1])
+
+
+def _theta3_derivative_apply(q, x):
+    return q.apply_block_with_theta3_derivative(x[:, None])[1][:, 0]
+
+
 def test_variance_derivative_operator_is_scaled_q(rng):
     # same code path scaled: exact equality
     grid = RegularGrid((9,), (0.1,))
     kernel = MaternKernel(1.5, 2.25, 0.08)  # theta2 = 1.5
     q = build_cov_operator(grid, kernel)
-    dq = build_cov_operator(grid, kernel).derivative(2)
     x = rng.standard_normal(9)
-    assert np.array_equal(dq.apply(x), (2 / 1.5) * q.apply(x))
+    dq2 = _derivative_products(build_cov_operator(grid, kernel), x[:, None])[0]
+    assert np.array_equal(dq2[:, 0], (2 / 1.5) * q.apply(x))
 
 
 def test_ell_derivative_operator_matches_dense_fd(rng):
     grid = RegularGrid((10,), (0.1,))
-    dq = build_cov_operator(grid, MaternKernel(1.5, 1.0, 0.09)).derivative(3)
+    q = build_cov_operator(grid, MaternKernel(1.5, 1.0, 0.09))
     h = 1e-7 * 0.09
     ref_p = dense_reference(grid.points(), MaternKernel(1.5, 1.0, 0.09 + h))
     ref_m = dense_reference(grid.points(), MaternKernel(1.5, 1.0, 0.09 - h))
     fd = (ref_p - ref_m) / (2 * h)
     x = rng.standard_normal(10)
-    assert np.allclose(dq.apply(x), fd @ x, rtol=1e-5)
+    assert np.allclose(_theta3_derivative_apply(q, x), fd @ x, rtol=1e-5)
 
 
 def test_point_set_requires_dense_backend(rng):
@@ -201,12 +210,10 @@ def test_negative_embedding_is_clipped_for_q_only():
     kernel = MaternKernel(1.5, 1.0, 0.9)
     q = build_cov_operator(grid, kernel, backend="fft")
     assert q.clipped > 0 and q.min_embedding_eig < 0
-    dq = build_cov_operator(grid, kernel, backend="fft").derivative(3)
-    assert dq.clipped == 0  # derivatives are never clipped
 
-    # ...but they differentiate the clipped Q that is applied: dQ/dtheta3
-    # matches central differences of the clipped Q's applies (the clipped set
-    # is the same at ell +- h)
+    # dQ/dtheta3 differentiates the clipped Q that is applied: it matches
+    # central differences of the clipped Q's applies (the clipped set is the
+    # same at ell +- h)
     h = 1e-6 * kernel.ell
     q_p = build_cov_operator(grid, MaternKernel(1.5, 1.0, kernel.ell + h), backend="fft")
     q_m = build_cov_operator(grid, MaternKernel(1.5, 1.0, kernel.ell - h), backend="fft")
@@ -215,17 +222,14 @@ def test_negative_embedding_is_clipped_for_q_only():
     for _ in range(5):
         x = rng.standard_normal(16)
         fd = (q_p.apply(x) - q_m.apply(x)) / (2 * h)
-        assert np.linalg.norm(dq.apply(x) - fd) <= 1e-6 * np.linalg.norm(fd)
+        assert np.linalg.norm(_theta3_derivative_apply(q, x) - fd) <= 1e-6 * np.linalg.norm(fd)
 
-    # dQ/dtheta2 is (2/theta2) Q bit for bit, and its applies go on its own
-    # counter, never on Q's
-    q.matvec_count.reset()
-    for dq2 in (build_cov_operator(grid, kernel, backend="fft").derivative(2),
-                q.derivative(2)):
+    # dQ/dtheta2 is (2/theta2) Q bit for bit, taken from a fresh Q and from
+    # the one that has applied dQ/dtheta3
+    for q_i in (build_cov_operator(grid, kernel, backend="fft"), q):
         x = rng.standard_normal(16)
-        assert np.array_equal(dq2.apply(x), (2 / 1.0) * q.apply(x))  # theta2 = 1
-        assert dq2.matvec_count.snapshot() == (1, 0)
-    assert q.matvec_count.snapshot() == (2, 0)
+        dq2 = _derivative_products(q_i, x[:, None])[0]
+        assert np.array_equal(dq2[:, 0], (2 / 1.0) * q.apply(x))  # theta2 = 1
 
 
 def test_clipping_warning_logged_once_per_grid_shape(caplog, monkeypatch):
@@ -246,16 +250,10 @@ def test_dense_variance_derivative_is_scaled_q(rng):
     kernel = MaternKernel(2.5, 0.49, 0.3)  # theta2 = 0.7
     for geometry in (points, RegularGrid((3, 3), (0.2, 0.2))):
         q = build_cov_operator(geometry, kernel, backend="dense")
-        dq = q.derivative(2)
+        assert q.backend == "dense"
         x = rng.standard_normal(q.ncols)
-        assert np.array_equal(dq.apply(x), (2 / 0.7) * q.apply(x))
-        assert dq.deriv_index == 2 and dq.backend == "dense"
-    with pytest.raises(ValueError, match="deriv_index"):
-        q.derivative(1)
-    with pytest.raises(ValueError, match="deriv_index"):
-        build_cov_operator(points, kernel).derivative(4)
-    with pytest.raises(ValueError, match="of Q itself"):
-        dq.derivative(3)
+        dq2 = _derivative_products(q, x[:, None])[0]
+        assert np.array_equal(dq2[:, 0], (2 / 0.7) * q.apply(x))
 
 
 def test_fft_matvec_scales_subquadratically():
@@ -306,24 +304,28 @@ def _block_operators():
              (RegularGrid((16,), (1 / 16,)), 0.9, "fft"),
              (RegularGrid((5, 4), (0.2, 0.25)), 0.3, "dense")]
     for grid, ell, backend in cases:
-        q = build_cov_operator(grid, MaternKernel(1.5, 0.64, ell), backend=backend)
-        yield q, (q, q.derivative(2), q.derivative(3))
+        yield build_cov_operator(grid, MaternKernel(1.5, 0.64, ell), backend=backend)
 
 
 def test_apply_block_matches_per_column_apply_bit_for_bit(rng):
     clipped = 0
-    for q, ops in _block_operators():
+    for q in _block_operators():
         clipped += getattr(q, "clipped", 0)
         for p in BLOCK_WIDTHS:
             # a column slice of a wider array, as V_k is of the genGK basis
             x = rng.standard_normal((q.ncols, p + 1))[:, :p]
-            for op, got in zip(ops, apply_block(ops, x)):
-                want = np.column_stack([op.apply(x[:, j]) for j in range(p)])
+            # the reference applies each column alone: Q by apply, and both
+            # products as single-column blocks
+            singles = [q.apply_block_with_theta3_derivative(x[:, j:j + 1]) for j in range(p)]
+            q_want = np.column_stack([q.apply(x[:, j]) for j in range(p)])
+            wants = (q_want, *(np.hstack(cols) for cols in zip(*singles)))
+            gots = (q.apply_block(x), *q.apply_block_with_theta3_derivative(x))
+            for got, want in zip(gots, wants):
                 assert got.shape == (q.ncols, p) and got.flags.c_contiguous
                 assert np.array_equal(got, want), (q.ncols, q.backend, p)
-            # any subset of the operators reads the same shared transform
-            alone = apply_block(ops[2:], x)[0]
-            assert np.array_equal(alone, apply_block(ops, x)[2])
+            # dQ/dtheta2 X = (2/theta2) Q X, scaled in place
+            dq2 = _derivative_products(q, x)[0]
+            assert np.array_equal(dq2, (2 / 0.8) * q_want)
     assert clipped > 0
 
 
@@ -332,36 +334,31 @@ def test_fft_apply_keeps_its_layout(rng):
     # the outputs depend on it: a stride-2 view of the complex inverse in 1-d,
     # a contiguous copy in 2-d (a uniform layout changed every heat output)
     q1 = build_cov_operator(RegularGrid((32,), (1 / 32,)), MaternKernel(1.5, 1.0, 0.1))
-    for op in (q1, q1.derivative(3)):
-        out = op.apply(rng.standard_normal(32))
-        assert out.strides == (16,) and not out.flags.c_contiguous
+    out = q1.apply(rng.standard_normal(32))
+    assert out.strides == (16,) and not out.flags.c_contiguous
     q2 = build_cov_operator(RegularGrid((6, 5), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
-    for op in (q2, q2.derivative(3)):
-        out = op.apply(rng.standard_normal(30))
-        assert out.shape == (30,) and out.flags.c_contiguous
+    out = q2.apply(rng.standard_normal(30))
+    assert out.shape == (30,) and out.flags.c_contiguous
 
 
 def test_apply_block_counts_p_applies_per_operator(rng):
     q = build_cov_operator(RegularGrid((6, 6), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
-    dq2, dq3 = q.derivative(2), q.derivative(3)
-    apply_block((dq2, dq3), rng.standard_normal((36, 17)))
-    assert dq2.matvec_count.snapshot() == dq3.matvec_count.snapshot() == (17, 0)
-    assert q.matvec_count.snapshot() == (0, 0)  # dQ/dtheta2 reads Q's transform only
-    apply_block((q,), rng.standard_normal((36, 3)))
-    assert q.matvec_count.snapshot() == (3, 0)
-    assert dq2.matvec_count.snapshot() == (17, 0)
+    q.apply_block_with_theta3_derivative(rng.standard_normal((36, 17)))
+    assert q.matvec_count.snapshot() == (17, 0)
+    q.apply_block(rng.standard_normal((36, 3)))
+    assert q.matvec_count.snapshot() == (20, 0)
 
 
 def test_apply_block_empty_block(rng):
     q = build_cov_operator(RegularGrid((8,), (0.1,)), MaternKernel(1.5, 1.0, 0.3))
-    for out in apply_block((q, q.derivative(2)), np.zeros((8, 0))):
+    for out in (q.apply_block(np.zeros((8, 0))),
+                *q.apply_block_with_theta3_derivative(np.zeros((8, 0)))):
         assert out.shape == (8, 0)
     assert q.matvec_count.snapshot() == (0, 0)
 
 
 def test_apply_block_rejects_bad_input_before_any_transform(monkeypatch, rng):
     q = build_cov_operator(RegularGrid((4, 4), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
-    dq3 = q.derivative(3)
 
     def no_transform(self, x):
         raise AssertionError("transform ran on a rejected block")
@@ -372,10 +369,9 @@ def test_apply_block_rejects_bad_input_before_any_transform(monkeypatch, rng):
     bad_values[5, 1] = np.nan
     for bad in (rng.standard_normal((15, 3)), rng.standard_normal(16),
                 rng.standard_normal((16, 3, 1)), bad_values, np.where(good > 0, np.inf, good)):
-        with pytest.raises(ValueError):
-            apply_block((q, dq3), bad)
-    assert q.matvec_count.snapshot() == dq3.matvec_count.snapshot() == (0, 0)
-    other = build_cov_operator(RegularGrid((4, 4), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
-    for ops in ((), (q, other.derivative(2))):
-        with pytest.raises(ValueError, match="one Q"):
-            apply_block(ops, good)
+        for apply in (q.apply_block, q.apply_block_with_theta3_derivative):
+            with pytest.raises(ValueError):
+                apply(bad)
+    assert q.matvec_count.snapshot() == (0, 0)
+    # nor is the dQ/dtheta3 embedding built for it
+    assert "_ell_data" not in vars(q)

@@ -1,9 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkhyper.covariance import MaternKernel, build_cov_operator
+from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
 from gkhyper.gengk import (
     BREAKDOWN_RTOL,
     bidiagonal_matrix,
@@ -154,13 +157,40 @@ def test_truncate_factorization(rng):
     # the truncation shares the Q and the derivative products of fact
     assert sub.q_op is fact.q_op is Q
     for got, full in zip(sub.dq_basis(), fact.dq_basis()):
-        assert got.flags.c_contiguous
+        # the leading columns of fact's one cached block, read in place
+        assert full.flags.c_contiguous and np.shares_memory(got, full)
         assert np.array_equal(got, full[:, :3])
-    assert fact.cov_applies()[1] == 2 * 6
+    assert fact.cov_applies() == (7 + 6, 6)
     res = verify_relations(sub, A, R, Q, None, d)
     assert all(x < 1e-12 for x in res)
     with pytest.raises(ValueError):
         truncate_factorization(fact, 7)
+
+
+def test_dropped_q_is_freed_by_reference_counting(rng):
+    # nothing Q applies or caches refers back to it, so a dropped Q (and a
+    # dropped factorization with it) is freed without the cycle collector
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for geometry in (RegularGrid((6, 6), (0.2, 0.2)), rng.uniform(0, 1, (36, 2))):
+            q = build_cov_operator(geometry, MaternKernel(1.5, 1.2, 0.3))
+            q.apply_block_with_theta3_derivative(rng.standard_normal((36, 5)))
+            ref = weakref.ref(q)
+            del q
+            assert ref() is None
+
+            A, R, _, d = random_setup(rng, 10, 36)
+            Q = build_cov_operator(geometry, MaternKernel(1.5, 1.2, 0.3))
+            fact = gengk_bidiag(A, R, Q, None, d, 6)
+            truncate_factorization(fact, 3).dq_basis()
+            fact.dq_basis()
+            refs = (weakref.ref(Q), weakref.ref(fact))
+            del Q, fact
+            assert all(ref() is None for ref in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_zero_residual_data(rng):

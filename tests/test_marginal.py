@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient
-from gkhyper import gengk, marginal
-from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator, matern_eval
+from gkhyper import marginal
+from gkhyper.covariance import (CovarianceOperator, MaternKernel, RegularGrid,
+                                build_cov_operator, matern_eval)
 from gkhyper.gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
 from gkhyper.marginal import (
     HyperParams,
@@ -288,9 +289,15 @@ def test_hyperparams_validation():
     assert theta.corr_length == 0.1
 
 
-def _per_column_apply(ops, x):
-    # the column-at-a-time dQ V_k that the shared-transform block apply replaces
-    return [np.column_stack([op.apply(x[:, j]) for j in range(x.shape[1])]) for op in ops]
+_BLOCK_WITH_THETA3 = CovarianceOperator.apply_block_with_theta3_derivative
+
+
+def _per_column_apply(q, x):
+    # the column-at-a-time Q X and dQ/dtheta3 X that the shared-transform
+    # block apply replaces: Q by apply, dQ/dtheta3 by single-column blocks
+    p = x.shape[1]
+    return (np.column_stack([q.apply(x[:, j]) for j in range(p)]),
+            np.hstack([_BLOCK_WITH_THETA3(q, x[:, j:j + 1])[1] for j in range(p)]))
 
 
 def _hex(ev):
@@ -314,7 +321,8 @@ def test_gengk_gradient_bits_match_per_column_reference(monkeypatch):
             theta = HyperParams(np.array(values))
             got = objective_gengk(model, theta, k).gradient
             with monkeypatch.context() as patch:
-                patch.setattr(gengk, "apply_block", _per_column_apply)
+                patch.setattr(CovarianceOperator, "apply_block_with_theta3_derivative",
+                              _per_column_apply)
                 want = objective_gengk(model, theta, k).gradient
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -337,8 +345,8 @@ def _broken_down_model():
 
 def test_truncation_sweep_bits_match_fresh_per_column_reference(monkeypatch):
     # every truncation reads the leading columns of one dQ V_K; the reference
-    # applies Q.derivative(2) and (3) of a fresh Q to V_k column by column, as
-    # a k-step factorization of its own. K covers the small-k dgemv path and
+    # applies a fresh Q and its dQ/dtheta3 to V_k column by column, as a
+    # k-step factorization of its own. K covers the small-k dgemv path and
     # both sides of the 16-column chunk edge; the rank-3 model breaks down at
     # step 3 on the dense backend
     models = _guard_models()
@@ -353,18 +361,19 @@ def test_truncation_sweep_bits_match_fresh_per_column_reference(monkeypatch):
             got = [_hex(objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)))
                    for k in range(1, fact.k + 1)]
             with monkeypatch.context() as patch:
-                patch.setattr(gengk, "apply_block", _per_column_apply)
+                patch.setattr(CovarianceOperator, "apply_block_with_theta3_derivative",
+                              _per_column_apply)
                 want = [_hex(objective_gengk(
                     model, theta, k, fact=_own_factorization(fact, k, model.prior_cov(theta))))
                     for k in range(1, fact.k + 1)]
             assert got == want
 
 
-def _three_dense_matrices(ops, x):
-    # the column-at-a-time probing of Q, dQ/dtheta2 and dQ/dtheta3 that the
+def _dense_probes(q, x):
+    # the column-at-a-time probing of Q and dQ/dtheta3 that the
     # shared-transform block apply replaces in the dense oracle
     assert np.array_equal(x, np.eye(x.shape[0]))
-    return [dense_matrix(op) for op in ops]
+    return dense_matrix(q), _per_column_apply(q, x)[1]
 
 
 def test_exact_objective_bits_match_three_dense_matrices(monkeypatch):
@@ -375,29 +384,32 @@ def test_exact_objective_bits_match_three_dense_matrices(monkeypatch):
             theta = HyperParams(np.array(values))
             got = objective_exact(model, theta)
             with monkeypatch.context() as patch:
-                patch.setattr(marginal, "apply_block", _three_dense_matrices)
+                patch.setattr(CovarianceOperator, "apply_block_with_theta3_derivative",
+                              _dense_probes)
                 want = objective_exact(model, theta)
             assert _hex(got) == _hex(want)
             n = model.ncols
-            assert (got.matvec_report["q"], got.matvec_report["dq"]) == (n, 2 * n)
+            assert (got.matvec_report["q"], got.matvec_report["dq"]) == (n, n)
 
 
 def test_matvec_report_counts_q_and_dq_applies():
     model = _guard_models()[1]
     theta = HyperParams(np.array([1e-4, 0.5, 0.1]))
     k = 12
+    # the k + 1 Q applies of the bidiagonalization and one block of k Q and k
+    # dQ/dtheta3 columns on V_k, from which dQ/dtheta2 V_k = (2/theta2) Q V_k
     fresh = objective_gengk(model, theta, k)
-    assert fresh.matvec_report == {"forward": k + 1, "adjoint": k + 1, "q": k + 1,
-                                   "dq": 2 * k}
-    # a sweep over truncations of one factorization applies dQ to V_K on the
-    # first read only, and Q never
+    assert fresh.matvec_report == {"forward": k + 1, "adjoint": k + 1, "q": 2 * k + 1,
+                                   "dq": k}
+    # a sweep over truncations of one factorization applies Q and dQ/dtheta3
+    # to V_K on the first read only
     k_max = 20
     fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
                         model.prior_mean, model.data, k_max)
     reports = [objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)).matvec_report
                for k in (5, 1, 20, 17)]
-    zero = {"forward": 0, "adjoint": 0, "q": 0}
-    assert reports == [{**zero, "dq": 2 * k_max}] + [{**zero, "dq": 0}] * 3
+    zero = {"forward": 0, "adjoint": 0}
+    assert reports == [{**zero, "q": k_max, "dq": k_max}] + [{**zero, "q": 0, "dq": 0}] * 3
 
 
 def test_gengk_with_factorization_at_another_theta_raises():
