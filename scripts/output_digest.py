@@ -13,10 +13,12 @@ factorization, taken at the config's `monitor.theta` with K = `monitor.k_max`
 steps, at the k in SWEEP_KS and at K. The shipped configs all run on grids,
 so it does the same for `objective_gengk` (k = POINT_SET_K) and
 `objective_exact` at THETAS on a masked ray g = 8 model, whose geometry is a
-point array and whose covariance takes the dense backend. Given
-a second checkout OTHER, both are digested and only the outputs and numbers
-that differ between them are printed, one name a line; the exit status is 1
-if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
+point array and whose covariance takes the dense backend. It prints the
+SHA-256 of the phantom `s_true` and the noisy `data` of `build_ray_tomo_problem`
+at each parameter set in PHANTOMS, with the shipped config's rays, noise, prior
+std and ell. Given a second checkout OTHER, both are digested and only the
+outputs and numbers that differ between them are printed, one name a line;
+the exit status is 1 if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
 use, as perfbench does, so that two checkouts digested on one host can be
 compared.
 """
@@ -34,6 +36,12 @@ THETAS = ((1e-4, 0.5, 0.1), (7.7e-6, 0.45, 0.185), (1e-5, 0.4, 0.9))
 SWEEP_KS = (1, 3, 16, 17)
 
 POINT_SET_K = 12
+
+# the g = 32 problem of the ray-monitor benchmark at two seeds, and g = 16 on
+# every other matern_eval branch: the closed forms at nu = 0.5 and 2.5 (the
+# shipped configs take 1.5) and the Bessel form at nu = 1.2
+PHANTOMS = ({"g": 32, "seed": 0}, {"g": 32, "seed": 1},
+            {"g": 16, "nu": 0.5}, {"g": 16, "nu": 2.5}, {"g": 16, "nu": 1.2})
 
 # run by each checkout's own package, so that every number comes from its code
 SHOW = """
@@ -83,6 +91,18 @@ for theta in {THETAS!r}:
     show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
 """
 
+PHANTOM = f"""
+import hashlib
+from gkhyper.problems import build_ray_tomo_problem
+
+for params in {PHANTOMS!r}:
+    prob = build_ray_tomo_problem(n_rays=360, noise_level=0.02, prior_std=0.8, ell=0.08,
+                                  **params)
+    label = ",".join(f"{{key}}={{value}}" for key, value in params.items())
+    for name in ("s_true", "data"):
+        print(hashlib.sha256(getattr(prob, name).tobytes()).hexdigest(), f"{{label}}/{{name}}")
+"""
+
 
 def _numbers(script: str, args: list, env: dict, cwd: str, prefix: str) -> dict:
     out = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
@@ -111,6 +131,7 @@ def digests(root: Path) -> dict:
                         path.read_bytes()).hexdigest()
             result.update(_numbers(OBJECTIVES, [str(config)], env, tmp, config.stem))
         result.update(_numbers(POINT_SET, [], env, tmp, "point_set"))
+        result.update(_numbers(PHANTOM, [], env, tmp, "phantom"))
     return result
 
 

@@ -1,7 +1,8 @@
 """Matern prior covariance operators and their hyperparameter derivatives.
 
-Two matrix-free backends: a dense one for arbitrary point sets and an FFT
-circulant-embedding one for equispaced rectangular grids (O(n log n) matvecs).
+The geometry picks the backend, by one rule (normalize_geometry): an
+equispaced RegularGrid gets an FFT circulant embedding (O(n log n) matvecs),
+and a point set gets the dense kernel matrix of its pairwise distances.
 The covariance is parameterized by the canonical hyperparameters: prior
 standard deviation theta2 (variance sigma^2 = theta2^2) and correlation
 length theta3; smoothness nu is fixed, never estimated.
@@ -28,6 +29,7 @@ __all__ = [
     "matern_eval",
     "matern_deriv",
     "build_cov_operator",
+    "normalize_geometry",
     "CLOSED_FORM_NU",
 ]
 
@@ -210,17 +212,17 @@ class CovarianceOperator(LinearOperatorHandle):
     ``_inverse_block`` finishes into Q X, and into dQ/dtheta3 X from the
     backend's derivative data, built on first use. dQ/dtheta2 = (2/theta2) Q
     needs no operator: callers scale Q X. The counter goes up by the Q
-    columns applied.
+    columns applied. Each backend names itself in the class attribute
+    ``backend``: "fft" on a RegularGrid, "dense" on a point set.
     """
 
     # tools that split Q applies from derivative applies read this; every
     # covariance operator is Q itself
     deriv_index = 0
 
-    def __init__(self, kernel: MaternKernel, backend: str, n: int):
+    def __init__(self, kernel: MaternKernel, n: int):
         super().__init__(n, n)
         self.kernel = kernel
-        self.backend = backend
 
     def _apply_adjoint(self, y):
         # symmetric by construction
@@ -265,27 +267,37 @@ def _check_block(x, n: int) -> np.ndarray:
     return x
 
 
-def _distance_matrix(geometry) -> np.ndarray:
+def normalize_geometry(geometry) -> tuple[RegularGrid | np.ndarray, int]:
+    """(geometry, point count) by the one rule that picks Q's backend: a
+    RegularGrid as it is, a 1-d array of n coordinates as (n, 1) points, an
+    (n, dim) array as floats; anything else raises ValueError."""
     if isinstance(geometry, RegularGrid):
-        return geometry.lag_distance_matrix()
-    diff = geometry[:, None, :] - geometry[None, :, :]
+        return geometry, geometry.size
+    points = np.asarray(geometry, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2:
+        raise ValueError(f"point set must be an (n, dim) array, got shape {points.shape}")
+    return points, points.shape[0]
+
+
+def _distance_matrix(points: np.ndarray) -> np.ndarray:
+    diff = points[:, None, :] - points[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def _geometry_size(geometry) -> int:
-    return geometry.size if isinstance(geometry, RegularGrid) else geometry.shape[0]
-
-
 class _DenseCovariance(CovarianceOperator):
-    def __init__(self, kernel, geometry):
-        super().__init__(kernel, "dense", _geometry_size(geometry))
-        # the geometry, not the n x n distance matrix, is kept for dQ/dtheta3
-        self._geometry = geometry
-        self._data = matern_eval(kernel, _distance_matrix(geometry))
+    backend = "dense"
+
+    def __init__(self, kernel, points: np.ndarray):
+        super().__init__(kernel, points.shape[0])
+        # the points, not the n x n distance matrix, are kept for dQ/dtheta3
+        self._points = points
+        self._data = matern_eval(kernel, _distance_matrix(points))
 
     @cached_property
     def _ell_data(self):
-        return matern_deriv(self.kernel, _distance_matrix(self._geometry))
+        return matern_deriv(self.kernel, _distance_matrix(self._points))
 
     def _apply(self, x):
         return self._data @ x
@@ -315,8 +327,10 @@ class _FFTGridCovariance(CovarianceOperator):
     modes and never clipped by their own sign.
     """
 
+    backend = "fft"
+
     def __init__(self, kernel, grid: RegularGrid):
-        super().__init__(kernel, "fft", grid.size)
+        super().__init__(kernel, grid.size)
         self.grid = grid
         self._embed_shape = tuple(2 * s for s in grid.shape)
         eig = np.fft.fftn(matern_eval(kernel, self._radius())).real
@@ -381,31 +395,14 @@ class _FFTGridCovariance(CovarianceOperator):
         out[...] = self._inverse(spectra, eig).reshape(out.shape[1], -1).T
 
 
-def build_cov_operator(geometry, kernel: MaternKernel,
-                       backend: str = "auto") -> CovarianceOperator:
+def build_cov_operator(geometry, kernel: MaternKernel) -> CovarianceOperator:
     """Build the matrix-free prior covariance Q of a Matern kernel.
 
-    geometry is either a RegularGrid (FFT backend available) or an
-    (n_points, dim) coordinate array (dense backend only). backend "auto"
-    picks FFT on grids, dense on point sets. The theta-derivatives are applied
-    through the Q built here (``apply_block_with_theta3_derivative``).
+    The geometry picks the backend (normalize_geometry): FFT on a RegularGrid,
+    dense on a point set. Q applies its theta-derivatives itself
+    (``apply_block_with_theta3_derivative``).
     """
+    geometry, _ = normalize_geometry(geometry)
     if isinstance(geometry, RegularGrid):
-        if backend in ("auto", "fft"):
-            q = _FFTGridCovariance(kernel, geometry)
-        elif backend == "dense":
-            q = _DenseCovariance(kernel, geometry)
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-    else:
-        points = np.asarray(geometry, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        if points.ndim != 2:
-            raise ValueError("point set must be an (n, dim) array")
-        if backend == "fft":
-            raise ValueError("fft backend requires an equispaced rectangular grid")
-        if backend not in ("auto", "dense"):
-            raise ValueError(f"unknown backend {backend!r}")
-        q = _DenseCovariance(kernel, points)
-    return q
+        return _FFTGridCovariance(kernel, geometry)
+    return _DenseCovariance(kernel, geometry)

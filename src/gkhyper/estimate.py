@@ -194,7 +194,7 @@ def map_reconstruct_exact(model: MarginalModel, theta: HyperParams) -> np.ndarra
     """
     model.require_dense("the closed-form MAP estimate")
     a_dense = dense_matrix(model.forward)
-    q_dense = dense_matrix(model.prior_cov(theta))
+    q_dense = model.prior_cov(theta).apply_block(np.eye(model.ncols))
     q_inv = np.linalg.inv(0.5 * (q_dense + q_dense.T))
     lhs = a_dense.T @ a_dense / theta.noise_var + q_inv
     rhs = a_dense.T @ model.data / theta.noise_var + q_inv @ model.mean_vector()

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .covariance import CovarianceOperator, MaternKernel, RegularGrid, build_cov_operator
+from .covariance import CovarianceOperator, MaternKernel, build_cov_operator, normalize_geometry
 from .gengk import BidiagSpectrum, GenGKFactorization, gengk_bidiag
 from .operators import LinearOperatorHandle, NoiseCovariance, dense_matrix
 
@@ -117,9 +117,11 @@ class MarginalModel:
 
     theta is (noise variance, prior std, correlation length); both rules
     reject a theta of any other length. The noise covariance is theta1 * I.
-    The prior covariance Q is Matern with fixed smoothness nu over the given
-    geometry (RegularGrid or point array); its theta-derivatives are applied
-    through that Q: dQ/dtheta2 = (2/theta2) Q, and dQ/dtheta3 by
+    The prior covariance Q is Matern with fixed smoothness nu over the
+    geometry, stored as covariance.normalize_geometry gives it (a RegularGrid,
+    or (n, dim) points); a geometry it rejects, or one whose point count is not
+    the operator's column count, raises ValueError. Q's theta-derivatives are
+    applied through that Q: dQ/dtheta2 = (2/theta2) Q, and dQ/dtheta3 by
     Q.apply_block_with_theta3_derivative. prior_mean None means zero.
     """
 
@@ -136,9 +138,7 @@ class MarginalModel:
         if self.data.shape != (self.forward.nrows,):
             raise ValueError("data length does not match the forward operator")
         n = self.forward.ncols
-        geom_n = self.geometry.size if isinstance(self.geometry, RegularGrid) else len(
-            np.atleast_2d(self.geometry)
-        )
+        self.geometry, geom_n = normalize_geometry(self.geometry)
         if geom_n != n:
             raise ValueError(f"geometry has {geom_n} points but the operator has {n} columns")
         if self.prior_mean is not None:
@@ -427,7 +427,7 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
     before = model.forward.matvec_count.snapshot()
     noise = model.noise_cov(theta)
     a_dense = dense_matrix(model.forward)
-    q_dense = dense_matrix(model.prior_cov(theta))
+    q_dense = model.prior_cov(theta).apply_block(np.eye(model.ncols))
     evals, evecs = np.linalg.eigh(0.5 * (q_dense + q_dense.T))
     q_half = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
     a_hat = (a_dense @ q_half) / np.sqrt(theta.noise_var)

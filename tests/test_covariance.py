@@ -17,6 +17,7 @@ from gkhyper.covariance import (
     matern_eval,
 )
 from gkhyper.gengk import _DerivativeProducts
+from gkhyper.operators import dense_matrix
 
 
 def bessel_reference(nu, sigma2, ell, r):
@@ -122,7 +123,7 @@ def test_fft_matches_independent_dense_assembly(rng):
     grid = RegularGrid((16,), (1 / 16,))
     kernel = MaternKernel(1.5, 1.3, 0.06)
     reference = dense_reference(grid.points(), kernel)
-    op = build_cov_operator(grid, kernel, backend="fft")
+    op = build_cov_operator(grid, kernel)
     assert op.clipped == 0
     for _ in range(10):
         x = rng.standard_normal(16)
@@ -136,8 +137,9 @@ def test_fft_and_dense_backends_agree(rng, shape, ell):
     spacing = tuple(1.0 / s for s in shape)
     grid = RegularGrid(shape, spacing)
     kernel = MaternKernel(1.5, 0.9, ell)
-    fop = build_cov_operator(grid, kernel, backend="fft")
-    dop = build_cov_operator(grid, kernel, backend="dense")
+    fop = build_cov_operator(grid, kernel)
+    dop = build_cov_operator(grid.points(), kernel)
+    assert (fop.backend, dop.backend) == ("fft", "dense")
     for _ in range(10):
         x = rng.standard_normal(grid.size)
         ref = dop.apply(x)
@@ -189,8 +191,6 @@ def test_ell_derivative_operator_matches_dense_fd(rng):
 
 def test_point_set_requires_dense_backend(rng):
     points = rng.uniform(0, 1, (6, 2))
-    with pytest.raises(ValueError, match="equispaced"):
-        build_cov_operator(points, MaternKernel(1.5, 1.0, 0.3), backend="fft")
     op = build_cov_operator(points, MaternKernel(1.5, 1.0, 0.3))
     assert op.backend == "dense"
 
@@ -208,15 +208,15 @@ def test_negative_embedding_is_clipped_for_q_only():
     # long correlation length on a short grid makes the embedding indefinite
     grid = RegularGrid((16,), (1 / 16,))
     kernel = MaternKernel(1.5, 1.0, 0.9)
-    q = build_cov_operator(grid, kernel, backend="fft")
+    q = build_cov_operator(grid, kernel)
     assert q.clipped > 0 and q.min_embedding_eig < 0
 
     # dQ/dtheta3 differentiates the clipped Q that is applied: it matches
     # central differences of the clipped Q's applies (the clipped set is the
     # same at ell +- h)
     h = 1e-6 * kernel.ell
-    q_p = build_cov_operator(grid, MaternKernel(1.5, 1.0, kernel.ell + h), backend="fft")
-    q_m = build_cov_operator(grid, MaternKernel(1.5, 1.0, kernel.ell - h), backend="fft")
+    q_p = build_cov_operator(grid, MaternKernel(1.5, 1.0, kernel.ell + h))
+    q_m = build_cov_operator(grid, MaternKernel(1.5, 1.0, kernel.ell - h))
     assert q_p.clipped == q_m.clipped == q.clipped
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -226,7 +226,7 @@ def test_negative_embedding_is_clipped_for_q_only():
 
     # dQ/dtheta2 is (2/theta2) Q bit for bit, taken from a fresh Q and from
     # the one that has applied dQ/dtheta3
-    for q_i in (build_cov_operator(grid, kernel, backend="fft"), q):
+    for q_i in (build_cov_operator(grid, kernel), q):
         x = rng.standard_normal(16)
         dq2 = _derivative_products(q_i, x[:, None])[0]
         assert np.array_equal(dq2[:, 0], (2 / 1.0) * q.apply(x))  # theta2 = 1
@@ -248,8 +248,8 @@ def test_clipping_warning_logged_once_per_grid_shape(caplog, monkeypatch):
 def test_dense_variance_derivative_is_scaled_q(rng):
     points = rng.uniform(0, 1, (7, 2))
     kernel = MaternKernel(2.5, 0.49, 0.3)  # theta2 = 0.7
-    for geometry in (points, RegularGrid((3, 3), (0.2, 0.2))):
-        q = build_cov_operator(geometry, kernel, backend="dense")
+    for geometry in (points, RegularGrid((3, 3), (0.2, 0.2)).points()):
+        q = build_cov_operator(geometry, kernel)
         assert q.backend == "dense"
         x = rng.standard_normal(q.ncols)
         dq2 = _derivative_products(q, x[:, None])[0]
@@ -296,15 +296,16 @@ BLOCK_WIDTHS = (1, 15, 16, 17, 40)  # both sides of the 16-column chunk edges
 
 
 def _block_operators():
-    # 1-d and 2-d FFT grids, a clipping embedding, and the dense backend
-    cases = [(RegularGrid((64,), (1 / 64,)), 0.1, "fft"),
-             (RegularGrid((2048,), (1 / 2048,)), 0.05, "fft"),
-             (RegularGrid((8, 8), (1 / 8, 1 / 8)), 0.2, "fft"),
-             (RegularGrid((24, 24), (1 / 24, 1 / 24)), 0.08, "fft"),
-             (RegularGrid((16,), (1 / 16,)), 0.9, "fft"),
-             (RegularGrid((5, 4), (0.2, 0.25)), 0.3, "dense")]
-    for grid, ell, backend in cases:
-        yield build_cov_operator(grid, MaternKernel(1.5, 0.64, ell), backend=backend)
+    # 1-d and 2-d FFT grids, a clipping embedding, and the dense backend on
+    # a grid's points
+    cases = [(RegularGrid((64,), (1 / 64,)), 0.1),
+             (RegularGrid((2048,), (1 / 2048,)), 0.05),
+             (RegularGrid((8, 8), (1 / 8, 1 / 8)), 0.2),
+             (RegularGrid((24, 24), (1 / 24, 1 / 24)), 0.08),
+             (RegularGrid((16,), (1 / 16,)), 0.9),
+             (RegularGrid((5, 4), (0.2, 0.25)).points(), 0.3)]
+    for geometry, ell in cases:
+        yield build_cov_operator(geometry, MaternKernel(1.5, 0.64, ell))
 
 
 def test_apply_block_matches_per_column_apply_bit_for_bit(rng):
@@ -326,6 +327,9 @@ def test_apply_block_matches_per_column_apply_bit_for_bit(rng):
             # dQ/dtheta2 X = (2/theta2) Q X, scaled in place
             dq2 = _derivative_products(q, x)[0]
             assert np.array_equal(dq2, (2 / 0.8) * q_want)
+        # the identity block is the dense Q the oracles read, equal to probing
+        # Q one basis vector at a time
+        assert np.array_equal(q.apply_block(np.eye(q.ncols)), dense_matrix(q)), q.backend
     assert clipped > 0
 
 

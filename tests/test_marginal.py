@@ -196,6 +196,29 @@ def test_objectives_reject_theta_of_wrong_length(rng, values):
     assert model.forward.matvec_count.snapshot() == (0, 0)
 
 
+def _six_point_model(geometry):
+    A = DenseOperator(np.random.default_rng(11).standard_normal((4, 6)) / 3)
+    return MarginalModel(forward=A, data=np.ones(4), geometry=geometry, nu=1.5)
+
+
+def test_one_d_point_array_is_its_column_point_set():
+    # the model counts a 1-d coordinate array as Q does: n points in one
+    # dimension, the same model as the (n, 1) array
+    x = np.linspace(0, 1, 6)
+    flat, column = _six_point_model(x), _six_point_model(x[:, None])
+    assert flat.geometry.shape == (6, 1)
+    theta = HyperParams(np.array([0.1, 0.8, 0.3]))
+    for objective in (objective_exact, lambda m, t: objective_gengk(m, t, 4)):
+        assert _hex(objective(flat, theta)) == _hex(objective(column, theta))
+
+
+def test_geometry_of_three_axes_is_rejected_at_model_construction():
+    A = DenseOperator(np.ones((4, 6)))
+    with pytest.raises(ValueError, match="point set"):
+        MarginalModel(forward=A, data=np.ones(4), geometry=np.zeros((6, 1, 1)))
+    assert A.matvec_count.snapshot() == (0, 0)
+
+
 def test_gradient_gengk_standalone(rng):
     model = make_dense_model(rng, m=12, n=12)
     theta = HyperParams(np.array([0.4, 1.0, 0.3]))
