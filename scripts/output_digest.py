@@ -16,8 +16,9 @@ so it does the same for `objective_gengk` (k = POINT_SET_K) and
 point array and whose covariance takes the dense backend. It prints the
 SHA-256 of the phantom `s_true` and the noisy `data` of `build_ray_tomo_problem`
 at each parameter set in PHANTOMS, with the shipped config's rays, noise, prior
-std and ell. Given a second checkout OTHER, both are digested and only the
-outputs and numbers that differ between them are printed, one name a line;
+std and ell, and of the CSR arrays (with their dtypes) of `ray_tomo_2d` at each
+(g, n_rays) in RAYS, seed 0. Given a second checkout OTHER, both are digested
+and only the outputs and numbers that differ between them are printed, one name a line;
 the exit status is 1 if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
 use, as perfbench does, so that two checkouts digested on one host can be
 compared.
@@ -39,9 +40,16 @@ POINT_SET_K = 12
 
 # the g = 32 problem of the ray-monitor benchmark at two seeds, and g = 16 on
 # every other matern_eval branch: the closed forms at nu = 0.5 and 2.5 (the
-# shipped configs take 1.5) and the Bessel form at nu = 1.2
+# shipped configs take 1.5) and the Bessel form at nu = 1.2; at g = 16 and 32
+# the spacing is a power of two, so lags times it equal point-coordinate
+# differences, and g = 24 tells the two apart
 PHANTOMS = ({"g": 32, "seed": 0}, {"g": 32, "seed": 1},
-            {"g": 16, "nu": 0.5}, {"g": 16, "nu": 2.5}, {"g": 16, "nu": 1.2})
+            {"g": 16, "nu": 0.5}, {"g": 16, "nu": 2.5}, {"g": 16, "nu": 1.2},
+            {"g": 24, "seed": 3}, {"g": 24, "nu": 1.2})
+
+# (g, n_rays) of ray_tomo_2d: the shipped ray config, and two larger grids
+# where a ray crosses more lines and several tracer batches run
+RAYS = ((24, 360), (64, 1440), (128, 8192))
 
 # run by each checkout's own package, so that every number comes from its code
 SHOW = """
@@ -103,6 +111,18 @@ for params in {PHANTOMS!r}:
         print(hashlib.sha256(getattr(prob, name).tobytes()).hexdigest(), f"{{label}}/{{name}}")
 """
 
+RAY_CSR = f"""
+import hashlib
+from gkhyper.problems import ray_tomo_2d
+
+for g, n_rays in {RAYS!r}:
+    mat = ray_tomo_2d(g, n_rays, seed=0)._mat
+    for name in ("data", "indices", "indptr"):
+        array = getattr(mat, name)
+        print(hashlib.sha256(array.tobytes()).hexdigest(),
+              f"g={{g}},n_rays={{n_rays}}/{{name}}/{{array.dtype}}")
+"""
+
 
 def _numbers(script: str, args: list, env: dict, cwd: str, prefix: str) -> dict:
     out = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
@@ -132,6 +152,7 @@ def digests(root: Path) -> dict:
             result.update(_numbers(OBJECTIVES, [str(config)], env, tmp, config.stem))
         result.update(_numbers(POINT_SET, [], env, tmp, "point_set"))
         result.update(_numbers(PHANTOM, [], env, tmp, "phantom"))
+        result.update(_numbers(RAY_CSR, [], env, tmp, "ray_tomo_2d"))
     return result
 
 

@@ -189,19 +189,6 @@ class RegularGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def lag_distance_matrix(self) -> np.ndarray:
-        """Pairwise distances computed from integer lags and the spacing.
-
-        Grid distances come from index differences times the spacing exactly,
-        keeping the Toeplitz structure bit-stable.
-        """
-        idx = np.indices(self.shape).reshape(self.ndim, -1).T
-        d2 = np.zeros((self.size, self.size))
-        for axis in range(self.ndim):
-            lag = (idx[:, axis][:, None] - idx[:, axis][None, :]) * self.spacing[axis]
-            d2 += lag * lag
-        return np.sqrt(d2)
-
 
 class CovarianceOperator(LinearOperatorHandle):
     """Symmetric matrix-free Matern covariance Q of the prior.

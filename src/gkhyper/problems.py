@@ -86,35 +86,90 @@ def heat_true_signal(n: int) -> np.ndarray:
     return x
 
 
+# rays traced in one batch: the tracer's temporaries take about ten rows of
+# 2g + 4 floats per ray
+RAY_BATCH = 1024
+
+
+def _chord_lengths(direction: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of a (b, 2) array, bit for bit np.linalg.norm.
+
+    The norm of one row takes its square through BLAS ``ddot``, which may fuse
+    the multiply-add; a (1, 2) @ (2, 1) matmul per row makes the same call.
+    """
+    return np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
+
+
+def _trace(g: int, p0: np.ndarray, p1: np.ndarray):
+    """Segments of the chords p0[r] -> p1[r] ((b, 2) arrays) on a g x g grid.
+
+    Each chord is split at its parametric crossing times with every grid line
+    strictly between its ends; times are merged only where exactly equal. A
+    segment is kept when its midpoint lies in the closed unit square. Returns
+    (ray, flat, lengths): the chord index, the row-major cell index (x
+    fastest) and the length of every kept segment, chord by chord, in order
+    along each chord.
+    """
+    direction = p1 - p0
+    total = _chord_lengths(direction)
+    b = len(p0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero direction gives no finite crossing, so none is kept
+        cross = (np.arange(g + 1) / g - p0[:, :, None]) / direction[:, :, None]
+    # a discarded crossing becomes a copy of the end time 1, merged away below
+    ts = np.concatenate(
+        [np.zeros((b, 1)), np.ones((b, 1)),
+         np.where((cross > 0.0) & (cross < 1.0), cross, 1.0).reshape(b, -1)], axis=1)
+    ts.sort(axis=1)
+    # each new distinct time closes the segment that opened at the one before
+    new = ts[:, 1:] != ts[:, :-1]
+    ray = np.nonzero(new)[0]
+    start, stop = ts[:, :-1][new], ts[:, 1:][new]
+    mids = 0.5 * (start + stop)
+    lengths = (stop - start) * total[ray]
+    x = p0[ray, 0] + mids * direction[ray, 0]
+    y = p0[ray, 1] + mids * direction[ray, 1]
+    inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+    x, y = x[inside], y[inside]
+    ix = np.clip((x * g).astype(int), 0, g - 1)
+    iy = np.clip((y * g).astype(int), 0, g - 1)
+    return ray[inside], iy * g + ix, lengths[inside]
+
+
 def ray_row(g: int, p0, p1) -> tuple[np.ndarray, np.ndarray, float]:
     """Cell indices and intersection lengths of the segment p0 -> p1 on a g x g grid.
 
     The unit square is split into g x g cells of width 1/g; cells are indexed
-    row-major with x fastest. Returns (flat_indices, lengths, total_length).
+    row-major with x fastest. The segment is traced as a batch of one chord
+    by the tracer ``ray_tomo_2d`` uses. Returns (flat_indices, lengths,
+    total_length): cells whose piece is longer than 1e-14, and the summed
+    length of every piece inside the square (0.0 for a zero-length segment).
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    direction = p1 - p0
-    total = float(np.linalg.norm(direction))
-    if total == 0.0:
-        return np.zeros(0, dtype=int), np.zeros(0), 0.0
-    # parametric crossing times with all grid lines, clipped to [0, 1]
-    ts = [0.0, 1.0]
-    for axis in range(2):
-        if direction[axis] != 0.0:
-            crossings = (np.arange(g + 1) / g - p0[axis]) / direction[axis]
-            ts.extend(crossings[(crossings > 0.0) & (crossings < 1.0)])
-    ts = np.unique(np.asarray(ts))
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    seg_len = np.diff(ts) * total
-    pts = p0[None, :] + mids[:, None] * direction[None, :]
-    inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
-    pts, seg_len = pts[inside], seg_len[inside]
-    ix = np.clip((pts[:, 0] * g).astype(int), 0, g - 1)
-    iy = np.clip((pts[:, 1] * g).astype(int), 0, g - 1)
-    flat = iy * g + ix
-    keep = seg_len > 1e-14
-    return flat[keep], seg_len[keep], float(seg_len.sum())
+    _, flat, lengths = _trace(g, p0[None, :], p1[None, :])
+    keep = lengths > 1e-14
+    return flat[keep], lengths[keep], float(lengths.sum())
+
+
+def _random_chords(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints of `count` random chords, each on two distinct sides of the square.
+
+    Drawn one chord at a time, two sides and then one uniform position per
+    side: ``Generator.choice`` takes a data-dependent number of raw bits, so
+    only this order keeps the stream of every later draw.
+    """
+    sides = np.empty((count, 2), dtype=int)
+    where = np.empty((count, 2))
+    for r in range(count):
+        sides[r] = rng.choice(4, size=2, replace=False)
+        where[r, 0] = rng.uniform(0.0, 1.0)
+        where[r, 1] = rng.uniform(0.0, 1.0)
+    # side 0: (t, 0), 1: (t, 1), 2: (0, t), 3: (1, t)
+    along_x = sides < 2
+    fixed = (sides % 2).astype(float)
+    ends = np.stack([np.where(along_x, where, fixed), np.where(along_x, fixed, where)], axis=-1)
+    return ends[:, 0], ends[:, 1]
 
 
 def ray_tomo_2d(g: int, n_rays: int, seed=None) -> LinearOperatorHandle:
@@ -122,8 +177,12 @@ def ray_tomo_2d(g: int, n_rays: int, seed=None) -> LinearOperatorHandle:
 
     Each row integrates the image along one random chord (cell-intersection
     lengths as weights), giving an n_rays x g^2 operator; useful as a
-    significantly underdetermined test problem when n_rays << g^2. Degenerate
-    rays (no intersection) are resampled.
+    significantly underdetermined test problem when n_rays << g^2. A chord is
+    rejected and drawn again when its length inside the square (as
+    ``ray_row`` sums it) is below 1e-3 or it keeps no cell. Chords are drawn
+    in batches of at most RAY_BATCH, each batch exactly the rays still
+    needed, so the generator is left where one-chord-at-a-time drawing would
+    leave it, and every batch is traced in one vectorized pass.
     """
     if g < 4:
         raise ValueError("grid must be at least 4 x 4")
@@ -133,23 +192,48 @@ def ray_tomo_2d(g: int, n_rays: int, seed=None) -> LinearOperatorHandle:
     rows, cols, vals = [], [], []
     count = 0
     while count < n_rays:
-        # random chord: pick two points on distinct sides of the square
-        sides = rng.choice(4, size=2, replace=False)
-        pts = []
-        for side in sides:
-            t = rng.uniform(0.0, 1.0)
-            pts.append({
-                0: (t, 0.0), 1: (t, 1.0), 2: (0.0, t), 3: (1.0, t),
-            }[side])
-        idx, lengths, total = ray_row(g, pts[0], pts[1])
-        if total < 1e-3 or idx.size == 0:
-            continue
-        rows.extend([count] * idx.size)
-        cols.extend(idx.tolist())
-        vals.extend(lengths.tolist())
-        count += 1
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_rays, g * g))
+        batch = min(n_rays - count, RAY_BATCH)
+        ray, flat, lengths = _trace(g, *_random_chords(rng, batch))
+        keep = lengths > 1e-14
+        # bincount sums a chord's pieces in order, np.sum (ray_row's total)
+        # pairwise; both lie within a relative n 2^-53 of the exact sum of n
+        # nonnegative pieces, so only chords under 2e-3 need np.sum's bits
+        total = np.bincount(ray, weights=lengths, minlength=batch)
+        for r in np.flatnonzero(total < 2e-3):
+            total[r] = lengths[ray == r].sum()
+        accepted = (total >= 1e-3) & (np.bincount(ray[keep], minlength=batch) > 0)
+        take = keep & accepted[ray]
+        rows.append((count - 1 + np.cumsum(accepted))[ray[take]])
+        cols.append(flat[take])
+        vals.append(lengths[take])
+        count += int(np.count_nonzero(accepted))
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n_rays, g * g))
     return SparseOperator(mat)
+
+
+def _grid_covariance(grid: RegularGrid, kernel: MaternKernel) -> np.ndarray:
+    """Dense covariance of the grid nodes, the kernel at every pair's lag distance.
+
+    A pair's distance depends only on its integer lag along each axis, taken
+    as lag * spacing, squared and summed over the axes in order. So the
+    kernel is evaluated once per distinct lag, on a (2 g_a - 1)-per-axis
+    table, and gathered by one small index array per axis that broadcasts
+    over (i_0, ..., j_0, ...): no n x n index or distance array is built.
+    """
+    d = grid.ndim
+    lags = [np.arange(1 - g, g) * h for g, h in zip(grid.shape, grid.spacing)]
+    d2 = np.zeros([lag.size for lag in lags])
+    for axis, lag in enumerate(lags):
+        d2 += (lag * lag).reshape([-1 if a == axis else 1 for a in range(d)])
+    table = matern_eval(kernel, np.sqrt(d2))
+    index = []
+    for axis, g in enumerate(grid.shape):
+        shape = [1] * (2 * d)
+        shape[axis] = shape[d + axis] = g
+        node = np.arange(g)
+        index.append((node[:, None] - node[None, :] + g - 1).reshape(shape))
+    return table[tuple(index)].reshape(grid.size, grid.size)
 
 
 def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, truncation: int,
@@ -169,9 +253,7 @@ def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, truncation: int,
         raise ValueError("truncation must lie in [0, n]")
     if truncation == 0:
         return np.zeros(n)
-    # copied into the heap space of the kernel's freed temporaries, so glibc
-    # trims the heap top: a g = 32 build otherwise peaks 8 MB higher in RSS
-    cov = matern_eval(kernel, grid.lag_distance_matrix()).copy()
+    cov = _grid_covariance(grid, kernel)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:truncation]
     rng = np.random.default_rng(seed)

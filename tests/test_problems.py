@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gkhyper.covariance import MaternKernel, RegularGrid
+from gkhyper import problems
+from gkhyper.covariance import MaternKernel, RegularGrid, matern_eval
 from gkhyper.operators import dense_matrix
 from gkhyper.problems import (
     add_noise,
@@ -146,7 +148,159 @@ def test_ray_tomo_validation():
         ray_tomo_2d(8, 0)
 
 
+def reference_ray_row(g, p0, p1):
+    """The per-ray tracer the batch tracer replaced, kept as its bit reference."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    direction = p1 - p0
+    total = float(np.linalg.norm(direction))
+    if total == 0.0:
+        return np.zeros(0, dtype=int), np.zeros(0), 0.0
+    ts = [0.0, 1.0]
+    for axis in range(2):
+        if direction[axis] != 0.0:
+            crossings = (np.arange(g + 1) / g - p0[axis]) / direction[axis]
+            ts.extend(crossings[(crossings > 0.0) & (crossings < 1.0)])
+    ts = np.unique(np.asarray(ts))
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    seg_len = np.diff(ts) * total
+    pts = p0[None, :] + mids[:, None] * direction[None, :]
+    inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+    pts, seg_len = pts[inside], seg_len[inside]
+    ix = np.clip((pts[:, 0] * g).astype(int), 0, g - 1)
+    iy = np.clip((pts[:, 1] * g).astype(int), 0, g - 1)
+    flat = iy * g + ix
+    keep = seg_len > 1e-14
+    return flat[keep], seg_len[keep], float(seg_len.sum())
+
+
+def reference_ray_tomo_csr(g, n_rays, seed):
+    """The per-ray loop ray_tomo_2d replaced: its CSR matrix and attempts made."""
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = [], [], []
+    count = attempts = 0
+    while count < n_rays:
+        attempts += 1
+        sides = rng.choice(4, size=2, replace=False)
+        pts = []
+        for side in sides:
+            t = rng.uniform(0.0, 1.0)
+            pts.append({0: (t, 0.0), 1: (t, 1.0), 2: (0.0, t), 3: (1.0, t)}[side])
+        idx, lengths, total = reference_ray_row(g, pts[0], pts[1])
+        if total < 1e-3 or idx.size == 0:
+            continue
+        rows.extend([count] * idx.size)
+        cols.extend(idx.tolist())
+        vals.extend(lengths.tolist())
+        count += 1
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_rays, g * g)).tocsr()
+    return mat, attempts
+
+
+def assert_same_csr(op, ref):
+    mat = op._mat
+    assert mat.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(mat, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def _seed(spec):
+    # ("spawn", s) is the child build_ray_tomo_problem passes for the rays
+    return np.random.SeedSequence(spec[1]).spawn(3)[0] if isinstance(spec, tuple) else spec
+
+
+@pytest.mark.parametrize("g, n_rays, seed", [
+    (4, 1, 0), (4, 50, 1), (8, 7, 2), (8, 300, ("spawn", 0)), (16, 40, 11),
+    (16, 1100, 5), (24, 360, ("spawn", 0)), (24, 360, 7), (32, 360, ("spawn", 1)),
+    (32, 100, 3), (64, 1440, 0), (64, 200, ("spawn", 2)),
+])
+def test_ray_tomo_matches_per_ray_loop_bit_for_bit(g, n_rays, seed):
+    ref, _ = reference_ray_tomo_csr(g, n_rays, _seed(seed))
+    assert_same_csr(ray_tomo_2d(g, n_rays, seed=_seed(seed)), ref)
+
+
+class _CornerHuggingGenerator(np.random.Generator):
+    """Draws the same stream, but puts two of every three chords at a corner:
+    both ends at 0.0 (a zero-length chord when the sides are 0 and 2) or
+    within 1.5e-3 of it (chords on both sides of the 1e-3 rejection length)."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+    def uniform(self, *args, **kwargs):
+        t = super().uniform(*args, **kwargs)
+        mode = (self.calls // 2) % 3
+        self.calls += 1
+        return 0.0 if mode == 0 else 1.5e-3 * t if mode == 1 else t
+
+
+@pytest.mark.parametrize("batch", [1, 5, 1024])
+def test_rejected_chords_are_redrawn_as_the_per_ray_loop_did(monkeypatch, batch):
+    monkeypatch.setattr(problems, "RAY_BATCH", batch)
+    g, n_rays = 8, 200
+    ref, attempts = reference_ray_tomo_csr(g, n_rays, _CornerHuggingGenerator(5))
+    assert attempts > n_rays + 5  # the rejection path ran
+    assert np.asarray(ref.sum(axis=1)).min() < 1.5e-3  # and accepted chords near it
+    assert_same_csr(ray_tomo_2d(g, n_rays, seed=_CornerHuggingGenerator(5)), ref)
+
+
+@pytest.mark.parametrize("g, p0, p1", [
+    (8, (0.0, 3.5 / 8), (1.0, 3.5 / 8)),  # axis-aligned, through a row
+    (8, (0.3, 1.0), (0.3, 0.0)),  # axis-aligned, downwards
+    (8, (0.0, 3 / 8), (1.0, 3 / 8)),  # on a horizontal grid line
+    (4, (0.25, 0.0), (0.25, 1.0)),  # on a vertical grid line
+    (6, (0.0, 0.0), (1.0, 1.0)),  # diagonal: x and y crossings coincide
+    (7, (1.0, 0.0), (0.0, 1.0)),  # anti-diagonal
+    (8, (4e-4, 0.0), (0.0, 5e-4)),  # shorter than 1e-3, at a corner
+    (8, (0.3, 0.3), (0.3, 0.3)),  # zero length
+    (8, (0.0, 0.0), (0.0, 0.0)),  # zero length at a corner
+    (5, (-0.5, 0.2), (1.5, 0.7)),  # partly outside the square
+    (16, (0.13, 0.0), (0.91, 1.0)),
+])
+def test_ray_row_matches_per_ray_reference(g, p0, p1):
+    got, want = ray_row(g, p0, p1), reference_ray_row(g, p0, p1)
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert float.hex(got[2]) == float.hex(want[2])
+
+
+def test_chord_lengths_match_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(5)
+    direction = rng.uniform(-1.0, 1.0, (20000, 2))
+    direction[:100, 0] = 0.0
+    direction[100:200] = np.round(direction[100:200], 3)
+    want = np.array([np.linalg.norm(d) for d in direction])
+    assert np.array_equal(problems._chord_lengths(direction), want)
+
+
 # --- phantoms
+
+
+def reference_lag_distance_matrix(grid):
+    """Pairwise node distances from integer lags and the spacing, n x n."""
+    idx = np.indices(grid.shape).reshape(grid.ndim, -1).T
+    d2 = np.zeros((grid.size, grid.size))
+    for axis in range(grid.ndim):
+        lag = (idx[:, axis][:, None] - idx[:, axis][None, :]) * grid.spacing[axis]
+        d2 += lag * lag
+    return np.sqrt(d2)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 1.2])
+@pytest.mark.parametrize("grid", [
+    RegularGrid((17,), (1 / 17,)), RegularGrid((1,), (1.0,)), RegularGrid((5, 7), (0.2, 1 / 7)),
+    RegularGrid((20, 20), (0.05, 0.05)), RegularGrid((24, 24), (1 / 24, 1 / 24)),
+])
+def test_phantom_covariance_matches_lag_distance_matrix_bit_for_bit(grid, nu):
+    kernel = MaternKernel(nu, 0.64, 0.08)
+    want = matern_eval(kernel, reference_lag_distance_matrix(grid))
+    got = problems._grid_covariance(grid, kernel)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_phantom_zero_truncation():
