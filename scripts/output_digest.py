@@ -7,10 +7,12 @@ Usage: python3 scripts/output_digest.py [ROOT [OTHER]]
 ROOT is the checkout to run (default: the one holding this script). For each
 shipped config it also evaluates `objective_gengk` (at the config's
 `estimate.k`) and `objective_exact` at the theta in THETAS, and prints the
-value and the three gradient components as `float.hex`, which is exact. It
-does the same for `objective_gengk` read from truncations of one
-factorization, taken at the config's `monitor.theta` with K = `monitor.k_max`
-steps, at the k in SWEEP_KS and at K. The shipped configs all run on grids,
+value and the three gradient components as `float.hex`, which is exact, and
+the value and two gradient components of `objective_rescaled` read from a
+`precompute_two_param` factorization taken at the theta's correlation length
+with k = `estimate.k`. It does the same for `objective_gengk` read from
+truncations of one factorization, taken at the config's `monitor.theta` with
+K = `monitor.k_max` steps, at the k in SWEEP_KS and at K. The shipped configs all run on grids,
 so it does the same for `objective_gengk` (k = POINT_SET_K) and
 `objective_exact` at THETAS on a masked ray g = 8 model, whose geometry is a
 point array and whose covariance takes the dense backend. It prints the
@@ -64,7 +66,9 @@ OBJECTIVES = SHOW + f"""
 import sys
 from gkhyper.cli import _build_problem
 from gkhyper.config import load_config
+from gkhyper.estimate import precompute_two_param
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
+from gkhyper.marginal import objective_rescaled
 
 cfg = load_config(sys.argv[1])
 model = _build_problem(cfg)[1]
@@ -72,6 +76,8 @@ for theta in {THETAS!r}:
     params = HyperParams(theta)
     show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, cfg.estimate.k))
     show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
+    unit = precompute_two_param(model, theta[2], cfg.estimate.k)
+    show(f"objective_rescaled/theta={{theta}}", objective_rescaled(model, params, unit))
 
 theta = HyperParams(cfg.monitor.theta)
 k_max = min(cfg.monitor.k_max, model.nrows, model.ncols)

@@ -87,7 +87,7 @@ def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
 
     summary = {
         "theta_star": [float(v) for v in theta_star.values],
-        "objective": trace.values[int(np.argmin(trace.values))],
+        "objective": trace.objective,
         "relative_error": re,
         "converged": trace.converged,
         "reason": trace.reason,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,15 +29,9 @@ __all__ = [
     "matern_deriv",
     "build_cov_operator",
     "normalize_geometry",
-    "CLOSED_FORM_NU",
 ]
 
 log = logging.getLogger(__name__)
-
-# smoothness values with closed-form kernels and analytic ell-derivatives
-CLOSED_FORM_NU = (0.5, 1.5, 2.5)
-
-_FD_ELL_REL_STEP = 1e-6
 
 # columns per shared forward transform in a block apply: a chunk's complex
 # embedding stays in cache on the shipped grids, where one 120-column block
@@ -109,46 +102,36 @@ def matern_eval(kernel: MaternKernel, r):
     return float(out[0]) if scalar else out
 
 
-def _matern_deriv_ell_closed(kernel: MaternKernel, r: np.ndarray) -> np.ndarray:
-    s2, ell, nu = kernel.sigma2, kernel.ell, kernel.nu
-    if _is_close(nu, 0.5):
-        return s2 * np.exp(-r / ell) * r / ell**2
-    if _is_close(nu, 1.5):
-        a = math.sqrt(3.0) * r / ell
-        return s2 * a * a * np.exp(-a) / ell
-    if _is_close(nu, 2.5):
-        a = math.sqrt(5.0) * r / ell
-        return s2 * a * a * (1.0 + a) * np.exp(-a) / (3.0 * ell)
-    raise ValueError(f"no closed-form ell-derivative for nu={nu}")
-
-
 def matern_deriv(kernel: MaternKernel, r):
     """Derivative dM/dell of the kernel value in the correlation length theta3.
 
-    Uses the analytic formula for nu in {1/2, 3/2, 5/2}; other nu fall back
-    to a central finite difference (step 1e-6 * ell) and emit a warning
-    because the result is approximate. The prior-std derivative needs no
-    kernel: dQ/dtheta2 = (2/theta2) Q (see CovarianceOperator).
+    Closed form for every nu: with a = sqrt(2 nu) r / ell, d(a^nu K_nu(a))/da
+    = -a^nu K_{nu-1}(a) gives dM/dell = sigma2 (2^(1-nu)/Gamma(nu))
+    a^(nu+1) K_{nu-1}(a) / ell, and 0 at r = 0; nu in {1/2, 3/2, 5/2} take
+    its elementary forms. The prior-std derivative needs no kernel:
+    dQ/dtheta2 = (2/theta2) Q (see CovarianceOperator).
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("distances must be nonnegative")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if any(_is_close(kernel.nu, v) for v in CLOSED_FORM_NU):
-        out = _matern_deriv_ell_closed(kernel, r)
+    s2, ell, nu = kernel.sigma2, kernel.ell, kernel.nu
+    if _is_close(nu, 0.5):
+        out = s2 * np.exp(-r / ell) * r / ell**2
+    elif _is_close(nu, 1.5):
+        a = math.sqrt(3.0) * r / ell
+        out = s2 * a * a * np.exp(-a) / ell
+    elif _is_close(nu, 2.5):
+        a = math.sqrt(5.0) * r / ell
+        out = s2 * a * a * (1.0 + a) * np.exp(-a) / (3.0 * ell)
     else:
-        warnings.warn(
-            f"nu={kernel.nu} has no analytic ell-derivative; "
-            "using a central finite difference (approximate)",
-            stacklevel=2,
-        )
-        h = _FD_ELL_REL_STEP * kernel.ell
-        kp = MaternKernel(kernel.nu, kernel.sigma2, kernel.ell + h)
-        km = MaternKernel(kernel.nu, kernel.sigma2, kernel.ell - h)
-        out = (
-            np.atleast_1d(matern_eval(kp, r)) - np.atleast_1d(matern_eval(km, r))
-        ) / (2.0 * h)
+        out = np.zeros_like(r)
+        pos = r > 0
+        if np.any(pos):
+            a = math.sqrt(2.0 * nu) * r[pos] / ell
+            out[pos] = (s2 * (2.0 ** (1.0 - nu) / gamma_fn(nu)) * a ** (nu + 1.0)
+                        * kv(nu - 1.0, a) / ell)
     return float(out[0]) if scalar else out
 
 

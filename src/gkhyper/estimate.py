@@ -61,7 +61,12 @@ class OptimizeOptions:
 
 @dataclass
 class OptimizeTrace:
-    """Per-evaluation history; func_count equals the number of objective calls."""
+    """Per-evaluation history; func_count equals the number of objective calls.
+
+    objective is the value at the returned theta, which need not be the
+    lowest value in values: the optimizer can stop on an iterate other than
+    its best evaluation.
+    """
 
     thetas: list = field(default_factory=list)
     values: list = field(default_factory=list)
@@ -70,6 +75,7 @@ class OptimizeTrace:
     iterations: int = 0
     converged: bool = False
     reason: str = ""
+    objective: float = float("nan")
 
     def record(self, theta_values, value, grad_norm):
         self.func_count += 1
@@ -107,6 +113,7 @@ def _run_lbfgsb(eval_fn, theta0, opts: OptimizeOptions) -> tuple[np.ndarray, Opt
         options={"maxiter": opts.max_iters, "gtol": opts.grad_tol, "ftol": 1e-14},
     )
     theta_star = np.exp(res.x)
+    trace.objective = float(res.fun)
     trace.iterations = int(res.nit)
     trace.converged = bool(res.success)
     trace.reason = str(res.message)
@@ -137,22 +144,19 @@ def precompute_two_param(model: MarginalModel, ell: float, k: int) -> GenGKFacto
                         model.prior_mean, model.data, min(int(k), model.nrows, model.ncols))
 
 
-def optimize_two_param(model: MarginalModel, ell: float, theta0,
-                       opts: OptimizeOptions,
-                       fact_hat: GenGKFactorization | None = None
-                       ) -> tuple[np.ndarray, OptimizeTrace]:
-    """Optimize (noise variance, prior std) with the correlation length fixed at ell.
+def optimize_two_param(model: MarginalModel, fact_hat: GenGKFactorization, theta0,
+                       opts: OptimizeOptions) -> tuple[np.ndarray, OptimizeTrace]:
+    """Optimize (noise variance, prior std) with the correlation length fixed.
 
-    After the one-time bidiagonalization at (1, 1, ell) (done here if
-    fact_hat is not supplied) every evaluation is objective_rescaled, and no
-    evaluation applies the forward operator, which is asserted against the
-    matvec counters.
+    fact_hat is the one-time bidiagonalization at (1, 1, ell) of
+    precompute_two_param, and ell is read from its Q. Every evaluation is
+    objective_rescaled, and no evaluation applies the forward operator, which
+    is asserted against the matvec counters.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (2,):
         raise ValueError("theta0 must have two components")
-    if fact_hat is None:
-        fact_hat = precompute_two_param(model, ell, opts.k)
+    ell = fact_hat.q_op.kernel.ell
     before = model.forward.matvec_count.snapshot()
 
     def eval_fn(theta_values):

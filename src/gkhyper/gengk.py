@@ -125,10 +125,11 @@ class _DerivativeProducts:
 class GenGKFactorization:
     """Result of k bidiagonalization steps.
 
-    u_basis (m x (k+1)) is orthonormal in the R^{-1} inner product, v_basis
-    (n x (k+1)) in the Q inner product of q_op, the prior covariance the
-    factorization was taken with; qv_basis caches Q @ v columns so that
-    downstream consumers (reconstruction, monitoring) need no extra Q applies.
+    u_basis (m x (k+1)) is orthonormal in the R^{-1} inner product of noise,
+    the noise covariance the factorization was taken with, and v_basis
+    (n x (k+1)) in the Q inner product of q_op, the prior covariance it was
+    taken with; qv_basis caches Q @ v columns so that downstream consumers
+    (reconstruction, monitoring) need no extra Q applies.
     betas[0] is the initialization norm beta1. When the iteration broke down,
     breakdown_at records the step and the trailing basis columns are zero.
 
@@ -138,8 +139,8 @@ class GenGKFactorization:
     dQ/dtheta2 V_k and dQ/dtheta3 V_k that the gradient reads; they are
     taken for the whole basis on first use by one q_op block apply (Q V_K,
     scaled by 2/theta2, and dQ/dtheta3 V_K) and cached, and a truncation
-    shares q_op and that cache with the factorization it was cut from. The
-    arrays are not to be modified once either has been taken.
+    shares noise, q_op and that cache with the factorization it was cut
+    from. The arrays are not to be modified once either has been taken.
     """
 
     u_basis: np.ndarray
@@ -149,6 +150,7 @@ class GenGKFactorization:
     betas: np.ndarray
     k: int
     q_op: CovarianceOperator
+    noise: NoiseCovariance
     breakdown_at: int | None = None
     # None makes a fresh cache over v_basis[:, :k]; a truncation passes its
     # factorization's cache
@@ -202,7 +204,10 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
                  reorth: bool = True) -> GenGKFactorization:
     """Run k steps of generalized Golub-Kahan bidiagonalization.
 
-    Requires k <= min(m, n); requesting k = min(m, n) runs into the structural
+    Step 0 is the initialization, taken by the same loop body as every later
+    step: its forward residual is d - A mu, and its adjoint half has no
+    previous v to subtract or reorthogonalize against. Requires
+    k <= min(m, n); requesting k = min(m, n) runs into the structural
     breakdown on the last step, which is handled by zero-padding the final
     basis column so the factorization relations still hold. With reorth=True
     every new basis vector is re-projected (twice) against all previous ones
@@ -217,61 +222,35 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
     mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
     d = np.asarray(d, dtype=float)
 
-    r0 = d - A.apply(mu)
-    beta1 = float(np.sqrt(max(R.apply_inv(r0) @ r0, 0.0)))
-    tol = BREAKDOWN_RTOL * beta1
-
     # working bases; columns past the last step taken stay zero, and ru_basis
     # holds R^{-1} U
     u_basis, ru_basis = np.zeros((m, k + 1)), np.zeros((m, k + 1))
     v_basis, qv_basis = np.zeros((n, k + 1)), np.zeros((n, k + 1))
-    alphas, betas = [], [beta1]
-
-    def finish(breakdown):
-        # the factorization gets copies made after the loop, not the working
-        # arrays made before it: returning those kept about 4 MB more of the
-        # heap resident between solves of a 1024-pixel monitor run
-        cols = len(alphas)
-        return GenGKFactorization(
-            u_basis=u_basis[:, :cols].copy(),
-            v_basis=v_basis[:, :cols].copy(),
-            qv_basis=qv_basis[:, :cols].copy(),
-            alphas=np.asarray(alphas, dtype=float),
-            betas=np.asarray(betas, dtype=float),
-            k=cols - 1,
-            q_op=Q,
-            breakdown_at=breakdown,
-        )
-
-    if beta1 == 0.0:
-        # data exactly explained by the prior mean
-        alphas.append(0.0)
-        return finish(0)
-
-    u = u_basis[:, 0] = r0 / beta1
-    ru = ru_basis[:, 0] = R.apply_inv(u)
-    w = A.apply_adjoint(ru)
-    if not np.all(np.isfinite(w)):
-        raise FloatingPointError("non-finite adjoint output at initialization")
-    qw = Q.apply(w)
-    alpha = float(np.sqrt(max(qw @ w, 0.0)))
-    alphas.append(alpha)
-    if alpha <= tol:
-        return finish(0)
-    v = v_basis[:, 0] = w / alpha
-    qv = qv_basis[:, 0] = qw / alpha
-
-    for j in range(1, k + 1):
-        w = A.apply(qv) - alpha * u
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError(f"non-finite forward output at iteration {j}")
-        if reorth:
-            w = _orthogonalize(w, u_basis[:, :j], ru_basis[:, :j])
+    alphas, betas = [], []
+    breakdown = None
+    # step 0 has no previous v, so its adjoint half subtracts beta * 0 and
+    # reorthogonalizes against no columns, both exact no-ops
+    v = np.zeros(n)
+    # until beta1 is known only an exactly zero residual (data explained by
+    # the prior mean) stops the iteration
+    tol = 0.0
+    for j in range(k + 1):
+        if j == 0:
+            w = d - A.apply(mu)
+        else:
+            w = A.apply(qv) - alpha * u
+            if not np.all(np.isfinite(w)):
+                raise FloatingPointError(f"non-finite forward output at iteration {j}")
+            if reorth:
+                w = _orthogonalize(w, u_basis[:, :j], ru_basis[:, :j])
         beta = float(np.sqrt(max(R.apply_inv(w) @ w, 0.0)))
         betas.append(beta)
         if beta <= tol:
             alphas.append(0.0)
-            return finish(j)
+            breakdown = j
+            break
+        if j == 0:
+            tol = BREAKDOWN_RTOL * beta
         u = u_basis[:, j] = w / beta
         ru = ru_basis[:, j] = R.apply_inv(u)
 
@@ -284,17 +263,32 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
         alpha = float(np.sqrt(max(qg @ g, 0.0)))
         alphas.append(alpha)
         if alpha <= tol:
-            return finish(j)
+            breakdown = j
+            break
         v = v_basis[:, j] = g / alpha
         qv = qv_basis[:, j] = qg / alpha
 
-    return finish(None)
+    # the factorization gets copies made after the loop, not the working
+    # arrays made before it: returning those kept about 4 MB more of the
+    # heap resident between solves of a 1024-pixel monitor run
+    cols = len(alphas)
+    return GenGKFactorization(
+        u_basis=u_basis[:, :cols].copy(),
+        v_basis=v_basis[:, :cols].copy(),
+        qv_basis=qv_basis[:, :cols].copy(),
+        alphas=np.asarray(alphas, dtype=float),
+        betas=np.asarray(betas, dtype=float),
+        k=cols - 1,
+        q_op=Q,
+        noise=R,
+        breakdown_at=breakdown,
+    )
 
 
 def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorization:
     """View of the leading k iterations of an existing factorization.
 
-    The truncation shares fact's q_op and its cache of derivative products,
+    The truncation shares fact's noise, q_op and cache of derivative products,
     not copies of them: the first truncation that reads dq_basis takes the
     products for all of fact's columns, and every later one reads its
     leading k columns from them.
@@ -309,13 +303,16 @@ def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorizati
         betas=fact.betas[: k + 1],
         k=k,
         q_op=fact.q_op,
+        noise=fact.noise,
         breakdown_at=fact.breakdown_at if (fact.breakdown_at or 0) <= k else None,
         _dq=fact._dq,
     )
 
 
-def verify_relations(fact: GenGKFactorization, A, R, Q, mu, d):
+def verify_relations(fact: GenGKFactorization, A, mu, d):
     """Relative residuals of the three bidiagonalization relations.
+
+    R and Q are the ones the factorization was taken with.
 
     Returns (r_init, r_forward, r_adjoint):
       U_{k+1} beta1 e1 = d - A mu,
@@ -337,7 +334,7 @@ def verify_relations(fact: GenGKFactorization, A, R, Q, mu, d):
     if k > 0:
         # re-apply Q rather than trusting the cached qv_basis
         aqv = np.column_stack(
-            [A.apply(Q.apply(fact.v_basis[:, j])) for j in range(k)]
+            [A.apply(fact.q_op.apply(fact.v_basis[:, j])) for j in range(k)]
         )
         ub = fact.u_basis @ b
         res2 = np.linalg.norm(aqv - ub) / max(np.linalg.norm(aqv), 1e-300)
@@ -345,7 +342,7 @@ def verify_relations(fact: GenGKFactorization, A, R, Q, mu, d):
         res2 = 0.0
 
     atru = np.column_stack(
-        [A.apply_adjoint(R.apply_inv(fact.u_basis[:, j])) for j in range(k + 1)]
+        [A.apply_adjoint(fact.noise.apply_inv(fact.u_basis[:, j])) for j in range(k + 1)]
     )
     rhs = fact.v_basis[:, :k] @ b.T
     rhs[:, k] += fact.alphas[k] * fact.v_basis[:, k]

@@ -229,19 +229,20 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     """Dense-oracle objective and gradient (guarded by the dense cap).
 
     Z is assembled through matvecs only, then factored once; the gradient
-    uses dZ/dtheta1 = I and the dense derivative matrices dZ/dtheta_i =
-    A (dQ/dtheta_i) A' for i = 2, 3, with a fixed (zero-derivative) prior
-    mean. Dense Q and dQ/dtheta3 are probed together from the one Q built
-    here, one shared forward transform per chunk of identity columns, and
-    dQ/dtheta2 is (2/theta2) Q, scaled from dense Q.
+    uses dZ/dtheta1 = I, dZ/dtheta2 = (2/theta2)(Z - theta1 I) (from
+    dQ/dtheta2 = (2/theta2) Q), so that the theta2 term is closed form in
+    tr Z^{-1}, w'r and w'w, and the dense dZ/dtheta3 = A (dQ/dtheta3) A',
+    with a fixed (zero-derivative) prior mean. Dense Q and dQ/dtheta3 are
+    probed together from the one Q built here, one shared forward transform
+    per chunk of identity columns, and dense Q is dropped once Z is formed.
     """
     model.require_dense("the exact objective")
     before = model.forward.matvec_count.snapshot()
     m, n = model.nrows, model.ncols
-    q_op = model.prior_cov(theta)
-    q_dense, dq3_dense = q_op.apply_block_with_theta3_derivative(np.eye(n))
+    q_dense, dq3_dense = model.prior_cov(theta).apply_block_with_theta3_derivative(np.eye(n))
     a_dense = dense_matrix(model.forward)
     z = a_dense @ q_dense @ a_dense.T
+    del q_dense
     z[np.diag_indices_from(z)] += theta.noise_var
     z = 0.5 * (z + z.T)
     try:
@@ -253,22 +254,23 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     mu = model.mean_vector()
     r = a_dense @ mu - model.data
     w = cho_solve(cho, r)
-    quad = 0.5 * float(r @ w)
+    r_w = float(r @ w)
+    quad = 0.5 * r_w
 
     neglogprior, hgrad = model.hyperprior.neglog(theta.values)
 
     z_inv = cho_solve(cho, np.eye(m))
 
-    def q_term(dq_dense: np.ndarray) -> tuple[float, float]:
-        dz = a_dense @ dq_dense @ a_dense.T
-        dz = 0.5 * (dz + dz.T)
-        return float(np.sum(z_inv * dz)), -0.5 * float(w @ (dz @ w))
-
-    noise_term = float(np.trace(z_inv)), -0.5 * float(w @ w)  # dZ/dtheta1 = I
-    # Z is formed, so Q is scaled in place into dQ/dtheta2 = (2/theta2) Q
-    dq2_dense = q_dense
-    dq2_dense *= 2.0 / q_op.kernel.prior_std
-    grad = _assemble_gradient(hgrad, noise_term, q_term(dq2_dense), q_term(dq3_dense))
+    theta1, theta2 = theta.noise_var, theta.prior_std
+    trace_z_inv, w_norm2 = float(np.trace(z_inv)), float(w @ w)
+    noise_term = trace_z_inv, -0.5 * w_norm2  # dZ/dtheta1 = I
+    # dZ/dtheta2 = (2/theta2)(Z - theta1 I), and Z w = r
+    prior_term = ((2.0 / theta2) * (m - theta1 * trace_z_inv),
+                  -(r_w - theta1 * w_norm2) / theta2)
+    dz3 = a_dense @ dq3_dense @ a_dense.T
+    dz3 = 0.5 * (dz3 + dz3.T)
+    ell_term = float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))
+    grad = _assemble_gradient(hgrad, noise_term, prior_term, ell_term)
 
     return ObjectiveEvaluation(
         value=neglogprior + 0.5 * logdet + quad,
@@ -282,7 +284,8 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
 
 
 def _gengk_gradient(model: MarginalModel, theta: HyperParams,
-                    fact: GenGKFactorization, noise: NoiseCovariance) -> np.ndarray:
+                    fact: GenGKFactorization) -> np.ndarray:
+    noise = fact.noise
     spec = fact.spectrum
     p, s, s_full, w_mat = spec.p, spec.s, spec.s_full, spec.w
     k = fact.k
@@ -338,13 +341,26 @@ def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectr
     )
 
 
+def _check_taken_at(fact: GenGKFactorization, theta: HyperParams) -> None:
+    # the R and Q a factorization carries must be those of theta
+    kernel = fact.q_op.kernel
+    if (fact.noise.theta1 != theta.noise_var or kernel.sigma2 != theta.prior_std**2
+            or kernel.ell != theta.corr_length):
+        raise ValueError(
+            f"the factorization was taken with noise variance {fact.noise.theta1!r}, prior "
+            f"variance {kernel.sigma2!r} and correlation length {kernel.ell!r}, not at "
+            f"theta = {theta.values}")
+
+
 def objective_gengk_value(model: MarginalModel, theta: HyperParams,
                           fact: GenGKFactorization) -> ObjectiveEvaluation:
     """Approximate objective alone from a factorization computed at theta.
 
     Reads the factorization's spectral core only: no covariance build, no
-    operator applies and no gradient (gradient is None).
+    operator applies and no gradient (gradient is None). A ValueError is
+    raised when the factorization's R and Q are not those of theta.
     """
+    _check_taken_at(fact, theta)
     return _spectral_value(model, theta, fact.spectrum, fact.k)
 
 
@@ -352,11 +368,12 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
                        fact_unit: GenGKFactorization) -> ObjectiveEvaluation:
     """Approximate objective and (theta1, theta2) gradient from a unit run.
 
-    fact_unit must have been computed at (1, 1, theta3). Its spectral core is
-    rescaled to (theta1, theta2) in O(k); no covariance is built and no
-    operator is applied. The gradient has two components, since theta3 is
-    held fixed.
+    fact_unit must have been computed at (1, 1, theta3), or a ValueError is
+    raised. Its spectral core is rescaled to (theta1, theta2) in O(k); no
+    covariance is built and no operator is applied. The gradient has two
+    components, since theta3 is held fixed.
     """
+    _check_taken_at(fact_unit, HyperParams(np.array([1.0, 1.0, theta.corr_length])))
     theta1, theta2 = theta.noise_var, theta.prior_std
     spec = fact_unit.spectrum.rescaled(theta1, theta2)
     evaluation = _spectral_value(model, theta, spec, fact_unit.k)
@@ -386,29 +403,25 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
 
     When fact is omitted the bidiagonalization is run fresh at theta (the
     per-evaluation cost model assumes this). A supplied factorization must
-    have been computed at the same theta: its Q is used as it is, and a
-    ValueError is raised when that Q's variance or correlation length is not
-    theta2^2 or theta3. Its derivative products are read from its cache, so
-    in a sweep over truncations of one factorization only the first read
-    applies Q and dQ/dtheta3 to V_K. If the iteration broke down before k steps the achieved
-    count is used and recorded in k_used.
+    have been computed at the same theta: its R and Q are used as they are,
+    and a ValueError is raised, before any apply, when R's variance is not
+    theta1 or Q's variance or correlation length is not theta2^2 or theta3.
+    Its derivative products are read from its cache, so in a sweep over
+    truncations of one factorization only the first read applies Q and
+    dQ/dtheta3 to V_K. If the iteration broke down before k steps the
+    achieved count is used and recorded in k_used.
     """
     before = model.forward.matvec_count.snapshot()
-    noise = model.noise_cov(theta)
     if fact is None:
         k_run = min(int(k), min(model.nrows, model.ncols))
-        fact = gengk_bidiag(model.forward, noise, model.prior_cov(theta),
+        fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
                             model.prior_mean, model.data, k_run)
         cov_before = (0, 0)
     else:
-        kernel = fact.q_op.kernel
-        if kernel.sigma2 != theta.prior_std**2 or kernel.ell != theta.corr_length:
-            raise ValueError(
-                f"the factorization was taken with prior variance {kernel.sigma2!r} and "
-                f"correlation length {kernel.ell!r}, not at theta = {theta.values}")
         cov_before = fact.cov_applies()
+    # checks, before any apply, that a supplied factorization was taken at theta
     evaluation = objective_gengk_value(model, theta, fact)
-    gradient = _gengk_gradient(model, theta, fact, noise)
+    gradient = _gengk_gradient(model, theta, fact)
     q_after, dq_after = fact.cov_applies()
     return replace(evaluation, gradient=gradient,
                    matvec_report=_count_delta(model.forward, before,

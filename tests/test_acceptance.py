@@ -74,8 +74,7 @@ def test_criterion_1_gengk_relations_and_reorthogonalization():
     t0 = time.perf_counter()
     fact = gengk_bidiag(model.forward, noise, q_op, None, prob.data, 50,
                         reorth=True)
-    residuals = verify_relations(fact, model.forward, noise, q_op, None,
-                                 prob.data)
+    residuals = verify_relations(fact, model.forward, None, prob.data)
     loose = gengk_bidiag(model.forward, noise, q_op, None, prob.data, 50,
                          reorth=False)
     elapsed = time.perf_counter() - t0
@@ -260,8 +259,7 @@ def test_criterion_8_two_parameter_fast_path():
     fact_tomo = precompute_two_param(tomo_model, ell, k)
     before = tomo.forward.matvec_count.snapshot()
     opts = OptimizeOptions(k=k, bounds=np.array([[1e-12, 10.0], [1e-4, 50.0]]))
-    theta_star, _ = optimize_two_param(tomo_model, ell, np.array([1e-4, 0.3]), opts,
-                                       fact_hat=fact_tomo)
+    theta_star, _ = optimize_two_param(tomo_model, fact_tomo, np.array([1e-4, 0.3]), opts)
     assert tomo.forward.matvec_count.snapshot() == before
 
     lam_grid = np.geomspace(0.1, 20.0, 14)

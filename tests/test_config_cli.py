@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
+from gkhyper import estimate
 from gkhyper.cli import _build_problem, main
 from gkhyper.config import ConfigError, config_from_dict, load_config
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
@@ -185,6 +187,30 @@ def test_estimate_writes_outputs(tmp_path):
     assert len(iterates["eval"]) == summary["func_count"]
     # the recorded objective matches the trace minimum
     assert np.isclose(min(iterates["objective"]), summary["objective"])
+
+
+def test_estimate_reports_objective_at_theta_star(tmp_path, monkeypatch):
+    # a stub whose gradient is that of a quadratic centred a fifth of the way
+    # to its value's minimiser: L-BFGS-B overshoots to lower values on its
+    # first line search and converges at the gradient's stationary point, so
+    # the value at theta* is not the lowest evaluation
+    x0 = np.log(SMALL_HEAT["estimate"]["theta0"])
+    target = np.log([1e-3, 1.0, 0.2])
+    stationary = x0 + 0.2 * (target - x0)
+
+    def stub(model, theta, k):
+        x = np.log(theta.values)
+        return SimpleNamespace(value=float(np.sum((x - target) ** 2)),
+                               gradient=2.0 * (x - stationary) / theta.values)
+
+    monkeypatch.setattr(estimate, "objective_gengk", stub)
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(write_config(tmp_path, SMALL_HEAT)),
+                 "--out", str(out)]) == 0
+    summary = read_theta_star(out / "theta_star.json")
+    at_star = stub(None, HyperParams(np.array(summary["theta_star"])), None).value
+    assert summary["objective"] == at_star
+    assert min(entry["objective"] for entry in summary["trace"]) < at_star - 1.0
 
 
 # monitor tolerance for choosing k: err_mc within this fraction of |objective|

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,12 +106,25 @@ def test_ell_derivative_random_pairs(rng):
 
 def test_unsupported_nu_falls_back_to_finite_difference():
     k = MaternKernel(1.2, 1.0, 0.4)
-    with pytest.warns(UserWarning, match="approximate"):
-        val = matern_deriv(k, 0.3)
+    val = matern_deriv(k, 0.3)
     h = 1e-6 * 0.4
     fd = (bessel_reference(1.2, 1.0, 0.4 + h, 0.3)
           - bessel_reference(1.2, 1.0, 0.4 - h, 0.3)) / (2 * h)
     assert np.isclose(val, fd, rtol=1e-6)
+
+
+def test_ell_derivative_is_closed_form_for_every_nu():
+    # the Bessel identity gives dM/dell at any nu without a warning; a hair
+    # off the elementary nu it agrees with their closed forms
+    r = np.linspace(0.0, 1.5, 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        general = matern_deriv(MaternKernel(1.2, 1.3, 0.4), r)
+        near = {nu: matern_deriv(MaternKernel(nu + 1e-9, 1.3, 0.4), r) for nu in (0.5, 1.5, 2.5)}
+    assert general[0] == 0.0 and np.all(general[1:] > 0.0)
+    for nu, values in near.items():
+        exact = matern_deriv(MaternKernel(nu, 1.3, 0.4), r)
+        assert np.allclose(values, exact, rtol=1e-7, atol=0.0)
 
 
 def test_single_point_grid():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gkhyper import estimate
-from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
+from gkhyper.covariance import RegularGrid
 from gkhyper.estimate import (
     OptimizeOptions,
     map_reconstruct,
@@ -23,7 +23,7 @@ from gkhyper.marginal import (
     objective_gengk_value,
     objective_rescaled,
 )
-from gkhyper.operators import DenseOperator, NoiseCovariance
+from gkhyper.operators import DenseOperator
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, relative_error
 
 
@@ -109,7 +109,7 @@ def two_param_rescale(model, fact_hat, theta1, theta2):
     # (1, 1, ell): with R = theta1 I and Q = theta2^2 Q0, U picks up
     # sqrt(theta1), V shrinks by theta2, the bidiagonal scales by
     # theta2/sqrt(theta1) and the initialization norm by 1/sqrt(theta1); it
-    # carries the Q of the new parameters
+    # carries the R and Q of the new parameters
     theta1 = float(theta1)
     theta2 = float(theta2)
     if theta1 <= 0 or theta2 <= 0:
@@ -119,7 +119,7 @@ def two_param_rescale(model, fact_hat, theta1, theta2):
     betas = fact_hat.betas.copy()
     betas[0] /= root1
     betas[1:] *= coeff
-    ell = fact_hat.q_op.kernel.ell
+    theta = HyperParams(np.array([theta1, theta2, fact_hat.q_op.kernel.ell]))
     return GenGKFactorization(
         u_basis=fact_hat.u_basis * root1,
         v_basis=fact_hat.v_basis / theta2,
@@ -127,7 +127,8 @@ def two_param_rescale(model, fact_hat, theta1, theta2):
         alphas=fact_hat.alphas * coeff,
         betas=betas,
         k=fact_hat.k,
-        q_op=model.prior_cov(HyperParams(np.array([theta1, theta2, ell]))),
+        q_op=model.prior_cov(theta),
+        noise=model.noise_cov(theta),
         breakdown_at=fact_hat.breakdown_at,
     )
 
@@ -188,17 +189,10 @@ def test_rescale_preserves_relation_residuals():
     prob, model, ell = heat_two_param_setup(n=48)
     k = 15
     fact_hat = precompute_two_param(model, ell, k)
-    unit_noise = NoiseCovariance(1.0, 48)
-    q0 = build_cov_operator(prob.geometry, MaternKernel(1.5, 1.0, ell))
-    res_before = verify_relations(fact_hat, prob.forward, unit_noise,
-                                  q0, None, prob.data)
-    theta1, theta2 = 2.5e-4, 0.6
-    fact = two_param_rescale(model, fact_hat, theta1, theta2)
-    scaled_noise = NoiseCovariance(theta1, 48)
-    scaled_q = build_cov_operator(prob.geometry,
-                                  MaternKernel(1.5, theta2**2, ell))
-    res_after = verify_relations(fact, prob.forward, scaled_noise, scaled_q,
-                                 None, prob.data)
+    res_before = verify_relations(fact_hat, prob.forward, None, prob.data)
+    # the rescaled factorization carries R = theta1 I and Q = theta2^2 Q0
+    fact = two_param_rescale(model, fact_hat, 2.5e-4, 0.6)
+    res_after = verify_relations(fact, prob.forward, None, prob.data)
     assert np.allclose(res_before, res_after, atol=1e-12)
 
 
@@ -224,11 +218,25 @@ def test_optimize_two_param_never_touches_forward_map():
     fact_hat = precompute_two_param(model, ell, 20)
     before = prob.forward.matvec_count.snapshot()
     opts = OptimizeOptions(k=20, bounds=np.array([[1e-12, 10.0], [1e-4, 50.0]]))
-    theta_star, trace = optimize_two_param(model, ell, np.array([1e-4, 0.3]), opts,
-                                           fact_hat=fact_hat)
+    theta_star, trace = optimize_two_param(model, fact_hat, np.array([1e-4, 0.3]), opts)
     assert prob.forward.matvec_count.snapshot() == before
     assert trace.converged
     assert theta_star.shape == (2,)
+
+
+def test_optimize_two_param_reads_ell_from_its_factorization(monkeypatch):
+    prob, model, ell = heat_two_param_setup(ell=0.13)
+    fact_hat = precompute_two_param(model, ell, 12)
+    seen = set()
+
+    def spy(model, theta, fact):
+        seen.add(theta.corr_length)
+        return objective_rescaled(model, theta, fact)
+
+    monkeypatch.setattr(estimate, "objective_rescaled", spy)
+    opts = OptimizeOptions(k=12, bounds=np.array([[1e-12, 10.0], [1e-4, 50.0]]))
+    optimize_two_param(model, fact_hat, np.array([1e-4, 0.3]), opts)
+    assert seen == {0.13}
 
 
 def test_two_param_clamps_k_to_min_dimension():
@@ -242,7 +250,7 @@ def test_two_param_clamps_k_to_min_dimension():
     assert fact_hat.k == full.k <= 6
     assert np.array_equal(fact_hat.alphas, full.alphas)
     assert np.array_equal(fact_hat.betas, full.betas)
-    theta_star, _ = optimize_two_param(model, ell, np.array([1e-4, 0.3]), opts)
+    theta_star, _ = optimize_two_param(model, fact_hat, np.array([1e-4, 0.3]), opts)
     assert theta_star.shape == (2,)
 
 
@@ -259,8 +267,7 @@ def test_two_param_self_consistency_on_tomography():
     k = min(m, tomo.forward.ncols)
     fact_hat = precompute_two_param(model, ell, k)
     opts = OptimizeOptions(k=k, bounds=np.array([[1e-12, 10.0], [1e-4, 50.0]]))
-    theta_star, _ = optimize_two_param(model, ell, np.array([1e-4, 0.3]), opts,
-                                       fact_hat=fact_hat)
+    theta_star, _ = optimize_two_param(model, fact_hat, np.array([1e-4, 0.3]), opts)
     assert abs(theta_star[0] - true_theta1) <= 0.2 * true_theta1
     assert abs(theta_star[1] - true_theta2) <= 0.2 * true_theta2
 

@@ -56,7 +56,7 @@ def test_identity_chain_breaks_down_immediately():
 def test_relations_on_random_dense_problem(rng):
     A, R, Q, d = random_setup(rng, 10, 8)
     fact = gengk_bidiag(A, R, Q, None, d, 8, reorth=True)
-    res = verify_relations(fact, A, R, Q, None, d)
+    res = verify_relations(fact, A, None, d)
     assert all(r < 1e-12 for r in res)
 
 
@@ -98,7 +98,7 @@ def test_negative_control_detects_corruption(rng):
     A, R, Q, d = random_setup(rng, 10, 8)
     fact = gengk_bidiag(A, R, Q, None, d, 6)
     fact.u_basis[:, 0] = 0.0
-    res = verify_relations(fact, A, R, Q, None, d)
+    res = verify_relations(fact, A, None, d)
     assert res[0] > 1e-2
 
 
@@ -107,7 +107,7 @@ def test_initialization_only_edge():
     A, R, Q, d = random_setup(rng, 6, 5)
     fact = gengk_bidiag(A, R, Q, None, d, 0)
     assert fact.k == 0
-    res = verify_relations(fact, A, R, Q, None, d)
+    res = verify_relations(fact, A, None, d)
     assert res[0] < 1e-14
 
 
@@ -121,7 +121,7 @@ def test_rank_deficient_runs_to_breakdown(rng):
     d = A.apply(rng.standard_normal(n))
     fact = gengk_bidiag(A, R, Q, None, d, 10)
     assert fact.breakdown_at is not None
-    res = verify_relations(fact, A, R, Q, None, d)
+    res = verify_relations(fact, A, None, d)
     assert all(x < 1e-12 for x in res)
 
 
@@ -154,14 +154,15 @@ def test_truncate_factorization(rng):
     assert sub.k == 3
     assert sub.u_basis.shape == (10, 4)
     assert np.array_equal(sub.alphas, fact.alphas[:4])
-    # the truncation shares the Q and the derivative products of fact
+    # the truncation shares the R, the Q and the derivative products of fact
+    assert sub.noise is fact.noise is R
     assert sub.q_op is fact.q_op is Q
     for got, full in zip(sub.dq_basis(), fact.dq_basis()):
         # the leading columns of fact's one cached block, read in place
         assert full.flags.c_contiguous and np.shares_memory(got, full)
         assert np.array_equal(got, full[:, :3])
     assert fact.cov_applies() == (7 + 6, 6)
-    res = verify_relations(sub, A, R, Q, None, d)
+    res = verify_relations(sub, A, None, d)
     assert all(x < 1e-12 for x in res)
     with pytest.raises(ValueError):
         truncate_factorization(fact, 7)
@@ -205,6 +206,16 @@ def test_zero_residual_data(rng):
         assert basis.shape == (rows, 1)
         assert basis.flags.c_contiguous
         assert not basis.any()
+
+
+def test_non_finite_residual_rejected_by_the_adjoint_apply(rng):
+    # a NaN in d - A mu passes the step-0 norm and is refused by the first
+    # adjoint apply as bad input, after the one forward apply
+    A, R, Q, d = random_setup(rng, 6, 5)
+    d[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        gengk_bidiag(A, R, Q, None, d, 3)
+    assert A.matvec_count.snapshot() == (1, 0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -288,7 +299,7 @@ def test_bits_match_stacked_reference(reorth):
         m, n = prob.forward.shape
         R = NoiseCovariance(theta[0], m)
         Q = build_cov_operator(prob.geometry, MaternKernel(1.5, theta[1], theta[2]))
-        for k in (1, 2, 3, 4, 5, min(m, n)):
+        for k in (0, 1, 2, 3, 4, 5, min(m, n)):
             fact = gengk_bidiag(prob.forward, R, Q, None, prob.data, k, reorth=reorth)
             u, v, qv, alphas, betas, breakdown = _stacked_bidiag(
                 prob.forward, R, Q, prob.data, k, reorth)

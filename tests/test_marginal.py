@@ -12,6 +12,8 @@ from gkhyper.marginal import (
     MarginalModel,
     objective_exact,
     objective_gengk,
+    objective_gengk_value,
+    objective_rescaled,
     objective_svd,
 )
 from gkhyper.estimate import map_reconstruct_exact
@@ -355,7 +357,7 @@ def _own_factorization(fact, k, q_op):
     # own derivative products, taken for V_k alone
     sub = truncate_factorization(fact, k)
     return GenGKFactorization(sub.u_basis, sub.v_basis, sub.qv_basis, sub.alphas,
-                              sub.betas, sub.k, q_op, sub.breakdown_at)
+                              sub.betas, sub.k, q_op, sub.noise, sub.breakdown_at)
 
 
 def _broken_down_model():
@@ -440,8 +442,28 @@ def test_gengk_with_factorization_at_another_theta_raises():
     theta = HyperParams(np.array([1e-4, 0.5, 0.1]))
     fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
                         model.prior_mean, model.data, 8)
-    for other in ((1e-4, 0.6, 0.1), (1e-4, 0.5, 0.12)):
+    before = model.forward.matvec_count.snapshot(), fact.cov_applies()
+    for other in ((2e-4, 0.5, 0.1), (1e-4, 0.6, 0.1), (1e-4, 0.5, 0.12)):
+        other = HyperParams(np.array(other))
         with pytest.raises(ValueError, match="factorization was taken"):
-            objective_gengk(model, HyperParams(np.array(other)), 8, fact=fact)
+            objective_gengk(model, other, 8, fact=fact)
+        with pytest.raises(ValueError, match="factorization was taken"):
+            objective_gengk_value(model, other, fact)
+    # rejected before any apply
+    assert (model.forward.matvec_count.snapshot(), fact.cov_applies()) == before
     # at its own theta it evaluates
     assert objective_gengk(model, theta, 8, fact=fact).k_used == 8
+
+
+def test_rescaled_needs_a_unit_factorization():
+    model = _guard_models()[0]
+    theta = HyperParams(np.array([1e-4, 0.5, 0.1]))
+    unit = HyperParams(np.array([1.0, 1.0, 0.1]))
+    at_theta = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                            model.prior_mean, model.data, 8)
+    at_unit = gengk_bidiag(model.forward, model.noise_cov(unit), model.prior_cov(unit),
+                           model.prior_mean, model.data, 8)
+    for fact, values in ((at_theta, theta.values), (at_unit, (1e-4, 0.5, 0.12))):
+        with pytest.raises(ValueError, match="factorization was taken"):
+            objective_rescaled(model, HyperParams(np.array(values)), fact)
+    assert objective_rescaled(model, theta, at_unit).k_used == 8
