@@ -12,10 +12,15 @@ the value and two gradient components of `objective_rescaled` read from a
 `precompute_two_param` factorization taken at the theta's correlation length
 with k = `estimate.k`. It does the same for `objective_gengk` read from
 truncations of one factorization, taken at the config's `monitor.theta` with
-K = `monitor.k_max` steps, at the k in SWEEP_KS and at K. The shipped configs all run on grids,
+K = `monitor.k_max` steps, at the k in SWEEP_KS and at K. From that factorization it
+prints the SHA-256 of `dense_matrix` of the config's forward operator and of the Q
+taken at `monitor.theta`, and `mc_xi_estimate`'s `xi_hat` at every k as `float.hex`,
+with the config's `monitor` probes and seed, so that a block apply that moves bits
+outside the dense oracle shows by name. The shipped configs all run on grids,
 so it does the same for `objective_gengk` (k = POINT_SET_K) and
 `objective_exact` at THETAS on a masked ray g = 8 model, whose geometry is a
-point array and whose covariance takes the dense backend. It prints the
+point array and whose covariance takes the dense backend, and the SHA-256 of
+`dense_matrix` of its masked forward operator. It prints the
 SHA-256 of the phantom `s_true` and the noisy `data` of `build_ray_tomo_problem`
 at each parameter set in PHANTOMS, with the shipped config's rays, noise, prior
 std and ell, and of the CSR arrays (with their dtypes) of `ray_tomo_2d` at each
@@ -55,11 +60,16 @@ RAYS = ((24, 360), (64, 1440), (128, 8192))
 
 # run by each checkout's own package, so that every number comes from its code
 SHOW = """
+import hashlib
 from gkhyper.marginal import HyperParams, objective_exact, objective_gengk
+from gkhyper.operators import dense_matrix
 
 def show(name, ev):
     for label, x in zip(("value", "grad1", "grad2", "grad3"), (ev.value, *ev.gradient)):
         print(float(x).hex(), f"{name}/{label}")
+
+def show_sha(name, array):
+    print(hashlib.sha256(array.tobytes()).hexdigest(), name)
 """
 
 OBJECTIVES = SHOW + f"""
@@ -69,6 +79,7 @@ from gkhyper.config import load_config
 from gkhyper.estimate import precompute_two_param
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
 from gkhyper.marginal import objective_rescaled
+from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply
 
 cfg = load_config(sys.argv[1])
 model = _build_problem(cfg)[1]
@@ -86,6 +97,14 @@ fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta
 for k in sorted({{k for k in {SWEEP_KS!r} if k <= fact.k}} | {{fact.k}}):
     show(f"sweep/theta={{tuple(cfg.monitor.theta)}}/k={{k}}",
          objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)))
+
+show_sha("dense_matrix/forward", dense_matrix(model.forward))
+show_sha(f"dense_matrix/Q/theta={{tuple(cfg.monitor.theta)}}", dense_matrix(fact.q_op))
+xi_hat = mc_xi_estimate(normal_matrix_apply(model.forward, fact.noise), fact.q_op, fact,
+                        cfg.monitor.n_mc, seed=cfg.seed, k_max=fact.k,
+                        probe_kind=cfg.monitor.probe_kind)
+for k, xi in enumerate(xi_hat, 1):
+    print(float(xi).hex(), f"mc_xi_estimate/theta={{tuple(cfg.monitor.theta)}}/k={{k}}")
 """
 
 # the pixels of a g = 8 grid whose centres lie in the inscribed disk
@@ -103,6 +122,7 @@ for theta in {THETAS!r}:
     params = HyperParams(theta)
     show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, {POINT_SET_K}))
     show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
+show_sha("dense_matrix/forward", dense_matrix(model.forward))
 """
 
 PHANTOM = f"""

@@ -133,9 +133,9 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
 
     if model.dense_ok:
         exact = objective_exact(model, theta)
+        # xi_0 = tr(A' R^{-1} A Q) = tr(A (Q A')) / theta1, from m columns of Q
         a_d = dense_matrix(model.forward)
-        q_d = q_op.apply_block(np.eye(model.ncols))
-        xi0 = float(np.sum((a_d.T @ a_d / theta.noise_var) * q_d.T))
+        xi0 = float(np.sum(a_d * q_op.apply_block(a_d.T).T)) / theta.noise_var
         xi_exact = xi_recurrence(fact.alphas, fact.betas, xi0)
 
     rows = []

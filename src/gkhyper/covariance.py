@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .operators import LinearOperatorHandle
+from .operators import LinearOperatorHandle, _check_block
 
 __all__ = [
     "MaternKernel",
@@ -176,14 +176,15 @@ class RegularGrid:
 class CovarianceOperator(LinearOperatorHandle):
     """Symmetric matrix-free Matern covariance Q of the prior.
 
-    ``apply_block`` applies Q to an (n, p) column block and
-    ``apply_block_with_theta3_derivative`` also dQ/dtheta3, both in one chunk
-    loop: ``_forward_block`` takes each chunk of columns to a transform that
-    ``_inverse_block`` finishes into Q X, and into dQ/dtheta3 X from the
-    backend's derivative data, built on first use. dQ/dtheta2 = (2/theta2) Q
-    needs no operator: callers scale Q X. The counter goes up by the Q
-    columns applied. Each backend names itself in the class attribute
-    ``backend``: "fft" on a RegularGrid, "dense" on a point set.
+    ``apply_block`` (the handle's, through its ``_apply_block`` hook) applies
+    Q to an (n, p) column block and ``apply_block_with_theta3_derivative``
+    also dQ/dtheta3, both in one chunk loop: ``_forward_block`` takes each
+    chunk of columns to a transform that ``_inverse_block`` finishes into Q X,
+    and into dQ/dtheta3 X from the backend's derivative data, built on first
+    use. dQ/dtheta2 = (2/theta2) Q needs no operator: callers scale Q X. The
+    counter goes up by the Q columns applied. Each backend names itself in
+    the class attribute ``backend``: "fft" on a RegularGrid, "dense" on a
+    point set.
     """
 
     # tools that split Q applies from derivative applies read this; every
@@ -204,37 +205,28 @@ class CovarianceOperator(LinearOperatorHandle):
     def _inverse_block(self, shared, data, out: np.ndarray) -> None:
         raise NotImplementedError
 
-    def apply_block(self, x) -> np.ndarray:
-        """Q X for an (n, p) block, each column bit for bit ``apply`` of it."""
-        return self._apply_chunks(x, False)[0]
+    def _apply_block(self, x):
+        return self._apply_chunks(x, (self._data,))[0]
 
     def apply_block_with_theta3_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(Q X, dQ/dtheta3 X) for an (n, p) block, from one shared transform."""
-        return tuple(self._apply_chunks(x, True))
+        """(Q X, dQ/dtheta3 X) for an (n, p) block, from one shared transform.
 
-    def _apply_chunks(self, x, ell_derivative: bool) -> list[np.ndarray]:
-        # one C-contiguous (n, p) output per product; the block is checked
-        # before any transform, and the forward transform of each chunk is shared
-        x = _check_block(x, self.ncols)
-        datas = (self._data, self._ell_data) if ell_derivative else (self._data,)
-        p = x.shape[1]
-        self.matvec_count.bump_forward(p)
+        Checked and counted as ``apply_block``: p Q columns.
+        """
+        x = _check_block(x, self.ncols, "apply_block_with_theta3_derivative")
+        self.matvec_count.bump_forward(x.shape[1])
+        return tuple(self._apply_chunks(x, (self._data, self._ell_data)))
+
+    def _apply_chunks(self, x: np.ndarray, datas) -> list[np.ndarray]:
+        # one C-contiguous (n, p) output per product; the forward transform of
+        # each chunk is shared
         outs = [np.empty(x.shape) for _ in datas]
-        for start in range(0, p, _BLOCK_COLUMNS):
+        for start in range(0, x.shape[1], _BLOCK_COLUMNS):
             cols = slice(start, start + _BLOCK_COLUMNS)
             shared = self._forward_block(x[:, cols])
             for data, out in zip(datas, outs):
                 self._inverse_block(shared, data, out[:, cols])
         return outs
-
-
-def _check_block(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ValueError(f"apply_block: expected an ({n}, p) block, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("apply_block: input contains non-finite entries")
-    return x
 
 
 def normalize_geometry(geometry) -> tuple[RegularGrid | np.ndarray, int]:

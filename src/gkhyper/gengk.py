@@ -312,7 +312,9 @@ def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorizati
 def verify_relations(fact: GenGKFactorization, A, mu, d):
     """Relative residuals of the three bidiagonalization relations.
 
-    R and Q are the ones the factorization was taken with.
+    R and Q are the ones the factorization was taken with. A Q V_k and
+    A' R^{-1} U_{k+1} are taken by block applies (k forward, k Q and k + 1
+    adjoint applies).
 
     Returns (r_init, r_forward, r_adjoint):
       U_{k+1} beta1 e1 = d - A mu,
@@ -333,17 +335,13 @@ def verify_relations(fact: GenGKFactorization, A, mu, d):
 
     if k > 0:
         # re-apply Q rather than trusting the cached qv_basis
-        aqv = np.column_stack(
-            [A.apply(fact.q_op.apply(fact.v_basis[:, j])) for j in range(k)]
-        )
+        aqv = A.apply_block(fact.q_op.apply_block(fact.v_basis[:, :k]))
         ub = fact.u_basis @ b
         res2 = np.linalg.norm(aqv - ub) / max(np.linalg.norm(aqv), 1e-300)
     else:
         res2 = 0.0
 
-    atru = np.column_stack(
-        [A.apply_adjoint(fact.noise.apply_inv(fact.u_basis[:, j])) for j in range(k + 1)]
-    )
+    atru = A.apply_adjoint_block(fact.noise.apply_inv(fact.u_basis[:, : k + 1]))
     rhs = fact.v_basis[:, :k] @ b.T
     rhs[:, k] += fact.alphas[k] * fact.v_basis[:, k]
     res3 = np.linalg.norm(atru - rhs) / max(np.linalg.norm(atru), 1e-300)

@@ -1,7 +1,8 @@
 """Marginal-posterior objective and gradient for hyperparameter estimation.
 
 Three evaluation paths share one record type: a dense oracle (assembles the
-m x m data-space covariance Z = A Q A' + R through matvecs), a truncated-SVD
+m x m data-space covariance Z = A (Q A') + R through block applies, Q and
+dQ/dtheta3 on the m columns of A'), a truncated-SVD
 variant used for bound checks, and the bidiagonalization-based approximation
 that never forms Z. The objective is
 
@@ -228,21 +229,24 @@ def _assemble_gradient(hgrad: np.ndarray, *terms: tuple[float, float]) -> np.nda
 def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvaluation:
     """Dense-oracle objective and gradient (guarded by the dense cap).
 
-    Z is assembled through matvecs only, then factored once; the gradient
-    uses dZ/dtheta1 = I, dZ/dtheta2 = (2/theta2)(Z - theta1 I) (from
+    Z is assembled through block applies only, then factored once. Q is
+    built first, so theta is checked before any apply; then one block apply
+    takes Q A' and dQ/dtheta3 A' together, on the m columns of A' (one
+    shared forward transform per chunk), so Z = A (Q A') + theta1 I and
+    dZ/dtheta3 = A (dQ/dtheta3 A') are formed without an n x n Q. The
+    gradient uses dZ/dtheta1 = I, dZ/dtheta2 = (2/theta2)(Z - theta1 I) (from
     dQ/dtheta2 = (2/theta2) Q), so that the theta2 term is closed form in
-    tr Z^{-1}, w'r and w'w, and the dense dZ/dtheta3 = A (dQ/dtheta3) A',
-    with a fixed (zero-derivative) prior mean. Dense Q and dQ/dtheta3 are
-    probed together from the one Q built here, one shared forward transform
-    per chunk of identity columns, and dense Q is dropped once Z is formed.
+    tr Z^{-1}, w'r and w'w, and dZ/dtheta3, with a fixed (zero-derivative)
+    prior mean.
     """
     model.require_dense("the exact objective")
+    q_op = model.prior_cov(theta)
     before = model.forward.matvec_count.snapshot()
-    m, n = model.nrows, model.ncols
-    q_dense, dq3_dense = model.prior_cov(theta).apply_block_with_theta3_derivative(np.eye(n))
+    m = model.nrows
     a_dense = dense_matrix(model.forward)
-    z = a_dense @ q_dense @ a_dense.T
-    del q_dense
+    qa, dq3_a = q_op.apply_block_with_theta3_derivative(a_dense.T)
+    z = a_dense @ qa
+    del qa
     z[np.diag_indices_from(z)] += theta.noise_var
     z = 0.5 * (z + z.T)
     try:
@@ -267,7 +271,7 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     # dZ/dtheta2 = (2/theta2)(Z - theta1 I), and Z w = r
     prior_term = ((2.0 / theta2) * (m - theta1 * trace_z_inv),
                   -(r_w - theta1 * w_norm2) / theta2)
-    dz3 = a_dense @ dq3_dense @ a_dense.T
+    dz3 = a_dense @ dq3_a
     dz3 = 0.5 * (dz3 + dz3.T)
     ell_term = float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))
     grad = _assemble_gradient(hgrad, noise_term, prior_term, ell_term)
@@ -279,7 +283,8 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
         quad_term=quad,
         gradient=grad,
         k_used=0,
-        matvec_report=_count_delta(model.forward, before, q=n, dq=n),
+        matvec_report=_count_delta(model.forward, before, q=q_op.matvec_count.forward,
+                                   dq=dq3_a.shape[1]),
     )
 
 
@@ -439,8 +444,9 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
     model.require_dense("the truncated-SVD objective")
     before = model.forward.matvec_count.snapshot()
     noise = model.noise_cov(theta)
+    q_op = model.prior_cov(theta)
     a_dense = dense_matrix(model.forward)
-    q_dense = model.prior_cov(theta).apply_block(np.eye(model.ncols))
+    q_dense = q_op.apply_block(np.eye(model.ncols))
     evals, evecs = np.linalg.eigh(0.5 * (q_dense + q_dense.T))
     q_half = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
     a_hat = (a_dense @ q_half) / np.sqrt(theta.noise_var)
@@ -461,5 +467,5 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
         quad_term=quad_term,
         gradient=None,
         k_used=k_eff,
-        matvec_report=_count_delta(model.forward, before, q=model.ncols),
+        matvec_report=_count_delta(model.forward, before, q=q_op.matvec_count.forward),
     )

@@ -46,10 +46,14 @@ def xi_recurrence(alphas, betas, xi0: float) -> np.ndarray:
 
 
 def normal_matrix_apply(A: LinearOperatorHandle, R: NoiseCovariance):
-    """Matrix-free application of H = A' R^{-1} A."""
+    """Matrix-free application of H = A' R^{-1} A to an (n, p) block.
+
+    One ``apply_block`` and one ``apply_adjoint_block``: p forward and p
+    adjoint applies, each column bit for bit H applied to it alone.
+    """
 
     def h_apply(x):
-        return A.apply_adjoint(R.apply_inv(A.apply(x)))
+        return A.apply_adjoint_block(R.apply_inv(A.apply_block(x)))
 
     return h_apply
 
@@ -70,10 +74,13 @@ def mc_xi_estimate(h_apply, Q, fact: GenGKFactorization, n_mc: int,
                    probe_kind: str = "gaussian") -> np.ndarray:
     """Monte Carlo estimates of xi_k for k = 1 .. k_max.
 
-    Draws the probe block once, forms Y = H Q Omega (the only stage that
-    touches the forward map), then sweeps k through the cheap projected
-    corrections. probe_kind "identity" replaces Omega by the full standard
-    basis, reproducing the exact traces.
+    Draws the probe block Omega once and forms Y = H Q Omega in two block
+    applies (the only stage that touches the forward map): Q Omega by
+    ``Q.apply_block``, then h_apply, which maps an (n, p) block, as
+    normal_matrix_apply's does, with n_mc forward and n_mc adjoint applies.
+    It then sweeps k through the cheap projected corrections. probe_kind
+    "identity" replaces Omega by the full standard basis, reproducing the
+    exact traces.
     """
     if probe_kind != "identity" and n_mc < 1:
         raise ValueError("n_mc must be at least 1")
@@ -85,7 +92,7 @@ def mc_xi_estimate(h_apply, Q, fact: GenGKFactorization, n_mc: int,
     omega, scale = _draw_probes(n, n_mc, probe_kind, rng)
 
     q_omega = Q.apply_block(omega)
-    y = np.column_stack([h_apply(q_omega[:, j]) for j in range(omega.shape[1])])
+    y = h_apply(q_omega)
 
     full_trace = float(np.sum(omega * y)) * scale
     vk = fact.v_basis[:, :k_max]

@@ -1,8 +1,11 @@
 """Matrix-free linear operators with forward/adjoint application and matvec accounting.
 
-Every operator is an opaque handle: downstream code may only call ``apply``
-and ``apply_adjoint``, never read entries. Application counts are part of the
-public contract so that cost claims stay testable.
+Every operator is an opaque handle: downstream code may only apply it, to a
+vector (``apply``, ``apply_adjoint``) or to a block of columns
+(``apply_block``, ``apply_adjoint_block``), never read entries. A block apply
+gives each column the bits of the vector apply of that column, taken as a
+contiguous vector, and counts one application per column. Application counts
+are part of the public contract so that cost claims stay testable.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ class MatvecCounter:
     def bump_forward(self, count: int = 1) -> None:
         self.forward += count
 
-    def bump_adjoint(self) -> None:
-        self.adjoint += 1
+    def bump_adjoint(self, count: int = 1) -> None:
+        self.adjoint += count
 
     def snapshot(self) -> tuple[int, int]:
         return (self.forward, self.adjoint)
@@ -61,11 +64,23 @@ def _check_vector(x, length: int, what: str) -> np.ndarray:
     return x
 
 
+def _check_block(x, rows: int, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != rows:
+        raise ValueError(f"{what}: expected a ({rows}, p) block, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what}: input contains non-finite entries")
+    return x
+
+
 class LinearOperatorHandle:
     """An m-by-n linear map accessible only through matvecs.
 
-    Subclasses implement ``_apply`` / ``_apply_adjoint``. Handles are immutable
-    after construction apart from their counter, which is not thread-safe.
+    Subclasses implement ``_apply`` / ``_apply_adjoint``; the block hooks
+    ``_apply_block`` / ``_apply_adjoint_block`` default to one of those per
+    column, and a subclass overrides them only where one block product gives
+    every column the bits of its own vector apply. Handles are immutable after
+    construction apart from their counter, which is not thread-safe.
     """
 
     def __init__(self, nrows: int, ncols: int) -> None:
@@ -91,18 +106,57 @@ class LinearOperatorHandle:
         self.matvec_count.bump_adjoint()
         return self._apply_adjoint(y)
 
+    def apply_block(self, x) -> np.ndarray:
+        """op @ X for an (n, p) block, column j bit for bit ``apply(X[:, j].copy())``.
+
+        The block is checked before any apply; the forward counter goes up by
+        p. Returns a C-contiguous (m, p) array.
+        """
+        x = _check_block(x, self.ncols, "apply_block")
+        self.matvec_count.bump_forward(x.shape[1])
+        return self._apply_block(x)
+
+    def apply_adjoint_block(self, y) -> np.ndarray:
+        """op.T @ Y for an (m, p) block, column j bit for bit ``apply_adjoint(Y[:, j].copy())``.
+
+        The block is checked before any apply; the adjoint counter goes up by
+        p. Returns a C-contiguous (n, p) array.
+        """
+        y = _check_block(y, self.nrows, "apply_adjoint_block")
+        self.matvec_count.bump_adjoint(y.shape[1])
+        return self._apply_adjoint_block(y)
+
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _apply_block(self, x: np.ndarray) -> np.ndarray:
+        return _per_column(self._apply, x, self.nrows)
+
+    def _apply_adjoint_block(self, y: np.ndarray) -> np.ndarray:
+        return _per_column(self._apply_adjoint, y, self.ncols)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape})"
 
 
+def _per_column(apply, x: np.ndarray, rows: int) -> np.ndarray:
+    # each column as a contiguous vector, as a caller's vector apply gets it:
+    # OpenBLAS dgemv on a transposed matrix rounds differently on a strided x
+    out = np.empty((rows, x.shape[1]))
+    for j, col in enumerate(np.ascontiguousarray(x.T)):
+        out[:, j] = apply(col)
+    return out
+
+
 class DenseOperator(LinearOperatorHandle):
-    """Operator backed by an explicit 2-d array (kept private to the handle)."""
+    """Operator backed by an explicit 2-d array (kept private to the handle).
+
+    Block applies keep the default, one matvec per column: a single matrix
+    product would round differently.
+    """
 
     def __init__(self, matrix) -> None:
         matrix = np.asarray(matrix, dtype=float)
@@ -119,7 +173,12 @@ class DenseOperator(LinearOperatorHandle):
 
 
 class SparseOperator(LinearOperatorHandle):
-    """Operator backed by a scipy sparse matrix."""
+    """Operator backed by a scipy sparse matrix.
+
+    A block apply is one CSR (adjoint: CSC) product with the dense block, which
+    sums each output entry in the order of the matvec, so its columns keep the
+    bits of ``apply``/``apply_adjoint``.
+    """
 
     def __init__(self, matrix) -> None:
         super().__init__(*matrix.shape)
@@ -132,6 +191,12 @@ class SparseOperator(LinearOperatorHandle):
 
     def _apply_adjoint(self, y):
         return np.asarray(self._mat_t @ y).ravel()
+
+    def _apply_block(self, x):
+        return self._mat @ x
+
+    def _apply_adjoint_block(self, y):
+        return self._mat_t @ y
 
 
 class IdentityOperator(LinearOperatorHandle):
@@ -151,7 +216,7 @@ class MaskedOperator(LinearOperatorHandle):
     Forward application zero-extends the reduced vector onto the inner domain
     (a land-mask analogue); the adjoint restricts back to the retained indices.
     Applications are routed through the inner handle, so composite counts equal
-    the sum over constituents.
+    the sum over constituents. Block applies go to the inner block applies.
     """
 
     def __init__(self, inner: LinearOperatorHandle, keep_indices) -> None:
@@ -173,6 +238,14 @@ class MaskedOperator(LinearOperatorHandle):
 
     def _apply_adjoint(self, y):
         return self.inner.apply_adjoint(y)[self.keep_indices]
+
+    def _apply_block(self, x):
+        z = np.zeros((self.inner.ncols, x.shape[1]))
+        z[self.keep_indices] = x
+        return self.inner.apply_block(z)
+
+    def _apply_adjoint_block(self, y):
+        return self.inner.apply_adjoint_block(y)[self.keep_indices]
 
 
 class NoiseCovariance:
@@ -206,26 +279,15 @@ class NoiseCovariance:
 
 
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:
-    """Materialize an operator by probing with basis vectors.
+    """Materialize an operator by one block apply of the identity.
 
-    Uses only the public matvec interface (the probing cost shows up in the
-    counters, which is the honest accounting for the dense oracle path).
-    Probes whichever side needs fewer applications.
+    Uses only the public apply interface, so the probing cost shows up in the
+    counters, which is the honest accounting for the dense oracle path. Probes
+    whichever side needs fewer applications: the forward side gives a
+    C-contiguous matrix, the adjoint side the transpose of one.
     """
     m, n = op.shape
     if n <= m:
-        cols = np.empty((m, n))
-        e = np.zeros(n)
-        for j in range(n):
-            e[j] = 1.0
-            cols[:, j] = op.apply(e)
-            e[j] = 0.0
-        return cols
-    rows = np.empty((n, m))
-    e = np.zeros(m)
-    for i in range(m):
-        e[i] = 1.0
-        rows[:, i] = op.apply_adjoint(e)
-        e[i] = 0.0
-    return rows.T
+        return op.apply_block(np.eye(n))
+    return op.apply_adjoint_block(np.eye(m)).T
 

@@ -32,3 +32,18 @@ def fd_gradient(fn, theta_values, step_rel=1e-6):
         tm[i] -= h
         grad[i] = (fn(tp) - fn(tm)) / (2.0 * h)
     return grad
+
+
+def probe_dense(op):
+    """The column-at-a-time identity probe that dense_matrix's one block apply
+    replaced: one apply (or adjoint apply) per basis vector, on whichever side
+    needs fewer."""
+    m, n = op.shape
+    side, apply = (n, op.apply) if n <= m else (m, op.apply_adjoint)
+    out = np.empty((m + n - side, side))
+    e = np.zeros(side)
+    for j in range(side):
+        e[j] = 1.0
+        out[:, j] = apply(e)
+        e[j] = 0.0
+    return out if n <= m else out.T

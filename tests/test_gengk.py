@@ -94,6 +94,43 @@ def test_counter_contract_on_heat_problem():
     assert after[1] - before[1] == 23  # k+1 adjoint
 
 
+def _relations_per_column(fact, A, d):
+    # verify_relations' residuals from the column-at-a-time applies it made
+    # before it took block applies
+    k, b = fact.k, fact.bidiagonal()
+    r0 = d - A.apply(np.zeros(A.ncols))
+    res1 = np.linalg.norm(fact.u_basis[:, 0] * fact.beta1 - r0) / max(np.linalg.norm(r0), 1e-300)
+    aqv = np.column_stack([A.apply(fact.q_op.apply(fact.v_basis[:, j])) for j in range(k)])
+    res2 = np.linalg.norm(aqv - fact.u_basis @ b) / max(np.linalg.norm(aqv), 1e-300)
+    atru = np.column_stack([A.apply_adjoint(fact.noise.apply_inv(fact.u_basis[:, j]))
+                            for j in range(k + 1)])
+    rhs = fact.v_basis[:, :k] @ b.T
+    rhs[:, k] += fact.alphas[k] * fact.v_basis[:, k]
+    res3 = np.linalg.norm(atru - rhs) / max(np.linalg.norm(atru), 1e-300)
+    return res1, res2, res3
+
+
+def test_relations_bits_and_counts_match_per_column_reference(rng):
+    # a tall dense A (its adjoint dgemv rounds differently on strided columns),
+    # heat on a 1-d grid (Q returns stride-2 columns) and sparse rays on a 2-d grid
+    heat = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    ray = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0)
+    kernel = MaternKernel(1.5, 0.64, 0.1)
+    cases = [random_setup(rng, 30, 20),
+             (heat.forward, NoiseCovariance(1e-4, 64),
+              build_cov_operator(heat.geometry, kernel), heat.data),
+             (ray.forward, NoiseCovariance(1e-4, 40),
+              build_cov_operator(ray.geometry, kernel), ray.data)]
+    for A, R, Q, d in cases:
+        fact = gengk_bidiag(A, R, Q, None, d, 17)
+        before, q_before = A.matvec_count.snapshot(), Q.matvec_count.forward
+        got = verify_relations(fact, A, None, d)
+        assert (A.matvec_count.snapshot(), Q.matvec_count.forward) == (
+            (before[0] + fact.k + 1, before[1] + fact.k + 1), q_before + fact.k)
+        want = _relations_per_column(fact, A, d)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
 def test_negative_control_detects_corruption(rng):
     A, R, Q, d = random_setup(rng, 10, 8)
     fact = gengk_bidiag(A, R, Q, None, d, 6)

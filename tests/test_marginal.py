@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
-from conftest import fd_gradient
+from conftest import fd_gradient, probe_dense
 from gkhyper import marginal
 from gkhyper.covariance import (CovarianceOperator, MaternKernel, RegularGrid,
                                 build_cov_operator, matern_eval)
@@ -394,27 +395,53 @@ def test_truncation_sweep_bits_match_fresh_per_column_reference(monkeypatch):
             assert got == want
 
 
-def _dense_probes(q, x):
-    # the column-at-a-time probing of Q and dQ/dtheta3 that the
-    # shared-transform block apply replaces in the dense oracle
-    assert np.array_equal(x, np.eye(x.shape[0]))
-    return dense_matrix(q), _per_column_apply(q, x)[1]
+def _exact_reference(model, theta, data_space):
+    # objective_exact's value and gradient from column-at-a-time applies:
+    # data_space takes Z = A (Q A') and dZ/dtheta3 = A (dQ/dtheta3 A') on the
+    # m columns of A', as objective_exact does; otherwise Z = (A Q) A' from
+    # dense n x n Q and dQ/dtheta3, as it did before
+    a = probe_dense(model.forward)
+    q = model.prior_cov(theta)
+    if data_space:
+        qa, dq3_a = _per_column_apply(q, a.T)
+        z, dz3 = a @ qa, a @ dq3_a
+    else:
+        q_dense, dq3_dense = _per_column_apply(q, np.eye(model.ncols))
+        z, dz3 = a @ q_dense @ a.T, a @ dq3_dense @ a.T
+    z[np.diag_indices_from(z)] += theta.noise_var
+    z, dz3 = 0.5 * (z + z.T), 0.5 * (dz3 + dz3.T)
+    cho = cho_factor(z, lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    r = a @ model.mean_vector() - model.data
+    w = cho_solve(cho, r)
+    r_w, w_norm2 = float(r @ w), float(w @ w)
+    z_inv = cho_solve(cho, np.eye(model.nrows))
+    trace_z_inv = float(np.trace(z_inv))
+    neglogprior, hgrad = model.hyperprior.neglog(theta.values)
+    theta1, theta2 = theta.noise_var, theta.prior_std
+    terms = ((trace_z_inv, -0.5 * w_norm2),
+             ((2.0 / theta2) * (model.nrows - theta1 * trace_z_inv),
+              -(r_w - theta1 * w_norm2) / theta2),
+             (float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))))
+    grad = [h + 0.5 * trace + quad for h, (trace, quad) in zip(hgrad, terms)]
+    return [neglogprior + 0.5 * logdet + 0.5 * r_w, *grad]
 
 
-def test_exact_objective_bits_match_three_dense_matrices(monkeypatch):
+def test_exact_objective_bits_match_data_space_reference():
+    # bit for bit the column-at-a-time reference of the same association, and
+    # within 1e-8 of the n-column association it replaced
     models = _guard_models() + [make_dense_model(np.random.default_rng(3), m=10, n=12,
                                                  grid=False)]
     for model in models:
         for values in GUARD_THETAS:
             theta = HyperParams(np.array(values))
             got = objective_exact(model, theta)
-            with monkeypatch.context() as patch:
-                patch.setattr(CovarianceOperator, "apply_block_with_theta3_derivative",
-                              _dense_probes)
-                want = objective_exact(model, theta)
-            assert _hex(got) == _hex(want)
-            n = model.ncols
-            assert (got.matvec_report["q"], got.matvec_report["dq"]) == (n, n)
+            assert _hex(got) == [x.hex() for x in _exact_reference(model, theta, True)]
+            old = np.array(_exact_reference(model, theta, False))
+            new = np.array([got.value, *got.gradient])
+            assert np.all(np.abs(new - old) <= 1e-8 * np.abs(old)), (new - old) / old
+            m = model.nrows
+            assert (got.matvec_report["q"], got.matvec_report["dq"]) == (m, m)
 
 
 def test_matvec_report_counts_q_and_dq_applies():

@@ -16,7 +16,7 @@ from gkhyper.monitor import (
 )
 from gkhyper.gengk import truncate_factorization
 from gkhyper.operators import DenseOperator, NoiseCovariance, dense_matrix
-from gkhyper.problems import build_heat_problem
+from gkhyper.problems import build_heat_problem, build_ray_tomo_problem
 
 
 def dense_setup(rng, m=12, n=10, theta1=0.4):
@@ -39,6 +39,35 @@ def dense_xi(A, R, Q, fact):
         b = fact.bidiagonal()[: k + 1, :k]
         out[k - 1] = xi0 - np.trace(vk @ (b.T @ b) @ vk.T @ q)
     return xi0, out
+
+
+def test_mc_xi_estimate_bits_and_counts_match_per_probe_reference(rng):
+    # H Q Omega as one block gives the bits of the per-probe loop it replaced,
+    # with p forward and p adjoint applies: on a tall dense A (its adjoint
+    # dgemv rounds differently on strided columns), heat and sparse rays
+    heat = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    ray = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0)
+    kernel = MaternKernel(1.5, 0.64, 0.1)
+    cases = [dense_setup(rng, m=30, n=20),
+             (heat.forward, NoiseCovariance(1e-4, 64),
+              build_cov_operator(heat.geometry, kernel), heat.data),
+             (ray.forward, NoiseCovariance(1e-4, 40),
+              build_cov_operator(ray.geometry, kernel), ray.data)]
+    for A, R, Q, d in cases:
+        fact = gengk_bidiag(A, R, Q, None, d, 12)
+
+        def per_probe(x):
+            return np.column_stack([A.apply_adjoint(R.apply_inv(A.apply(x[:, j])))
+                                    for j in range(x.shape[1])])
+
+        for kind, n_mc, p in (("gaussian", 7, 7), ("rademacher", 17, 17),
+                              ("identity", 1, A.ncols)):
+            before = A.matvec_count.snapshot()
+            got = mc_xi_estimate(normal_matrix_apply(A, R), Q, fact, n_mc, seed=5,
+                                 probe_kind=kind)
+            assert A.matvec_count.snapshot() == (before[0] + p, before[1] + p)
+            want = mc_xi_estimate(per_probe, Q, fact, n_mc, seed=5, probe_kind=kind)
+            assert [x.hex() for x in got] == [x.hex() for x in want], kind
 
 
 def test_recurrence_with_zero_coefficients():

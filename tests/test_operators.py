@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import probe_dense
+from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
 from gkhyper.operators import (
     DenseOperator,
     IdentityOperator,
     MaskedOperator,
     NoiseCovariance,
+    SparseOperator,
     dense_matrix,
 )
+from gkhyper.problems import ray_tomo_2d
 
 
 def adjoint_probe_defect(op, n_probes: int = 20, rng=None) -> float:
@@ -138,3 +143,101 @@ def test_adjoint_consistency_property(m, n, seed):
     rng = np.random.default_rng(seed)
     op = DenseOperator(rng.standard_normal((m, n)))
     assert adjoint_probe_defect(op, n_probes=5, rng=rng) < 1e-12
+
+
+# --- block applies
+
+BLOCK_WIDTHS = (1, 15, 16, 17, 40)  # both sides of Q's 16-column chunk edges
+
+
+def _block_cases():
+    # (name, factory): a fresh operator per call, so each case counts from zero
+    rng = np.random.default_rng(5)
+    tall, wide = rng.standard_normal((30, 12)), rng.standard_normal((12, 30))
+    sparse_tall = sp.random(40, 16, density=0.3, random_state=1)
+    sparse_wide = sp.random(16, 40, density=0.3, random_state=2)
+    keep = np.array([0, 3, 4, 9, 15, 20, 29])
+    kernel = MaternKernel(1.5, 0.64, 0.2)
+    return [
+        ("dense tall", lambda: DenseOperator(tall)),
+        ("dense wide", lambda: DenseOperator(wide)),
+        ("sparse tall", lambda: SparseOperator(sparse_tall)),
+        ("sparse wide", lambda: SparseOperator(sparse_wide)),
+        ("ray tall", lambda: ray_tomo_2d(8, 100, seed=0)),
+        ("ray wide", lambda: ray_tomo_2d(8, 40, seed=0)),
+        ("masked sparse", lambda: MaskedOperator(SparseOperator(sparse_tall.T.tocsr()), keep)),
+        ("masked dense", lambda: MaskedOperator(DenseOperator(wide), keep)),
+        ("identity", lambda: IdentityOperator(9)),
+        ("Q fft 1-d", lambda: build_cov_operator(RegularGrid((24,), (1 / 24,)), kernel)),
+        ("Q fft 2-d", lambda: build_cov_operator(RegularGrid((6, 5), (0.2, 0.2)), kernel)),
+        ("Q dense", lambda: build_cov_operator(RegularGrid((6, 5), (0.2, 0.2)).points(),
+                                               kernel)),
+    ]
+
+
+def test_block_applies_match_per_column_applies_bit_for_bit(rng):
+    for name, make in _block_cases():
+        op = make()
+        m, n = op.shape
+        for p in BLOCK_WIDTHS:
+            # column slices of wider arrays, as the genGK bases are read; each
+            # reference column is a contiguous vector, as callers pass them
+            x = rng.standard_normal((n, p + 1))[:, :p]
+            y = rng.standard_normal((m, p + 1))[:, :p]
+            for got, want, rows in (
+                    (op.apply_block(x), [op.apply(x[:, j].copy()) for j in range(p)], m),
+                    (op.apply_adjoint_block(y),
+                     [op.apply_adjoint(y[:, j].copy()) for j in range(p)], n)):
+                assert got.shape == (rows, p) and got.flags.c_contiguous, name
+                assert np.array_equal(got, np.column_stack(want)), (name, p)
+
+
+def test_block_applies_count_p_applies(rng):
+    for name, make in _block_cases():
+        op = make()
+        m, n = op.shape
+        op.apply_block(rng.standard_normal((n, 17)))
+        op.apply_adjoint_block(rng.standard_normal((m, 3)))
+        op.apply_block(rng.standard_normal((n, 1)))
+        assert op.matvec_count.snapshot() == (18, 3), name
+        if isinstance(op, MaskedOperator):
+            assert op.inner.matvec_count.snapshot() == (18, 3)
+
+
+def test_empty_block_applies_nothing():
+    for name, make in _block_cases():
+        op = make()
+        m, n = op.shape
+        assert op.apply_block(np.zeros((n, 0))).shape == (m, 0), name
+        assert op.apply_adjoint_block(np.zeros((m, 0))).shape == (n, 0), name
+        assert op.matvec_count.snapshot() == (0, 0), name
+
+
+def test_block_applies_reject_bad_input_before_any_apply(monkeypatch, rng):
+    def no_apply(self, x):
+        raise AssertionError("an apply ran on a rejected block")
+
+    for name, make in _block_cases():
+        op = make()
+        for hook in ("_apply", "_apply_adjoint", "_apply_block", "_apply_adjoint_block"):
+            monkeypatch.setattr(type(op), hook, no_apply)
+        for apply, rows in ((op.apply_block, op.ncols), (op.apply_adjoint_block, op.nrows)):
+            good = rng.standard_normal((rows, 3))
+            nan, inf = good.copy(), good.copy()
+            nan[1, 2] = np.nan
+            inf[0, 0] = -np.inf
+            for bad in (rng.standard_normal((rows + 1, 3)), rng.standard_normal(rows),
+                        rng.standard_normal((rows, 3, 1)), nan, inf):
+                with pytest.raises(ValueError):
+                    apply(bad)
+        assert op.matvec_count.snapshot() == (0, 0), name
+
+
+def test_dense_matrix_matches_per_column_probe():
+    # one block apply of the identity gives the bits and the counts of
+    # probing one basis vector at a time
+    for name, make in _block_cases():
+        op, probed = make(), make()
+        got, want = dense_matrix(op), probe_dense(probed)
+        assert np.array_equal(got, want), name
+        assert op.matvec_count.snapshot() == probed.matvec_count.snapshot(), name
