@@ -146,8 +146,8 @@ def _per_column(apply, x: np.ndarray, rows: int) -> np.ndarray:
     # each column as a contiguous vector, as a caller's vector apply gets it:
     # OpenBLAS dgemv on a transposed matrix rounds differently on a strided x
     out = np.empty((rows, x.shape[1]))
-    for j, col in enumerate(np.ascontiguousarray(x.T)):
-        out[:, j] = apply(col)
+    for j in range(x.shape[1]):
+        out[:, j] = apply(np.ascontiguousarray(x[:, j]))
     return out
 
 
@@ -216,7 +216,7 @@ class MaskedOperator(LinearOperatorHandle):
     Forward application zero-extends the reduced vector onto the inner domain
     (a land-mask analogue); the adjoint restricts back to the retained indices.
     Applications are routed through the inner handle, so composite counts equal
-    the sum over constituents. Block applies go to the inner block applies.
+    the sum over constituents.
     """
 
     def __init__(self, inner: LinearOperatorHandle, keep_indices) -> None:
@@ -238,14 +238,6 @@ class MaskedOperator(LinearOperatorHandle):
 
     def _apply_adjoint(self, y):
         return self.inner.apply_adjoint(y)[self.keep_indices]
-
-    def _apply_block(self, x):
-        z = np.zeros((self.inner.ncols, x.shape[1]))
-        z[self.keep_indices] = x
-        return self.inner.apply_block(z)
-
-    def _apply_adjoint_block(self, y):
-        return self.inner.apply_adjoint_block(y)[self.keep_indices]
 
 
 class NoiseCovariance:
