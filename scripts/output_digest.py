@@ -20,7 +20,10 @@ outside the dense oracle shows by name. The shipped configs all run on grids,
 so it does the same for `objective_gengk` (k = POINT_SET_K) and
 `objective_exact` at THETAS on a masked ray g = 8 model, whose geometry is a
 point array and whose covariance takes the dense backend, and the SHA-256 of
-`dense_matrix` of its masked forward operator. It prints the
+`dense_matrix` of its masked forward operator. For the same disk with its pixels
+in a shuffled order it prints the SHA-256 of `dense_matrix` of the forward
+operator, of `s_true` and of `data`, and `objective_exact` at THETAS, so that a
+mask slice that reorders the entries within a row shows by name. It prints the
 SHA-256 of the phantom `s_true` and the noisy `data` of `build_ray_tomo_problem`
 at each parameter set in PHANTOMS, with the shipped config's rays, noise, prior
 std and ell, and of the CSR arrays (with their dtypes) of `ray_tomo_2d` at each
@@ -123,6 +126,15 @@ for theta in {THETAS!r}:
     show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, {POINT_SET_K}))
     show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
 show_sha("dense_matrix/forward", dense_matrix(model.forward))
+
+prob = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0, prior_std=0.8,
+                              ell=0.08, mask=np.random.default_rng(0).permutation(mask))
+model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry, nu=1.5)
+for theta in {THETAS!r}:
+    show(f"permuted/objective_exact/theta={{theta}}", objective_exact(model, HyperParams(theta)))
+show_sha("permuted/dense_matrix/forward", dense_matrix(model.forward))
+show_sha("permuted/s_true", prob.s_true)
+show_sha("permuted/data", prob.data)
 """
 
 PHANTOM = f"""

@@ -11,7 +11,6 @@ from .operators import (
     DenseOperator,
     SparseOperator,
     IdentityOperator,
-    MaskedOperator,
     NoiseCovariance,
     dense_matrix,
 )

@@ -15,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .gengk import GenGKFactorization, gengk_bidiag
-from .marginal import HyperParams, MarginalModel, objective_gengk, objective_rescaled
+from .marginal import (HyperParams, MarginalModel, _check_taken_at, objective_gengk,
+                       objective_rescaled)
 from .operators import dense_matrix
 
 __all__ = [
@@ -171,18 +173,20 @@ def optimize_two_param(model: MarginalModel, fact_hat: GenGKFactorization, theta
     return theta_star, trace
 
 
-def map_reconstruct(model: MarginalModel, theta,
+def map_reconstruct(model: MarginalModel, theta: HyperParams,
                     k: int | None = None,
                     fact: GenGKFactorization | None = None) -> np.ndarray:
     """Projected MAP estimate s = mu + Q V_k z with (I + T_k) z = B' beta1 e1.
 
-    A factorization is computed at theta when not supplied. The cached Q V
+    A factorization is computed at theta when not supplied; a supplied one
+    must have been taken at theta, or a ValueError is raised. The cached Q V
     columns make the final synthesis free of extra covariance applies.
     """
-    if fact is None:
+    if fact is not None:
+        _check_taken_at(fact, theta)
+    else:
         if k is None:
             raise ValueError("either k or an existing factorization is required")
-        theta = theta if isinstance(theta, HyperParams) else HyperParams(np.asarray(theta))
         k_run = min(int(k), min(model.nrows, model.ncols))
         fact = gengk_bidiag(model.forward, model.noise_cov(theta),
                             model.prior_cov(theta), model.prior_mean,
@@ -194,15 +198,19 @@ def map_reconstruct(model: MarginalModel, theta,
 def map_reconstruct_exact(model: MarginalModel, theta: HyperParams) -> np.ndarray:
     """Dense closed-form MAP estimate (oracle; small problems only).
 
-    s = (A' R^{-1} A + Q^{-1})^{-1} (A' R^{-1} d + Q^{-1} mu).
+    s = mu + (Q A') Z^{-1} (d - A mu) with Z = A (Q A') + theta1 I by Cholesky,
+    the data-space form of (A' R^{-1} A + Q^{-1})^{-1} (A' R^{-1} d + Q^{-1} mu):
+    Q is built first (theta is checked before any apply), then applied to A'.
     """
     model.require_dense("the closed-form MAP estimate")
+    q_op = model.prior_cov(theta)
     a_dense = dense_matrix(model.forward)
-    q_dense = model.prior_cov(theta).apply_block(np.eye(model.ncols))
-    q_inv = np.linalg.inv(0.5 * (q_dense + q_dense.T))
-    lhs = a_dense.T @ a_dense / theta.noise_var + q_inv
-    rhs = a_dense.T @ model.data / theta.noise_var + q_inv @ model.mean_vector()
-    return np.linalg.solve(lhs, rhs)
+    qa = q_op.apply_block(a_dense.T)
+    z = a_dense @ qa
+    z[np.diag_indices_from(z)] += theta.noise_var
+    mu = model.mean_vector()
+    return mu + qa @ cho_solve(cho_factor(0.5 * (z + z.T), lower=True),
+                               model.data - a_dense @ mu)
 
 
 def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,
@@ -214,8 +222,10 @@ def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,
     mu + (Q0 V_k z)/lambda with z from fact_hat's spectral core rescaled to
     (theta1, theta2), so the sweep takes one SVD in all. Requires the ground
     truth (synthetic problems only). Returns (best_lambda, re_curve) with
-    re_curve of shape (len(grid), 2) holding (lambda, RE).
+    re_curve of shape (len(grid), 2) holding (lambda, RE). A factorization
+    not taken at (1, 1, ell) raises ValueError.
     """
+    _check_taken_at(fact_hat, HyperParams(np.array([1.0, 1.0, fact_hat.q_op.kernel.ell])))
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ValueError("lambda grid is empty")

@@ -2,9 +2,10 @@
 
 Three evaluation paths share one record type: a dense oracle (assembles the
 m x m data-space covariance Z = A (Q A') + R through block applies, Q and
-dQ/dtheta3 on the m columns of A'), a truncated-SVD
-variant used for bound checks, and the bidiagonalization-based approximation
-that never forms Z. The objective is
+dQ/dtheta3 on the m columns of A'), a truncated-SVD variant used for bound
+checks (the spectrum of the same m x m block), and the bidiagonalization-based
+approximation that never forms Z. No path forms an n x n Q, Q^{1/2} or
+Q^{-1}. The objective is
 
     F(theta) = -log pi(theta) + 1/2 logdet Z + 1/2 ||A mu - d||^2_{Z^{-1}},
 
@@ -157,12 +158,12 @@ class MarginalModel:
 
     @property
     def dense_ok(self) -> bool:
-        """Dense oracles form m x m and n x n matrices: both within dense_cap."""
+        """Dense oracles form m x m and m x n matrices: max(m, n) within dense_cap."""
         return max(self.nrows, self.ncols) <= self.dense_cap
 
     def require_dense(self, what: str) -> None:
         if not self.dense_ok:
-            raise ValueError(f"{what} forms dense m x m and n x n matrices (m = {self.nrows}, "
+            raise ValueError(f"{what} forms dense m x m and m x n matrices (m = {self.nrows}, "
                              f"n = {self.ncols}), over the dense cap {self.dense_cap}; use "
                              "the bidiagonalization path")
 
@@ -437,26 +438,29 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
 def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> ObjectiveEvaluation:
     """Truncated-SVD objective (dense path; bound checks only).
 
-    Builds Ahat = R^{-1/2} A Q^{1/2} densely, truncates its SVD at rank k and
-    evaluates the objective of the resulting data-space covariance. At
-    k = rank(Ahat) this reproduces the exact objective. No gradient.
+    The left singular vectors and squared singular values of Ahat =
+    R^{-1/2} A Q^{1/2} are the eigenpairs of the m x m A (Q A') / theta1,
+    largest first, clipped at zero: Q is built first (theta is checked before
+    any apply) and applied to A', and no Q^{1/2} is formed. The leading
+    min(k, m, n) give the truncated objective, the exact one at
+    k = rank(Ahat); k < 0 raises ValueError. No gradient.
     """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     model.require_dense("the truncated-SVD objective")
-    before = model.forward.matvec_count.snapshot()
     noise = model.noise_cov(theta)
     q_op = model.prior_cov(theta)
+    before = model.forward.matvec_count.snapshot()
     a_dense = dense_matrix(model.forward)
-    q_dense = q_op.apply_block(np.eye(model.ncols))
-    evals, evecs = np.linalg.eigh(0.5 * (q_dense + q_dense.T))
-    q_half = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    a_hat = (a_dense @ q_half) / np.sqrt(theta.noise_var)
-    u_hat, s_hat, _ = np.linalg.svd(a_hat, full_matrices=False)
-    k_eff = min(int(k), s_hat.shape[0])
+    gram = a_dense @ q_op.apply_block(a_dense.T) / theta.noise_var
+    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    k_eff = min(int(k), model.nrows, model.ncols)
+    sk2 = np.clip(evals[::-1][:k_eff], 0.0, None)
+    u_hat = evecs[:, ::-1][:, :k_eff]
 
-    logdet_term = 0.5 * (noise.logdet() + float(np.sum(np.log1p(s_hat[:k_eff] ** 2))))
-    r_hat = noise.inv_sqrt_apply(a_dense @ model.mean_vector() - model.data)
-    coeff = u_hat[:, :k_eff].T @ r_hat
-    sk2 = s_hat[:k_eff] ** 2
+    logdet_term = 0.5 * (noise.logdet() + float(np.sum(np.log1p(sk2))))
+    r_hat = (a_dense @ model.mean_vector() - model.data) / np.sqrt(theta.noise_var)
+    coeff = u_hat.T @ r_hat
     quad_term = 0.5 * (float(r_hat @ r_hat) - float(np.sum(coeff**2 * sk2 / (1.0 + sk2))))
 
     neglogprior, _ = model.hyperprior.neglog(theta.values)

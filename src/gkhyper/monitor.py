@@ -80,8 +80,11 @@ def mc_xi_estimate(h_apply, Q, fact: GenGKFactorization, n_mc: int,
     normal_matrix_apply's does, with n_mc forward and n_mc adjoint applies.
     It then sweeps k through the cheap projected corrections. probe_kind
     "identity" replaces Omega by the full standard basis, reproducing the
-    exact traces.
+    exact traces. Q must be the factorization's own ``fact.q_op``, or a
+    ValueError is raised before any apply.
     """
+    if Q is not fact.q_op:
+        raise ValueError("Q must be the prior covariance the factorization was taken with")
     if probe_kind != "identity" and n_mc < 1:
         raise ValueError("n_mc must be at least 1")
     n = fact.v_basis.shape[0]

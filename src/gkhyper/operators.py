@@ -5,7 +5,9 @@ vector (``apply``, ``apply_adjoint``) or to a block of columns
 (``apply_block``, ``apply_adjoint_block``), never read entries. A block apply
 gives each column the bits of the vector apply of that column, taken as a
 contiguous vector, and counts one application per column. Application counts
-are part of the public contract so that cost claims stay testable.
+are part of the public contract so that cost claims stay testable. A domain
+restricted to a subset of pixels is not an operator type of its own: a
+masked ray problem keeps the mask's columns of its sparse matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ __all__ = [
     "DenseOperator",
     "SparseOperator",
     "IdentityOperator",
-    "MaskedOperator",
     "NoiseCovariance",
     "dense_matrix",
 ]
@@ -210,40 +211,10 @@ class IdentityOperator(LinearOperatorHandle):
         return y.copy()
 
 
-class MaskedOperator(LinearOperatorHandle):
-    """Restrict an operator to a retained subset of its input components.
-
-    Forward application zero-extends the reduced vector onto the inner domain
-    (a land-mask analogue); the adjoint restricts back to the retained indices.
-    Applications are routed through the inner handle, so composite counts equal
-    the sum over constituents.
-    """
-
-    def __init__(self, inner: LinearOperatorHandle, keep_indices) -> None:
-        keep = np.asarray(keep_indices, dtype=int)
-        if keep.ndim != 1 or keep.size == 0:
-            raise ValueError("keep_indices must be a nonempty 1-d index array")
-        if np.unique(keep).size != keep.size:
-            raise ValueError("keep_indices must not contain duplicates")
-        if keep.min() < 0 or keep.max() >= inner.ncols:
-            raise ValueError("keep_indices out of range for the inner operator")
-        super().__init__(inner.nrows, keep.size)
-        self.inner = inner
-        self.keep_indices = keep
-
-    def _apply(self, x):
-        z = np.zeros(self.inner.ncols)
-        z[self.keep_indices] = x
-        return self.inner.apply(z)
-
-    def _apply_adjoint(self, y):
-        return self.inner.apply_adjoint(y)[self.keep_indices]
-
-
 class NoiseCovariance:
     """Scalar-diagonal noise covariance theta1 * I_m.
 
-    Inverse, inverse square root and log-determinant are closed form. Its only
+    Inverse and log-determinant are closed form. Its only
     hyperparameter derivative is dR/dtheta1 = I, so the gradient code writes
     it in place (<dR/dtheta1, R^{-1}> = m/theta1) instead of asking for it.
     """
@@ -259,9 +230,6 @@ class NoiseCovariance:
 
     def apply_inv(self, x):
         return np.asarray(x, dtype=float) / self.theta1
-
-    def inv_sqrt_apply(self, x):
-        return np.asarray(x, dtype=float) / np.sqrt(self.theta1)
 
     def logdet(self) -> float:
         return self.m * np.log(self.theta1)

@@ -2,7 +2,9 @@
 
 Ships a 1-d inverse heat (Volterra first kind) operator, a 2-d random-ray
 tomography operator, smooth random phantoms from a truncated eigenexpansion
-of a Matern covariance, and the norm-calibrated additive noise procedure.
+of a Matern covariance, and the norm-calibrated additive noise procedure. A
+masked ray problem (a land-mask stand-in) is the full one restricted to the
+mask's pixels: columns of the ray matrix, phantom entries and pixel centres.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import scipy.sparse as sp
 from scipy.linalg import toeplitz
 
 from .covariance import MaternKernel, RegularGrid, matern_eval
-from .operators import DenseOperator, LinearOperatorHandle, MaskedOperator, SparseOperator
+from .operators import DenseOperator, LinearOperatorHandle, SparseOperator
 
 __all__ = [
     "ProblemInstance",
@@ -184,6 +186,11 @@ def ray_tomo_2d(g: int, n_rays: int, seed=None) -> LinearOperatorHandle:
     needed, so the generator is left where one-chord-at-a-time drawing would
     leave it, and every batch is traced in one vectorized pass.
     """
+    return SparseOperator(_ray_matrix(g, n_rays, seed))
+
+
+def _ray_matrix(g: int, n_rays: int, seed) -> sp.csr_matrix:
+    """The n_rays x g^2 CSR matrix of ``ray_tomo_2d``."""
     if g < 4:
         raise ValueError("grid must be at least 4 x 4")
     if n_rays < 1:
@@ -207,9 +214,8 @@ def ray_tomo_2d(g: int, n_rays: int, seed=None) -> LinearOperatorHandle:
         cols.append(flat[take])
         vals.append(lengths[take])
         count += int(np.count_nonzero(accepted))
-    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n_rays, g * g))
-    return SparseOperator(mat)
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_rays, g * g)).tocsr()
 
 
 def _grid_covariance(grid: RegularGrid, kernel: MaternKernel) -> np.ndarray:
@@ -237,13 +243,12 @@ def _grid_covariance(grid: RegularGrid, kernel: MaternKernel) -> np.ndarray:
 
 
 def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, truncation: int,
-                   seed=None, mask=None) -> np.ndarray:
+                   seed=None) -> np.ndarray:
     """Random smooth field from a truncated eigenexpansion of the covariance.
 
     The dense covariance is the kernel evaluated at the grid's lag distances.
     Draws i.i.d. standard normal coefficients for its leading `truncation`
-    eigenpairs, then applies the optional retained-index mask (entries off
-    the mask are exactly zero).
+    eigenpairs.
     """
     n = grid.size
     if n > PHANTOM_DENSE_CAP:
@@ -258,12 +263,7 @@ def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, truncation: int,
     order = np.argsort(evals)[::-1][:truncation]
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(truncation)
-    field = evecs[:, order] @ (np.sqrt(np.clip(evals[order], 0.0, None)) * coeff)
-    if mask is not None:
-        keep = np.zeros(n, dtype=bool)
-        keep[np.asarray(mask, dtype=int)] = True
-        field = np.where(keep, field, 0.0)
-    return field
+    return evecs[:, order] @ (np.sqrt(np.clip(evals[order], 0.0, None)) * coeff)
 
 
 def add_noise(d_clean, noise_level: float, seed=None) -> tuple[np.ndarray, np.ndarray]:
@@ -317,21 +317,30 @@ def build_heat_problem(n: int = 256, noise_level: float = 0.02, seed=0,
 def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
                            noise_level: float = 0.02, seed=0,
                            nu: float = 1.5, prior_std: float = 1.0,
-                           ell: float = 0.2, truncation: int | None = None,
-                           mask=None) -> ProblemInstance:
-    """Random-ray tomography of a smooth random phantom on a g x g grid."""
+                           ell: float = 0.2, mask=None) -> ProblemInstance:
+    """Random-ray tomography of a smooth random phantom on a g x g grid.
+
+    mask, when given, lists the retained pixels (row-major, x fastest) in the
+    order of the unknowns and is checked before any ray is traced. The
+    forward operator is then those columns of the full ray matrix, s_true the
+    full phantom's entries there and the geometry those pixels' centres.
+    """
     grid = RegularGrid((g, g), (1.0 / g, 1.0 / g))
-    rng = np.random.SeedSequence(seed).spawn(3)
-    forward = ray_tomo_2d(g, n_rays, seed=rng[0])
-    kernel = MaternKernel(nu, prior_std**2, ell)
-    truncation = grid.size if truncation is None else truncation
-    s_true = smooth_phantom(grid, kernel, truncation, seed=rng[1], mask=mask)
     if mask is not None:
-        forward = MaskedOperator(forward, mask)
-        s_true = s_true[np.asarray(mask, dtype=int)]
-        grid_or_points = grid.points()[np.asarray(mask, dtype=int)]
-    else:
-        grid_or_points = grid
+        keep = np.asarray(mask, dtype=int)
+        if (keep.ndim != 1 or keep.size == 0 or np.unique(keep).size != keep.size
+                or keep.min() < 0 or keep.max() >= grid.size):
+            raise ValueError("the mask must be a nonempty 1-d array of distinct pixel "
+                             f"indices in [0, {grid.size})")
+    rng = np.random.SeedSequence(seed).spawn(3)
+    mat = _ray_matrix(g, n_rays, rng[0])
+    s_true = smooth_phantom(grid, MaternKernel(nu, prior_std**2, ell), grid.size, seed=rng[1])
+    geometry = grid
+    if mask is not None:
+        # the column slice keeps each row's entries in the full matrix's
+        # order, so products sum in the order of the unmasked operator
+        mat, s_true, geometry = mat[:, keep], s_true[keep], grid.points()[keep]
+    forward = SparseOperator(mat)
     d_clean = forward.apply(s_true)
     data, eta = add_noise(d_clean, noise_level, seed=rng[2])
     return ProblemInstance(
@@ -341,6 +350,6 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
         data=data,
         noise=eta,
         noise_level=noise_level,
-        geometry=grid_or_points,
+        geometry=geometry,
         seed=seed,
     )

@@ -317,6 +317,19 @@ def test_map_reconstruct_matches_dense_projected_solve(rng):
     assert np.array_equal(s_hat, mu)
 
 
+def test_map_reconstruct_rejects_a_factorization_at_another_theta():
+    prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
+    theta = HyperParams(np.array([1e-5, 0.4, 0.08]))
+    fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                        None, model.data, 10)
+    for other in ((2e-5, 0.4, 0.08), (1e-5, 0.5, 0.08), (1e-5, 0.4, 0.1)):
+        with pytest.raises(ValueError, match="factorization was taken"):
+            map_reconstruct(model, HyperParams(np.array(other)), fact=fact)
+    assert np.array_equal(map_reconstruct(model, theta, fact=fact),
+                          map_reconstruct(model, theta, k=10))
+
+
 def test_one_svd_per_factorization(monkeypatch):
     prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
     model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
@@ -401,6 +414,16 @@ def test_lambda_sweep_empty_grid_rejected():
     fact_hat = precompute_two_param(model, ell, 8)
     with pytest.raises(ValueError, match="empty"):
         optimal_lambda_sweep(model, fact_hat, prob.s_true, np.array([]), 1e-5)
+
+
+def test_lambda_sweep_needs_a_unit_factorization():
+    prob, model, ell = heat_two_param_setup()
+    for values in ((1e-5, 1.0, ell), (1.0, 0.5, ell)):
+        theta = HyperParams(np.array(values))
+        fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                            None, model.data, 8)
+        with pytest.raises(ValueError, match="factorization was taken"):
+            optimal_lambda_sweep(model, fact, prob.s_true, np.array([2.0]), 1e-5)
 
 
 def test_lambda_sweep_finds_generative_scale():

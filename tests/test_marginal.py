@@ -193,7 +193,8 @@ def test_exact_objective_builds_q_once(rng, monkeypatch):
 def test_objectives_reject_theta_of_wrong_length(rng, values):
     model = make_dense_model(rng)
     theta = HyperParams(np.array(values))
-    for objective in (objective_exact, lambda m, t: objective_gengk(m, t, 4)):
+    for objective in (objective_exact, lambda m, t: objective_gengk(m, t, 4),
+                      lambda m, t: objective_svd(m, t, 4), map_reconstruct_exact):
         with pytest.raises(ValueError, match="correlation length"):
             objective(model, theta)
     assert model.forward.matvec_count.snapshot() == (0, 0)
@@ -251,6 +252,68 @@ def test_svd_zero_operator(rng):
     ex = objective_exact(model, theta)
     sv = objective_svd(model, theta, 0)
     assert np.isclose(sv.value, ex.value, rtol=1e-12)
+
+
+def test_svd_rejects_negative_k():
+    # a negative k would slice the spectrum from its end
+    model = _guard_models()[0]
+    theta = HyperParams(np.array([1e-5, 0.4, 0.08]))
+    before = model.forward.matvec_count.snapshot()
+    for k in (-1, -63):
+        with pytest.raises(ValueError, match="nonnegative"):
+            objective_svd(model, theta, k)
+    assert model.forward.matvec_count.snapshot() == before
+
+
+def _svd_reference(model, theta, k):
+    # the n x n formulation objective_svd replaced: Q^{1/2} from the eigh of
+    # dense Q, then the SVD of Ahat = A Q^{1/2} / sqrt(theta1)
+    a = probe_dense(model.forward)
+    q = probe_dense(model.prior_cov(theta))
+    evals, evecs = np.linalg.eigh(0.5 * (q + q.T))
+    q_half = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+    u, s, _ = np.linalg.svd(a @ q_half / np.sqrt(theta.noise_var), full_matrices=False)
+    sk2 = s[:k] ** 2
+    logdet_term = 0.5 * (model.nrows * np.log(theta.noise_var) + np.sum(np.log1p(sk2)))
+    r = (a @ model.mean_vector() - model.data) / np.sqrt(theta.noise_var)
+    coeff = u[:, :k].T @ r
+    quad_term = 0.5 * (r @ r - np.sum(coeff**2 * sk2 / (1.0 + sk2)))
+    return logdet_term, quad_term
+
+
+def _map_reference(model, theta):
+    # the n x n formulation map_reconstruct_exact replaced, through Q^{-1}
+    a = probe_dense(model.forward)
+    q = probe_dense(model.prior_cov(theta))
+    q_inv = np.linalg.inv(0.5 * (q + q.T))
+    lhs = a.T @ a / theta.noise_var + q_inv
+    rhs = a.T @ model.data / theta.noise_var + q_inv @ model.mean_vector()
+    return np.linalg.solve(lhs, rhs)
+
+
+def _oracle_models():
+    # heat n = 64, ray g = 8 and a tall dense model with a prior mean
+    rng = np.random.default_rng(3)
+    tall = MarginalModel(forward=DenseOperator(rng.standard_normal((12, 8)) / np.sqrt(12)),
+                         data=rng.standard_normal(12), geometry=rng.uniform(0, 1, (8, 2)),
+                         prior_mean=rng.standard_normal(8))
+    return _guard_models() + [tall]
+
+
+def test_data_space_oracles_match_n_by_n_formulations():
+    for model in _oracle_models():
+        m, n = model.nrows, model.ncols
+        for values in GUARD_THETAS:
+            theta = HyperParams(np.array(values))
+            for k in (0, 1, 5, min(m, n), min(m, n) + 3):
+                got = objective_svd(model, theta, k)
+                assert got.k_used == min(k, m, n)
+                logdet_term, quad_term = _svd_reference(model, theta, min(k, m, n))
+                for term, want in ((got.logdet_term, logdet_term), (got.quad_term, quad_term),
+                                   (got.value, logdet_term + quad_term)):
+                    assert abs(term - want) <= 1e-10 * abs(want), (k, values, term, want)
+            got, want = map_reconstruct_exact(model, theta), _map_reference(model, theta)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), values
 
 
 def test_svd_bound_holds_on_heat64():

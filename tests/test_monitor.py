@@ -155,6 +155,19 @@ def test_mc_estimator_validation(rng):
         mc_xi_estimate(normal_matrix_apply(A, R), Q, fact, 4, probe_kind="sobol")
 
 
+def test_mc_estimator_rejects_a_q_other_than_the_factorizations(rng):
+    A, R, Q, d = dense_setup(rng)
+    fact = gengk_bidiag(A, R, Q, None, d, 5)
+    points = rng.uniform(0, 1, (A.ncols, 2))
+    before = A.matvec_count.snapshot(), Q.matvec_count.snapshot()
+    for other in (build_cov_operator(points, MaternKernel(1.5, 1.1, 0.3)),
+                  build_cov_operator(points, MaternKernel(1.5, 4.0, 0.3))):
+        with pytest.raises(ValueError, match="factorization"):
+            mc_xi_estimate(normal_matrix_apply(A, R), other, fact, 4, seed=0)
+        assert other.matvec_count.snapshot() == (0, 0)
+    assert (A.matvec_count.snapshot(), Q.matvec_count.snapshot()) == before
+
+
 def test_err_indicator_values():
     assert err_indicator(0.0, 2.0) == 0.0
     assert err_indicator(1.0, 2.0) == 1.5

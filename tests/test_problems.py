@@ -309,15 +309,6 @@ def test_phantom_zero_truncation():
     assert np.array_equal(field, np.zeros(36))
 
 
-def test_phantom_mask_zeroes_complement():
-    grid = RegularGrid((5, 5), (0.2, 0.2))
-    mask = np.array([0, 3, 7, 24])
-    field = smooth_phantom(grid, MaternKernel(1.5, 1.0, 0.2), 25, seed=1, mask=mask)
-    off = np.setdiff1d(np.arange(25), mask)
-    assert np.all(field[off] == 0.0)
-    assert np.any(field[mask] != 0.0)
-
-
 def test_phantom_covariance_statistic(rng):
     # Monte Carlo covariance oracle at a fixed pair of nearby points
     grid = RegularGrid((10, 10), (0.1, 0.1))
@@ -416,3 +407,56 @@ def test_masked_ray_problem():
     assert prob.forward.ncols == 20
     assert prob.s_true.shape == (20,)
     assert np.allclose(prob.forward.apply(prob.s_true), prob.d_clean)
+
+
+def _disk(g):
+    centres = (np.arange(g) + 0.5) / g - 0.5
+    return np.flatnonzero(np.hypot(*np.meshgrid(centres, centres, indexing="ij")).ravel() < 0.5)
+
+
+MASKS = {
+    "sorted": lambda g: np.arange(3, g * g, 3),
+    "permuted": lambda g: np.random.default_rng(4).permutation(g * g)[: g * g // 2],
+    "disk": _disk,
+}
+
+
+@pytest.mark.parametrize("g", [8, 16])
+@pytest.mark.parametrize("mask", sorted(MASKS))
+def test_masked_ray_problem_restricts_the_full_problem(g, mask, rng):
+    # the masked operator is the full one applied to zero-extended vectors,
+    # with its adjoint restricted, bit for bit, vector and block
+    keep = MASKS[mask](g)
+    full = build_ray_tomo_problem(g=g, n_rays=6 * g, noise_level=0.02, seed=3, ell=0.1)
+    prob = build_ray_tomo_problem(g=g, n_rays=6 * g, noise_level=0.02, seed=3, ell=0.1,
+                                  mask=keep)
+    op, full_op = prob.forward, full.forward
+    assert op.shape == (6 * g, keep.size)
+
+    def extend(x):
+        out = np.zeros((g * g,) + x.shape[1:])
+        out[keep] = x
+        return out
+
+    x, y = rng.standard_normal(keep.size), rng.standard_normal(6 * g)
+    xs, ys = rng.standard_normal((keep.size, 17)), rng.standard_normal((6 * g, 17))
+    assert np.array_equal(op.apply(x), full_op.apply(extend(x)))
+    assert np.array_equal(op.apply_adjoint(y), full_op.apply_adjoint(y)[keep])
+    assert np.array_equal(op.apply_block(xs), full_op.apply_block(extend(xs)))
+    assert np.array_equal(op.apply_adjoint_block(ys), full_op.apply_adjoint_block(ys)[keep])
+    assert np.array_equal(dense_matrix(op), dense_matrix(full_op)[:, keep])
+
+    assert np.array_equal(prob.s_true, full.s_true[keep])
+    assert np.array_equal(prob.geometry, full.geometry.points()[keep])
+    assert np.array_equal(prob.d_clean, full_op.apply(extend(prob.s_true)))
+    assert abs(np.linalg.norm(prob.noise) - 0.02 * np.linalg.norm(prob.d_clean)) <= 1e-12
+
+
+@pytest.mark.parametrize("mask", [[], [[0, 1], [2, 3]], [5, 1, 5], [0, 64], [-1, 3]])
+def test_bad_mask_is_rejected_before_any_ray_is_traced(mask, monkeypatch):
+    def no_trace(*args):
+        raise AssertionError("a ray was traced for a rejected mask")
+
+    monkeypatch.setattr(problems, "_trace", no_trace)
+    with pytest.raises(ValueError, match="mask"):
+        build_ray_tomo_problem(g=8, n_rays=30, seed=3, mask=mask)
