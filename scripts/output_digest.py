@@ -27,7 +27,11 @@ mask slice that reorders the entries within a row shows by name. It prints the
 SHA-256 of the phantom `s_true` and the noisy `data` of `build_ray_tomo_problem`
 at each parameter set in PHANTOMS, with the shipped config's rays, noise, prior
 std and ell, and of the CSR arrays (with their dtypes) of `ray_tomo_2d` at each
-(g, n_rays) in RAYS, seed 0. Given a second checkout OTHER, both are digested
+(g, n_rays) in RAYS, seed 0. The shipped heat config is one panel of the
+lower-triangular heat operator, so at each n in HEAT_SIZES it prints the SHA-256 of
+`apply`, `apply_adjoint` and `apply_block` of `heat_1d(n)` on seeded inputs, and
+`objective_gengk` at THETAS with k = HEAT_K on `build_heat_problem(n)` with the
+shipped noise level and seed. Given a second checkout OTHER, both are digested
 and only the outputs and numbers that differ between them are printed, one name a line;
 the exit status is 1 if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
 use, as perfbench does, so that two checkouts digested on one host can be
@@ -60,6 +64,11 @@ PHANTOMS = ({"g": 32, "seed": 0}, {"g": 32, "seed": 1},
 # (g, n_rays) of ray_tomo_2d: the shipped ray config, and two larger grids
 # where a ray crosses more lines and several tracer batches run
 RAYS = ((24, 360), (64, 1440), (128, 8192))
+
+# more than one panel of the heat operator each way, a short last panel, and
+# the heat-estimate benchmark's n = 2048; k is the shipped heat config's
+HEAT_SIZES = (1000, 2048, 4096)
+HEAT_K = 22
 
 # run by each checkout's own package, so that every number comes from its code
 SHOW = """
@@ -161,6 +170,24 @@ for g, n_rays in {RAYS!r}:
               f"g={{g}},n_rays={{n_rays}}/{{name}}/{{array.dtype}}")
 """
 
+HEAT = SHOW + f"""
+import numpy as np
+from gkhyper.marginal import MarginalModel
+from gkhyper.problems import build_heat_problem
+
+for n in {HEAT_SIZES!r}:
+    prob = build_heat_problem(n=n, noise_level=0.02, seed=0)
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((2, n))
+    show_sha(f"n={{n}}/apply", prob.forward.apply(x))
+    show_sha(f"n={{n}}/apply_adjoint", prob.forward.apply_adjoint(y))
+    show_sha(f"n={{n}}/apply_block", prob.forward.apply_block(rng.standard_normal((n, 5))))
+    model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
+    for theta in {THETAS!r}:
+        show(f"n={{n}}/objective_gengk/theta={{theta}}",
+             objective_gengk(model, HyperParams(theta), {HEAT_K}))
+"""
+
 
 def _numbers(script: str, args: list, env: dict, cwd: str, prefix: str) -> dict:
     out = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
@@ -191,6 +218,7 @@ def digests(root: Path) -> dict:
         result.update(_numbers(POINT_SET, [], env, tmp, "point_set"))
         result.update(_numbers(PHANTOM, [], env, tmp, "phantom"))
         result.update(_numbers(RAY_CSR, [], env, tmp, "ray_tomo_2d"))
+        result.update(_numbers(HEAT, [], env, tmp, "heat"))
     return result
 
 

@@ -9,6 +9,7 @@ oracles and runnable error bounds for verification at desk scale.
 from .operators import (
     LinearOperatorHandle,
     DenseOperator,
+    LowerToeplitzOperator,
     SparseOperator,
     IdentityOperator,
     NoiseCovariance,

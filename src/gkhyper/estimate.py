@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from .gengk import GenGKFactorization, gengk_bidiag
+from .gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
 from .marginal import (HyperParams, MarginalModel, _check_taken_at, objective_gengk,
                        objective_rescaled)
 from .operators import dense_matrix
@@ -179,11 +179,15 @@ def map_reconstruct(model: MarginalModel, theta: HyperParams,
     """Projected MAP estimate s = mu + Q V_k z with (I + T_k) z = B' beta1 e1.
 
     A factorization is computed at theta when not supplied; a supplied one
-    must have been taken at theta, or a ValueError is raised. The cached Q V
-    columns make the final synthesis free of extra covariance applies.
+    must have been taken at theta, or a ValueError is raised. With a supplied
+    factorization, k reads its leading k steps (k = None keeps all of them),
+    and a k outside [0, fact.k] raises ValueError. The cached Q V columns make the
+    final synthesis free of extra covariance applies.
     """
     if fact is not None:
         _check_taken_at(fact, theta)
+        if k is not None:
+            fact = truncate_factorization(fact, k)
     else:
         if k is None:
             raise ValueError("either k or an existing factorization is required")

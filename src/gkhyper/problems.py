@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import toeplitz
 
 from .covariance import MaternKernel, RegularGrid, matern_eval
-from .operators import DenseOperator, LinearOperatorHandle, SparseOperator
+from .operators import LinearOperatorHandle, LowerToeplitzOperator, SparseOperator
 
 __all__ = [
     "ProblemInstance",
@@ -49,7 +48,7 @@ class ProblemInstance:
     seed: int | None
 
 
-def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
+def heat_1d(n: int, kappa: float = 1.0) -> LowerToeplitzOperator:
     """Midpoint-quadrature Volterra operator for 1-d inverse heat conduction.
 
     Output nodes sit at cell right edges t_i = i/n and the integrand is
@@ -58,6 +57,8 @@ def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     triangular and every kernel evaluation happens at a strictly positive gap.
     The kernel is k(t) = (4 pi kappa^2)^{-1/2} t^{-3/2} exp(-1 / (4 kappa^2 t));
     kappa = 1 is severely ill-posed, kappa = 5 essentially well-posed.
+    Returns a LowerToeplitzOperator built from the first column, which applies
+    the matrix over its lower triangle only.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -68,7 +69,7 @@ def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(
         4.0 * math.pi * kappa**2
     )
-    return DenseOperator(toeplitz(column, np.zeros(n)))
+    return LowerToeplitzOperator(column)
 
 
 def heat_true_signal(n: int) -> np.ndarray:

@@ -14,7 +14,8 @@ from gkhyper.estimate import (
     optimize_two_param,
     precompute_two_param,
 )
-from gkhyper.gengk import GenGKFactorization, gengk_bidiag, verify_relations
+from gkhyper.gengk import (GenGKFactorization, gengk_bidiag, truncate_factorization,
+                           verify_relations)
 from gkhyper.marginal import (
     HyperParams,
     Hyperprior,
@@ -328,6 +329,23 @@ def test_map_reconstruct_rejects_a_factorization_at_another_theta():
             map_reconstruct(model, HyperParams(np.array(other)), fact=fact)
     assert np.array_equal(map_reconstruct(model, theta, fact=fact),
                           map_reconstruct(model, theta, k=10))
+
+
+def test_map_reconstruct_reads_k_steps_of_a_supplied_factorization():
+    prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
+    theta = HyperParams(np.array([1e-5, 0.4, 0.08]))
+    fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                        None, model.data, 20)
+    s5 = map_reconstruct(model, theta, 5, fact=fact)
+    assert np.array_equal(s5, map_reconstruct(model, theta,
+                                              fact=truncate_factorization(fact, 5)))
+    fresh = map_reconstruct(model, theta, k=5)
+    assert np.linalg.norm(s5 - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    assert np.array_equal(map_reconstruct(model, theta, None, fact=fact),
+                          map_reconstruct(model, theta, 20, fact=fact))
+    with pytest.raises(ValueError, match="must lie in"):
+        map_reconstruct(model, theta, 21, fact=fact)
 
 
 def test_one_svd_per_factorization(monkeypatch):

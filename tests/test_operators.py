@@ -1,19 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import toeplitz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import probe_dense
 from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
+import gkhyper
 from gkhyper.operators import (
     DenseOperator,
     IdentityOperator,
+    LowerToeplitzOperator,
     NoiseCovariance,
     SparseOperator,
     dense_matrix,
 )
-from gkhyper.problems import build_ray_tomo_problem, ray_tomo_2d
+from gkhyper.problems import build_ray_tomo_problem, heat_1d, ray_tomo_2d
 
 
 def adjoint_probe_defect(op, n_probes: int = 20, rng=None) -> float:
@@ -128,6 +136,7 @@ def _block_cases():
     return [
         ("dense tall", lambda: DenseOperator(tall)),
         ("dense wide", lambda: DenseOperator(wide)),
+        ("heat", lambda: heat_1d(600)),  # two panels each way
         ("sparse tall", lambda: SparseOperator(sparse_tall)),
         ("sparse wide", lambda: SparseOperator(sparse_wide)),
         ("ray tall", lambda: ray_tomo_2d(8, 100, seed=0)),
@@ -206,3 +215,72 @@ def test_dense_matrix_matches_per_column_probe():
         got, want = dense_matrix(op), probe_dense(probed)
         assert np.array_equal(got, want), name
         assert op.matvec_count.snapshot() == probed.matvec_count.snapshot(), name
+
+
+# --- the lower-triangular Toeplitz heat operator
+
+# one panel, both sides of the panel height, a one-row last panel, and the
+# benchmark's n = 2048
+HEAT_SIZES = (2, 3, 63, 64, 65, 511, 512, 513, 1000, 2048, 4096)
+
+
+def _first_column(op):
+    # A e_0 has one product per entry, so it is the column bit for bit
+    e0 = np.zeros(op.ncols)
+    e0[0] = 1.0
+    return op.apply(e0)
+
+
+@pytest.mark.parametrize("n", HEAT_SIZES)
+def test_lower_toeplitz_applies_keep_the_full_matvec_bits(n, rng):
+    # the heat column underflows to zero near the diagonal; a random one does not
+    for op in (heat_1d(n), LowerToeplitzOperator(rng.standard_normal(n))):
+        full = toeplitz(_first_column(op), np.zeros(n))
+        op.matvec_count.reset()
+        for scale in (1e-8, 1.0, 1e8):
+            x, y = scale * rng.standard_normal((2, n))
+            assert np.array_equal(op.apply(x), full @ x)
+            assert np.array_equal(op.apply_adjoint(y), full.T @ y)
+            xb, yb = scale * rng.standard_normal((2, n, 3))
+            assert np.array_equal(op.apply_block(xb),
+                                  np.column_stack([full @ xb[:, j].copy() for j in range(3)]))
+            assert np.array_equal(op.apply_adjoint_block(yb),
+                                  np.column_stack([full.T @ yb[:, j].copy() for j in range(3)]))
+        assert op.matvec_count.snapshot() == (12, 12)
+
+
+@pytest.mark.parametrize("n", [n for n in HEAT_SIZES if n <= 1000])
+def test_heat_dense_matrix_is_the_lower_toeplitz_matrix(n):
+    op = heat_1d(n)
+    mat = dense_matrix(op)
+    assert np.array_equal(mat, toeplitz(mat[:, 0], np.zeros(n)))
+    assert not np.triu(mat, 1).any()
+    assert op.matvec_count.snapshot() == (n, 0)
+
+
+THREADS_CHECK = """
+import numpy as np
+from scipy.linalg import toeplitz
+from gkhyper.problems import heat_1d
+
+n = 2048
+op = heat_1d(n)
+e0 = np.zeros(n)
+e0[0] = 1.0
+full = toeplitz(op.apply(e0), np.zeros(n))
+x, y = np.random.default_rng(0).standard_normal((2, n))
+assert np.array_equal(op.apply(x), full @ x)
+assert np.array_equal(op.apply_adjoint(y), full.T @ y)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_heat_panel_applies_keep_bits_at_each_blas_thread_count(threads):
+    # the benchmark pins BLAS threads to the CPU count, and the thread count
+    # is fixed when numpy loads, so each count runs in its own process
+    src = str(Path(gkhyper.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-c", THREADS_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
