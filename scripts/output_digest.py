@@ -27,8 +27,9 @@ mask slice that reorders the entries within a row shows by name. It prints the
 SHA-256 of the phantom `s_true` and the noisy `data` of `build_ray_tomo_problem`
 at each parameter set in PHANTOMS, with the shipped config's rays, noise, prior
 std and ell, and of the CSR arrays (with their dtypes) of `ray_tomo_2d` at each
-(g, n_rays) in RAYS, seed 0. The shipped heat config is one panel of the
-lower-triangular heat operator, so at each n in HEAT_SIZES it prints the SHA-256 of
+(g, n_rays) in RAYS, seed 0. The heat operator applies by one dense matvec up to
+n = 256 (the shipped heat config's size) and by FFT convolution above, so at each n
+in HEAT_SIZES, on both sides of that switch, it prints the SHA-256 of
 `apply`, `apply_adjoint` and `apply_block` of `heat_1d(n)` on seeded inputs, and
 `objective_gengk` at THETAS with k = HEAT_K on `build_heat_problem(n)` with the
 shipped noise level and seed. Given a second checkout OTHER, both are digested
@@ -65,9 +66,10 @@ PHANTOMS = ({"g": 32, "seed": 0}, {"g": 32, "seed": 1},
 # where a ray crosses more lines and several tracer batches run
 RAYS = ((24, 360), (64, 1440), (128, 8192))
 
-# more than one panel of the heat operator each way, a short last panel, and
-# the heat-estimate benchmark's n = 2048; k is the shipped heat config's
-HEAT_SIZES = (1000, 2048, 4096)
+# both sides of the heat operator's switch from the dense matvec to the FFT,
+# larger FFT sizes, and the heat-estimate benchmark's n = 2048; k is the
+# shipped heat config's
+HEAT_SIZES = (256, 257, 1000, 2048, 4096)
 HEAT_K = 22
 
 # run by each checkout's own package, so that every number comes from its code

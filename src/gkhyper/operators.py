@@ -9,18 +9,18 @@ are part of the public contract so that cost claims stay testable. A domain
 restricted to a subset of pixels is not an operator type of its own: a
 masked ray problem keeps the mask's columns of its sparse matrix.
 
-A lower-triangular dense matrix (the heat problem's Volterra operator) applies
-by panels: each row panel of the forward apply is one matvec against only the
-columns up to the panel's last row, and each column panel of the adjoint apply
-one matvec against only the rows from the panel's first column, both rounded
-outward to whole blocks of ``_PANEL_ALIGN``. What is dropped is exact zeros
-above the diagonal in whole aligned blocks, so each output entry sums the same
-terms in the same grouping as the full matvec and keeps its bits.
+The heat problem's lower-triangular Toeplitz (Volterra) operator picks its
+kernel from its size: up to ``_DENSE_MAX`` it keeps the dense matrix and
+applies it by one matvec; above that it keeps only the real FFT of its first
+column, zero-padded to at least 2n, and applies itself as a circulant
+convolution in O(n log n) time and O(n) memory. The convolution agrees with
+the dense product to round-off, not bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 
 __all__ = [
@@ -183,68 +183,61 @@ class DenseOperator(LinearOperatorHandle):
         return self._mat.T @ y
 
 
-# rows (forward) or columns (adjoint) of one panel matvec, and the block the
-# dropped zeros are rounded to: a multiple of the BLAS matvec kernels' unroll
-# widths, so the terms each output keeps group as in the full matvec
-_PANEL_ROWS = 512
-_PANEL_ALIGN = 64
+# the largest n whose Toeplitz operator keeps the dense matrix: one forward
+# plus one adjoint dense matvec took 33 us at n = 256 against 41 us for the
+# FFT, and 161 us at n = 512 against 56 us (2-CPU x86, 2 BLAS threads)
+_DENSE_MAX = 256
 
 
-def _panels(n: int) -> list[tuple[int, int]]:
-    """[start, stop) of the panels of n rows or columns.
-
-    A last panel of one row would go to numpy as a dot product, which rounds
-    unlike the matvec, so it joins the panel before it.
-    """
-    edges = list(range(0, n, _PANEL_ROWS)) + [n]
-    if len(edges) > 2 and n - edges[-2] == 1:
-        del edges[-2]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-class LowerToeplitzOperator(DenseOperator):
+class LowerToeplitzOperator(LinearOperatorHandle):
     """Lower-triangular Toeplitz operator ``toeplitz(column, zeros(n))``.
 
-    Holds the same dense matrix as a DenseOperator and gives the same bits,
-    while reading only the part of it on and below the diagonal. The forward
-    apply takes each panel of ``_PANEL_ROWS`` rows as one matvec against the
-    columns up to the panel's last row, rounded up to a multiple of
-    ``_PANEL_ALIGN``; the adjoint takes each panel of ``_PANEL_ROWS`` columns
-    as one matvec against the rows from the panel's first column, rounded down
-    to a multiple of ``_PANEL_ALIGN``. The entries left out are exact zeros
-    dropped in whole aligned blocks at the end (forward) or the start
-    (adjoint) of each output's sum, so the BLAS matvec adds the kept terms in
-    the same order and grouping as it does over the full row or column. At
-    n = 2048 each apply reads 62.5% of the matrix.
-
-    That holds at every n on one BLAS thread. With more threads OpenBLAS may
-    split a matvec's outputs inside a group of four, and then the full
-    matvec's own bits depend on the thread count; at such n the panels may
-    round differently from it (seen at two threads for n = 1001-1004, 1025,
-    1537, 2049, 2050 and 2052, not at 256, 513, 1000, 2048 or 4096).
+    The column must be a nonempty 1-d array of finite numbers. Up to
+    ``_DENSE_MAX`` = 256 the operator holds the dense matrix and applies it by
+    one matvec, with the bits of ``toeplitz(column, zeros(n)) @ x``. Above
+    that it holds only ``c_hat = rfft(column, L)``, L // 2 + 1 complex
+    numbers, and applies A x = ``irfft(c_hat * rfft(x, L), L)[:n]`` and
+    A' y = ``irfft(conj(c_hat) * rfft(y, L), L)[:n]``. L is the smallest
+    length of at least 2n with no prime factor above 5 (2n itself at n = 1000,
+    2048, 4096): the zero padding past 2n - 1 makes the circular convolution
+    (correlation) the Toeplitz product, and the smooth length keeps an n with
+    a large prime factor from a transform 4-7 times slower. Those applies agree
+    with the dense product to round-off (relative error about 1e-15, and every
+    entry within 1e-13 of max|A x|); the entries above the diagonal of a probed
+    matrix are round-off, not zeros. The FFT path uses no BLAS, so its bits do
+    not depend on the BLAS thread count. Block applies take one vector apply
+    per column.
     """
 
     def __init__(self, column) -> None:
         column = np.asarray(column, dtype=float)
-        if column.ndim != 1:
-            raise ValueError("LowerToeplitzOperator needs a 1-d first column")
-        super().__init__(toeplitz(column, np.zeros(column.size)))
+        if column.ndim != 1 or column.size == 0:
+            raise ValueError(
+                f"LowerToeplitzOperator needs a nonempty 1-d first column, got shape {column.shape}"
+            )
+        if not np.all(np.isfinite(column)):
+            raise ValueError("LowerToeplitzOperator: first column contains non-finite entries")
+        n = column.size
+        super().__init__(n, n)
+        if n <= _DENSE_MAX:
+            self._mat = toeplitz(column, np.zeros(n))
+        else:
+            self._fft_len = next_fast_len(2 * n, real=True)
+            self._chat = np.fft.rfft(column, self._fft_len)
 
     def _apply(self, x):
-        n = self.ncols
-        out = np.empty(n)
-        for r0, r1 in _panels(n):
-            c1 = min(-(-r1 // _PANEL_ALIGN) * _PANEL_ALIGN, n)
-            np.matmul(self._mat[r0:r1, :c1], x[:c1], out=out[r0:r1])
-        return out
+        if self.ncols <= _DENSE_MAX:
+            return self._mat @ x
+        return self._convolve(self._chat, x)
 
     def _apply_adjoint(self, y):
-        n = self.nrows
-        out = np.empty(n)
-        for c0, c1 in _panels(n):
-            r0 = c0 // _PANEL_ALIGN * _PANEL_ALIGN
-            np.matmul(self._mat[r0:, c0:c1].T, y[r0:], out=out[c0:c1])
-        return out
+        if self.nrows <= _DENSE_MAX:
+            return self._mat.T @ y
+        return self._convolve(np.conj(self._chat), y)
+
+    def _convolve(self, kernel, x):
+        length = self._fft_len
+        return np.fft.irfft(kernel * np.fft.rfft(x, length), length)[: self.ncols]
 
 
 class SparseOperator(LinearOperatorHandle):

@@ -57,8 +57,10 @@ def heat_1d(n: int, kappa: float = 1.0) -> LowerToeplitzOperator:
     triangular and every kernel evaluation happens at a strictly positive gap.
     The kernel is k(t) = (4 pi kappa^2)^{-1/2} t^{-3/2} exp(-1 / (4 kappa^2 t));
     kappa = 1 is severely ill-posed, kappa = 5 essentially well-posed.
-    Returns a LowerToeplitzOperator built from the first column, which applies
-    the matrix over its lower triangle only.
+    Returns a LowerToeplitzOperator built from the first column. Up to
+    n = 256 it holds the dense matrix and applies it by one matvec; above that
+    it holds O(n) numbers and applies by FFT convolution, within round-off of
+    the dense product (about 1e-15 relative), so n = 65536 fits in memory.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

@@ -132,6 +132,22 @@ def test_heat_k22_accuracy_order():
     assert gk.k_used == 22
 
 
+def test_heat_paper_scale_runs_in_linear_memory():
+    # n = 65536 as a dense matrix would take 34 GB; the FFT operator keeps
+    # O(n) numbers and one evaluation still makes exactly 2(k+1) applies
+    n, k = 65536, 22
+    prob = build_heat_problem(n=n, noise_level=0.02, seed=0)
+    op = prob.forward
+    held = sum(a.nbytes for a in vars(op).values() if isinstance(a, np.ndarray))
+    assert 0 < held < 64 * n
+    model = MarginalModel(forward=op, data=prob.data, geometry=prob.geometry)
+    op.matvec_count.reset()  # the build applied it to the true signal
+    ev = objective_gengk(model, HyperParams(np.array([7.7e-6, 0.45, 0.185])), k)
+    assert np.isfinite(ev.value) and np.all(np.isfinite(ev.gradient))
+    assert ev.k_used == k
+    assert op.matvec_count.snapshot() == (k + 1, k + 1)
+
+
 def test_monotone_logdet_term():
     prob = build_heat_problem(n=64, noise_level=0.02, seed=1)
     model = MarginalModel(forward=prob.forward, data=prob.data,

@@ -136,7 +136,7 @@ def _block_cases():
     return [
         ("dense tall", lambda: DenseOperator(tall)),
         ("dense wide", lambda: DenseOperator(wide)),
-        ("heat", lambda: heat_1d(600)),  # two panels each way
+        ("heat", lambda: heat_1d(600)),  # the FFT side of the kernel switch
         ("sparse tall", lambda: SparseOperator(sparse_tall)),
         ("sparse wide", lambda: SparseOperator(sparse_wide)),
         ("ray tall", lambda: ray_tomo_2d(8, 100, seed=0)),
@@ -219,68 +219,125 @@ def test_dense_matrix_matches_per_column_probe():
 
 # --- the lower-triangular Toeplitz heat operator
 
-# one panel, both sides of the panel height, a one-row last panel, and the
+# the dense side of the kernel switch at n = 256, and the FFT side: just above
+# it, n whose doubled length has a large prime factor (257, 511, 513), and the
 # benchmark's n = 2048
-HEAT_SIZES = (2, 3, 63, 64, 65, 511, 512, 513, 1000, 2048, 4096)
+DENSE_SIZES = (2, 3, 63, 64, 65, 256)
+FFT_SIZES = (257, 511, 512, 513, 1000, 2048, 4096)
+# largest entry error of an FFT apply, relative to the largest entry of the
+# exact product
+FFT_TOL = 1e-13
 
 
-def _first_column(op):
-    # A e_0 has one product per entry, so it is the column bit for bit
-    e0 = np.zeros(op.ncols)
-    e0[0] = 1.0
-    return op.apply(e0)
+def _heat_column(n):
+    # heat_1d's first column (kappa = 1), from the quadrature formula
+    gaps = (np.arange(n) + 0.5) / n
+    return gaps ** -1.5 * np.exp(-0.25 / gaps) / (n * np.sqrt(4.0 * np.pi))
 
 
-@pytest.mark.parametrize("n", HEAT_SIZES)
+def _toeplitz_cases(n, rng):
+    # (operator, its first column): the heat column underflows to zero near
+    # the diagonal; a random one does not
+    column = rng.standard_normal(n)
+    return [(heat_1d(n), _heat_column(n)), (LowerToeplitzOperator(column), column)]
+
+
+def _applies_against_full(op, full, scale, rng):
+    # (got, want) of vector and block applies, forward and adjoint, against
+    # the products of the full matrix
+    n = op.ncols
+    x, y = scale * rng.standard_normal((2, n))
+    xb, yb = scale * rng.standard_normal((2, n, 3))
+    return [
+        (op.apply(x), full @ x),
+        (op.apply_adjoint(y), full.T @ y),
+        (op.apply_block(xb), np.column_stack([full @ xb[:, j].copy() for j in range(3)])),
+        (op.apply_adjoint_block(yb),
+         np.column_stack([full.T @ yb[:, j].copy() for j in range(3)])),
+    ]
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
 def test_lower_toeplitz_applies_keep_the_full_matvec_bits(n, rng):
-    # the heat column underflows to zero near the diagonal; a random one does not
-    for op in (heat_1d(n), LowerToeplitzOperator(rng.standard_normal(n))):
-        full = toeplitz(_first_column(op), np.zeros(n))
+    for op, _ in _toeplitz_cases(n, rng):
+        # A e_0 has one product per entry, so it is the column bit for bit
+        e0 = np.zeros(n)
+        e0[0] = 1.0
+        full = toeplitz(op.apply(e0), np.zeros(n))
         op.matvec_count.reset()
         for scale in (1e-8, 1.0, 1e8):
-            x, y = scale * rng.standard_normal((2, n))
-            assert np.array_equal(op.apply(x), full @ x)
-            assert np.array_equal(op.apply_adjoint(y), full.T @ y)
-            xb, yb = scale * rng.standard_normal((2, n, 3))
-            assert np.array_equal(op.apply_block(xb),
-                                  np.column_stack([full @ xb[:, j].copy() for j in range(3)]))
-            assert np.array_equal(op.apply_adjoint_block(yb),
-                                  np.column_stack([full.T @ yb[:, j].copy() for j in range(3)]))
+            for got, want in _applies_against_full(op, full, scale, rng):
+                assert np.array_equal(got, want)
         assert op.matvec_count.snapshot() == (12, 12)
 
 
-@pytest.mark.parametrize("n", [n for n in HEAT_SIZES if n <= 1000])
+@pytest.mark.parametrize("n", FFT_SIZES)
+def test_lower_toeplitz_fft_applies_match_the_full_product(n, rng):
+    for op, column in _toeplitz_cases(n, rng):
+        full = toeplitz(column, np.zeros(n))
+        for scale in (1e-8, 1.0, 1e8):
+            for got, want in _applies_against_full(op, full, scale, rng):
+                assert np.max(np.abs(got - want)) <= FFT_TOL * np.max(np.abs(want))
+            # each block column has the bits of its vector apply
+            xb = scale * rng.standard_normal((n, 4))
+            assert np.array_equal(op.apply_block(xb),
+                                  np.column_stack([op.apply(xb[:, j].copy())
+                                                   for j in range(4)]))
+            assert np.array_equal(op.apply_adjoint_block(xb),
+                                  np.column_stack([op.apply_adjoint(xb[:, j].copy())
+                                                   for j in range(4)]))
+        # per scale: 1 + 3 against the full product, 4 + 4 block against vector
+        assert op.matvec_count.snapshot() == (36, 36)
+
+
+@pytest.mark.parametrize("n", [n for n in DENSE_SIZES + FFT_SIZES if n <= 1000])
 def test_heat_dense_matrix_is_the_lower_toeplitz_matrix(n):
     op = heat_1d(n)
     mat = dense_matrix(op)
-    assert np.array_equal(mat, toeplitz(mat[:, 0], np.zeros(n)))
-    assert not np.triu(mat, 1).any()
+    if n <= 256:
+        assert np.array_equal(mat, toeplitz(mat[:, 0], np.zeros(n)))
+        assert not np.triu(mat, 1).any()
+    else:
+        scale = np.max(np.abs(mat))
+        assert np.max(np.abs(mat - toeplitz(_heat_column(n), np.zeros(n)))) <= FFT_TOL * scale
+        assert np.max(np.abs(np.triu(mat, 1))) <= 1e-14 * scale
     assert op.matvec_count.snapshot() == (n, 0)
 
 
+@pytest.mark.parametrize("bad", [[], [[1.0, 2.0], [3.0, 4.0]], 1.0, [1.0, np.nan],
+                                 [np.inf, 1.0], [1.0, -np.inf]],
+                         ids=["empty", "2-d", "0-d", "nan", "inf", "-inf"])
+def test_lower_toeplitz_rejects_a_bad_column(bad):
+    # a non-finite column used to build and fail only inside a solve
+    with pytest.raises(ValueError):
+        LowerToeplitzOperator(bad)
+
+
 THREADS_CHECK = """
+import hashlib
 import numpy as np
-from scipy.linalg import toeplitz
 from gkhyper.problems import heat_1d
 
 n = 2048
 op = heat_1d(n)
-e0 = np.zeros(n)
-e0[0] = 1.0
-full = toeplitz(op.apply(e0), np.zeros(n))
 x, y = np.random.default_rng(0).standard_normal((2, n))
-assert np.array_equal(op.apply(x), full @ x)
-assert np.array_equal(op.apply_adjoint(y), full.T @ y)
+block = np.random.default_rng(1).standard_normal((n, 3))
+for out in (op.apply(x), op.apply_adjoint(y), op.apply_block(block),
+            op.apply_adjoint_block(block)):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_heat_panel_applies_keep_bits_at_each_blas_thread_count(threads):
+def test_heat_applies_keep_bits_at_each_blas_thread_count():
     # the benchmark pins BLAS threads to the CPU count, and the thread count
     # is fixed when numpy loads, so each count runs in its own process
     src = str(Path(gkhyper.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-    proc = subprocess.run([sys.executable, "-c", THREADS_CHECK], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREADS_CHECK], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 4 and digests[0] == digests[1]
