@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -316,28 +317,44 @@ def test_lower_toeplitz_rejects_a_bad_column(bad):
 THREADS_CHECK = """
 import hashlib
 import numpy as np
+from scipy.linalg import toeplitz
 from gkhyper.problems import heat_1d
 
-n = 2048
-op = heat_1d(n)
-x, y = np.random.default_rng(0).standard_normal((2, n))
-block = np.random.default_rng(1).standard_normal((n, 3))
-for out in (op.apply(x), op.apply_adjoint(y), op.apply_block(block),
-            op.apply_adjoint_block(block)):
-    print(hashlib.sha256(out.tobytes()).hexdigest())
+for n in (256, 2048):
+    op = heat_1d(n)
+    x, y = np.random.default_rng(0).standard_normal((2, n))
+    block = np.random.default_rng(1).standard_normal((n, 3))
+    if n == 256:
+        # the dense path is one BLAS matvec with the bits of the full product
+        full = toeplitz(op.apply(np.eye(n)[0]), np.zeros(n))
+        assert np.array_equal(op.apply(x), full @ x)
+        assert np.array_equal(op.apply_adjoint(y), full.T @ y)
+    for out in (op.apply(x), op.apply_adjoint(y), op.apply_block(block),
+                op.apply_adjoint_block(block)):
+        print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-def test_heat_applies_keep_bits_at_each_blas_thread_count():
-    # the benchmark pins BLAS threads to the CPU count, and the thread count
-    # is fixed when numpy loads, so each count runs in its own process
-    src = str(Path(gkhyper.__file__).parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", THREADS_CHECK], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.split())
-    assert len(digests[0]) == 4 and digests[0] == digests[1]
+
+@functools.cache
+def _heat_apply_digests(threads):
+    # the thread count is fixed when numpy loads, so each count runs in its
+    # own process; threads=None leaves BLAS at its default, the CPU count
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(gkhyper.__file__).parents[1])
+    if threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+    proc = subprocess.run([sys.executable, "-c", THREADS_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digests = proc.stdout.split()
+    assert len(digests) == 8
+    return digests
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_heat_panel_applies_keep_bits_at_each_blas_thread_count(threads):
+    # the benchmark leaves BLAS threads at the CPU count: every apply at a
+    # pinned count must have the bits of that default
+    assert _heat_apply_digests(threads) == _heat_apply_digests(None)
