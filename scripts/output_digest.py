@@ -7,8 +7,11 @@ Usage: python3 scripts/output_digest.py [ROOT [OTHER]]
 ROOT is the checkout to run (default: the one holding this script). For each
 shipped config it also evaluates `objective_gengk` (at the config's
 `estimate.k`) and `objective_exact` at the theta in THETAS, and prints the
-value and the three gradient components as `float.hex`, which is exact, and
-the value and two gradient components of `objective_rescaled` read from a
+value and the three gradient components as `float.hex`, which is exact; the
+value, log-determinant and quadratic terms of `objective_svd` at the k in
+SVD_KS below min(m, n) and at full rank min(m, n); the SHA-256 of
+`map_reconstruct_exact`; and the value and two gradient components of
+`objective_rescaled` read from a
 `precompute_two_param` factorization taken at the theta's correlation length
 with k = `estimate.k`. It does the same for `objective_gengk` read from
 truncations of one factorization, taken at the config's `monitor.theta` with
@@ -17,9 +20,10 @@ prints the SHA-256 of `dense_matrix` of the config's forward operator and of the
 taken at `monitor.theta`, and `mc_xi_estimate`'s `xi_hat` at every k as `float.hex`,
 with the config's `monitor` probes and seed, so that a block apply that moves bits
 outside the dense oracle shows by name. The shipped configs all run on grids,
-so it does the same for `objective_gengk` (k = POINT_SET_K) and
-`objective_exact` at THETAS on a masked ray g = 8 model, whose geometry is a
-point array and whose covariance takes the dense backend, and the SHA-256 of
+so it does the same for `objective_gengk` (k = POINT_SET_K) and the dense
+oracles (`objective_exact`, `objective_svd`, `map_reconstruct_exact`) at
+THETAS on a masked ray g = 8 model, whose geometry is a point array and
+whose covariance takes the dense backend, and the SHA-256 of
 `dense_matrix` of its masked forward operator. For the same disk with its pixels
 in a shuffled order it prints the SHA-256 of `dense_matrix` of the forward
 operator, of `s_true` and of `data`, and `objective_exact` at THETAS, so that a
@@ -72,18 +76,32 @@ RAYS = ((24, 360), (64, 1440), (128, 8192))
 HEAT_SIZES = (256, 257, 1000, 2048, 4096)
 HEAT_K = 22
 
+# truncations of objective_svd, besides full rank min(m, n)
+SVD_KS = (1, 12, 60)
+
 # run by each checkout's own package, so that every number comes from its code
-SHOW = """
+SHOW = f"""
 import hashlib
-from gkhyper.marginal import HyperParams, objective_exact, objective_gengk
+from gkhyper.estimate import map_reconstruct_exact
+from gkhyper.marginal import HyperParams, objective_exact, objective_gengk, objective_svd
 from gkhyper.operators import dense_matrix
 
 def show(name, ev):
     for label, x in zip(("value", "grad1", "grad2", "grad3"), (ev.value, *ev.gradient)):
-        print(float(x).hex(), f"{name}/{label}")
+        print(float(x).hex(), f"{{name}}/{{label}}")
 
 def show_sha(name, array):
     print(hashlib.sha256(array.tobytes()).hexdigest(), name)
+
+def show_dense(model, theta):
+    params = HyperParams(theta)
+    show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
+    full = min(model.nrows, model.ncols)
+    for k in sorted({{k for k in {SVD_KS!r} if k < full}} | {{full}}):
+        ev = objective_svd(model, params, k)
+        for label in ("value", "logdet_term", "quad_term"):
+            print(float(getattr(ev, label)).hex(), f"objective_svd/theta={{theta}}/k={{k}}/{{label}}")
+    show_sha(f"map_reconstruct_exact/theta={{theta}}", map_reconstruct_exact(model, params))
 """
 
 OBJECTIVES = SHOW + f"""
@@ -100,7 +118,7 @@ model = _build_problem(cfg)[1]
 for theta in {THETAS!r}:
     params = HyperParams(theta)
     show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, cfg.estimate.k))
-    show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
+    show_dense(model, theta)
     unit = precompute_two_param(model, theta[2], cfg.estimate.k)
     show(f"objective_rescaled/theta={{theta}}", objective_rescaled(model, params, unit))
 
@@ -135,7 +153,7 @@ model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geomet
 for theta in {THETAS!r}:
     params = HyperParams(theta)
     show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, {POINT_SET_K}))
-    show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
+    show_dense(model, theta)
 show_sha("dense_matrix/forward", dense_matrix(model.forward))
 
 prob = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0, prior_std=0.8,

@@ -23,11 +23,10 @@ from .marginal import (
     HyperParams,
     Hyperprior,
     MarginalModel,
-    objective_exact,
+    _dense_assembly,
     objective_gengk_value,
 )
 from .monitor import err_indicator, mc_xi_estimate, normal_matrix_apply, prop2_bound, xi_recurrence
-from .operators import dense_matrix
 from .estimate import OptimizeOptions, map_reconstruct, optimize_hyperparams
 from .problems import build_heat_problem, build_ray_tomo_problem, relative_error
 
@@ -132,10 +131,10 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
     err_mc = np.array([err_indicator(x, fact.beta1) for x in xi_hat])
 
     if model.dense_ok:
-        exact = objective_exact(model, theta)
-        # xi_0 = tr(A' R^{-1} A Q) = tr(A (Q A')) / theta1, from m columns of Q
-        a_d = dense_matrix(model.forward)
-        xi0 = float(np.sum(a_d * q_op.apply_block(a_d.T).T)) / theta.noise_var
+        core = _dense_assembly(model, theta, "the exact objective")
+        exact = core.evaluation
+        # xi_0 = tr(A' R^{-1} A Q) = tr(A (Q A')) / theta1, on the Q A' of Z
+        xi0 = float(np.sum(core.a * core.qa.T)) / theta.noise_var
         xi_exact = xi_recurrence(fact.alphas, fact.betas, xi0)
 
     rows = []

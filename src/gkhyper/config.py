@@ -85,6 +85,8 @@ class ProblemConfig:
             raise ConfigError("noise_level must be nonnegative")
         if self.kappa <= 0:
             raise ConfigError("kappa must be positive")
+        if self.prior_std <= 0 or self.ell <= 0:
+            raise ConfigError("prior_std and ell must be positive")
 
 
 @dataclass

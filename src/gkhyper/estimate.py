@@ -15,13 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
-from .marginal import (HyperParams, MarginalModel, _check_taken_at, objective_gengk,
-                       objective_rescaled)
-from .operators import dense_matrix
+from .marginal import (HyperParams, MarginalModel, _check_taken_at, _dense_assembly,
+                       objective_gengk, objective_rescaled)
 
 __all__ = [
     "OptimizeOptions",
@@ -202,19 +200,13 @@ def map_reconstruct(model: MarginalModel, theta: HyperParams,
 def map_reconstruct_exact(model: MarginalModel, theta: HyperParams) -> np.ndarray:
     """Dense closed-form MAP estimate (oracle; small problems only).
 
-    s = mu + (Q A') Z^{-1} (d - A mu) with Z = A (Q A') + theta1 I by Cholesky,
-    the data-space form of (A' R^{-1} A + Q^{-1})^{-1} (A' R^{-1} d + Q^{-1} mu):
-    Q is built first (theta is checked before any apply), then applied to A'.
+    s = mu - (Q A') Z^{-1} (A mu - d) with Z = A (Q A') + theta1 I, the
+    data-space form of (A' R^{-1} A + Q^{-1})^{-1} (A' R^{-1} d + Q^{-1} mu).
+    Z^{-1} (A mu - d) is the solve objective_exact takes, from the same dense
+    assembly.
     """
-    model.require_dense("the closed-form MAP estimate")
-    q_op = model.prior_cov(theta)
-    a_dense = dense_matrix(model.forward)
-    qa = q_op.apply_block(a_dense.T)
-    z = a_dense @ qa
-    z[np.diag_indices_from(z)] += theta.noise_var
-    mu = model.mean_vector()
-    return mu + qa @ cho_solve(cho_factor(0.5 * (z + z.T), lower=True),
-                               model.data - a_dense @ mu)
+    core = _dense_assembly(model, theta, "the closed-form MAP estimate")
+    return model.mean_vector() - core.qa @ core.w
 
 
 def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,

@@ -1,11 +1,11 @@
 """Marginal-posterior objective and gradient for hyperparameter estimation.
 
-Three evaluation paths share one record type: a dense oracle (assembles the
-m x m data-space covariance Z = A (Q A') + R through block applies, Q and
-dQ/dtheta3 on the m columns of A'), a truncated-SVD variant used for bound
-checks (the spectrum of the same m x m block), and the bidiagonalization-based
-approximation that never forms Z. No path forms an n x n Q, Q^{1/2} or
-Q^{-1}. The objective is
+Three evaluation paths share one record type: the dense oracle, a truncated-SVD
+variant for bound checks (the spectrum of A (Q A')), and the bidiagonalization
+approximation that never forms Z. No path forms an n x n Q, Q^{1/2} or Q^{-1}.
+The dense paths, estimate.map_reconstruct_exact and the exact columns of
+`gkhyper monitor` read one data-space assembly: A probed once, Q A' from block
+applies on the m columns of A', and Z = A (Q A') + R factored once. The objective is
 
     F(theta) = -log pi(theta) + 1/2 logdet Z + 1/2 ||A mu - d||^2_{Z^{-1}},
 
@@ -20,13 +20,12 @@ products dQ/dtheta_i V_k come from the factorization too
 one block apply gives Q V_K and dQ/dtheta3 V_K, and dQ/dtheta2 V_K =
 (2/theta2) Q V_K. They are computed once per factorization and shared by its
 truncations, so a sweep of objective_gengk over k builds no covariance and
-applies Q and dQ/dtheta3 to V_K once. objective_gengk_value is the objective alone from an
-existing factorization, for sweeps over k that need no gradient.
+applies Q and dQ/dtheta3 to V_K once. objective_gengk_value is the objective
+alone from an existing factorization, for sweeps over k that need no gradient.
 objective_rescaled is the fast path with theta3 fixed: since R = theta1 I and
 Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3) rescales
 exactly to any (theta1, theta2), so the objective and its (theta1, theta2)
-gradient cost O(k) and apply no operator. The truncated-SVD path stays
-independent of the core, as the dense oracle it is checked against.
+gradient cost O(k) and apply no operator.
 """
 
 from __future__ import annotations
@@ -192,15 +191,14 @@ class MarginalModel:
 class ObjectiveEvaluation:
     """Objective value split into its three additive terms, plus gradient.
 
-    value = neglogprior_term + logdet_term + quad_term holds by construction
-    (same accumulation). k_used is 0 for the dense oracle; matvec_report
-    counts the applications spent on this evaluation: "forward" and
-    "adjoint" of the forward map, "q" of the prior covariance Q and "dq" of
-    dQ/dtheta3, in columns. dQ/dtheta2 = (2/theta2) Q applies nothing of its
-    own: the Q columns it is scaled from count in "q".
+    value is neglogprior_term + logdet_term + quad_term, summed in that
+    order. k_used is 0 for the dense oracle; matvec_report counts the
+    applications spent on this evaluation: "forward" and "adjoint" of the
+    forward map, "q" of the prior covariance Q and "dq" of dQ/dtheta3, in
+    columns. dQ/dtheta2 = (2/theta2) Q applies nothing of its own: the Q
+    columns it is scaled from count in "q".
     """
 
-    value: float
     neglogprior_term: float
     logdet_term: float
     quad_term: float
@@ -212,6 +210,10 @@ class ObjectiveEvaluation:
         for name in ("value", "neglogprior_term", "logdet_term", "quad_term"):
             if not np.isfinite(getattr(self, name)):
                 raise FloatingPointError(f"objective term {name} is not finite")
+
+    @property
+    def value(self) -> float:
+        return self.neglogprior_term + self.logdet_term + self.quad_term
 
 
 def _count_delta(op: LinearOperatorHandle, before: tuple[int, int],
@@ -227,66 +229,87 @@ def _assemble_gradient(hgrad: np.ndarray, *terms: tuple[float, float]) -> np.nda
     return np.array([h + 0.5 * trace + quad for h, (trace, quad) in zip(hgrad, terms)])
 
 
+@dataclass
+class _DenseAssembly:
+    """Dense data-space pieces at one theta: A, Q A', dQ/dtheta3 A' (None without
+    a gradient), r = A mu - d and the applies spent; with Z factored, Z's
+    Cholesky factor, w = Z^{-1} r and the three objective terms (else None)."""
+
+    a: np.ndarray
+    qa: np.ndarray
+    dq3_a: np.ndarray | None
+    r: np.ndarray
+    report: dict
+    cho: tuple | None = None
+    w: np.ndarray | None = None
+    evaluation: ObjectiveEvaluation | None = None
+
+
+def _dense_assembly(model: MarginalModel, theta: HyperParams, what: str,
+                    gradient: bool = False, factor: bool = True) -> _DenseAssembly:
+    """The one assembly every dense oracle reads, within the dense cap.
+
+    Q is built first, so theta is checked before any apply; A is probed once
+    by dense_matrix; with a gradient one block apply takes Q A' and
+    dQ/dtheta3 A' together (one shared forward transform per chunk). Z =
+    A (Q A') + theta1 I is symmetrized and factored once.
+    """
+    model.require_dense(what)
+    q_op = model.prior_cov(theta)
+    before = model.forward.matvec_count.snapshot()
+    a = dense_matrix(model.forward)
+    if gradient:
+        qa, dq3_a = q_op.apply_block_with_theta3_derivative(a.T)
+    else:
+        qa, dq3_a = q_op.apply_block(a.T), None
+    core = _DenseAssembly(a, qa, dq3_a, a @ model.mean_vector() - model.data, _count_delta(
+        model.forward, before, q=q_op.matvec_count.forward, dq=model.nrows if gradient else 0))
+    if not factor:
+        return core
+    z = a @ qa
+    z[np.diag_indices_from(z)] += theta.noise_var
+    try:
+        core.cho = cho_factor(0.5 * (z + z.T), lower=True)
+    except LinAlgError as exc:
+        raise LinAlgError("Z is numerically non-SPD after symmetrization") from exc
+    core.w = cho_solve(core.cho, core.r)
+    core.evaluation = ObjectiveEvaluation(
+        neglogprior_term=model.hyperprior.neglog(theta.values)[0],
+        logdet_term=float(np.sum(np.log(np.diag(core.cho[0])))),  # half of logdet Z
+        quad_term=0.5 * float(core.r @ core.w),
+        gradient=None,
+        k_used=0,
+        matvec_report=core.report,
+    )
+    return core
+
+
 def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvaluation:
     """Dense-oracle objective and gradient (guarded by the dense cap).
 
-    Z is assembled through block applies only, then factored once. Q is
-    built first, so theta is checked before any apply; then one block apply
-    takes Q A' and dQ/dtheta3 A' together, on the m columns of A' (one
-    shared forward transform per chunk), so Z = A (Q A') + theta1 I and
-    dZ/dtheta3 = A (dQ/dtheta3 A') are formed without an n x n Q. The
-    gradient uses dZ/dtheta1 = I, dZ/dtheta2 = (2/theta2)(Z - theta1 I) (from
-    dQ/dtheta2 = (2/theta2) Q), so that the theta2 term is closed form in
-    tr Z^{-1}, w'r and w'w, and dZ/dtheta3, with a fixed (zero-derivative)
-    prior mean.
+    The gradient uses dZ/dtheta1 = I, dZ/dtheta2 = (2/theta2)(Z - theta1 I)
+    (from dQ/dtheta2 = (2/theta2) Q), so that the theta2 term is closed form
+    in tr Z^{-1}, w'r and w'w, and dZ/dtheta3 = A (dQ/dtheta3 A'), with a
+    fixed (zero-derivative) prior mean.
     """
-    model.require_dense("the exact objective")
-    q_op = model.prior_cov(theta)
-    before = model.forward.matvec_count.snapshot()
-    m = model.nrows
-    a_dense = dense_matrix(model.forward)
-    qa, dq3_a = q_op.apply_block_with_theta3_derivative(a_dense.T)
-    z = a_dense @ qa
-    del qa
-    z[np.diag_indices_from(z)] += theta.noise_var
-    z = 0.5 * (z + z.T)
-    try:
-        cho = cho_factor(z, lower=True)
-    except LinAlgError as exc:
-        raise LinAlgError("Z is numerically non-SPD after symmetrization") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-
-    mu = model.mean_vector()
-    r = a_dense @ mu - model.data
-    w = cho_solve(cho, r)
-    r_w = float(r @ w)
-    quad = 0.5 * r_w
-
-    neglogprior, hgrad = model.hyperprior.neglog(theta.values)
-
-    z_inv = cho_solve(cho, np.eye(m))
+    core = _dense_assembly(model, theta, "the exact objective", gradient=True)
+    core.qa = None  # Q A' is dropped before Z^{-1} is formed
+    r, w, m = core.r, core.w, model.nrows
+    z_inv = cho_solve(core.cho, np.eye(m))
 
     theta1, theta2 = theta.noise_var, theta.prior_std
+    r_w = float(r @ w)
     trace_z_inv, w_norm2 = float(np.trace(z_inv)), float(w @ w)
     noise_term = trace_z_inv, -0.5 * w_norm2  # dZ/dtheta1 = I
     # dZ/dtheta2 = (2/theta2)(Z - theta1 I), and Z w = r
     prior_term = ((2.0 / theta2) * (m - theta1 * trace_z_inv),
                   -(r_w - theta1 * w_norm2) / theta2)
-    dz3 = a_dense @ dq3_a
+    dz3 = core.a @ core.dq3_a
     dz3 = 0.5 * (dz3 + dz3.T)
     ell_term = float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))
-    grad = _assemble_gradient(hgrad, noise_term, prior_term, ell_term)
-
-    return ObjectiveEvaluation(
-        value=neglogprior + 0.5 * logdet + quad,
-        neglogprior_term=neglogprior,
-        logdet_term=0.5 * logdet,
-        quad_term=quad,
-        gradient=grad,
-        k_used=0,
-        matvec_report=_count_delta(model.forward, before, q=q_op.matvec_count.forward,
-                                   dq=dq3_a.shape[1]),
-    )
+    _, hgrad = model.hyperprior.neglog(theta.values)
+    return replace(core.evaluation,
+                   gradient=_assemble_gradient(hgrad, noise_term, prior_term, ell_term))
 
 
 def _gengk_gradient(model: MarginalModel, theta: HyperParams,
@@ -335,10 +358,8 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
 def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectrum,
                     k: int) -> ObjectiveEvaluation:
     logdet_term, quad_term = spec.terms(model.noise_cov(theta).logdet())
-    neglogprior, _ = model.hyperprior.neglog(theta.values)
     return ObjectiveEvaluation(
-        value=neglogprior + logdet_term + quad_term,
-        neglogprior_term=neglogprior,
+        neglogprior_term=model.hyperprior.neglog(theta.values)[0],
         logdet_term=logdet_term,
         quad_term=quad_term,
         gradient=None,
@@ -440,36 +461,28 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
 
     The left singular vectors and squared singular values of Ahat =
     R^{-1/2} A Q^{1/2} are the eigenpairs of the m x m A (Q A') / theta1,
-    largest first, clipped at zero: Q is built first (theta is checked before
-    any apply) and applied to A', and no Q^{1/2} is formed. The leading
-    min(k, m, n) give the truncated objective, the exact one at
-    k = rank(Ahat); k < 0 raises ValueError. No gradient.
+    largest first, clipped at zero, with Q A' from the dense assembly and no
+    Q^{1/2} formed. The leading min(k, m, n) give the truncated objective,
+    the exact one at k = rank(Ahat); k < 0 raises ValueError. No gradient.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    model.require_dense("the truncated-SVD objective")
-    noise = model.noise_cov(theta)
-    q_op = model.prior_cov(theta)
-    before = model.forward.matvec_count.snapshot()
-    a_dense = dense_matrix(model.forward)
-    gram = a_dense @ q_op.apply_block(a_dense.T) / theta.noise_var
+    core = _dense_assembly(model, theta, "the truncated-SVD objective", factor=False)
+    gram = core.a @ core.qa / theta.noise_var
     evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
     k_eff = min(int(k), model.nrows, model.ncols)
     sk2 = np.clip(evals[::-1][:k_eff], 0.0, None)
     u_hat = evecs[:, ::-1][:, :k_eff]
 
-    logdet_term = 0.5 * (noise.logdet() + float(np.sum(np.log1p(sk2))))
-    r_hat = (a_dense @ model.mean_vector() - model.data) / np.sqrt(theta.noise_var)
+    logdet_term = 0.5 * (model.noise_cov(theta).logdet() + float(np.sum(np.log1p(sk2))))
+    r_hat = core.r / np.sqrt(theta.noise_var)
     coeff = u_hat.T @ r_hat
     quad_term = 0.5 * (float(r_hat @ r_hat) - float(np.sum(coeff**2 * sk2 / (1.0 + sk2))))
-
-    neglogprior, _ = model.hyperprior.neglog(theta.values)
     return ObjectiveEvaluation(
-        value=neglogprior + logdet_term + quad_term,
-        neglogprior_term=neglogprior,
+        neglogprior_term=model.hyperprior.neglog(theta.values)[0],
         logdet_term=logdet_term,
         quad_term=quad_term,
         gradient=None,
         k_used=k_eff,
-        matvec_report=_count_delta(model.forward, before, q=q_op.matvec_count.forward),
+        matvec_report=core.report,
     )

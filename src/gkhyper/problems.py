@@ -1,8 +1,8 @@
 """Built-in synthetic test problems and data generation.
 
 Ships a 1-d inverse heat (Volterra first kind) operator, a 2-d random-ray
-tomography operator, smooth random phantoms from a truncated eigenexpansion
-of a Matern covariance, and the norm-calibrated additive noise procedure. A
+tomography operator, smooth random phantoms from the eigenexpansion of a
+Matern covariance, and the norm-calibrated additive noise procedure. A
 masked ray problem (a land-mask stand-in) is the full one restricted to the
 mask's pixels: columns of the ray matrix, phantom entries and pixel centres.
 """
@@ -245,27 +245,19 @@ def _grid_covariance(grid: RegularGrid, kernel: MaternKernel) -> np.ndarray:
     return table[tuple(index)].reshape(grid.size, grid.size)
 
 
-def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, truncation: int,
-                   seed=None) -> np.ndarray:
-    """Random smooth field from a truncated eigenexpansion of the covariance.
+def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, seed=None) -> np.ndarray:
+    """Random smooth field from the full eigenexpansion of the covariance.
 
     The dense covariance is the kernel evaluated at the grid's lag distances.
-    Draws i.i.d. standard normal coefficients for its leading `truncation`
-    eigenpairs.
+    Draws i.i.d. standard normal coefficients for its eigenpairs, largest
+    eigenvalue first.
     """
     n = grid.size
     if n > PHANTOM_DENSE_CAP:
         raise ValueError(f"grid size {n} exceeds the phantom dense cap {PHANTOM_DENSE_CAP}")
-    truncation = int(truncation)
-    if truncation < 0 or truncation > n:
-        raise ValueError("truncation must lie in [0, n]")
-    if truncation == 0:
-        return np.zeros(n)
-    cov = _grid_covariance(grid, kernel)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1][:truncation]
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(truncation)
+    evals, evecs = np.linalg.eigh(_grid_covariance(grid, kernel))
+    order = np.argsort(evals)[::-1]
+    coeff = np.random.default_rng(seed).standard_normal(n)
     return evecs[:, order] @ (np.sqrt(np.clip(evals[order], 0.0, None)) * coeff)
 
 
@@ -337,7 +329,7 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
                              f"indices in [0, {grid.size})")
     rng = np.random.SeedSequence(seed).spawn(3)
     mat = _ray_matrix(g, n_rays, rng[0])
-    s_true = smooth_phantom(grid, MaternKernel(nu, prior_std**2, ell), grid.size, seed=rng[1])
+    s_true = smooth_phantom(grid, MaternKernel(nu, prior_std**2, ell), seed=rng[1])
     geometry = grid
     if mask is not None:
         # the column slice keeps each row's entries in the full matrix's

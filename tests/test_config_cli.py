@@ -119,6 +119,8 @@ BAD_NUMBERS = [
     {"hyperprior": {"kind": "gamma", "gamma": float("nan")}},
     {"problem": {"name": "heat1d", "n": 64, "noise_level": float("nan")}},
     {"problem": {"name": "heat1d", "n": 64, "kappa": float("inf")}},
+    {"problem": {"name": "ray_tomo", "grid": 8, "n_rays": 40, "prior_std": -0.8}},
+    {"problem": {"name": "ray_tomo", "grid": 8, "n_rays": 40, "ell": 0.0}},
     {"kernel": {"nu": float("inf")}},
     {"estimate": {"bounds": [[1e-10, 1.0], [1e-3, float("nan")], [5e-3, 0.5]]}},
     {"seed": float("inf")},
@@ -346,6 +348,35 @@ def test_monitor_dense_cap_between_m_and_n(tmp_path):
     for name in ("re_objective", "abs_err_objective", "re_logdet", "re_quad", "prop2_bound"):
         assert np.all(np.isnan(table[name])), name
     assert np.all(np.isfinite(table["xi_hat"])) and np.all(np.isfinite(table["err_mc"]))
+
+
+def test_monitor_probes_the_forward_map_once(tmp_path, monkeypatch):
+    # the exact columns and xi_0 read one dense assembly: A is probed once, by
+    # min(m, n) applies, besides the build's one apply, the 2(k + 1) of the
+    # bidiagonalization and the 2 n_mc of the Monte Carlo probes
+    models = []
+
+    def keep_model(cfg):
+        prob, model = _build_problem(cfg)
+        models.append(model)
+        return prob, model
+
+    monkeypatch.setattr("gkhyper.cli._build_problem", keep_model)
+    payload = {
+        "problem": {"name": "ray_tomo", "grid": 10, "n_rays": 80,
+                    "noise_level": 0.02, "prior_std": 0.8, "ell": 0.1},
+        "monitor": {"k_max": 10, "n_mc": 4, "theta": [1e-5, 0.8, 0.1]},
+        "seed": 1,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "mon"
+    assert main(["monitor", "--config", str(cfg), "--out", str(out)]) == 0
+    table = read_csv(out / "error_vs_k.csv")
+    assert np.all(np.isfinite(table["abs_err_objective"]))
+    (model,) = models
+    k = len(table["k"])
+    assert sum(model.forward.matvec_count.snapshot()) == (
+        1 + 2 * (k + 1) + 2 * 4 + min(model.nrows, model.ncols))
 
 
 def test_reconstruct_command(tmp_path):
