@@ -36,8 +36,13 @@ n = 256 (the shipped heat config's size) and by FFT convolution above, so at eac
 in HEAT_SIZES, on both sides of that switch, it prints the SHA-256 of
 `apply`, `apply_adjoint` and `apply_block` of `heat_1d(n)` on seeded inputs, and
 `objective_gengk` at THETAS with k = HEAT_K on `build_heat_problem(n)` with the
-shipped noise level and seed. Given a second checkout OTHER, both are digested
-and only the outputs and numbers that differ between them are printed, one name a line;
+shipped noise level and seed. The prior covariance Q applies by real transforms on
+a 1-d grid and by complex ones on a 2-d grid, so on each grid in Q_GRIDS (1-d n and
+2-d g by g, spacing 1/n or 1/g) and at the prior std and correlation length of each
+theta in THETAS it prints the SHA-256 of Q's `apply`, `apply_block` and both
+outputs of `apply_block_with_theta3_derivative` on seeded inputs, so that a
+Q-kernel change shows by name which grids moved. Given a second checkout OTHER, both
+are digested and only the outputs and numbers that differ between them are printed, one name a line;
 the exit status is 1 if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
 use, as perfbench does, so that two checkouts digested on one host can be
 compared.
@@ -75,6 +80,10 @@ RAYS = ((24, 360), (64, 1440), (128, 8192))
 # shipped heat config's
 HEAT_SIZES = (256, 257, 1000, 2048, 4096)
 HEAT_K = 22
+
+# Q's grids: the shipped heat size and the heat-estimate benchmark's n, the
+# shipped ray grid and the ray-monitor benchmark's g
+Q_GRIDS = ((256,), (2048,), (24, 24), (32, 32))
 
 # truncations of objective_svd, besides full rank min(m, n)
 SVD_KS = (1, 12, 60)
@@ -208,6 +217,25 @@ for n in {HEAT_SIZES!r}:
              objective_gengk(model, HyperParams(theta), {HEAT_K}))
 """
 
+# a 17-column block crosses the 16-column chunk edge of a block apply
+Q_APPLIES = f"""
+import hashlib
+import numpy as np
+from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
+
+for shape in {Q_GRIDS!r}:
+    grid = RegularGrid(shape, tuple(1.0 / s for s in shape))
+    label = f"n={{shape[0]}}" if len(shape) == 1 else f"g={{shape[0]}}"
+    rng = np.random.default_rng(grid.size)
+    x, block = rng.standard_normal(grid.size), rng.standard_normal((grid.size, 17))
+    for theta in {THETAS!r}:
+        q = build_cov_operator(grid, MaternKernel(1.5, theta[1] ** 2, theta[2]))
+        outs = {{"apply": q.apply(x), "apply_block": q.apply_block(block)}}
+        outs["with_theta3/Q"], outs["with_theta3/dQ"] = q.apply_block_with_theta3_derivative(block)
+        for name, out in outs.items():
+            print(hashlib.sha256(out.tobytes()).hexdigest(), f"{{label}}/theta={{theta}}/{{name}}")
+"""
+
 
 def _numbers(script: str, args: list, env: dict, cwd: str, prefix: str) -> dict:
     out = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
@@ -239,6 +267,7 @@ def digests(root: Path) -> dict:
         result.update(_numbers(PHANTOM, [], env, tmp, "phantom"))
         result.update(_numbers(RAY_CSR, [], env, tmp, "ray_tomo_2d"))
         result.update(_numbers(HEAT, [], env, tmp, "heat"))
+        result.update(_numbers(Q_APPLIES, [], env, tmp, "Q"))
     return result
 
 

@@ -2,7 +2,10 @@
 
 The geometry picks the backend, by one rule (normalize_geometry): an
 equispaced RegularGrid gets an FFT circulant embedding (O(n log n) matvecs),
-and a point set gets the dense kernel matrix of its pairwise distances.
+and a point set gets the dense kernel matrix of its pairwise distances. The
+embedding's eigenvalues are real and symmetric and its inputs real: a 1-d
+grid applies it by real transforms on the half spectrum, and a 2-d grid
+still by complex ones (see _FFTGridCovariance for why).
 The covariance is parameterized by the canonical hyperparameters: prior
 standard deviation theta2 (variance sigma^2 = theta2^2) and correlation
 length theta3; smoothness nu is fixed, never estimated.
@@ -184,7 +187,9 @@ class CovarianceOperator(LinearOperatorHandle):
     use. dQ/dtheta2 = (2/theta2) Q needs no operator: callers scale Q X. The
     counter goes up by the Q columns applied. Each backend names itself in
     the class attribute ``backend``: "fft" on a RegularGrid, "dense" on a
-    point set.
+    point set. The FFT backend's transforms are real, of L/2 + 1 modes, on a
+    1-d grid and complex on a 2-d grid; the forward transform of a chunk is
+    shared by Q and dQ/dtheta3 either way.
     """
 
     # tools that split Q applies from derivative applies read this; every
@@ -280,13 +285,22 @@ class _FFTGridCovariance(CovarianceOperator):
     the operator zero-pads the input into the embedding, multiplies by the
     circulant eigenvalues in Fourier space and crops. Negative embedding
     eigenvalues of Q (possible for some nu/ell) are clipped at zero, and
-    ``clipped`` counts them. The first clipping build per grid shape in a
-    process logs a WARNING, later ones log at DEBUG.
+    ``clipped`` counts them over the whole embedding. The first clipping
+    build per grid shape in a process logs a WARNING, later ones log at DEBUG.
 
     dQ/dtheta3 differentiates the clipped Q that is applied: the clipped set
     is locally constant in theta (away from a zero eigenvalue), so its
     eigenvalues are those of the embedded dM/dell, zeroed at Q's clipped
     modes and never clipped by their own sign.
+
+    This class applies the 2-d embedding by complex transforms, one axis at a
+    time; a 1-d grid gets ``_FFTLineCovariance``, which takes real transforms
+    of half the length. Real transforms on the 2-d grid wait on the ray
+    estimate's theta3 gradient: in a prototype with ``rfftn`` (2-CPU host,
+    2 BLAS threads) they cut a ray ``objective_gengk`` from 38-45 ms to
+    32-38 ms, but the moved bits turned ray-estimate's failed solves over
+    workload seeds 0-4 from 6 into 9 of 25, every one an ``unconverged``
+    stop.
     """
 
     backend = "fft"
@@ -295,10 +309,10 @@ class _FFTGridCovariance(CovarianceOperator):
         super().__init__(kernel, grid.size)
         self.grid = grid
         self._embed_shape = tuple(2 * s for s in grid.shape)
-        eig = np.fft.fftn(matern_eval(kernel, self._radius())).real
+        eig = self._spectrum(matern_eval(kernel, self._radius()))
         self.min_embedding_eig = float(eig.min())
         self._clip_mask = eig < 0.0
-        self.clipped = int(np.count_nonzero(self._clip_mask))
+        self.clipped = self._mode_count(self._clip_mask)
         if self.clipped:
             # once per grid shape at WARNING: Q is rebuilt per evaluation
             level = logging.DEBUG if grid.shape in _CLIP_WARNED else logging.WARNING
@@ -322,12 +336,22 @@ class _FFTGridCovariance(CovarianceOperator):
             return lag_axes[0]
         return np.hypot(lag_axes[0][:, None], lag_axes[1][None, :])
 
+    @staticmethod
+    def _spectrum(embedded: np.ndarray) -> np.ndarray:
+        # the embedding eigenvalues: the kernel is even on the torus, so its
+        # transform is real
+        return np.fft.fftn(embedded).real
+
+    @staticmethod
+    def _mode_count(mask: np.ndarray) -> int:
+        return int(np.count_nonzero(mask))
+
     def _clip(self, eig: np.ndarray) -> np.ndarray:
         return np.where(self._clip_mask, 0.0, eig) if self.clipped else eig
 
     @cached_property
     def _ell_data(self):
-        return self._clip(np.fft.fftn(matern_deriv(self.kernel, self._radius())).real)
+        return self._clip(self._spectrum(matern_deriv(self.kernel, self._radius())))
 
     def _forward_block(self, x):
         # fftn of each zero-padded column as a grid field, one axis at a time,
@@ -347,14 +371,41 @@ class _FFTGridCovariance(CovarianceOperator):
         return spectra.real
 
     def _apply(self, x):
-        out = self._inverse(self._forward_block(x[:, None]), self._data)[0]
-        # a stride-2 real view in 1-d and a contiguous copy in 2-d, as
-        # ifftn(...).real[crop].reshape(-1) returned them: the dot products
-        # downstream round differently on any other layout
-        return out if out.ndim == 1 else out.flatten()
+        # a contiguous copy, as ifftn(...).real[crop].reshape(-1) returned it:
+        # the dot products downstream round differently on any other layout
+        return self._inverse(self._forward_block(x[:, None]), self._data)[0].flatten()
 
     def _inverse_block(self, spectra, eig, out):
         out[...] = self._inverse(spectra, eig).reshape(out.shape[1], -1).T
+
+
+class _FFTLineCovariance(_FFTGridCovariance):
+    """The circulant embedding on a 1-d grid, applied by real transforms.
+
+    The embedding of length L = 2n is real and even, so its eigenvalues are
+    real and symmetric, and the inputs are real: ``rfft`` and ``irfft`` do
+    the work of the complex pair on L/2 + 1 modes. Q and dQ/dtheta3 keep
+    their eigenvalues, and Q its clip mask, on those modes only; ``clipped``
+    still counts the whole embedding, each mode but the first and last twice.
+    """
+
+    @staticmethod
+    def _spectrum(embedded):
+        return np.fft.rfft(embedded).real
+
+    @staticmethod
+    def _mode_count(mask):
+        return int(2 * np.count_nonzero(mask) - mask[0] - mask[-1])
+
+    def _forward_block(self, x):
+        return np.fft.rfft(x.T, n=self._embed_shape[0], axis=1)
+
+    def _inverse(self, spectra, eig):
+        return np.fft.irfft(eig * spectra, n=self._embed_shape[0], axis=1)[:, :self.ncols]
+
+    def _apply(self, x):
+        # the leading n entries of the inverse's one row, a contiguous view
+        return self._inverse(self._forward_block(x[:, None]), self._data)[0]
 
 
 def build_cov_operator(geometry, kernel: MaternKernel) -> CovarianceOperator:
@@ -366,5 +417,7 @@ def build_cov_operator(geometry, kernel: MaternKernel) -> CovarianceOperator:
     """
     geometry, _ = normalize_geometry(geometry)
     if isinstance(geometry, RegularGrid):
+        if geometry.ndim == 1:
+            return _FFTLineCovariance(kernel, geometry)
         return _FFTGridCovariance(kernel, geometry)
     return _DenseCovariance(kernel, geometry)

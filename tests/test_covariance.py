@@ -349,14 +349,46 @@ def test_apply_block_matches_per_column_apply_bit_for_bit(rng):
 
 def test_fft_apply_keeps_its_layout(rng):
     # the dot products that read Q.apply round by the layout they see, so
-    # the outputs depend on it: a stride-2 view of the complex inverse in 1-d,
-    # a contiguous copy in 2-d (a uniform layout changed every heat output)
+    # the outputs depend on it: in 1-d a contiguous view of the leading n
+    # entries of the real inverse's 2n-long row, in 2-d a contiguous copy
     q1 = build_cov_operator(RegularGrid((32,), (1 / 32,)), MaternKernel(1.5, 1.0, 0.1))
     out = q1.apply(rng.standard_normal(32))
-    assert out.strides == (16,) and not out.flags.c_contiguous
+    assert out.shape == (32,) and out.strides == (8,) and out.flags.c_contiguous
+    assert out.base is not None and out.base.shape == (1, 64)
     q2 = build_cov_operator(RegularGrid((6, 5), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
     out = q2.apply(rng.standard_normal(30))
     assert out.shape == (30,) and out.flags.c_contiguous
+
+
+# (n, ell, clipped modes): 16 points at ell = 0.06 do not clip, 16 at 0.9 and
+# 2048 at the heat config's 0.185 do
+COMPLEX_CASES = ((1, 0.06, 0), (2, 0.06, 0), (3, 0.06, 0), (16, 0.06, 0), (16, 0.9, 15),
+                 (2048, 0.185, 1899))
+
+
+@pytest.mark.parametrize("n,ell,clipped", COMPLEX_CASES)
+def test_1d_real_transforms_match_the_complex_embedding(rng, n, ell, clipped):
+    # the 1-d embedding as complex transforms apply it, built here: all 2n
+    # eigenvalues, Q's clip mask from them, ifft(eig * fft(x, 2n)).real[:n]
+    kernel = MaternKernel(1.5, 0.64, ell)
+    grid = RegularGrid((n,), (1 / n,))
+    idx = np.arange(2 * n)
+    lags = np.minimum(idx, 2 * n - idx) * grid.spacing[0]
+    eig = np.fft.fft(matern_eval(kernel, lags)).real
+    clip = eig < 0.0
+    eigs = [np.where(clip, 0.0, e) for e in (eig, np.fft.fft(matern_deriv(kernel, lags)).real)]
+
+    def reference(e, x):
+        return np.fft.ifft(e[:, None] * np.fft.fft(x, 2 * n, axis=0), axis=0).real[:n]
+
+    q = build_cov_operator(grid, kernel)
+    assert q.clipped == np.count_nonzero(clip) == clipped
+    x = rng.standard_normal((n, 17))  # across the 16-column chunk edge
+    q_ref, dq_ref = (reference(e, x) for e in eigs)
+    gots = [(np.column_stack([q.apply(col) for col in x.T]), q_ref), (q.apply_block(x), q_ref),
+            *zip(q.apply_block_with_theta3_derivative(x), (q_ref, dq_ref))]
+    for got, want in gots:
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_apply_block_counts_p_applies_per_operator(rng):

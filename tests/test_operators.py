@@ -318,7 +318,11 @@ THREADS_CHECK = """
 import hashlib
 import numpy as np
 from scipy.linalg import toeplitz
+from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
 from gkhyper.problems import heat_1d
+
+def show(out):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
 
 for n in (256, 2048):
     op = heat_1d(n)
@@ -331,14 +335,24 @@ for n in (256, 2048):
         assert np.array_equal(op.apply_adjoint(y), full.T @ y)
     for out in (op.apply(x), op.apply_adjoint(y), op.apply_block(block),
                 op.apply_adjoint_block(block)):
-        print(hashlib.sha256(out.tobytes()).hexdigest())
+        show(out)
+
+# Q on the heat-estimate benchmark's grid and the shipped ray grid, at their
+# configs' theta; 17 columns cross the 16-column chunk edge
+for grid, kernel in ((RegularGrid((2048,), (1 / 2048,)), MaternKernel(1.5, 0.45**2, 0.185)),
+                     (RegularGrid((24, 24), (1 / 24, 1 / 24)), MaternKernel(1.5, 0.8**2, 0.08))):
+    q = build_cov_operator(grid, kernel)
+    rng = np.random.default_rng(2)
+    x, block = rng.standard_normal(grid.size), rng.standard_normal((grid.size, 17))
+    for out in (q.apply(x), q.apply_block(block), *q.apply_block_with_theta3_derivative(block)):
+        show(out)
 """
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @functools.cache
-def _heat_apply_digests(threads):
+def _apply_digests(threads):
     # the thread count is fixed when numpy loads, so each count runs in its
     # own process; threads=None leaves BLAS at its default, the CPU count
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
@@ -349,12 +363,13 @@ def _heat_apply_digests(threads):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     digests = proc.stdout.split()
-    assert len(digests) == 8
+    assert len(digests) == 16
     return digests
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_heat_panel_applies_keep_bits_at_each_blas_thread_count(threads):
-    # the benchmark leaves BLAS threads at the CPU count: every apply at a
-    # pinned count must have the bits of that default
-    assert _heat_apply_digests(threads) == _heat_apply_digests(None)
+    # the benchmark leaves BLAS threads at the CPU count: every heat apply and
+    # every Q apply at a pinned count must have the bits of that default; Q
+    # takes numpy.fft only, so its bits must not depend on BLAS at all
+    assert _apply_digests(threads) == _apply_digests(None)
