@@ -16,10 +16,11 @@ SVD_KS below min(m, n) and at full rank min(m, n); the SHA-256 of
 with k = `estimate.k`. It does the same for `objective_gengk` read from
 truncations of one factorization, taken at the config's `monitor.theta` with
 K = `monitor.k_max` steps, at the k in SWEEP_KS and at K. From that factorization it
-prints the SHA-256 of `dense_matrix` of the config's forward operator and of the Q
-taken at `monitor.theta`, and `mc_xi_estimate`'s `xi_hat` at every k as `float.hex`,
-with the config's `monitor` probes and seed, so that a block apply that moves bits
-outside the dense oracle shows by name. The shipped configs all run on grids,
+prints the SHA-256 of its `u_basis`, `v_basis`, `qv_basis`, `alphas` and `betas`,
+so that a moved basis shows by name, and of `dense_matrix` of the config's forward
+operator and of the Q taken at `monitor.theta`, and `mc_xi_estimate`'s `xi_hat` at
+every k as `float.hex`, with the config's `monitor` probes and seed, so that a block
+apply that moves bits outside the dense oracle shows by name. The shipped configs all run on grids,
 so it does the same for `objective_gengk` (k = POINT_SET_K) and the dense
 oracles (`objective_exact`, `objective_svd`, `map_reconstruct_exact`) at
 THETAS on a masked ray g = 8 model, whose geometry is a point array and
@@ -135,6 +136,8 @@ theta = HyperParams(cfg.monitor.theta)
 k_max = min(cfg.monitor.k_max, model.nrows, model.ncols)
 fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
                     model.prior_mean, model.data, k_max)
+for name in ("u_basis", "v_basis", "qv_basis", "alphas", "betas"):
+    show_sha(f"factorization/theta={{tuple(cfg.monitor.theta)}}/{{name}}", getattr(fact, name))
 for k in sorted({{k for k in {SWEEP_KS!r} if k <= fact.k}} | {{fact.k}}):
     show(f"sweep/theta={{tuple(cfg.monitor.theta)}}/k={{k}}",
          objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)))

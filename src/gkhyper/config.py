@@ -239,6 +239,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if raw is None:

@@ -5,7 +5,9 @@ equispaced RegularGrid gets an FFT circulant embedding (O(n log n) matvecs),
 and a point set gets the dense kernel matrix of its pairwise distances. The
 embedding's eigenvalues are real and symmetric and its inputs real: a 1-d
 grid applies it by real transforms on the half spectrum, and a 2-d grid
-still by complex ones (see _FFTGridCovariance for why).
+still by complex ones (see _FFTGridCovariance for why). Every backend applies
+Q to a vector as the one-column block apply, so a block column has the bits
+of its vector apply by construction.
 The covariance is parameterized by the canonical hyperparameters: prior
 standard deviation theta2 (variance sigma^2 = theta2^2) and correlation
 length theta3; smoothness nu is fixed, never estimated.
@@ -68,9 +70,6 @@ class MaternKernel:
     @property
     def prior_std(self) -> float:
         return math.sqrt(self.sigma2)
-
-    def __call__(self, r):
-        return matern_eval(self, r)
 
 
 def _is_close(a: float, b: float) -> bool:
@@ -184,12 +183,14 @@ class CovarianceOperator(LinearOperatorHandle):
     also dQ/dtheta3, both in one chunk loop: ``_forward_block`` takes each
     chunk of columns to a transform that ``_inverse_block`` finishes into Q X,
     and into dQ/dtheta3 X from the backend's derivative data, built on first
-    use. dQ/dtheta2 = (2/theta2) Q needs no operator: callers scale Q X. The
-    counter goes up by the Q columns applied. Each backend names itself in
-    the class attribute ``backend``: "fft" on a RegularGrid, "dense" on a
-    point set. The FFT backend's transforms are real, of L/2 + 1 modes, on a
-    1-d grid and complex on a 2-d grid; the forward transform of a chunk is
-    shared by Q and dQ/dtheta3 either way.
+    use. dQ/dtheta2 = (2/theta2) Q needs no operator: callers scale Q X.
+    ``apply`` is the one-column block apply on every backend: it returns
+    column 0 of a C-contiguous (n, 1) output. The counter goes up by the Q
+    columns applied. Each backend names itself in the class attribute
+    ``backend``: "fft" on a RegularGrid, "dense" on a point set. The FFT
+    backend's transforms are real, of L/2 + 1 modes, on a 1-d grid and
+    complex on a 2-d grid; the forward transform of a chunk is shared by Q
+    and dQ/dtheta3 either way.
     """
 
     # tools that split Q applies from derivative applies read this; every
@@ -199,6 +200,9 @@ class CovarianceOperator(LinearOperatorHandle):
     def __init__(self, kernel: MaternKernel, n: int):
         super().__init__(n, n)
         self.kernel = kernel
+
+    def _apply(self, x):
+        return self._apply_chunks(x[:, None], (self._data,))[0][:, 0]
 
     def _apply_adjoint(self, y):
         # symmetric by construction
@@ -265,9 +269,6 @@ class _DenseCovariance(CovarianceOperator):
     @cached_property
     def _ell_data(self):
         return matern_deriv(self.kernel, _distance_matrix(self._points))
-
-    def _apply(self, x):
-        return self._data @ x
 
     def _forward_block(self, x):
         return x
@@ -361,22 +362,14 @@ class _FFTGridCovariance(CovarianceOperator):
             fields = np.fft.fft(fields, n=self._embed_shape[axis - 1], axis=axis)
         return fields
 
-    def _inverse(self, spectra: np.ndarray, eig: np.ndarray) -> np.ndarray:
+    def _inverse_block(self, spectra, eig, out):
         # ifftn in fftn's axis order, cropping each axis to the grid after its
         # pass: the later passes skip the padding, the kept entries are the same
         spectra = eig * spectra
         for axis in range(spectra.ndim - 1, 0, -1):
             crop = (slice(None),) * axis + (slice(0, self.grid.shape[axis - 1]),)
             spectra = np.fft.ifft(spectra, axis=axis)[crop]
-        return spectra.real
-
-    def _apply(self, x):
-        # a contiguous copy, as ifftn(...).real[crop].reshape(-1) returned it:
-        # the dot products downstream round differently on any other layout
-        return self._inverse(self._forward_block(x[:, None]), self._data)[0].flatten()
-
-    def _inverse_block(self, spectra, eig, out):
-        out[...] = self._inverse(spectra, eig).reshape(out.shape[1], -1).T
+        out[...] = spectra.real.reshape(out.shape[1], -1).T
 
 
 class _FFTLineCovariance(_FFTGridCovariance):
@@ -400,12 +393,8 @@ class _FFTLineCovariance(_FFTGridCovariance):
     def _forward_block(self, x):
         return np.fft.rfft(x.T, n=self._embed_shape[0], axis=1)
 
-    def _inverse(self, spectra, eig):
-        return np.fft.irfft(eig * spectra, n=self._embed_shape[0], axis=1)[:, :self.ncols]
-
-    def _apply(self, x):
-        # the leading n entries of the inverse's one row, a contiguous view
-        return self._inverse(self._forward_block(x[:, None]), self._data)[0]
+    def _inverse_block(self, spectra, eig, out):
+        out[...] = np.fft.irfft(eig * spectra, n=self._embed_shape[0], axis=1)[:, :self.ncols].T
 
 
 def build_cov_operator(geometry, kernel: MaternKernel) -> CovarianceOperator:

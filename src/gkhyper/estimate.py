@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+# gengk_bidiag is not called here: perfbench/test_perfbench.py asserts the name
 from .gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
 from .marginal import (HyperParams, MarginalModel, _check_taken_at, _dense_assembly,
-                       objective_gengk, objective_rescaled)
+                       _unit_theta, objective_gengk, objective_rescaled)
 
 __all__ = [
     "OptimizeOptions",
@@ -137,11 +138,8 @@ def optimize_hyperparams(model: MarginalModel, theta0: HyperParams,
 
 
 def precompute_two_param(model: MarginalModel, ell: float, k: int) -> GenGKFactorization:
-    """One-time bidiagonalization at theta = (1, 1, ell) for the fast path,
-    with k clamped to min(m, n) as in optimize_hyperparams."""
-    unit = HyperParams(np.array([1.0, 1.0, ell]))
-    return gengk_bidiag(model.forward, model.noise_cov(unit), model.prior_cov(unit),
-                        model.prior_mean, model.data, min(int(k), model.nrows, model.ncols))
+    """One-time factorization at theta = (1, 1, ell) for the fast path."""
+    return model.factorize(_unit_theta(ell), k)
 
 
 def optimize_two_param(model: MarginalModel, fact_hat: GenGKFactorization, theta0,
@@ -176,11 +174,11 @@ def map_reconstruct(model: MarginalModel, theta: HyperParams,
                     fact: GenGKFactorization | None = None) -> np.ndarray:
     """Projected MAP estimate s = mu + Q V_k z with (I + T_k) z = B' beta1 e1.
 
-    A factorization is computed at theta when not supplied; a supplied one
-    must have been taken at theta, or a ValueError is raised. With a supplied
-    factorization, k reads its leading k steps (k = None keeps all of them),
-    and a k outside [0, fact.k] raises ValueError. The cached Q V columns make the
-    final synthesis free of extra covariance applies.
+    Without a supplied factorization, model.factorize(theta, k) is run; a
+    supplied one must have been taken at theta, or a ValueError is raised.
+    With a supplied factorization, k reads its leading k steps (k = None keeps
+    all of them), and a k outside [0, fact.k] raises ValueError. The cached
+    Q V columns make the final synthesis free of extra covariance applies.
     """
     if fact is not None:
         _check_taken_at(fact, theta)
@@ -189,10 +187,7 @@ def map_reconstruct(model: MarginalModel, theta: HyperParams,
     else:
         if k is None:
             raise ValueError("either k or an existing factorization is required")
-        k_run = min(int(k), min(model.nrows, model.ncols))
-        fact = gengk_bidiag(model.forward, model.noise_cov(theta),
-                            model.prior_cov(theta), model.prior_mean,
-                            model.data, k_run)
+        fact = model.factorize(theta, k)
     z = fact.spectrum.coefficients()
     return model.mean_vector() + fact.qv_basis[:, : fact.k] @ z
 
@@ -221,7 +216,7 @@ def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,
     re_curve of shape (len(grid), 2) holding (lambda, RE). A factorization
     not taken at (1, 1, ell) raises ValueError.
     """
-    _check_taken_at(fact_hat, HyperParams(np.array([1.0, 1.0, fact_hat.q_op.kernel.ell])))
+    _check_taken_at(fact_hat, _unit_theta(fact_hat.q_op.kernel.ell))
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ValueError("lambda grid is empty")

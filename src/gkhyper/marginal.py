@@ -186,6 +186,15 @@ class MarginalModel:
         kernel = MaternKernel(self.nu, theta.prior_std**2, theta.corr_length)
         return build_cov_operator(self.geometry, kernel)
 
+    def factorize(self, theta: HyperParams, k: int) -> GenGKFactorization:
+        """The genGK factorization at theta that every approximate path reads:
+        gengk_bidiag with noise_cov(theta), then prior_cov(theta) (a theta of the
+        wrong length raises ValueError before any apply), the prior mean and the
+        data, for min(k, m, n) steps, k clamped to the most the iteration can
+        take. Its k is the count achieved, lower after a breakdown."""
+        return gengk_bidiag(self.forward, self.noise_cov(theta), self.prior_cov(theta),
+                            self.prior_mean, self.data, min(int(k), self.nrows, self.ncols))
+
 
 @dataclass
 class ObjectiveEvaluation:
@@ -379,6 +388,10 @@ def _check_taken_at(fact: GenGKFactorization, theta: HyperParams) -> None:
             f"theta = {theta.values}")
 
 
+def _unit_theta(ell: float) -> HyperParams:
+    return HyperParams(np.array([1.0, 1.0, ell]))
+
+
 def objective_gengk_value(model: MarginalModel, theta: HyperParams,
                           fact: GenGKFactorization) -> ObjectiveEvaluation:
     """Approximate objective alone from a factorization computed at theta.
@@ -400,7 +413,7 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
     covariance is built and no operator is applied. The gradient has two
     components, since theta3 is held fixed.
     """
-    _check_taken_at(fact_unit, HyperParams(np.array([1.0, 1.0, theta.corr_length])))
+    _check_taken_at(fact_unit, _unit_theta(theta.corr_length))
     theta1, theta2 = theta.noise_var, theta.prior_std
     spec = fact_unit.spectrum.rescaled(theta1, theta2)
     evaluation = _spectral_value(model, theta, spec, fact_unit.k)
@@ -428,21 +441,18 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
                     fact: GenGKFactorization | None = None) -> ObjectiveEvaluation:
     """Approximate objective and gradient from k bidiagonalization steps.
 
-    When fact is omitted the bidiagonalization is run fresh at theta (the
+    When fact is omitted, model.factorize(theta, k) is run fresh (the
     per-evaluation cost model assumes this). A supplied factorization must
     have been computed at the same theta: its R and Q are used as they are,
     and a ValueError is raised, before any apply, when R's variance is not
     theta1 or Q's variance or correlation length is not theta2^2 or theta3.
     Its derivative products are read from its cache, so in a sweep over
     truncations of one factorization only the first read applies Q and
-    dQ/dtheta3 to V_K. If the iteration broke down before k steps the
-    achieved count is used and recorded in k_used.
+    dQ/dtheta3 to V_K. k_used is the factorization's k.
     """
     before = model.forward.matvec_count.snapshot()
     if fact is None:
-        k_run = min(int(k), min(model.nrows, model.ncols))
-        fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
-                            model.prior_mean, model.data, k_run)
+        fact = model.factorize(theta, k)
         cov_before = (0, 0)
     else:
         cov_before = fact.cov_applies()

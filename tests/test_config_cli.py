@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import gkhyper
 from gkhyper import estimate
 from gkhyper.cli import _build_problem, main
 from gkhyper.config import ConfigError, config_from_dict, load_config
@@ -254,6 +258,39 @@ def test_malformed_config_exits_one_without_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def _run_cli(tmp_path, *args):
+    # in a process of its own, so that a traceback would show on its stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(gkhyper.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "gkhyper.cli", *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_unreadable_config_exits_one_without_traceback(tmp_path):
+    # a directory, and a file that is not UTF-8 text
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(bytes(range(128, 256)))
+    out = tmp_path / "out"
+    for config in (tmp_path, binary):
+        proc = _run_cli(tmp_path, "reconstruct", "--config", str(config), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"configuration error: cannot read {config}: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+def test_out_naming_a_file_exits_one_without_traceback(tmp_path):
+    # the outputs are written after the solve, into a directory that cannot be made
+    cfg = write_config(tmp_path, SMALL_HEAT)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    proc = _run_cli(tmp_path, "reconstruct", "--config", str(cfg), "--out", str(taken))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("cannot write outputs: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert taken.read_text() == "kept\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.yaml", "taken"]
 
 
 def test_negative_cli_seed_rejected(tmp_path):

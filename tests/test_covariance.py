@@ -349,15 +349,16 @@ def test_apply_block_matches_per_column_apply_bit_for_bit(rng):
 
 def test_fft_apply_keeps_its_layout(rng):
     # the dot products that read Q.apply round by the layout they see, so
-    # the outputs depend on it: in 1-d a contiguous view of the leading n
-    # entries of the real inverse's 2n-long row, in 2-d a contiguous copy
-    q1 = build_cov_operator(RegularGrid((32,), (1 / 32,)), MaternKernel(1.5, 1.0, 0.1))
-    out = q1.apply(rng.standard_normal(32))
-    assert out.shape == (32,) and out.strides == (8,) and out.flags.c_contiguous
-    assert out.base is not None and out.base.shape == (1, 64)
-    q2 = build_cov_operator(RegularGrid((6, 5), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
-    out = q2.apply(rng.standard_normal(30))
-    assert out.shape == (30,) and out.flags.c_contiguous
+    # the outputs depend on it: on every backend, column 0 of the C-contiguous
+    # (n, 1) output of a one-column block apply
+    kernel = MaternKernel(1.5, 1.0, 0.3)
+    for geometry in (RegularGrid((32,), (1 / 32,)), RegularGrid((6, 5), (0.2, 0.2)),
+                     rng.uniform(0, 1, (30, 2))):
+        q = build_cov_operator(geometry, kernel)
+        out = q.apply(rng.standard_normal(q.ncols))
+        assert out.shape == (q.ncols,) and out.strides == (8,) and out.flags.c_contiguous
+        assert out.base is not None and out.base.shape == (q.ncols, 1)
+        assert out.base.flags.c_contiguous
 
 
 # (n, ell, clipped modes): 16 points at ell = 0.06 do not clip, 16 at 0.9 and

@@ -543,6 +543,25 @@ def test_matvec_report_counts_q_and_dq_applies():
     assert reports == [{**zero, "q": k_max, "dq": k_max}] + [{**zero, "q": 0, "dq": 0}] * 3
 
 
+@pytest.mark.parametrize("model", _guard_models(), ids=["heat64", "ray8"])
+def test_factorize_is_gengk_bidiag_clamped_to_min_m_n(model):
+    # below, at and above min(m, n), against the call written out by hand
+    full = min(model.nrows, model.ncols)
+    theta = HyperParams(np.array(GUARD_THETAS[0]))
+    for k in (12, full, full + 5):
+        got = model.factorize(theta, k)
+        want = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
+                            model.prior_mean, model.data, min(k, model.nrows, model.ncols))
+        for name in ("u_basis", "v_basis", "qv_basis", "alphas", "betas"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
+        assert (got.k, got.breakdown_at) == (want.k, want.breakdown_at)
+    before = model.forward.matvec_count.snapshot()
+    for values in ([1e-4, 0.5], [1e-4, 0.5, 0.1, 0.2]):
+        with pytest.raises(ValueError, match="correlation length"):
+            model.factorize(HyperParams(np.array(values)), 8)
+    assert model.forward.matvec_count.snapshot() == before
+
+
 def test_gengk_with_factorization_at_another_theta_raises():
     model = _guard_models()[0]
     theta = HyperParams(np.array([1e-4, 0.5, 0.1]))

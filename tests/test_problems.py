@@ -313,8 +313,8 @@ def test_phantom_covariance_statistic(rng):
         smooth_phantom(grid, kernel, seed=s) for s in range(n_draws)
     ])
     sample_cov = np.mean(draws[:, i] * draws[:, j])
-    target = float(kernel(0.1))
-    qii = float(kernel(0.0))
+    target = matern_eval(kernel, 0.1)
+    qii = matern_eval(kernel, 0.0)
     # var of the product-moment estimate for a bivariate gaussian
     sigma = math.sqrt((qii * qii + target * target) / n_draws)
     assert abs(sample_cov - target) <= 3.0 * sigma
