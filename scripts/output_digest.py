@@ -17,7 +17,8 @@ with k = `estimate.k`. It does the same for `objective_gengk` read from
 truncations of one factorization, taken at the config's `monitor.theta` with
 K = `monitor.k_max` steps, at the k in SWEEP_KS and at K. From that factorization it
 prints the SHA-256 of its `u_basis`, `v_basis`, `qv_basis`, `alphas` and `betas`,
-so that a moved basis shows by name, and of `dense_matrix` of the config's forward
+so that a moved basis shows by name, the three `verify_relations` residuals as
+`float.hex`, and the SHA-256 of `dense_matrix` of the config's forward
 operator and of the Q taken at `monitor.theta`, and `mc_xi_estimate`'s `xi_hat` at
 every k as `float.hex`, with the config's `monitor` probes and seed, so that a block
 apply that moves bits outside the dense oracle shows by name. The shipped configs all run on grids,
@@ -119,7 +120,7 @@ import sys
 from gkhyper.cli import _build_problem
 from gkhyper.config import load_config
 from gkhyper.estimate import precompute_two_param
-from gkhyper.gengk import gengk_bidiag, truncate_factorization
+from gkhyper.gengk import gengk_bidiag, truncate_factorization, verify_relations
 from gkhyper.marginal import objective_rescaled
 from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply
 
@@ -141,12 +142,16 @@ for name in ("u_basis", "v_basis", "qv_basis", "alphas", "betas"):
 for k in sorted({{k for k in {SWEEP_KS!r} if k <= fact.k}} | {{fact.k}}):
     show(f"sweep/theta={{tuple(cfg.monitor.theta)}}/k={{k}}",
          objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)))
+residuals = verify_relations(fact, model.forward, model.prior_mean, model.data)
+for label, residual in zip(("init", "forward", "adjoint"), residuals):
+    print(float(residual).hex(),
+          f"verify_relations/theta={{tuple(cfg.monitor.theta)}}/{{label}}")
 
 show_sha("dense_matrix/forward", dense_matrix(model.forward))
 show_sha(f"dense_matrix/Q/theta={{tuple(cfg.monitor.theta)}}", dense_matrix(fact.q_op))
-xi_hat = mc_xi_estimate(normal_matrix_apply(model.forward, fact.noise), fact.q_op, fact,
-                        cfg.monitor.n_mc, seed=cfg.seed, k_max=fact.k,
-                        probe_kind=cfg.monitor.probe_kind)
+h_apply = normal_matrix_apply(model.forward, model.noise_cov(theta))
+xi_hat = mc_xi_estimate(h_apply, fact.q_op, fact, cfg.monitor.n_mc, seed=cfg.seed,
+                        k_max=fact.k, probe_kind=cfg.monitor.probe_kind)
 for k, xi in enumerate(xi_hat, 1):
     print(float(xi).hex(), f"mc_xi_estimate/theta={{tuple(cfg.monitor.theta)}}/k={{k}}")
 """

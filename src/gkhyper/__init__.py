@@ -12,7 +12,6 @@ from .operators import (
     LowerToeplitzOperator,
     SparseOperator,
     IdentityOperator,
-    NoiseCovariance,
     dense_matrix,
 )
 from .covariance import (

@@ -5,7 +5,7 @@ cannot be written, 2 numerical failure. All numeric CSV/JSON fields are written
 with full repr precision so that identical config + seed reproduces outputs
 bit-identically. Outputs are held in memory and written only after the workflow
 finished: each command returns them as {file name: text}, and main writes
-them, so a run that fails before then leaves no files.
+them all or none, so a run that fails, or fails to write, leaves no files.
 """
 
 from __future__ import annotations
@@ -47,9 +47,22 @@ def _render_csv(header: list[str], rows: list[list]) -> str:
 
 
 def _write_outputs(out_dir: Path, outputs: dict[str, str]) -> None:
+    # all or none: each file is written under a temporary name, and only once
+    # all are written and no target is a directory are they renamed into place
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        (out_dir / name).write_text(text)
+    staged = [(out_dir / f".{name}.partial", out_dir / name, text)
+              for name, text in outputs.items()]
+    try:
+        for partial, target, text in staged:
+            if target.is_dir():
+                raise IsADirectoryError(f"{target} is a directory")
+            partial.write_text(text)
+    except OSError:
+        for partial, _, _ in staged:
+            partial.unlink(missing_ok=True)
+        raise
+    for partial, target, _ in staged:
+        partial.replace(target)
 
 
 def _build_problem(cfg: RunConfig):
@@ -120,7 +133,7 @@ def cmd_monitor(cfg: RunConfig) -> dict[str, str]:
     theta = HyperParams(np.asarray(mc.theta, dtype=float))
     fact = model.factorize(theta, mc.k_max)
 
-    xi_hat = mc_xi_estimate(normal_matrix_apply(model.forward, fact.noise), fact.q_op,
+    xi_hat = mc_xi_estimate(normal_matrix_apply(model.forward, fact.noise_var), fact.q_op,
                             fact, mc.n_mc, seed=cfg.seed, k_max=fact.k,
                             probe_kind=mc.probe_kind)
     err_mc = np.array([err_indicator(x, fact.beta1) for x in xi_hat])

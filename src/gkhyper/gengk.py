@@ -1,9 +1,9 @@
 """Generalized Golub-Kahan bidiagonalization in the R^{-1} / Q inner products.
 
-The iteration needs only matvecs with the forward map, its adjoint, the prior
-covariance Q and the inverse noise covariance; no square roots or inverses of
-Q are ever formed. Weighted norms use the operator forms
-||x||^2_{R^{-1}} = <R^{-1}x, x> and ||v||^2_Q = <Qv, v>.
+The iteration needs only matvecs with the forward map, its adjoint and the
+prior covariance Q, and the noise covariance R = theta1 I is given by the float
+theta1; no square roots or inverses of Q are ever formed. Weighted norms use
+||x||^2_{R^{-1}} = <x / theta1, x> and ||v||^2_Q = <Qv, v>.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .covariance import CovarianceOperator
-from .operators import LinearOperatorHandle, NoiseCovariance
+from .operators import LinearOperatorHandle
 
 __all__ = [
     "BidiagSpectrum",
@@ -27,6 +27,13 @@ __all__ = [
 
 # relative to beta1; the iteration stops early below this
 BREAKDOWN_RTOL = 1e-14
+
+
+def _check_noise_var(theta1) -> float:
+    # theta1 of R = theta1 I as a float; a NaN fails the comparison too
+    if not 0.0 < float(theta1) < np.inf:
+        raise ValueError(f"noise variance must be finite and positive, got {theta1}")
+    return float(theta1)
 
 
 def bidiagonal_matrix(alphas, betas) -> np.ndarray:
@@ -125,11 +132,11 @@ class _DerivativeProducts:
 class GenGKFactorization:
     """Result of k bidiagonalization steps.
 
-    u_basis (m x (k+1)) is orthonormal in the R^{-1} inner product of noise,
-    the noise covariance the factorization was taken with, and v_basis
-    (n x (k+1)) in the Q inner product of q_op, the prior covariance it was
-    taken with; qv_basis caches Q @ v columns so that downstream consumers
-    (reconstruction, monitoring) need no extra Q applies.
+    u_basis (m x (k+1)) is orthonormal in the R^{-1} inner product of the
+    noise covariance R = theta1 I it was taken with, given by noise_var =
+    theta1, and v_basis (n x (k+1)) in the Q inner product of q_op, the prior
+    covariance it was taken with; qv_basis caches Q @ v columns so that
+    downstream consumers (reconstruction, monitoring) need no extra Q applies.
     betas[0] is the initialization norm beta1. When the iteration broke down,
     breakdown_at records the step and the trailing basis columns are zero.
 
@@ -139,7 +146,7 @@ class GenGKFactorization:
     dQ/dtheta2 V_k and dQ/dtheta3 V_k that the gradient reads; they are
     taken for the whole basis on first use by one q_op block apply (Q V_K,
     scaled by 2/theta2, and dQ/dtheta3 V_K) and cached, and a truncation
-    shares noise, q_op and that cache with the factorization it was cut
+    shares noise_var, q_op and that cache with the factorization it was cut
     from. The arrays are not to be modified once either has been taken.
     """
 
@@ -150,7 +157,7 @@ class GenGKFactorization:
     betas: np.ndarray
     k: int
     q_op: CovarianceOperator
-    noise: NoiseCovariance
+    noise_var: float
     breakdown_at: int | None = None
     # None makes a fresh cache over v_basis[:, :k]; a truncation passes its
     # factorization's cache
@@ -199,11 +206,13 @@ def _orthogonalize(w, basis_cols, weighted_cols):
     return w
 
 
-def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
+def gengk_bidiag(A: LinearOperatorHandle, R: float,
                  Q: CovarianceOperator, mu, d, k: int,
                  reorth: bool = True) -> GenGKFactorization:
     """Run k steps of generalized Golub-Kahan bidiagonalization.
 
+    R is the noise variance theta1 of the noise covariance R = theta1 I; one
+    that is not finite and positive raises ValueError before any apply.
     Step 0 is the initialization, taken by the same loop body as every later
     step: its forward residual is d - A mu, and its adjoint half has no
     previous v to subtract or reorthogonalize against. Requires
@@ -214,6 +223,7 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
     in the appropriate weighted inner product.
     """
     m, n = A.shape
+    R = _check_noise_var(R)
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -223,7 +233,7 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
     d = np.asarray(d, dtype=float)
 
     # working bases; columns past the last step taken stay zero, and ru_basis
-    # holds R^{-1} U
+    # holds R^{-1} U = U / R
     u_basis, ru_basis = np.zeros((m, k + 1)), np.zeros((m, k + 1))
     v_basis, qv_basis = np.zeros((n, k + 1)), np.zeros((n, k + 1))
     alphas, betas = [], []
@@ -243,7 +253,7 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
                 raise FloatingPointError(f"non-finite forward output at iteration {j}")
             if reorth:
                 w = _orthogonalize(w, u_basis[:, :j], ru_basis[:, :j])
-        beta = float(np.sqrt(max(R.apply_inv(w) @ w, 0.0)))
+        beta = float(np.sqrt(max((w / R) @ w, 0.0)))
         betas.append(beta)
         if beta <= tol:
             alphas.append(0.0)
@@ -252,7 +262,7 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
         if j == 0:
             tol = BREAKDOWN_RTOL * beta
         u = u_basis[:, j] = w / beta
-        ru = ru_basis[:, j] = R.apply_inv(u)
+        ru = ru_basis[:, j] = u / R
 
         g = A.apply_adjoint(ru) - beta * v
         if not np.all(np.isfinite(g)):
@@ -280,7 +290,7 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
         betas=np.asarray(betas, dtype=float),
         k=cols - 1,
         q_op=Q,
-        noise=R,
+        noise_var=R,
         breakdown_at=breakdown,
     )
 
@@ -288,7 +298,7 @@ def gengk_bidiag(A: LinearOperatorHandle, R: NoiseCovariance,
 def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorization:
     """View of the leading k iterations of an existing factorization.
 
-    The truncation shares fact's noise, q_op and cache of derivative products,
+    The truncation shares fact's noise_var, q_op and cache of derivative products,
     not copies of them: the first truncation that reads dq_basis takes the
     products for all of fact's columns, and every later one reads its
     leading k columns from them.
@@ -303,7 +313,7 @@ def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorizati
         betas=fact.betas[: k + 1],
         k=k,
         q_op=fact.q_op,
-        noise=fact.noise,
+        noise_var=fact.noise_var,
         breakdown_at=fact.breakdown_at if (fact.breakdown_at or 0) <= k else None,
         _dq=fact._dq,
     )
@@ -341,7 +351,7 @@ def verify_relations(fact: GenGKFactorization, A, mu, d):
     else:
         res2 = 0.0
 
-    atru = A.apply_adjoint_block(fact.noise.apply_inv(fact.u_basis[:, : k + 1]))
+    atru = A.apply_adjoint_block(fact.u_basis[:, : k + 1] / fact.noise_var)
     rhs = fact.v_basis[:, :k] @ b.T
     rhs[:, k] += fact.alphas[k] * fact.v_basis[:, k]
     res3 = np.linalg.norm(atru - rhs) / max(np.linalg.norm(atru), 1e-300)

@@ -37,7 +37,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .covariance import CovarianceOperator, MaternKernel, build_cov_operator, normalize_geometry
 from .gengk import BidiagSpectrum, GenGKFactorization, gengk_bidiag
-from .operators import LinearOperatorHandle, NoiseCovariance, dense_matrix
+from .operators import LinearOperatorHandle, dense_matrix
 
 __all__ = [
     "HyperParams",
@@ -117,7 +117,8 @@ class MarginalModel:
     """Problem data plus the theta-to-covariance rules.
 
     theta is (noise variance, prior std, correlation length); both rules
-    reject a theta of any other length. The noise covariance is theta1 * I.
+    reject a theta of any other length. The noise covariance R = theta1 I is
+    given by theta1: noise_cov returns that float.
     The prior covariance Q is Matern with fixed smoothness nu over the
     geometry, stored as covariance.normalize_geometry gives it (a RegularGrid,
     or (n, dim) points); a geometry it rejects, or one whose point count is not
@@ -177,9 +178,9 @@ class MarginalModel:
             raise ValueError("theta must be (noise variance, prior std, correlation "
                              f"length), got {len(theta)} values")
 
-    def noise_cov(self, theta: HyperParams) -> NoiseCovariance:
+    def noise_cov(self, theta: HyperParams) -> float:
         self._check_theta(theta)
-        return NoiseCovariance(theta.noise_var, self.nrows)
+        return theta.noise_var
 
     def prior_cov(self, theta: HyperParams) -> CovarianceOperator:
         self._check_theta(theta)
@@ -323,7 +324,7 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
 
 def _gengk_gradient(model: MarginalModel, theta: HyperParams,
                     fact: GenGKFactorization) -> np.ndarray:
-    noise = fact.noise
+    theta1 = theta.noise_var
     spec = fact.spectrum
     p, s, s_full, w_mat = spec.p, spec.s, spec.s_full, spec.w
     k = fact.k
@@ -335,7 +336,7 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
     # r = Ztilde^{-1}(A mu - d) = -beta1 R^{-1} U Theta^{-1} e1, using the
     # initialization relation and U-orthogonality
     theta_inv_e1 = p @ (p[0, :] / (1.0 + s_full * s_full))
-    r_vec = -beta1 * noise.apply_inv(u @ theta_inv_e1)
+    r_vec = -beta1 * (u @ theta_inv_e1 / theta1)
     ub = u @ b
     ub_t_r = ub.T @ r_vec
 
@@ -345,8 +346,8 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
     # dR/dtheta1 = I: <dR/dtheta1, R^{-1}> = m/theta1 and psi_R = (R^{-1} U)'(R^{-1} U),
     # formed from two distinct arrays (one buffer and its transpose would go to syrk)
     bw = p[:, :k] * s
-    psi_r = noise.apply_inv(u).T @ noise.apply_inv(u)
-    noise_term = (noise.m / noise.theta1 - float(np.sum(np.diag(bw.T @ psi_r @ bw) * shrink)),
+    psi_r = (u / theta1).T @ (u / theta1)
+    noise_term = (model.nrows / theta1 - float(np.sum(np.diag(bw.T @ psi_r @ bw) * shrink)),
                   -0.5 * float(r_vec @ r_vec))
 
     def q_term(dq_vk: np.ndarray) -> tuple[float, float]:
@@ -366,7 +367,7 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
 
 def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectrum,
                     k: int) -> ObjectiveEvaluation:
-    logdet_term, quad_term = spec.terms(model.noise_cov(theta).logdet())
+    logdet_term, quad_term = spec.terms(model.nrows * np.log(model.noise_cov(theta)))
     return ObjectiveEvaluation(
         neglogprior_term=model.hyperprior.neglog(theta.values)[0],
         logdet_term=logdet_term,
@@ -380,10 +381,10 @@ def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectr
 def _check_taken_at(fact: GenGKFactorization, theta: HyperParams) -> None:
     # the R and Q a factorization carries must be those of theta
     kernel = fact.q_op.kernel
-    if (fact.noise.theta1 != theta.noise_var or kernel.sigma2 != theta.prior_std**2
+    if (fact.noise_var != theta.noise_var or kernel.sigma2 != theta.prior_std**2
             or kernel.ell != theta.corr_length):
         raise ValueError(
-            f"the factorization was taken with noise variance {fact.noise.theta1!r}, prior "
+            f"the factorization was taken with noise variance {fact.noise_var!r}, prior "
             f"variance {kernel.sigma2!r} and correlation length {kernel.ell!r}, not at "
             f"theta = {theta.values}")
 
@@ -484,7 +485,7 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
     sk2 = np.clip(evals[::-1][:k_eff], 0.0, None)
     u_hat = evecs[:, ::-1][:, :k_eff]
 
-    logdet_term = 0.5 * (model.noise_cov(theta).logdet() + float(np.sum(np.log1p(sk2))))
+    logdet_term = 0.5 * (model.nrows * np.log(theta.noise_var) + float(np.sum(np.log1p(sk2))))
     r_hat = core.r / np.sqrt(theta.noise_var)
     coeff = u_hat.T @ r_hat
     quad_term = 0.5 * (float(r_hat @ r_hat) - float(np.sum(coeff**2 * sk2 / (1.0 + sk2))))

@@ -14,8 +14,8 @@ import warnings
 
 import numpy as np
 
-from .gengk import GenGKFactorization
-from .operators import LinearOperatorHandle, NoiseCovariance
+from .gengk import GenGKFactorization, _check_noise_var
+from .operators import LinearOperatorHandle
 
 __all__ = [
     "xi_recurrence",
@@ -45,15 +45,17 @@ def xi_recurrence(alphas, betas, xi0: float) -> np.ndarray:
     return float(xi0) - np.cumsum(drops)
 
 
-def normal_matrix_apply(A: LinearOperatorHandle, R: NoiseCovariance):
+def normal_matrix_apply(A: LinearOperatorHandle, R: float):
     """Matrix-free application of H = A' R^{-1} A to an (n, p) block.
 
-    One ``apply_block`` and one ``apply_adjoint_block``: p forward and p
-    adjoint applies, each column bit for bit H applied to it alone.
+    R = theta1 I is given by theta1 (finite and positive, else ValueError
+    before any apply). One ``apply_block`` and one ``apply_adjoint_block``: p
+    forward and p adjoint applies, each column bit for bit H applied to it alone.
     """
+    R = _check_noise_var(R)
 
     def h_apply(x):
-        return A.apply_adjoint_block(R.apply_inv(A.apply_block(x)))
+        return A.apply_adjoint_block(A.apply_block(x) / R)
 
     return h_apply
 

@@ -7,7 +7,8 @@ gives each column the bits of the vector apply of that column, taken as a
 contiguous vector, and counts one application per column. Application counts
 are part of the public contract so that cost claims stay testable. A domain
 restricted to a subset of pixels is not an operator type of its own: a
-masked ray problem keeps the mask's columns of its sparse matrix.
+masked ray problem keeps the mask's columns of its sparse matrix. Nor is the
+noise covariance R = theta1 I: it is given by the float theta1.
 
 The heat problem's lower-triangular Toeplitz (Volterra) operator picks its
 kernel from its size: up to ``_DENSE_MAX`` it keeps the dense matrix and
@@ -29,7 +30,6 @@ __all__ = [
     "LowerToeplitzOperator",
     "SparseOperator",
     "IdentityOperator",
-    "NoiseCovariance",
     "dense_matrix",
 ]
 
@@ -276,33 +276,6 @@ class IdentityOperator(LinearOperatorHandle):
 
     def _apply_adjoint(self, y):
         return y.copy()
-
-
-class NoiseCovariance:
-    """Scalar-diagonal noise covariance theta1 * I_m.
-
-    Inverse and log-determinant are closed form. Its only
-    hyperparameter derivative is dR/dtheta1 = I, so the gradient code writes
-    it in place (<dR/dtheta1, R^{-1}> = m/theta1) instead of asking for it.
-    """
-
-    def __init__(self, theta1: float, m: int) -> None:
-        theta1 = float(theta1)
-        if theta1 <= 0.0:
-            raise ValueError(f"noise variance must be positive, got {theta1}")
-        if m < 1:
-            raise ValueError("dimension must be positive")
-        self.theta1 = theta1
-        self.m = int(m)
-
-    def apply_inv(self, x):
-        return np.asarray(x, dtype=float) / self.theta1
-
-    def logdet(self) -> float:
-        return self.m * np.log(self.theta1)
-
-    def __repr__(self) -> str:
-        return f"NoiseCovariance(theta1={self.theta1}, m={self.m})"
 
 
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:

@@ -293,6 +293,22 @@ def test_out_naming_a_file_exits_one_without_traceback(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["run.yaml", "taken"]
 
 
+def test_unwritable_output_leaves_no_file_of_the_run(tmp_path):
+    # the last of estimate's three outputs names a directory: none is written
+    cfg = write_config(tmp_path, SMALL_HEAT)
+    out = tmp_path / "out"
+    (out / "iterates.csv").mkdir(parents=True)
+    proc = _run_cli(tmp_path, "estimate", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1
+    # the solve may log a clipping warning first; the error is the one last line
+    *_, last = proc.stderr.splitlines()
+    assert last.startswith("cannot write outputs: ") and "iterates.csv" in last
+    assert proc.stderr.endswith(last + "\n") and proc.stderr.count("cannot write") == 1
+    assert "Traceback" not in proc.stderr
+    assert [path.name for path in out.iterdir()] == ["iterates.csv"]
+    assert list((out / "iterates.csv").iterdir()) == []
+
+
 def test_negative_cli_seed_rejected(tmp_path):
     cfg = write_config(tmp_path, SMALL_HEAT)
     out = tmp_path / "out"

@@ -129,7 +129,7 @@ def two_param_rescale(model, fact_hat, theta1, theta2):
         betas=betas,
         k=fact_hat.k,
         q_op=model.prior_cov(theta),
-        noise=model.noise_cov(theta),
+        noise_var=model.noise_cov(theta),
         breakdown_at=fact_hat.breakdown_at,
     )
 

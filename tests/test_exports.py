@@ -21,6 +21,34 @@ def test_module_all_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def _name_reads(tree, name):
+    # the enclosing class/def path of every read of name, as a plain name or
+    # as an attribute
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_gengk_bidiag_is_called_only_in_factorize():
+    # every factorization is taken by MarginalModel.factorize, which holds the
+    # min(k, m, n) clamp; imports of the name are not reads
+    reads = [f"{path.stem}.{scope}"
+             for path in sorted(Path(gkhyper.__file__).parent.glob("*.py"))
+             for scope in _name_reads(ast.parse(path.read_text()), "gengk_bidiag")]
+    assert reads == ["marginal.MarginalModel.factorize"]
+
+
 def test_package_reexports_resolve():
     # the names gkhyper/__init__.py imports from its modules, read from its source
     tree = ast.parse(Path(gkhyper.__file__).read_text())

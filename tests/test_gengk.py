@@ -14,7 +14,7 @@ from gkhyper.gengk import (
     truncate_factorization,
     verify_relations,
 )
-from gkhyper.operators import DenseOperator, IdentityOperator, NoiseCovariance
+from gkhyper.operators import DenseOperator, IdentityOperator
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem
 
 
@@ -30,7 +30,7 @@ class IdentityCovariance:
 
 def random_setup(rng, m, n, theta1=0.5):
     A = DenseOperator(rng.standard_normal((m, n)))
-    R = NoiseCovariance(theta1, m)
+    R = theta1
     Q = build_cov_operator(rng.uniform(0, 1, (n, 2)),
                            MaternKernel(1.5, 1.2, 0.3))
     d = rng.standard_normal(m)
@@ -41,7 +41,7 @@ def test_identity_chain_breaks_down_immediately():
     # A = R = Q = I, d = e1: the Krylov space is one-dimensional
     n = 3
     A = IdentityOperator(n)
-    R = NoiseCovariance(1.0, n)
+    R = 1.0
     Q = IdentityCovariance(n)
     d = np.array([1.0, 0.0, 0.0])
     fact = gengk_bidiag(A, R, Q, None, d, 3)
@@ -65,7 +65,7 @@ def test_orthogonality_in_weighted_inner_products(rng):
     fact = gengk_bidiag(A, R, Q, None, d, 9)
     k = fact.k
     u = fact.u_basis
-    defect_u = np.abs(u.T @ R.apply_inv(u) - np.eye(k + 1))
+    defect_u = np.abs(u.T @ (u / R) - np.eye(k + 1))
     # a padded zero column is allowed to break orthonormality in its own slot
     if fact.breakdown_at is not None:
         defect_u = defect_u[:k, :k]
@@ -84,7 +84,7 @@ def test_bidiagonal_assembly():
 
 def test_counter_contract_on_heat_problem():
     prob = build_heat_problem(n=256, noise_level=0.02, seed=0)
-    R = NoiseCovariance(1e-5, 256)
+    R = 1e-5
     Q = build_cov_operator(prob.geometry, MaternKernel(1.5, 0.2, 0.06))
     before = prob.forward.matvec_count.snapshot()
     fact = gengk_bidiag(prob.forward, R, Q, None, prob.data, 22)
@@ -102,7 +102,7 @@ def _relations_per_column(fact, A, d):
     res1 = np.linalg.norm(fact.u_basis[:, 0] * fact.beta1 - r0) / max(np.linalg.norm(r0), 1e-300)
     aqv = np.column_stack([A.apply(fact.q_op.apply(fact.v_basis[:, j])) for j in range(k)])
     res2 = np.linalg.norm(aqv - fact.u_basis @ b) / max(np.linalg.norm(aqv), 1e-300)
-    atru = np.column_stack([A.apply_adjoint(fact.noise.apply_inv(fact.u_basis[:, j]))
+    atru = np.column_stack([A.apply_adjoint(fact.u_basis[:, j] / fact.noise_var)
                             for j in range(k + 1)])
     rhs = fact.v_basis[:, :k] @ b.T
     rhs[:, k] += fact.alphas[k] * fact.v_basis[:, k]
@@ -117,9 +117,9 @@ def test_relations_bits_and_counts_match_per_column_reference(rng):
     ray = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0)
     kernel = MaternKernel(1.5, 0.64, 0.1)
     cases = [random_setup(rng, 30, 20),
-             (heat.forward, NoiseCovariance(1e-4, 64),
+             (heat.forward, 1e-4,
               build_cov_operator(heat.geometry, kernel), heat.data),
-             (ray.forward, NoiseCovariance(1e-4, 40),
+             (ray.forward, 1e-4,
               build_cov_operator(ray.geometry, kernel), ray.data)]
     for A, R, Q, d in cases:
         fact = gengk_bidiag(A, R, Q, None, d, 17)
@@ -152,7 +152,7 @@ def test_rank_deficient_runs_to_breakdown(rng):
     m, n, r = 12, 10, 4
     low_rank = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
     A = DenseOperator(low_rank)
-    R = NoiseCovariance(0.8, m)
+    R = 0.8
     Q = build_cov_operator(rng.uniform(0, 1, (n, 2)), MaternKernel(1.5, 1.0, 0.4))
     # consistent data so the initialization vector lies in the range of A
     d = A.apply(rng.standard_normal(n))
@@ -164,13 +164,13 @@ def test_rank_deficient_runs_to_breakdown(rng):
 
 def test_loss_of_orthogonality_without_reorth():
     prob = build_heat_problem(n=256, noise_level=0.02, seed=0)
-    R = NoiseCovariance(7.7e-6, 256)
+    R = 7.7e-6
     Q = build_cov_operator(prob.geometry, MaternKernel(1.5, 0.2, 0.06))
 
     def u_defect(fact):
         k = fact.k
         u = fact.u_basis[:, : k + 1]
-        return np.abs(u.T @ R.apply_inv(u) - np.eye(k + 1)).max()
+        return np.abs(u.T @ (u / R) - np.eye(k + 1)).max()
 
     with_reorth = gengk_bidiag(prob.forward, R, Q, None, prob.data, 50, reorth=True)
     without = gengk_bidiag(prob.forward, R, Q, None, prob.data, 50, reorth=False)
@@ -192,7 +192,7 @@ def test_truncate_factorization(rng):
     assert sub.u_basis.shape == (10, 4)
     assert np.array_equal(sub.alphas, fact.alphas[:4])
     # the truncation shares the R, the Q and the derivative products of fact
-    assert sub.noise is fact.noise is R
+    assert sub.noise_var == fact.noise_var == R
     assert sub.q_op is fact.q_op is Q
     for got, full in zip(sub.dq_basis(), fact.dq_basis()):
         # the leading columns of fact's one cached block, read in place
@@ -272,10 +272,10 @@ def _stacked_bidiag(A, R, Q, d, k, reorth):
     """
     m, n = A.shape
     r0 = d - A.apply(np.zeros(n))
-    beta1 = float(np.sqrt(max(R.apply_inv(r0) @ r0, 0.0)))
+    beta1 = float(np.sqrt(max((r0 / R) @ r0, 0.0)))
     tol = BREAKDOWN_RTOL * beta1
     us, alphas, betas = [r0 / beta1], [], [beta1]
-    w = A.apply_adjoint(R.apply_inv(us[0]))
+    w = A.apply_adjoint(us[0] / R)
     qw = Q.apply(w)
     alpha = float(np.sqrt(max(qw @ w, 0.0)))
     vs, qvs = [w / alpha], [qw / alpha]
@@ -291,8 +291,8 @@ def _stacked_bidiag(A, R, Q, d, k, reorth):
         w = A.apply(qvs[-1]) - alphas[-1] * us[-1]
         if reorth:
             u_cols = np.column_stack(us)
-            w = orth(w, u_cols, R.apply_inv(u_cols))
-        beta = float(np.sqrt(max(R.apply_inv(w) @ w, 0.0)))
+            w = orth(w, u_cols, u_cols / R)
+        beta = float(np.sqrt(max((w / R) @ w, 0.0)))
         if beta <= tol:
             breakdown = j
             betas.append(beta)
@@ -303,7 +303,7 @@ def _stacked_bidiag(A, R, Q, d, k, reorth):
             break
         us.append(w / beta)
         betas.append(beta)
-        g = A.apply_adjoint(R.apply_inv(us[-1])) - beta * vs[-1]
+        g = A.apply_adjoint(us[-1] / R) - beta * vs[-1]
         if reorth:
             g = orth(g, np.column_stack(vs), np.column_stack(qvs))
         qg = Q.apply(g)
@@ -334,7 +334,7 @@ def test_bits_match_stacked_reference(reorth):
     # which breaks down when the bases are kept orthogonal
     for prob, theta in _bit_identity_problems():
         m, n = prob.forward.shape
-        R = NoiseCovariance(theta[0], m)
+        R = theta[0]
         Q = build_cov_operator(prob.geometry, MaternKernel(1.5, theta[1], theta[2]))
         for k in (0, 1, 2, 3, 4, 5, min(m, n)):
             fact = gengk_bidiag(prob.forward, R, Q, None, prob.data, k, reorth=reorth)

@@ -437,7 +437,7 @@ def _own_factorization(fact, k, q_op):
     # own derivative products, taken for V_k alone
     sub = truncate_factorization(fact, k)
     return GenGKFactorization(sub.u_basis, sub.v_basis, sub.qv_basis, sub.alphas,
-                              sub.betas, sub.k, q_op, sub.noise, sub.breakdown_at)
+                              sub.betas, sub.k, q_op, sub.noise_var, sub.breakdown_at)
 
 
 def _broken_down_model():

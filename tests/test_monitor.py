@@ -15,13 +15,13 @@ from gkhyper.monitor import (
     xi_recurrence,
 )
 from gkhyper.gengk import truncate_factorization
-from gkhyper.operators import DenseOperator, NoiseCovariance, dense_matrix
+from gkhyper.operators import DenseOperator, dense_matrix
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem
 
 
 def dense_setup(rng, m=12, n=10, theta1=0.4):
     A = DenseOperator(rng.standard_normal((m, n)) / np.sqrt(max(m, n)))
-    R = NoiseCovariance(theta1, m)
+    R = theta1
     Q = build_cov_operator(rng.uniform(0, 1, (n, 2)), MaternKernel(1.5, 1.1, 0.3))
     d = rng.standard_normal(m)
     return A, R, Q, d
@@ -31,7 +31,7 @@ def dense_xi(A, R, Q, fact):
     # direct trace oracle: xi_k = tr(H Q) - tr(V_k T_k V_k' Q)
     a = dense_matrix(A)
     q = dense_matrix(Q)
-    hq = (a.T @ a / R.theta1) @ q
+    hq = (a.T @ a / R) @ q
     xi0 = np.trace(hq)
     out = np.empty(fact.k)
     for k in range(1, fact.k + 1):
@@ -49,15 +49,15 @@ def test_mc_xi_estimate_bits_and_counts_match_per_probe_reference(rng):
     ray = build_ray_tomo_problem(g=8, n_rays=40, noise_level=0.02, seed=0)
     kernel = MaternKernel(1.5, 0.64, 0.1)
     cases = [dense_setup(rng, m=30, n=20),
-             (heat.forward, NoiseCovariance(1e-4, 64),
+             (heat.forward, 1e-4,
               build_cov_operator(heat.geometry, kernel), heat.data),
-             (ray.forward, NoiseCovariance(1e-4, 40),
+             (ray.forward, 1e-4,
               build_cov_operator(ray.geometry, kernel), ray.data)]
     for A, R, Q, d in cases:
         fact = gengk_bidiag(A, R, Q, None, d, 12)
 
         def per_probe(x):
-            return np.column_stack([A.apply_adjoint(R.apply_inv(A.apply(x[:, j])))
+            return np.column_stack([A.apply_adjoint(A.apply(x[:, j]) / R)
                                     for j in range(x.shape[1])])
 
         for kind, n_mc, p in (("gaussian", 7, 7), ("rademacher", 17, 17),
@@ -191,7 +191,7 @@ def test_prop2_bound_dominates_on_dense_sweep(rng):
     A, R, Q, d = dense_setup(rng, m=16, n=16)
     model = MarginalModel(forward=A, data=d,
                           geometry=rng.uniform(0, 1, (16, 2)), nu=1.5)
-    theta = HyperParams(np.array([R.theta1, np.sqrt(1.1), 0.3]))
+    theta = HyperParams(np.array([R, np.sqrt(1.1), 0.3]))
     # rebuild Q from the model so operator and model agree
     q_model = model.prior_cov(theta)
     fact = gengk_bidiag(A, R, q_model, None, d, 16)

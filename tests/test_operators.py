@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from conftest import probe_dense
 from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
 import gkhyper
+from gkhyper.gengk import gengk_bidiag
+from gkhyper.monitor import normal_matrix_apply
 from gkhyper.operators import (
     DenseOperator,
     IdentityOperator,
     LowerToeplitzOperator,
-    NoiseCovariance,
     SparseOperator,
     dense_matrix,
 )
@@ -81,20 +82,22 @@ def test_adjoint_consistency_random_dense(rng):
     assert adjoint_probe_defect(op, n_probes=20, rng=rng) < 1e-12
 
 
-def test_noise_covariance_closed_forms():
-    r = NoiseCovariance(1.0, 5)
-    assert r.logdet() == 0.0
-    r2 = NoiseCovariance(0.25, 4)
-    assert np.isclose(r2.logdet(), 4 * np.log(0.25), rtol=1e-15)
-    x = np.arange(4.0)
-    assert np.allclose(NoiseCovariance(0.5, 4).apply_inv(x), 2.0 * x)
-
-
-def test_noise_covariance_domain_errors():
-    with pytest.raises(ValueError, match="positive"):
-        NoiseCovariance(0.0, 3)
-    with pytest.raises(ValueError, match="positive"):
-        NoiseCovariance(-1.0, 3)
+@pytest.mark.parametrize("theta1", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_noise_variance_checked_before_any_apply(theta1):
+    # R = theta1 I is passed as theta1 to the two entry points that take it
+    rng = np.random.default_rng(0)
+    A = DenseOperator(rng.standard_normal((6, 5)))
+    Q = build_cov_operator(RegularGrid((5,), (0.2,)), MaternKernel(1.5, 1.0, 0.3))
+    with pytest.raises(ValueError, match="noise variance must be finite and positive"):
+        gengk_bidiag(A, theta1, Q, None, rng.standard_normal(6), 3)
+    with pytest.raises(ValueError, match="noise variance must be finite and positive"):
+        normal_matrix_apply(A, theta1)
+    assert A.matvec_count.snapshot() == (0, 0)
+    assert Q.matvec_count.forward == 0
+    # a valid theta1 applies R^{-1} as x / theta1
+    x = rng.standard_normal((5, 2))
+    assert np.array_equal(normal_matrix_apply(A, 0.5)(x),
+                          A.apply_adjoint_block(A.apply_block(x) * 2.0))
 
 
 def test_dense_matrix_roundtrip(rng):
