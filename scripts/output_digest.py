@@ -43,7 +43,11 @@ a 1-d grid and by complex ones on a 2-d grid, so on each grid in Q_GRIDS (1-d n 
 2-d g by g, spacing 1/n or 1/g) and at the prior std and correlation length of each
 theta in THETAS it prints the SHA-256 of Q's `apply`, `apply_block` and both
 outputs of `apply_block_with_theta3_derivative` on seeded inputs, so that a
-Q-kernel change shows by name which grids moved. Given a second checkout OTHER, both
+Q-kernel change shows by name which grids moved. Every operator implements one
+block apply per direction, so it prints the SHA-256 of `apply`, `apply_adjoint`,
+`apply_block` and `apply_adjoint_block` on seeded inputs for the shipped ray
+config's sparse forward operator and for a seeded DENSE_SHAPE `DenseOperator`
+and its transpose. Given a second checkout OTHER, both
 are digested and only the outputs and numbers that differ between them are printed, one name a line;
 the exit status is 1 if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
 use, as perfbench does, so that two checkouts digested on one host can be
@@ -86,6 +90,9 @@ HEAT_K = 22
 # Q's grids: the shipped heat size and the heat-estimate benchmark's n, the
 # shipped ray grid and the ray-monitor benchmark's g
 Q_GRIDS = ((256,), (2048,), (24, 24), (32, 32))
+
+# a non-square DenseOperator, taken as it is and transposed
+DENSE_SHAPE = (30, 70)
 
 # truncations of objective_svd, besides full rank min(m, n)
 SVD_KS = (1, 12, 60)
@@ -244,6 +251,29 @@ for shape in {Q_GRIDS!r}:
             print(hashlib.sha256(out.tobytes()).hexdigest(), f"{{label}}/theta={{theta}}/{{name}}")
 """
 
+# a 17-column block, as in Q_APPLIES
+FORWARD_APPLIES = f"""
+import hashlib
+import sys
+import numpy as np
+from gkhyper.cli import _build_problem
+from gkhyper.config import load_config
+from gkhyper.operators import DenseOperator
+
+mat = np.random.default_rng(0).standard_normal({DENSE_SHAPE!r})
+ops = {{"ray": _build_problem(load_config(sys.argv[1]))[1].forward,
+        "dense": DenseOperator(mat), "dense_transposed": DenseOperator(mat.T)}}
+for label, op in ops.items():
+    rng = np.random.default_rng(op.nrows)
+    x, y = rng.standard_normal(op.ncols), rng.standard_normal(op.nrows)
+    block_x, block_y = rng.standard_normal((op.ncols, 17)), rng.standard_normal((op.nrows, 17))
+    outs = {{"apply": op.apply(x), "apply_adjoint": op.apply_adjoint(y),
+            "apply_block": op.apply_block(block_x),
+            "apply_adjoint_block": op.apply_adjoint_block(block_y)}}
+    for name, out in outs.items():
+        print(hashlib.sha256(out.tobytes()).hexdigest(), f"{{label}}/{{name}}")
+"""
+
 
 def _numbers(script: str, args: list, env: dict, cwd: str, prefix: str) -> dict:
     out = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
@@ -276,6 +306,8 @@ def digests(root: Path) -> dict:
         result.update(_numbers(RAY_CSR, [], env, tmp, "ray_tomo_2d"))
         result.update(_numbers(HEAT, [], env, tmp, "heat"))
         result.update(_numbers(Q_APPLIES, [], env, tmp, "Q"))
+        result.update(_numbers(FORWARD_APPLIES, [str(root / "configs" / "ray_tomo.yaml")],
+                               env, tmp, "forward"))
     return result
 
 

@@ -5,9 +5,10 @@ equispaced RegularGrid gets an FFT circulant embedding (O(n log n) matvecs),
 and a point set gets the dense kernel matrix of its pairwise distances. The
 embedding's eigenvalues are real and symmetric and its inputs real: a 1-d
 grid applies it by real transforms on the half spectrum, and a 2-d grid
-still by complex ones (see _FFTGridCovariance for why). Every backend applies
-Q to a vector as the one-column block apply, so a block column has the bits
-of its vector apply by construction.
+still by complex ones (see _FFTGridCovariance for why). Each backend
+implements only Q's block apply; the vector apply is the handle's one-column
+block apply, so a block column has the bits of its vector apply by
+construction.
 The covariance is parameterized by the canonical hyperparameters: prior
 standard deviation theta2 (variance sigma^2 = theta2^2) and correlation
 length theta3; smoothness nu is fixed, never estimated.
@@ -184,10 +185,10 @@ class CovarianceOperator(LinearOperatorHandle):
     chunk of columns to a transform that ``_inverse_block`` finishes into Q X,
     and into dQ/dtheta3 X from the backend's derivative data, built on first
     use. dQ/dtheta2 = (2/theta2) Q needs no operator: callers scale Q X.
-    ``apply`` is the one-column block apply on every backend: it returns
-    column 0 of a C-contiguous (n, 1) output. The counter goes up by the Q
-    columns applied. Each backend names itself in the class attribute
-    ``backend``: "fft" on a RegularGrid, "dense" on a point set. The FFT
+    Q is symmetric, so its adjoint block apply is its block apply, and the
+    vector applies are the handle's one-column block applies. The counter
+    goes up by the Q columns applied. Each backend names itself in the class
+    attribute ``backend``: "fft" on a RegularGrid, "dense" on a point set. The FFT
     backend's transforms are real, of L/2 + 1 modes, on a 1-d grid and
     complex on a 2-d grid; the forward transform of a chunk is shared by Q
     and dQ/dtheta3 either way.
@@ -201,13 +202,6 @@ class CovarianceOperator(LinearOperatorHandle):
         super().__init__(n, n)
         self.kernel = kernel
 
-    def _apply(self, x):
-        return self._apply_chunks(x[:, None], (self._data,))[0][:, 0]
-
-    def _apply_adjoint(self, y):
-        # symmetric by construction
-        return self._apply(y)
-
     def _forward_block(self, x: np.ndarray):
         raise NotImplementedError
 
@@ -216,6 +210,9 @@ class CovarianceOperator(LinearOperatorHandle):
 
     def _apply_block(self, x):
         return self._apply_chunks(x, (self._data,))[0]
+
+    # symmetric by construction
+    _apply_adjoint_block = _apply_block
 
     def apply_block_with_theta3_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(Q X, dQ/dtheta3 X) for an (n, p) block, from one shared transform.

@@ -379,7 +379,8 @@ def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectr
 
 
 def _check_taken_at(fact: GenGKFactorization, theta: HyperParams) -> None:
-    # the R and Q a factorization carries must be those of theta
+    # theta must have three values, and give the R and Q the factorization carries
+    MarginalModel._check_theta(theta)
     kernel = fact.q_op.kernel
     if (fact.noise_var != theta.noise_var or kernel.sigma2 != theta.prior_std**2
             or kernel.ell != theta.corr_length):
@@ -414,6 +415,7 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
     covariance is built and no operator is applied. The gradient has two
     components, since theta3 is held fixed.
     """
+    model._check_theta(theta)
     _check_taken_at(fact_unit, _unit_theta(theta.corr_length))
     theta1, theta2 = theta.noise_var, theta.prior_std
     spec = fact_unit.spectrum.rescaled(theta1, theta2)

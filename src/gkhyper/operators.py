@@ -2,13 +2,16 @@
 
 Every operator is an opaque handle: downstream code may only apply it, to a
 vector (``apply``, ``apply_adjoint``) or to a block of columns
-(``apply_block``, ``apply_adjoint_block``), never read entries. A block apply
-gives each column the bits of the vector apply of that column, taken as a
-contiguous vector, and counts one application per column. Application counts
-are part of the public contract so that cost claims stay testable. A domain
-restricted to a subset of pixels is not an operator type of its own: a
-masked ray problem keeps the mask's columns of its sparse matrix. Nor is the
-noise covariance R = theta1 I: it is given by the float theta1.
+(``apply_block``, ``apply_adjoint_block``), never read entries. Each operator
+implements one hook per direction, its block apply; the vector apply is the
+one-column block apply and returns column 0 of a C-contiguous (m, 1) array.
+A block apply gives each column the bits of the vector apply of that column,
+taken as a contiguous vector, and counts one application per column.
+Application counts are part of the public contract so that cost claims stay
+testable. A domain restricted to a subset of pixels is not an operator type
+of its own: a masked ray problem keeps the mask's columns of its sparse
+matrix. Nor is the noise covariance R = theta1 I: it is given by the float
+theta1.
 
 The heat problem's lower-triangular Toeplitz (Volterra) operator picks its
 kernel from its size: up to ``_DENSE_MAX`` it keeps the dense matrix and
@@ -19,6 +22,8 @@ the dense product to round-off, not bit for bit.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -87,11 +92,11 @@ def _check_block(x, rows: int, what: str) -> np.ndarray:
 class LinearOperatorHandle:
     """An m-by-n linear map accessible only through matvecs.
 
-    Subclasses implement ``_apply`` / ``_apply_adjoint``; the block hooks
-    ``_apply_block`` / ``_apply_adjoint_block`` default to one of those per
-    column, and a subclass overrides them only where one block product gives
-    every column the bits of its own vector apply. Handles are immutable after
-    construction apart from their counter, which is not thread-safe.
+    Subclasses implement the block hooks ``_apply_block`` /
+    ``_apply_adjoint_block`` and no others: ``apply`` / ``apply_adjoint`` check
+    and count a vector and return column 0 of the one-column block apply.
+    Handles are immutable after construction apart from their counter, which
+    is not thread-safe.
     """
 
     def __init__(self, nrows: int, ncols: int) -> None:
@@ -105,17 +110,19 @@ class LinearOperatorHandle:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    # the vector applies call the hooks, not the public block applies, so that
+    # a wrapper of apply_block is not run (or counted) for a vector apply
     def apply(self, x) -> np.ndarray:
         """Return op @ x for a length-n vector; bumps the forward counter."""
         x = _check_vector(x, self.ncols, "apply")
         self.matvec_count.bump_forward()
-        return self._apply(x)
+        return self._apply_block(x[:, None])[:, 0]
 
     def apply_adjoint(self, y) -> np.ndarray:
         """Return op.T @ y for a length-m vector; bumps the adjoint counter."""
         y = _check_vector(y, self.nrows, "apply_adjoint")
         self.matvec_count.bump_adjoint()
-        return self._apply_adjoint(y)
+        return self._apply_adjoint_block(y[:, None])[:, 0]
 
     def apply_block(self, x) -> np.ndarray:
         """op @ X for an (n, p) block, column j bit for bit ``apply(X[:, j].copy())``.
@@ -137,17 +144,11 @@ class LinearOperatorHandle:
         self.matvec_count.bump_adjoint(y.shape[1])
         return self._apply_adjoint_block(y)
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _apply_block(self, x: np.ndarray) -> np.ndarray:
-        return _per_column(self._apply, x, self.nrows)
+        raise NotImplementedError
 
     def _apply_adjoint_block(self, y: np.ndarray) -> np.ndarray:
-        return _per_column(self._apply_adjoint, y, self.ncols)
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape})"
@@ -165,8 +166,8 @@ def _per_column(apply, x: np.ndarray, rows: int) -> np.ndarray:
 class DenseOperator(LinearOperatorHandle):
     """Operator backed by an explicit 2-d array (kept private to the handle).
 
-    Block applies keep the default, one matvec per column: a single matrix
-    product would round differently.
+    A block apply takes one matvec per column: a single matrix product would
+    round differently.
     """
 
     def __init__(self, matrix) -> None:
@@ -176,11 +177,11 @@ class DenseOperator(LinearOperatorHandle):
         super().__init__(*matrix.shape)
         self._mat = matrix
 
-    def _apply(self, x):
-        return self._mat @ x
+    def _apply_block(self, x):
+        return _per_column(self._mat.__matmul__, x, self.nrows)
 
-    def _apply_adjoint(self, y):
-        return self._mat.T @ y
+    def _apply_adjoint_block(self, y):
+        return _per_column(self._mat.T.__matmul__, y, self.ncols)
 
 
 # the largest n whose Toeplitz operator keeps the dense matrix: one forward
@@ -205,8 +206,9 @@ class LowerToeplitzOperator(LinearOperatorHandle):
     with the dense product to round-off (relative error about 1e-15, and every
     entry within 1e-13 of max|A x|); the entries above the diagonal of a probed
     matrix are round-off, not zeros. The FFT path uses no BLAS, so its bits do
-    not depend on the BLAS thread count. Block applies take one vector apply
-    per column.
+    not depend on the BLAS thread count. On both sides a block apply takes one
+    matvec or one pair of transforms per column, so its temporaries beyond the
+    output stay O(n).
     """
 
     def __init__(self, column) -> None:
@@ -225,15 +227,15 @@ class LowerToeplitzOperator(LinearOperatorHandle):
             self._fft_len = next_fast_len(2 * n, real=True)
             self._chat = np.fft.rfft(column, self._fft_len)
 
-    def _apply(self, x):
+    def _apply_block(self, x):
         if self.ncols <= _DENSE_MAX:
-            return self._mat @ x
-        return self._convolve(self._chat, x)
+            return _per_column(self._mat.__matmul__, x, self.nrows)
+        return _per_column(partial(self._convolve, self._chat), x, self.nrows)
 
-    def _apply_adjoint(self, y):
+    def _apply_adjoint_block(self, y):
         if self.nrows <= _DENSE_MAX:
-            return self._mat.T @ y
-        return self._convolve(np.conj(self._chat), y)
+            return _per_column(self._mat.T.__matmul__, y, self.ncols)
+        return _per_column(partial(self._convolve, np.conj(self._chat)), y, self.ncols)
 
     def _convolve(self, kernel, x):
         length = self._fft_len
@@ -244,8 +246,8 @@ class SparseOperator(LinearOperatorHandle):
     """Operator backed by a scipy sparse matrix.
 
     A block apply is one CSR (adjoint: CSC) product with the dense block, which
-    sums each output entry in the order of the matvec, so its columns keep the
-    bits of ``apply``/``apply_adjoint``.
+    sums each output entry in the same order at every block width, so each
+    column keeps the bits of its one-column block apply.
     """
 
     def __init__(self, matrix) -> None:
@@ -253,12 +255,6 @@ class SparseOperator(LinearOperatorHandle):
         self._mat = matrix.tocsr()
         # a CSC view of the same arrays, built once instead of per adjoint
         self._mat_t = self._mat.T
-
-    def _apply(self, x):
-        return np.asarray(self._mat @ x).ravel()
-
-    def _apply_adjoint(self, y):
-        return np.asarray(self._mat_t @ y).ravel()
 
     def _apply_block(self, x):
         return self._mat @ x
@@ -271,11 +267,10 @@ class IdentityOperator(LinearOperatorHandle):
     def __init__(self, n: int) -> None:
         super().__init__(n, n)
 
-    def _apply(self, x):
+    def _apply_block(self, x):
         return x.copy()
 
-    def _apply_adjoint(self, y):
-        return y.copy()
+    _apply_adjoint_block = _apply_block
 
 
 def dense_matrix(op: LinearOperatorHandle) -> np.ndarray:

@@ -322,11 +322,14 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
     """
     grid = RegularGrid((g, g), (1.0 / g, 1.0 / g))
     if mask is not None:
-        keep = np.asarray(mask, dtype=int)
-        if (keep.ndim != 1 or keep.size == 0 or np.unique(keep).size != keep.size
+        # integer-valued numbers only: an int cast reads 1.9 and True as pixel 1
+        keep = np.asarray(mask)
+        if (keep.ndim != 1 or keep.size == 0 or keep.dtype.kind not in "iuf"
+                or np.any(np.floor(keep) != keep) or np.unique(keep).size != keep.size
                 or keep.min() < 0 or keep.max() >= grid.size):
             raise ValueError("the mask must be a nonempty 1-d array of distinct pixel "
                              f"indices in [0, {grid.size})")
+        keep = keep.astype(int)
     rng = np.random.SeedSequence(seed).spawn(3)
     mat = _ray_matrix(g, n_rays, rng[0])
     s_true = smooth_phantom(grid, MaternKernel(nu, prior_std**2, ell), seed=rng[1])

@@ -49,6 +49,18 @@ def test_gengk_bidiag_is_called_only_in_factorize():
     assert reads == ["marginal.MarginalModel.factorize"]
 
 
+def test_operators_define_only_block_hooks():
+    # every operator implements its block apply, one hook per direction; the
+    # vector apply is the one-column block apply of LinearOperatorHandle
+    defined = [f"{path.stem}.{node.name}.{item.name}"
+               for path in sorted(Path(gkhyper.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and item.name in ("_apply", "_apply_adjoint")]
+    assert defined == []
+
+
 def test_package_reexports_resolve():
     # the names gkhyper/__init__.py imports from its modules, read from its source
     tree = ast.parse(Path(gkhyper.__file__).read_text())

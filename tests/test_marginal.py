@@ -17,7 +17,7 @@ from gkhyper.marginal import (
     objective_rescaled,
     objective_svd,
 )
-from gkhyper.estimate import map_reconstruct_exact
+from gkhyper.estimate import map_reconstruct, map_reconstruct_exact
 from gkhyper.operators import DenseOperator, dense_matrix
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem
 
@@ -592,3 +592,29 @@ def test_rescaled_needs_a_unit_factorization():
         with pytest.raises(ValueError, match="factorization was taken"):
             objective_rescaled(model, HyperParams(np.array(values)), fact)
     assert objective_rescaled(model, theta, at_unit).k_used == 8
+
+
+# each reader of a supplied factorization, with the theta its factorization
+# is taken at: objective_rescaled reads a unit one
+SUPPLIED_FACTORIZATION_CALLS = {
+    "objective_rescaled": ((1.0, 1.0, 0.1), objective_rescaled),
+    "objective_gengk_value": ((1e-4, 0.5, 0.1), objective_gengk_value),
+    "objective_gengk": ((1e-4, 0.5, 0.1), lambda m, t, f: objective_gengk(m, t, 8, fact=f)),
+    "map_reconstruct": ((1e-4, 0.5, 0.1), lambda m, t, f: map_reconstruct(m, t, fact=f)),
+}
+
+
+@pytest.mark.parametrize("values", [[1e-4, 0.5], [1e-4, 0.5, 0.1, 7.0]])
+@pytest.mark.parametrize("name", sorted(SUPPLIED_FACTORIZATION_CALLS))
+def test_supplied_factorization_rejects_theta_of_wrong_length(name, values):
+    # the length of theta is checked before it is compared with the
+    # factorization's R and Q, and before any apply
+    taken_at, call = SUPPLIED_FACTORIZATION_CALLS[name]
+    model = _guard_models()[0]
+    fact = model.factorize(HyperParams(np.array(taken_at)), 8)
+    model.forward.matvec_count.reset()
+    before = fact.cov_applies()
+    with pytest.raises(ValueError, match=f"got {len(values)} values"):
+        call(model, HyperParams(np.array(values)), fact)
+    assert model.forward.matvec_count.snapshot() == (0, 0)
+    assert fact.cov_applies() == before

@@ -197,7 +197,7 @@ def test_block_applies_reject_bad_input_before_any_apply(monkeypatch, rng):
     # every operator is built before any class is patched: the masked ray
     # build applies its operator
     for name, op in [(name, make()) for name, make in _block_cases()]:
-        for hook in ("_apply", "_apply_adjoint", "_apply_block", "_apply_adjoint_block"):
+        for hook in ("_apply_block", "_apply_adjoint_block"):
             monkeypatch.setattr(type(op), hook, no_apply)
         for apply, rows in ((op.apply_block, op.ncols), (op.apply_adjoint_block, op.nrows)):
             good = rng.standard_normal((rows, 3))
@@ -209,6 +209,27 @@ def test_block_applies_reject_bad_input_before_any_apply(monkeypatch, rng):
                 with pytest.raises(ValueError):
                     apply(bad)
         assert op.matvec_count.snapshot() == (0, 0), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DenseOperator(np.random.default_rng(3).standard_normal((7, 11))),
+    lambda: heat_1d(64),  # the dense side of the Toeplitz kernel switch
+    lambda: heat_1d(300),  # the FFT side
+    lambda: ray_tomo_2d(8, 40, seed=0),
+    lambda: IdentityOperator(9),
+], ids=["dense", "toeplitz64", "toeplitz300", "ray", "identity"])
+def test_vector_applies_keep_the_one_column_layout(make, rng):
+    # a vector apply is column 0 of the C-contiguous (m, 1) output of a
+    # one-column block apply, the layout Q's vector apply has: a view of a
+    # buffer of m entries (scipy's sparse product is a reshaped 1-d buffer,
+    # so the base of its column holds the m entries flat)
+    op = make()
+    for apply, length, rows in ((op.apply, op.ncols, op.nrows),
+                                (op.apply_adjoint, op.nrows, op.ncols)):
+        out = apply(rng.standard_normal(length))
+        assert out.shape == (rows,) and out.strides == (8,) and out.flags.c_contiguous
+        assert out.base is not None and out.base.size == rows
+        assert out.base.flags.c_contiguous
 
 
 def test_dense_matrix_matches_per_column_probe():

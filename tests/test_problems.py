@@ -440,7 +440,8 @@ def test_masked_ray_problem_restricts_the_full_problem(g, mask, rng):
     assert abs(np.linalg.norm(prob.noise) - 0.02 * np.linalg.norm(prob.d_clean)) <= 1e-12
 
 
-@pytest.mark.parametrize("mask", [[], [[0, 1], [2, 3]], [5, 1, 5], [0, 64], [-1, 3]])
+@pytest.mark.parametrize("mask", [[], [[0, 1], [2, 3]], [5, 1, 5], [0, 64], [-1, 3],
+                                  [0.7, 1.9, 2.2, 10.99], [True, False], ["1", "2"]])
 def test_bad_mask_is_rejected_before_any_ray_is_traced(mask, monkeypatch):
     def no_trace(*args):
         raise AssertionError("a ray was traced for a rejected mask")
