@@ -29,7 +29,7 @@ from .marginal import (
     objective_gengk_value,
 )
 from .monitor import err_indicator, mc_xi_estimate, normal_matrix_apply, prop2_bound, xi_recurrence
-from .estimate import OptimizeOptions, map_reconstruct, optimize_hyperparams
+from .estimate import map_reconstruct, optimize_hyperparams
 from .problems import build_heat_problem, build_ray_tomo_problem, relative_error
 
 __all__ = ["main", "cmd_estimate", "cmd_monitor", "cmd_reconstruct"]
@@ -91,10 +91,7 @@ def _reconstruction_csv(s_true, s_hat) -> str:
 def cmd_estimate(cfg: RunConfig) -> dict[str, str]:
     prob, model = _build_problem(cfg)
     ec = cfg.estimate
-    opts = OptimizeOptions(k=ec.k, max_iters=ec.max_iters, grad_tol=ec.grad_tol,
-                           bounds=np.asarray(ec.bounds, dtype=float),
-                           parameterization=ec.parameterization)
-    theta0 = HyperParams(np.asarray(ec.theta0, dtype=float))
+    opts, theta0 = ec.records()
     theta_star, trace = optimize_hyperparams(model, theta0, opts)
     s_hat = map_reconstruct(model, theta_star, k=ec.k)
     re = relative_error(prob.s_true, s_hat)

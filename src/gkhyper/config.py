@@ -1,7 +1,12 @@
 """Run configuration: schema-validated nested dataclasses loaded from YAML.
 
 Unknown keys are rejected up front so a typo cannot silently fall back to a
-default; all validation happens before any compute.
+default. Validation then builds the package's records from the sections, so
+each rule on theta, the hyperprior and the optimizer settings is written once,
+in the record that owns it: HyperParams for every theta, Hyperprior, and
+OptimizeOptions with its check_start for the bounds and theta0. The problem
+and kernel sections keep their own checks, since their records are built by
+code that computes. All validation happens before any compute.
 """
 
 from __future__ import annotations
@@ -13,15 +18,14 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .estimate import OptimizeOptions
+from .marginal import DENSE_CAP_DEFAULT, HyperParams, Hyperprior
+
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_from_dict"]
 
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
-
-
-# theta of both problems
-_THETA = "3 positive values (noise variance, prior std, correlation length)"
 
 
 def _has_bool(value) -> bool:
@@ -51,16 +55,6 @@ def _check_numbers(obj, prefix: str = "") -> None:
             continue  # not numeric; the section's own checks report it
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"{prefix}{f.name} must be finite, got {value!r}")
-
-
-def _positive(values, where: str, shape: tuple, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    if arr.shape != shape or np.any(arr <= 0):
-        raise ConfigError(f"{where} must be {what}, got {values!r}")
-    return arr
 
 
 @dataclass
@@ -104,10 +98,7 @@ class HyperpriorConfig:
     gamma: float = 1e-4
 
     def validate(self):
-        if self.kind not in ("flat", "gamma"):
-            raise ConfigError(f"hyperprior kind must be flat or gamma, got {self.kind!r}")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        Hyperprior(self.kind, self.gamma)
 
 
 @dataclass
@@ -121,23 +112,16 @@ class EstimateConfig:
     max_iters: int = 200
     grad_tol: float = 1e-6
 
+    def records(self) -> tuple[OptimizeOptions, HyperParams]:
+        """The optimizer settings and the start theta0 within their bounds."""
+        opts = OptimizeOptions(k=self.k, max_iters=self.max_iters, grad_tol=self.grad_tol,
+                               bounds=self.bounds, parameterization=self.parameterization)
+        theta0 = HyperParams(self.theta0)
+        opts.check_start(theta0.values)
+        return opts, theta0
+
     def validate(self):
-        if self.k < 1:
-            raise ConfigError("estimate.k must be at least 1")
-        theta0 = _positive(self.theta0, "estimate.theta0", (3,), _THETA)
-        bounds = _positive(self.bounds, "estimate.bounds", (3, 2),
-                           "3 positive [low, high] rows")
-        if np.any(bounds[:, 0] >= bounds[:, 1]):
-            raise ConfigError("estimate.bounds must have low < high in every row")
-        if np.any(theta0 < bounds[:, 0]) or np.any(theta0 > bounds[:, 1]):
-            raise ConfigError("estimate.theta0 must lie within estimate.bounds")
-        if self.parameterization != "log":
-            raise ConfigError("estimate.parameterization must be log (L-BFGS-B runs "
-                              f"in log theta), got {self.parameterization!r}")
-        if self.max_iters < 1:
-            raise ConfigError("estimate.max_iters must be at least 1")
-        if self.grad_tol < 0:
-            raise ConfigError("estimate.grad_tol must be nonnegative")
+        self.records()
 
 
 @dataclass
@@ -154,7 +138,7 @@ class MonitorConfig:
             raise ConfigError("monitor.n_mc must be at least 1")
         if self.probe_kind not in ("gaussian", "rademacher"):
             raise ConfigError("probe_kind must be gaussian or rademacher")
-        _positive(self.theta, "monitor.theta", (3,), _THETA)
+        HyperParams(self.theta)
 
 
 @dataclass
@@ -165,7 +149,7 @@ class ReconstructConfig:
     def validate(self):
         if self.k < 1:
             raise ConfigError("reconstruct.k must be at least 1")
-        _positive(self.theta, "reconstruct.theta", (3,), _THETA)
+        HyperParams(self.theta)
 
 
 @dataclass
@@ -177,7 +161,7 @@ class RunConfig:
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     reconstruct: ReconstructConfig = field(default_factory=ReconstructConfig)
     seed: int = 0
-    dense_cap: int = 4096
+    dense_cap: int = DENSE_CAP_DEFAULT
 
     def validate(self):
         for name in _SECTIONS:

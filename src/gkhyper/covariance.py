@@ -53,7 +53,8 @@ class MaternKernel:
     """Isotropic Matern covariance function M(r).
 
     M(0) = sigma2 exactly; for nu in {1/2, 3/2, 5/2} the closed forms are
-    used, otherwise the modified-Bessel-K representation.
+    used, otherwise the modified-Bessel-K representation. nu, sigma2 and ell
+    must be finite and positive, or ValueError is raised.
     """
 
     nu: float
@@ -61,12 +62,11 @@ class MaternKernel:
     ell: float
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError(f"smoothness must be positive, got {self.nu}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"variance must be positive, got {self.sigma2}")
-        if self.ell <= 0:
-            raise ValueError(f"correlation length must be positive, got {self.ell}")
+        for name, what in (("nu", "smoothness"), ("sigma2", "variance"),
+                           ("ell", "correlation length")):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{what} must be finite and positive, got {value}")
 
     @property
     def prior_std(self) -> float:
@@ -156,8 +156,8 @@ class RegularGrid:
             raise ValueError("spacing must match the grid dimension")
         if any(s < 1 for s in shape):
             raise ValueError("grid shape entries must be positive")
-        if any(h <= 0 for h in spacing):
-            raise ValueError("grid spacing must be positive")
+        if not all(0.0 < h < math.inf for h in spacing):
+            raise ValueError(f"grid spacing must be finite and positive, got {spacing}")
 
     @property
     def size(self) -> int:

@@ -38,8 +38,11 @@ __all__ = [
 class OptimizeOptions:
     """Settings for the outer optimization loop, which searches log theta.
 
-    bounds (required, keyword only) holds one positive [low, high] row per
-    component of theta; parameterization accepts only "log".
+    bounds (required, keyword only) holds one finite positive [low, high] row,
+    low < high, per component of theta; k and max_iters are finite and at
+    least 1, grad_tol is finite and nonnegative, and parameterization accepts
+    only "log". Any other value raises ValueError. check_start holds the rule
+    for a start.
     """
 
     k: int = 20
@@ -49,20 +52,36 @@ class OptimizeOptions:
     parameterization: str = "log"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        if not 1 <= self.k < np.inf:
+            raise ValueError(f"k must be finite and at least 1, got {self.k}")
+        if not 1 <= self.max_iters < np.inf:
+            raise ValueError(f"max_iters must be finite and at least 1, got {self.max_iters}")
+        if not 0.0 <= self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be finite and nonnegative, got {self.grad_tol}")
         if self.parameterization != "log":
             raise ValueError("parameterization must be 'log'")
         self.bounds = np.asarray(self.bounds, dtype=float)
         if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
             raise ValueError("bounds must be a (K, 2) array")
-        if np.any(self.bounds <= 0) or np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-            raise ValueError("bounds must be strictly positive nonempty intervals")
+        low, high = self.bounds.T
+        if not np.all((0.0 < low) & (low < high) & (high < np.inf)):
+            raise ValueError("bounds must be finite, strictly positive nonempty intervals, "
+                             f"got {self.bounds.tolist()}")
+
+    def check_start(self, theta0) -> np.ndarray:
+        """theta0 as floats, if it has one value per bounds row within its bounds."""
+        theta0 = np.asarray(theta0, dtype=float)
+        low, high = self.bounds.T
+        if theta0.shape != low.shape or not np.all((low <= theta0) & (theta0 <= high)):
+            raise ValueError(f"the start {theta0.tolist()} lies outside the bounds "
+                             f"{self.bounds.tolist()} (one [low, high] row per value)")
+        return theta0
 
 
 @dataclass
 class OptimizeTrace:
-    """Per-evaluation history; func_count equals the number of objective calls.
+    """Per-evaluation history; func_count, the number of objective calls, is
+    the length of values.
 
     objective is the value at the returned theta, which need not be the
     lowest value in values: the optimizer can stop on an iterate other than
@@ -72,27 +91,23 @@ class OptimizeTrace:
     thetas: list = field(default_factory=list)
     values: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
-    func_count: int = 0
     iterations: int = 0
     converged: bool = False
     reason: str = ""
     objective: float = float("nan")
 
+    @property
+    def func_count(self) -> int:
+        return len(self.values)
+
     def record(self, theta_values, value, grad_norm):
-        self.func_count += 1
         self.thetas.append(np.asarray(theta_values, dtype=float).copy())
         self.values.append(float(value))
         self.grad_norms.append(float(grad_norm))
 
 
 def _run_lbfgsb(eval_fn, theta0, opts: OptimizeOptions) -> tuple[np.ndarray, OptimizeTrace]:
-    theta0 = np.asarray(theta0, dtype=float)
-    bounds = opts.bounds
-    if bounds.shape[0] != theta0.shape[0]:
-        raise ValueError("bounds do not match the parameter dimension")
-    if np.any(theta0 < bounds[:, 0]) or np.any(theta0 > bounds[:, 1]):
-        raise ValueError("the starting point lies outside the bounds")
-
+    theta0 = opts.check_start(theta0)
     trace = OptimizeTrace()
 
     def wrapped(x):
@@ -110,7 +125,7 @@ def _run_lbfgsb(eval_fn, theta0, opts: OptimizeOptions) -> tuple[np.ndarray, Opt
         np.log(theta0),
         jac=True,
         method="L-BFGS-B",
-        bounds=[tuple(row) for row in np.log(bounds)],
+        bounds=[tuple(row) for row in np.log(opts.bounds)],
         options={"maxiter": opts.max_iters, "gtol": opts.grad_tol, "ftol": 1e-14},
     )
     theta_star = np.exp(res.x)
@@ -220,8 +235,8 @@ def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ValueError("lambda grid is empty")
-    if np.any(lambda_grid <= 0):
-        raise ValueError("lambda values must be positive")
+    if not np.all((0.0 < lambda_grid) & (lambda_grid < np.inf)):
+        raise ValueError(f"lambda values must be finite and positive, got {lambda_grid}")
     s_true = np.asarray(s_true, dtype=float)
     s_norm = np.linalg.norm(s_true)
     if s_norm == 0:

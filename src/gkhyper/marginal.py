@@ -56,10 +56,10 @@ DENSE_CAP_DEFAULT = 4096
 
 @dataclass(frozen=True, eq=False)
 class HyperParams:
-    """Positive hyperparameter vector.
+    """theta = (noise variance, prior standard deviation, correlation length).
 
-    Canonical roles for K=3: noise variance, prior standard deviation,
-    correlation length.
+    The record owns the rule every reader of theta relies on: three finite,
+    strictly positive values; any other length or value raises ValueError.
     """
 
     values: np.ndarray
@@ -69,8 +69,11 @@ class HyperParams:
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise ValueError("hyperparameters must form a vector")
-        if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-            raise ValueError(f"hyperparameters must be strictly positive, got {values}")
+        if len(values) != 3:
+            raise ValueError("theta must be (noise variance, prior std, correlation "
+                             f"length), got {len(values)} values")
+        if not np.all((0.0 < values) & (values < np.inf)):
+            raise ValueError(f"hyperparameters must be finite and strictly positive, got {values}")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -99,8 +102,8 @@ class Hyperprior:
     def __post_init__(self):
         if self.kind not in ("flat", "gamma"):
             raise ValueError(f"hyperprior kind must be 'flat' or 'gamma', got {self.kind!r}")
-        if self.kind == "gamma" and self.gamma_rate <= 0:
-            raise ValueError("gamma_rate must be positive")
+        if not 0.0 < self.gamma_rate < np.inf:
+            raise ValueError(f"gamma_rate must be finite and positive, got {self.gamma_rate}")
 
     def neglog(self, theta_values: np.ndarray) -> tuple[float, np.ndarray]:
         theta_values = np.asarray(theta_values, dtype=float)
@@ -116,15 +119,17 @@ class Hyperprior:
 class MarginalModel:
     """Problem data plus the theta-to-covariance rules.
 
-    theta is (noise variance, prior std, correlation length); both rules
-    reject a theta of any other length. The noise covariance R = theta1 I is
-    given by theta1: noise_cov returns that float.
+    theta is a HyperParams, whose constructor holds the length rule, so both
+    rules read its three values unchecked. The noise covariance R = theta1 I
+    is given by theta1: noise_cov returns that float.
     The prior covariance Q is Matern with fixed smoothness nu over the
     geometry, stored as covariance.normalize_geometry gives it (a RegularGrid,
     or (n, dim) points); a geometry it rejects, or one whose point count is not
     the operator's column count, raises ValueError. Q's theta-derivatives are
     applied through that Q: dQ/dtheta2 = (2/theta2) Q, and dQ/dtheta3 by
-    Q.apply_block_with_theta3_derivative. prior_mean None means zero.
+    Q.apply_block_with_theta3_derivative. prior_mean None means zero. Data or
+    a prior mean of the wrong length or with a non-finite entry raises
+    ValueError before any apply.
     """
 
     forward: LinearOperatorHandle
@@ -139,6 +144,8 @@ class MarginalModel:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.shape != (self.forward.nrows,):
             raise ValueError("data length does not match the forward operator")
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("data contains non-finite entries")
         n = self.forward.ncols
         self.geometry, geom_n = normalize_geometry(self.geometry)
         if geom_n != n:
@@ -147,6 +154,8 @@ class MarginalModel:
             self.prior_mean = np.asarray(self.prior_mean, dtype=float)
             if self.prior_mean.shape != (n,):
                 raise ValueError("prior mean length does not match the operator")
+            if not np.all(np.isfinite(self.prior_mean)):
+                raise ValueError("prior mean contains non-finite entries")
 
     @property
     def nrows(self) -> int:
@@ -172,26 +181,17 @@ class MarginalModel:
             return np.zeros(self.ncols)
         return self.prior_mean.copy()
 
-    @staticmethod
-    def _check_theta(theta: HyperParams) -> None:
-        if len(theta) != 3:
-            raise ValueError("theta must be (noise variance, prior std, correlation "
-                             f"length), got {len(theta)} values")
-
     def noise_cov(self, theta: HyperParams) -> float:
-        self._check_theta(theta)
         return theta.noise_var
 
     def prior_cov(self, theta: HyperParams) -> CovarianceOperator:
-        self._check_theta(theta)
         kernel = MaternKernel(self.nu, theta.prior_std**2, theta.corr_length)
         return build_cov_operator(self.geometry, kernel)
 
     def factorize(self, theta: HyperParams, k: int) -> GenGKFactorization:
         """The genGK factorization at theta that every approximate path reads:
-        gengk_bidiag with noise_cov(theta), then prior_cov(theta) (a theta of the
-        wrong length raises ValueError before any apply), the prior mean and the
-        data, for min(k, m, n) steps, k clamped to the most the iteration can
+        gengk_bidiag with noise_cov(theta), prior_cov(theta), the prior mean and
+        the data, for min(k, m, n) steps, k clamped to the most the iteration can
         take. Its k is the count achieved, lower after a breakdown."""
         return gengk_bidiag(self.forward, self.noise_cov(theta), self.prior_cov(theta),
                             self.prior_mean, self.data, min(int(k), self.nrows, self.ncols))
@@ -259,10 +259,10 @@ def _dense_assembly(model: MarginalModel, theta: HyperParams, what: str,
                     gradient: bool = False, factor: bool = True) -> _DenseAssembly:
     """The one assembly every dense oracle reads, within the dense cap.
 
-    Q is built first, so theta is checked before any apply; A is probed once
-    by dense_matrix; with a gradient one block apply takes Q A' and
-    dQ/dtheta3 A' together (one shared forward transform per chunk). Z =
-    A (Q A') + theta1 I is symmetrized and factored once.
+    Q is built first, before any apply; A is probed once by dense_matrix;
+    with a gradient one block apply takes Q A' and dQ/dtheta3 A' together
+    (one shared forward transform per chunk). Z = A (Q A') + theta1 I is
+    symmetrized and factored once.
     """
     model.require_dense(what)
     q_op = model.prior_cov(theta)
@@ -379,8 +379,7 @@ def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectr
 
 
 def _check_taken_at(fact: GenGKFactorization, theta: HyperParams) -> None:
-    # theta must have three values, and give the R and Q the factorization carries
-    MarginalModel._check_theta(theta)
+    # theta must give the R and Q the factorization carries
     kernel = fact.q_op.kernel
     if (fact.noise_var != theta.noise_var or kernel.sigma2 != theta.prior_std**2
             or kernel.ell != theta.corr_length):
@@ -415,7 +414,6 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
     covariance is built and no operator is applied. The gradient has two
     components, since theta3 is held fixed.
     """
-    model._check_theta(theta)
     _check_taken_at(fact_unit, _unit_theta(theta.corr_length))
     theta1, theta2 = theta.noise_var, theta.prior_std
     spec = fact_unit.spectrum.rescaled(theta1, theta2)

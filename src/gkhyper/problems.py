@@ -64,8 +64,8 @@ def heat_1d(n: int, kappa: float = 1.0) -> LowerToeplitzOperator:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     h = 1.0 / n
     gaps = (np.arange(n) + 0.5) * h
     column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(
@@ -268,8 +268,8 @@ def add_noise(d_clean, noise_level: float, seed=None) -> tuple[np.ndarray, np.nd
     so ||eta|| = noise_level * ||d_clean|| holds by construction.
     """
     d_clean = np.asarray(d_clean, dtype=float)
-    if noise_level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0.0 <= noise_level < math.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {noise_level}")
     if noise_level == 0.0:
         return d_clean.copy(), np.zeros_like(d_clean)
     norm = np.linalg.norm(d_clean)

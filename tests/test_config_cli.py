@@ -12,9 +12,12 @@ import yaml
 import gkhyper
 from gkhyper import estimate
 from gkhyper.cli import _build_problem, main
-from gkhyper.config import ConfigError, config_from_dict, load_config
+from gkhyper.config import (ConfigError, EstimateConfig, HyperpriorConfig, MonitorConfig,
+                            ReconstructConfig, _has_bool, config_from_dict, load_config)
+from gkhyper.covariance import MaternKernel, RegularGrid
+from gkhyper.estimate import OptimizeOptions
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
-from gkhyper.marginal import HyperParams, objective_exact, objective_gengk
+from gkhyper.marginal import HyperParams, Hyperprior, objective_exact, objective_gengk
 
 
 SMALL_HEAT = {
@@ -162,6 +165,91 @@ def test_bad_numbers_exit_one_before_any_build(tmp_path, monkeypatch, capsys, pa
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+# --- one home for each input rule: the records refuse what the config refuses
+
+BOUNDS = [[1e-10, 1.0], [1e-3, 10.0], [5e-3, 0.5]]
+
+
+def _bounds_with(row, col, value):
+    bounds = [list(r) for r in BOUNDS]
+    bounds[row][col] = value
+    return bounds
+
+
+RECORD_FIELDS = {
+    "MaternKernel.nu": lambda x: MaternKernel(x, 1.0, 0.1),
+    "MaternKernel.sigma2": lambda x: MaternKernel(1.5, x, 0.1),
+    "MaternKernel.ell": lambda x: MaternKernel(1.5, 1.0, x),
+    "RegularGrid.spacing": lambda x: RegularGrid((4, 4), (0.25, x)),
+    "Hyperprior.gamma_rate/flat": lambda x: Hyperprior("flat", x),
+    "Hyperprior.gamma_rate/gamma": lambda x: Hyperprior("gamma", x),
+    **{f"OptimizeOptions.bounds[{i}][{j}]":
+       (lambda x, i=i, j=j: OptimizeOptions(bounds=_bounds_with(i, j, x)))
+       for i in range(3) for j in range(2)},
+    "OptimizeOptions.k": lambda x: OptimizeOptions(k=x, bounds=BOUNDS),
+    "OptimizeOptions.max_iters": lambda x: OptimizeOptions(max_iters=x, bounds=BOUNDS),
+    "OptimizeOptions.grad_tol": lambda x: OptimizeOptions(grad_tol=x, bounds=BOUNDS),
+    **{f"HyperParams[{i}]": (lambda x, i=i: HyperParams(np.insert([1e-4, 0.5], i, x)))
+       for i in range(3)},
+    "HyperParams/2 values": lambda x: HyperParams([1e-4, x]),
+    "HyperParams/4 values": lambda x: HyperParams([1e-4, 0.5, 0.1, x]),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_records_refuse_non_finite_values(name, value):
+    with pytest.raises(ValueError):
+        RECORD_FIELDS[name](value)
+
+
+# the keys each section hands to a record; the config's own type rule refuses
+# a bool (a record reads True as 1.0), so payloads holding one are left out
+RECORD_KEYS = {
+    "estimate": {"k", "theta0", "bounds", "parameterization", "max_iters", "grad_tol"},
+    "monitor": {"theta"},
+    "reconstruct": {"theta"},
+    "hyperprior": {"kind", "gamma"},
+}
+RECORD_PAYLOADS = [
+    {name: values} for payload in BAD_THETA + BAD_NUMBERS for name, values in payload.items()
+    if name in RECORD_KEYS and set(values) <= RECORD_KEYS[name]
+    and not _has_bool(list(values.values()))
+]
+
+
+def _build_records(name, values):
+    # straight from the section's values (defaults where the payload has none)
+    # to the records, without the config
+    if name == "estimate":
+        ec = EstimateConfig(**values)
+        opts = OptimizeOptions(k=ec.k, max_iters=ec.max_iters, grad_tol=ec.grad_tol,
+                               bounds=ec.bounds, parameterization=ec.parameterization)
+        opts.check_start(HyperParams(ec.theta0).values)
+    elif name == "hyperprior":
+        hc = HyperpriorConfig(**values)
+        Hyperprior(hc.kind, hc.gamma)
+    else:
+        section = {"monitor": MonitorConfig, "reconstruct": ReconstructConfig}[name]
+        HyperParams(section(**values).theta)
+
+
+def test_record_payloads_cover_every_record_section():
+    assert len(RECORD_PAYLOADS) == 14
+    assert {name for payload in RECORD_PAYLOADS for name in payload} == set(RECORD_KEYS)
+
+
+@pytest.mark.parametrize("payload", RECORD_PAYLOADS)
+def test_records_refuse_what_the_config_refuses(payload):
+    # the config refuses these by building the records, so the two rules
+    # cannot drift apart
+    with pytest.raises(ConfigError):
+        config_from_dict(payload)
+    [(name, values)] = payload.items()
+    with pytest.raises((TypeError, ValueError)):
+        _build_records(name, values)
 
 
 def test_missing_file_rejected(tmp_path):

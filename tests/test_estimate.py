@@ -434,6 +434,14 @@ def test_lambda_sweep_empty_grid_rejected():
         optimal_lambda_sweep(model, fact_hat, prob.s_true, np.array([]), 1e-5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_lambda_sweep_rejects_a_lambda_that_is_not_finite_and_positive(bad):
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 8)
+    with pytest.raises(ValueError, match="lambda values must be finite and positive"):
+        optimal_lambda_sweep(model, fact_hat, prob.s_true, np.array([0.5, bad, 2.0]), 1e-5)
+
+
 def test_lambda_sweep_needs_a_unit_factorization():
     prob, model, ell = heat_two_param_setup()
     for values in ((1e-5, 1.0, ell), (1.0, 0.5, ell)):

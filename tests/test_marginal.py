@@ -207,12 +207,13 @@ def test_exact_objective_builds_q_once(rng, monkeypatch):
 
 @pytest.mark.parametrize("values", [[0.2, 1.1], [0.2, 1.1, 0.4, 0.3]])
 def test_objectives_reject_theta_of_wrong_length(rng, values):
+    # HyperParams holds the length rule: the theta is refused as it is built,
+    # before any objective applies an operator
     model = make_dense_model(rng)
-    theta = HyperParams(np.array(values))
     for objective in (objective_exact, lambda m, t: objective_gengk(m, t, 4),
                       lambda m, t: objective_svd(m, t, 4), map_reconstruct_exact):
         with pytest.raises(ValueError, match="correlation length"):
-            objective(model, theta)
+            objective(model, HyperParams(np.array(values)))
     assert model.forward.matvec_count.snapshot() == (0, 0)
 
 
@@ -381,6 +382,17 @@ def test_hyperprior_validation():
         Hyperprior("jeffreys")
     with pytest.raises(ValueError):
         Hyperprior("gamma", -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["data", "prior_mean"])
+def test_model_rejects_non_finite_data_before_any_apply(rng, name, bad):
+    forward = DenseOperator(rng.standard_normal((4, 6)))
+    values = {"data": np.ones(4), "prior_mean": np.zeros(6)}
+    values[name][1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        MarginalModel(forward=forward, geometry=RegularGrid((6,), (1.0 / 6,)), **values)
+    assert forward.matvec_count.snapshot() == (0, 0)
 
 
 def test_hyperparams_validation():

@@ -101,6 +101,15 @@ def test_heat_validation():
         heat_kernel_value(0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kappa_and_noise_level_must_be_finite(bad):
+    # each builder refuses the value by its own rule, not a later operator's
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        heat_1d(64, kappa=bad)
+    with pytest.raises(ValueError, match="noise level must be finite"):
+        add_noise(np.ones(5), bad, seed=0)
+
+
 # --- ray tomography
 
 
