@@ -51,7 +51,9 @@ and its transpose. Given a second checkout OTHER, both
 are digested and only the outputs and numbers that differ between them are printed, one name a line;
 the exit status is 1 if any do. BLAS and OpenMP threads are pinned to the CPUs this process may
 use, as perfbench does, so that two checkouts digested on one host can be
-compared.
+compared. The `gkhyper estimate` outputs are digested once more at 1 BLAS thread,
+as entries named `threads=1/<config>/estimate/<file>`, so that an estimate whose bits
+depend on the thread count shows by name.
 """
 
 import hashlib
@@ -283,23 +285,34 @@ def _numbers(script: str, args: list, env: dict, cwd: str, prefix: str) -> dict:
             for bits, name in (line.split(" ", 1) for line in out.splitlines())}
 
 
+def _cli_outputs(command: str, config: Path, env: dict, tmp: str, label: str) -> dict:
+    out = Path(tmp) / label / command
+    subprocess.run([sys.executable, "-m", "gkhyper.cli", command, "--config", str(config),
+                    "--out", str(out)], env=env, cwd=tmp, check=True,
+                   stderr=subprocess.DEVNULL)
+    return {str(path.relative_to(tmp)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+def _pinned(env: dict, threads: str) -> dict:
+    return dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads)
+
+
 def digests(root: Path) -> dict:
     """SHA-256 of every output file of root's CLI on root's shipped configs, and
     the float.hex of root's objective values and gradients."""
-    nproc = str(len(os.sched_getaffinity(0)))
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=nproc,
-               OMP_NUM_THREADS=nproc, MKL_NUM_THREADS=nproc)
+    env = _pinned(dict(os.environ, PYTHONPATH=str(root / "src")),
+                  str(len(os.sched_getaffinity(0))))
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         for config in sorted((root / "configs").glob("*.yaml")):
             for command in ("estimate", "monitor", "reconstruct"):
-                out = Path(tmp) / config.stem / command
-                subprocess.run([sys.executable, "-m", "gkhyper.cli", command, "--config",
-                                str(config), "--out", str(out)], env=env, cwd=tmp,
-                               check=True, stderr=subprocess.DEVNULL)
-                for path in sorted(out.iterdir()):
-                    result[str(path.relative_to(tmp))] = hashlib.sha256(
-                        path.read_bytes()).hexdigest()
+                result.update(_cli_outputs(command, config, env, tmp, config.stem))
+            # the estimate again at 1 BLAS thread, under its own names, so that
+            # an estimate whose bits follow the thread count shows by name
+            result.update(_cli_outputs("estimate", config, _pinned(env, "1"), tmp,
+                                       f"threads=1/{config.stem}"))
             result.update(_numbers(OBJECTIVES, [str(config)], env, tmp, config.stem))
         result.update(_numbers(POINT_SET, [], env, tmp, "point_set"))
         result.update(_numbers(PHANTOM, [], env, tmp, "phantom"))

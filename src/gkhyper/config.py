@@ -3,10 +3,11 @@
 Unknown keys are rejected up front so a typo cannot silently fall back to a
 default. Validation then builds the package's records from the sections, so
 each rule on theta, the hyperprior and the optimizer settings is written once,
-in the record that owns it: HyperParams for every theta, Hyperprior, and
-OptimizeOptions with its check_start for the bounds and theta0. The problem
-and kernel sections keep their own checks, since their records are built by
-code that computes. All validation happens before any compute.
+in the record that owns it: HyperParams for every theta, Hyperprior,
+OptimizeOptions with its check_start for the bounds and theta0, and
+MaternKernel for nu. The problem section keeps its own checks, written
+NaN-proof as "not 0 < x < inf", since its records are built by code that
+computes. All validation happens before any compute.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .covariance import MaternKernel
 from .estimate import OptimizeOptions
 from .marginal import DENSE_CAP_DEFAULT, HyperParams, Hyperprior
 
@@ -75,12 +77,12 @@ class ProblemConfig:
             raise ConfigError("heat1d needs n >= 2")
         if self.name == "ray_tomo" and (self.grid < 4 or self.n_rays < 1):
             raise ConfigError("ray_tomo needs grid >= 4 and n_rays >= 1")
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
-        if self.kappa <= 0:
-            raise ConfigError("kappa must be positive")
-        if self.prior_std <= 0 or self.ell <= 0:
-            raise ConfigError("prior_std and ell must be positive")
+        if not 0 <= self.noise_level < np.inf:
+            raise ConfigError("noise_level must be finite and nonnegative")
+        if not 0 < self.kappa < np.inf:
+            raise ConfigError("kappa must be finite and positive")
+        if not (0 < self.prior_std < np.inf and 0 < self.ell < np.inf):
+            raise ConfigError("prior_std and ell must be finite and positive")
 
 
 @dataclass
@@ -88,8 +90,7 @@ class KernelConfig:
     nu: float = 1.5
 
     def validate(self):
-        if self.nu <= 0:
-            raise ConfigError("nu must be positive")
+        MaternKernel(self.nu, 1.0, 1.0)
 
 
 @dataclass

@@ -156,7 +156,10 @@ class LinearOperatorHandle:
 
 def _per_column(apply, x: np.ndarray, rows: int) -> np.ndarray:
     # each column as a contiguous vector, as a caller's vector apply gets it:
-    # OpenBLAS dgemv on a transposed matrix rounds differently on a strided x
+    # OpenBLAS dgemv on a transposed matrix rounds differently on a strided x;
+    # a one-column block (a vector apply) is the column's own result
+    if x.shape[1] == 1:
+        return apply(np.ascontiguousarray(x[:, 0])).reshape(rows, 1)
     out = np.empty((rows, x.shape[1]))
     for j in range(x.shape[1]):
         out[:, j] = apply(np.ascontiguousarray(x[:, j]))
@@ -197,8 +200,8 @@ class LowerToeplitzOperator(LinearOperatorHandle):
     ``_DENSE_MAX`` = 256 the operator holds the dense matrix and applies it by
     one matvec, with the bits of ``toeplitz(column, zeros(n)) @ x``. Above
     that it holds only ``c_hat = rfft(column, L)``, L // 2 + 1 complex
-    numbers, and applies A x = ``irfft(c_hat * rfft(x, L), L)[:n]`` and
-    A' y = ``irfft(conj(c_hat) * rfft(y, L), L)[:n]``. L is the smallest
+    numbers, and its conjugate, and applies A x = ``irfft(c_hat * rfft(x, L), L)[:n]``
+    and A' y = ``irfft(conj(c_hat) * rfft(y, L), L)[:n]``. L is the smallest
     length of at least 2n with no prime factor above 5 (2n itself at n = 1000,
     2048, 4096): the zero padding past 2n - 1 makes the circular convolution
     (correlation) the Toeplitz product, and the smooth length keeps an n with
@@ -226,6 +229,7 @@ class LowerToeplitzOperator(LinearOperatorHandle):
         else:
             self._fft_len = next_fast_len(2 * n, real=True)
             self._chat = np.fft.rfft(column, self._fft_len)
+            self._chat_conj = np.conj(self._chat)
 
     def _apply_block(self, x):
         if self.ncols <= _DENSE_MAX:
@@ -235,11 +239,15 @@ class LowerToeplitzOperator(LinearOperatorHandle):
     def _apply_adjoint_block(self, y):
         if self.nrows <= _DENSE_MAX:
             return _per_column(self._mat.T.__matmul__, y, self.ncols)
-        return _per_column(partial(self._convolve, np.conj(self._chat)), y, self.ncols)
+        return _per_column(partial(self._convolve, self._chat_conj), y, self.ncols)
 
     def _convolve(self, kernel, x):
         length = self._fft_len
-        return np.fft.irfft(kernel * np.fft.rfft(x, length), length)[: self.ncols]
+        out = np.fft.irfft(kernel * np.fft.rfft(x, length), length)
+        # drop the padding in place, so the result owns a buffer of n entries
+        # without a copy (nothing else refers to out)
+        out.resize(self.ncols, refcheck=False)
+        return out
 
 
 class SparseOperator(LinearOperatorHandle):

@@ -1,7 +1,15 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gkhyper
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(autouse=True)
@@ -47,3 +55,19 @@ def probe_dense(op):
         out[:, j] = apply(e)
         e[j] = 0.0
     return out if n <= m else out.T
+
+
+def run_at_blas_threads(script, threads, *args, timeout=120):
+    """The stdout lines of ``python -c script *args`` at a BLAS thread count.
+
+    The count is fixed when numpy loads, so each count runs in its own
+    process; threads=None leaves BLAS at its default, the CPU count.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(gkhyper.__file__).parents[1])
+    if threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()

@@ -12,8 +12,9 @@ import yaml
 import gkhyper
 from gkhyper import estimate
 from gkhyper.cli import _build_problem, main
-from gkhyper.config import (ConfigError, EstimateConfig, HyperpriorConfig, MonitorConfig,
-                            ReconstructConfig, _has_bool, config_from_dict, load_config)
+from gkhyper.config import (ConfigError, EstimateConfig, HyperpriorConfig, KernelConfig,
+                            MonitorConfig, ProblemConfig, ReconstructConfig, _has_bool,
+                            config_from_dict, load_config)
 from gkhyper.covariance import MaternKernel, RegularGrid
 from gkhyper.estimate import OptimizeOptions
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
@@ -250,6 +251,28 @@ def test_records_refuse_what_the_config_refuses(payload):
     [(name, values)] = payload.items()
     with pytest.raises((TypeError, ValueError)):
         _build_records(name, values)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("name", ["k", "max_iters"])
+def test_optimize_options_refuse_a_count_that_is_not_an_integer(name, value):
+    # k = 2.5 used to build, and the factorization then ran int(2.5) = 2 steps
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        OptimizeOptions(bounds=BOUNDS, **{name: value})
+    assert getattr(OptimizeOptions(bounds=BOUNDS, **{name: np.int64(3)}), name) == 3
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+@pytest.mark.parametrize("name", ["kappa", "noise_level", "prior_std", "ell", "nu"])
+def test_problem_and_kernel_sections_refuse_non_finite_values(name, value):
+    # called on the sections directly, without RunConfig's finiteness pass
+    # before them; noise_level may be 0 (noise-free data)
+    section = KernelConfig(nu=value) if name == "nu" else ProblemConfig(**{name: value})
+    if name == "noise_level" and value == 0.0:
+        section.validate()
+        return
+    with pytest.raises(ValueError):
+        section.validate()
 
 
 def test_missing_file_rejected(tmp_path):

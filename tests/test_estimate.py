@@ -1,8 +1,12 @@
+import functools
+from contextlib import nullcontext
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import run_at_blas_threads
 from gkhyper import estimate
 from gkhyper.covariance import RegularGrid
 from gkhyper.estimate import (
@@ -468,3 +472,106 @@ def test_lambda_sweep_finds_generative_scale():
     idx = int(np.argmin(curve[:, 1]))
     closest = int(np.argmin(np.abs(np.log(1.0 / grid) - np.log(true_theta2))))
     assert abs(idx - closest) <= 1
+
+
+# --- BLAS on the calling thread
+
+
+def _fake_setters(counts, calls):
+    # one stand-in for openblas_set_num_threads_local per library: it sets
+    # the library's count and returns the count it replaced
+    def make(lib):
+        def setter(count):
+            calls.append((lib, count))
+            previous, counts[lib] = counts[lib], count
+            return previous
+        return setter
+    return tuple(make(lib) for lib in sorted(counts))
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["normal-exit", "body-raises"])
+def test_blas_scope_restores_each_previous_thread_count(monkeypatch, raises):
+    counts, calls = {"numpy": 2, "scipy": 3}, []
+    monkeypatch.setattr(estimate, "_openblas_thread_setters",
+                        lambda: _fake_setters(counts, calls))
+    with pytest.raises(RuntimeError) if raises else nullcontext():
+        with estimate._blas_on_calling_thread():
+            assert counts == {"numpy": 1, "scipy": 1}
+            if raises:
+                raise RuntimeError("inside the scope")
+    assert counts == {"numpy": 2, "scipy": 3}
+    assert calls == [("numpy", 1), ("scipy", 1), ("scipy", 3), ("numpy", 2)]
+
+
+def test_blas_scope_is_a_no_op_without_openblas(monkeypatch, rng):
+    monkeypatch.setattr(estimate, "_openblas_thread_setters", lambda: ())
+    with estimate._blas_on_calling_thread():
+        pass
+    # an estimate and a reconstruction still run without any OpenBLAS found
+    model, _ = zero_model(rng)
+    theta_star, trace = optimize_hyperparams(model, HyperParams(np.array([1.0, 1.0, 0.5])),
+                                             OptimizeOptions(k=4, bounds=WIDE_BOUNDS))
+    assert trace.converged
+    assert np.all(np.isfinite(map_reconstruct(model, theta_star, k=4)))
+
+
+def _blas_threads(setter):
+    # openblas_set_num_threads_local reads the count only by replacing it
+    count = setter(1)
+    setter(count)
+    return count
+
+
+@pytest.mark.skipif("openblas" not in np.show_config(mode="dicts")["Build Dependencies"]
+                    ["blas"]["name"], reason="numpy is not built on OpenBLAS")
+def test_blas_scope_pins_numpys_openblas_to_one_thread_and_restores_it():
+    setters = estimate._openblas_thread_setters()
+    assert setters, "numpy's OpenBLAS was not found in the process's mappings"
+    before = [_blas_threads(setter) for setter in setters]
+    with estimate._blas_on_calling_thread():
+        assert [_blas_threads(setter) for setter in setters] == [1] * len(setters)
+    assert [_blas_threads(setter) for setter in setters] == before
+
+
+ESTIMATE_BITS = """
+import hashlib
+import sys
+from gkhyper.cli import _build_problem
+from gkhyper.config import config_from_dict, load_config
+from gkhyper.estimate import map_reconstruct, optimize_hyperparams
+
+def run(cfg):
+    prob, model = _build_problem(cfg)
+    opts, theta0 = cfg.estimate.records()
+    theta_star, trace = optimize_hyperparams(model, theta0, opts)
+    s_hat = map_reconstruct(model, theta_star, k=opts.k)
+    print(*(float(v).hex() for v in theta_star.values))
+    print(*(float(v).hex() for v in trace.values))
+    print(hashlib.sha256(s_hat.tobytes()).hexdigest())
+
+configs = sys.argv[1]
+heat = load_config(f"{configs}/heat1d.yaml")
+heat.problem.n = 512  # the FFT side of the heat operator
+run(heat)
+# the shipped ray config cut to g = 12, whose phantom is the same field at
+# every BLAS thread count
+ray = load_config(f"{configs}/ray_tomo.yaml")
+ray.problem.grid, ray.problem.n_rays, ray.estimate.k = 12, 90, 30
+run(ray)
+"""
+
+
+@functools.cache
+def _estimate_bits(threads):
+    configs = Path(__file__).parents[1] / "configs"
+    lines = run_at_blas_threads(ESTIMATE_BITS, threads, str(configs), timeout=300)
+    assert len(lines) == 6
+    return lines
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_estimate_and_map_keep_bits_at_each_blas_thread_count(threads):
+    # the optimizer and the MAP reconstruction run their BLAS on the calling
+    # thread, so theta*, every objective value and the MAP estimate have the
+    # same bits at any pinned count as at the default
+    assert _estimate_bits(threads) == _estimate_bits(None)

@@ -1,8 +1,4 @@
 import functools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +7,8 @@ from scipy.linalg import toeplitz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import probe_dense
+from conftest import probe_dense, run_at_blas_threads
 from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
-import gkhyper
 from gkhyper.gengk import gengk_bidiag
 from gkhyper.monitor import normal_matrix_apply
 from gkhyper.operators import (
@@ -372,21 +367,9 @@ for grid, kernel in ((RegularGrid((2048,), (1 / 2048,)), MaternKernel(1.5, 0.45*
         show(out)
 """
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 @functools.cache
 def _apply_digests(threads):
-    # the thread count is fixed when numpy loads, so each count runs in its
-    # own process; threads=None leaves BLAS at its default, the CPU count
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env["PYTHONPATH"] = str(Path(gkhyper.__file__).parents[1])
-    if threads is not None:
-        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
-    proc = subprocess.run([sys.executable, "-c", THREADS_CHECK], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    digests = proc.stdout.split()
+    digests = run_at_blas_threads(THREADS_CHECK, threads)
     assert len(digests) == 16
     return digests
 
