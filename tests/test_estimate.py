@@ -504,10 +504,8 @@ def test_blas_scope_restores_each_previous_thread_count(monkeypatch, raises):
 
 
 def test_blas_scope_is_a_no_op_without_openblas(monkeypatch, rng):
+    # an estimate and a reconstruction run as before when no OpenBLAS is found
     monkeypatch.setattr(estimate, "_openblas_thread_setters", lambda: ())
-    with estimate._blas_on_calling_thread():
-        pass
-    # an estimate and a reconstruction still run without any OpenBLAS found
     model, _ = zero_model(rng)
     theta_star, trace = optimize_hyperparams(model, HyperParams(np.array([1.0, 1.0, 0.5])),
                                              OptimizeOptions(k=4, bounds=WIDE_BOUNDS))
@@ -537,7 +535,7 @@ ESTIMATE_BITS = """
 import hashlib
 import sys
 from gkhyper.cli import _build_problem
-from gkhyper.config import config_from_dict, load_config
+from gkhyper.config import load_config
 from gkhyper.estimate import map_reconstruct, optimize_hyperparams
 
 def run(cfg):
