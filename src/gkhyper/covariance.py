@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .operators import LinearOperatorHandle, _check_block
+from .operators import LinearOperatorHandle, _check_block, _per_column
 
 __all__ = [
     "MaternKernel",
@@ -146,6 +147,9 @@ class RegularGrid:
     spacing: tuple[float, ...]
 
     def __post_init__(self):
+        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1
+               for s in self.shape):
+            raise ValueError(f"grid shape entries must be positive integers, got {self.shape}")
         shape = tuple(int(s) for s in self.shape)
         spacing = tuple(float(h) for h in self.spacing)
         object.__setattr__(self, "shape", shape)
@@ -154,8 +158,6 @@ class RegularGrid:
             raise ValueError("only 1-d and 2-d grids are supported")
         if len(spacing) != len(shape):
             raise ValueError("spacing must match the grid dimension")
-        if any(s < 1 for s in shape):
-            raise ValueError("grid shape entries must be positive")
         if not all(0.0 < h < math.inf for h in spacing):
             raise ValueError(f"grid spacing must be finite and positive, got {spacing}")
 
@@ -187,11 +189,12 @@ class CovarianceOperator(LinearOperatorHandle):
     use. dQ/dtheta2 = (2/theta2) Q needs no operator: callers scale Q X.
     Q is symmetric, so its adjoint block apply is its block apply, and the
     vector applies are the handle's one-column block applies. The counter
-    goes up by the Q columns applied. Each backend names itself in the class
-    attribute ``backend``: "fft" on a RegularGrid, "dense" on a point set. The FFT
-    backend's transforms are real, of L/2 + 1 modes, on a 1-d grid and
-    complex on a 2-d grid; the forward transform of a chunk is shared by Q
-    and dQ/dtheta3 either way.
+    goes up by the Q columns applied, and ``dq_count`` by the dQ/dtheta3
+    columns. Each backend names itself in the class attribute ``backend``:
+    "fft" on a RegularGrid, "dense" on a point set. The FFT backend's
+    transforms are real, of L/2 + 1 modes, on a 1-d grid and complex on a 2-d
+    grid; the forward transform of a chunk is shared by Q and dQ/dtheta3
+    either way.
     """
 
     # tools that split Q applies from derivative applies read this; every
@@ -201,6 +204,7 @@ class CovarianceOperator(LinearOperatorHandle):
     def __init__(self, kernel: MaternKernel, n: int):
         super().__init__(n, n)
         self.kernel = kernel
+        self.dq_count = 0
 
     def _forward_block(self, x: np.ndarray):
         raise NotImplementedError
@@ -217,10 +221,12 @@ class CovarianceOperator(LinearOperatorHandle):
     def apply_block_with_theta3_derivative(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(Q X, dQ/dtheta3 X) for an (n, p) block, from one shared transform.
 
-        Checked and counted as ``apply_block``: p Q columns.
+        Checked as ``apply_block``, and counted as p Q columns and p
+        dQ/dtheta3 columns (dq_count).
         """
         x = _check_block(x, self.ncols, "apply_block_with_theta3_derivative")
         self.matvec_count.bump_forward(x.shape[1])
+        self.dq_count += x.shape[1]
         return tuple(self._apply_chunks(x, (self._data, self._ell_data)))
 
     def _apply_chunks(self, x: np.ndarray, datas) -> list[np.ndarray]:
@@ -272,8 +278,7 @@ class _DenseCovariance(CovarianceOperator):
 
     def _inverse_block(self, x, mat, out):
         # one matvec per column: a single matrix product would round differently
-        for j in range(x.shape[1]):
-            out[:, j] = mat @ x[:, j]
+        out[...] = _per_column(mat.__matmul__, x, self.ncols)
 
 
 class _FFTGridCovariance(CovarianceOperator):

@@ -19,9 +19,10 @@ woken after every idle gap. In four heat-estimate solves (n = 2048, k = 22,
 16.9 ms in the median and 32.5 ms at the 90th percentile, up to 48.7 ms, and
 the optimizer's gaps between them reached 7.6 ms; at 1 thread the largest
 took 26.0 ms and the gaps stayed at or below 0.6 ms, while a fixed-theta loop
-of objective_gengk ran at about the same speed either way. The problem build,
-the monitor and the dense oracles stay outside the scope: their dense columns
-round differently at each thread count, so the scope would move their bits.
+of objective_gengk ran at about the same speed either way. The monitor, the
+dense oracles and the problem build, but for add_noise's long norms, stay
+outside the scope: their dense columns round differently at each thread
+count, so the scope would move their bits.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ def _blas_on_calling_thread():
     an OpenBLAS (another BLAS, or no /proc) the scope does nothing. It saves
     the wake-up stalls of a pooled worker (see the module docstring): on a
     2-CPU host, heat-estimate eval_ms fell from 20.8 to 14.4 ms (medians of
-    10 runs each). Only the optimizer's minimize and map_reconstruct enter it;
-    problem build, the monitor and the dense oracles run at the process's
+    10 runs each). The optimizer's minimize, map_reconstruct and
+    problems.add_noise's long norms enter it; the rest runs at the process's
     count. Large solves lose by it: a heat n = 16384, k = 120 evaluation took
     1.49 s at 1 thread against 1.36 s at 2.
     """

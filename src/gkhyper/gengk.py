@@ -8,6 +8,7 @@ theta1; no square roots or inverses of Q are ever formed. Weighted norms use
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -100,34 +101,6 @@ class BidiagSpectrum:
                        beta1=self.beta1 / root1)
 
 
-class _DerivativeProducts:
-    """dQ/dtheta2 V_K and dQ/dtheta3 V_K of one factorization's basis V_K.
-
-    On the first read one block apply gives Q V_K and dQ/dtheta3 V_K from a
-    shared transform, and Q V_K is scaled in place into dQ/dtheta2 V_K =
-    (2/theta2) Q V_K; both blocks are kept. A factorization and every
-    truncation of it hold the same object, so a sweep over k applies Q and
-    dQ/dtheta3 to V_K once.
-    """
-
-    def __init__(self, q_op: CovarianceOperator, v_k: np.ndarray):
-        self._q_op = q_op
-        self._v_k = v_k
-        self._blocks = None
-
-    @property
-    def applies(self) -> int:
-        """dQ/dtheta3 column applies made so far (the Q columns count on Q)."""
-        return 0 if self._blocks is None else self._v_k.shape[1]
-
-    def leading(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._blocks is None:
-            q_v, dq3_v = self._q_op.apply_block_with_theta3_derivative(self._v_k)
-            q_v *= 2.0 / self._q_op.kernel.prior_std
-            self._blocks = (q_v, dq3_v)
-        return tuple(block[:, :k] for block in self._blocks)
-
-
 @dataclass
 class GenGKFactorization:
     """Result of k bidiagonalization steps.
@@ -142,12 +115,13 @@ class GenGKFactorization:
 
     spectrum is the SVD of the bidiagonal, taken on first use and cached; it
     is the one spectral core that the objective, gradient, MAP coefficients
-    and two-parameter fast path read. dq_basis gives the derivative products
-    dQ/dtheta2 V_k and dQ/dtheta3 V_k that the gradient reads; they are
-    taken for the whole basis on first use by one q_op block apply (Q V_K,
-    scaled by 2/theta2, and dQ/dtheta3 V_K) and cached, and a truncation
-    shares noise_var, q_op and that cache with the factorization it was cut
-    from. The arrays are not to be modified once either has been taken.
+    and two-parameter fast path read. The derivative products dQ/dtheta2 V_K
+    and dQ/dtheta3 V_K that the gradient reads are cached the same way: one
+    q_op block apply on first use (Q V_K, scaled by 2/theta2, and dQ/dtheta3
+    V_K), counted on q_op. A truncation records its root, the untruncated
+    factorization, and shares the root's noise_var, q_op and products, of
+    which dq_basis reads the leading k columns. The arrays are not to be
+    modified once either has been taken.
     """
 
     u_basis: np.ndarray
@@ -159,13 +133,8 @@ class GenGKFactorization:
     q_op: CovarianceOperator
     noise_var: float
     breakdown_at: int | None = None
-    # None makes a fresh cache over v_basis[:, :k]; a truncation passes its
-    # factorization's cache
-    _dq: _DerivativeProducts | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._dq is None:
-            self._dq = _DerivativeProducts(self.q_op, self.v_basis[:, : self.k])
+    # the untruncated factorization a truncation was cut from; None on it
+    _root: GenGKFactorization | None = field(default=None, repr=False, compare=False)
 
     @property
     def beta1(self) -> float:
@@ -182,13 +151,19 @@ class GenGKFactorization:
         s_full[: s.shape[0]] = s
         return BidiagSpectrum(p, s, s_full, wt.T, self.beta1)
 
+    @cached_property
+    def _products(self) -> tuple[np.ndarray, np.ndarray]:
+        q_v, dq3_v = self.q_op.apply_block_with_theta3_derivative(self.v_basis[:, : self.k])
+        q_v *= 2.0 / self.q_op.kernel.prior_std
+        return q_v, dq3_v
+
     def dq_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dQ/dtheta2 V_k, dQ/dtheta3 V_k) of q_op: views of the leading k columns."""
-        return self._dq.leading(self.k)
+        """(dQ/dtheta2 V_k, dQ/dtheta3 V_k) of q_op: leading-k views of the root's products."""
+        return tuple(block[:, : self.k] for block in (self._root or self)._products)
 
     def cov_applies(self) -> tuple[int, int]:
-        """(Q column applies on q_op, dQ/dtheta3 column applies) made so far."""
-        return self.q_op.matvec_count.forward, self._dq.applies
+        """(Q column applies, dQ/dtheta3 column applies) made on q_op so far."""
+        return self.q_op.matvec_count.forward, self.q_op.dq_count
 
 
 def _orthogonalize(w, basis_cols, weighted_cols):
@@ -224,9 +199,8 @@ def gengk_bidiag(A: LinearOperatorHandle, R: float,
     """
     m, n = A.shape
     R = _check_noise_var(R)
-    k = int(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
     mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
@@ -298,10 +272,11 @@ def gengk_bidiag(A: LinearOperatorHandle, R: float,
 def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorization:
     """View of the leading k iterations of an existing factorization.
 
-    The truncation shares fact's noise_var, q_op and cache of derivative products,
-    not copies of them: the first truncation that reads dq_basis takes the
-    products for all of fact's columns, and every later one reads its
-    leading k columns from them.
+    The truncation records fact's root (fact itself, unless fact is a
+    truncation) and shares its noise_var, q_op and derivative products, not
+    copies of them: the first read of dq_basis takes the products for all of
+    the root's columns, and every later one reads its leading k columns from
+    them.
     """
     if k < 0 or k > fact.k:
         raise ValueError(f"k must lie in [0, {fact.k}]")
@@ -315,7 +290,7 @@ def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorizati
         q_op=fact.q_op,
         noise_var=fact.noise_var,
         breakdown_at=fact.breakdown_at if (fact.breakdown_at or 0) <= k else None,
-        _dq=fact._dq,
+        _root=fact._root or fact,
     )
 
 

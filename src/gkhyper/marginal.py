@@ -17,10 +17,10 @@ log-determinant and quadratic terms come from BidiagSpectrum.terms, and the
 gradient takes its projected pieces from the same P, s and W. Its derivative
 products dQ/dtheta_i V_k come from the factorization too
 (GenGKFactorization.dq_basis), taken with the Q the factorization carries:
-one block apply gives Q V_K and dQ/dtheta3 V_K, and dQ/dtheta2 V_K =
-(2/theta2) Q V_K. They are computed once per factorization and shared by its
-truncations, so a sweep of objective_gengk over k builds no covariance and
-applies Q and dQ/dtheta3 to V_K once. objective_gengk_value is the objective
+one block apply, whose columns Q counts, gives Q V_K and dQ/dtheta3 V_K, and
+dQ/dtheta2 V_K = (2/theta2) Q V_K. They are cached like the spectrum and shared
+by its truncations, so a sweep of objective_gengk over k builds no covariance
+and applies Q and dQ/dtheta3 to V_K once. objective_gengk_value is the objective
 alone from an existing factorization, for sweeps over k that need no gradient.
 objective_rescaled is the fast path with theta3 fixed: since R = theta1 I and
 Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3) rescales
@@ -30,6 +30,7 @@ gradient cost O(k) and apply no operator.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -194,7 +195,7 @@ class MarginalModel:
         the data, for min(k, m, n) steps, k clamped to the most the iteration can
         take. Its k is the count achieved, lower after a breakdown."""
         return gengk_bidiag(self.forward, self.noise_cov(theta), self.prior_cov(theta),
-                            self.prior_mean, self.data, min(int(k), self.nrows, self.ncols))
+                            self.prior_mean, self.data, min(k, self.nrows, self.ncols))
 
 
 @dataclass
@@ -273,7 +274,7 @@ def _dense_assembly(model: MarginalModel, theta: HyperParams, what: str,
     else:
         qa, dq3_a = q_op.apply_block(a.T), None
     core = _DenseAssembly(a, qa, dq3_a, a @ model.mean_vector() - model.data, _count_delta(
-        model.forward, before, q=q_op.matvec_count.forward, dq=model.nrows if gradient else 0))
+        model.forward, before, q=q_op.matvec_count.forward, dq=q_op.dq_count))
     if not factor:
         return core
     z = a @ qa
@@ -474,14 +475,15 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
     R^{-1/2} A Q^{1/2} are the eigenpairs of the m x m A (Q A') / theta1,
     largest first, clipped at zero, with Q A' from the dense assembly and no
     Q^{1/2} formed. The leading min(k, m, n) give the truncated objective,
-    the exact one at k = rank(Ahat); k < 0 raises ValueError. No gradient.
+    the exact one at k = rank(Ahat); a k that is not a nonnegative integer
+    raises ValueError. No gradient.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     core = _dense_assembly(model, theta, "the truncated-SVD objective", factor=False)
     gram = core.a @ core.qa / theta.noise_var
     evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
-    k_eff = min(int(k), model.nrows, model.ncols)
+    k_eff = min(k, model.nrows, model.ncols)
     sk2 = np.clip(evals[::-1][:k_eff], 0.0, None)
     u_hat = evecs[:, ::-1][:, :k_eff]
 

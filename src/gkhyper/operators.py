@@ -167,7 +167,8 @@ def _per_column(apply, x: np.ndarray, rows: int) -> np.ndarray:
 
 
 class DenseOperator(LinearOperatorHandle):
-    """Operator backed by an explicit 2-d array (kept private to the handle).
+    """Operator backed by an explicit 2-d array of finite numbers (kept
+    private to the handle).
 
     A block apply takes one matvec per column: a single matrix product would
     round differently.
@@ -177,6 +178,8 @@ class DenseOperator(LinearOperatorHandle):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("DenseOperator needs a 2-d array")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("DenseOperator: matrix contains non-finite entries")
         super().__init__(*matrix.shape)
         self._mat = matrix
 
@@ -251,7 +254,7 @@ class LowerToeplitzOperator(LinearOperatorHandle):
 
 
 class SparseOperator(LinearOperatorHandle):
-    """Operator backed by a scipy sparse matrix.
+    """Operator backed by a scipy sparse matrix whose stored entries are finite.
 
     A block apply is one CSR (adjoint: CSC) product with the dense block, which
     sums each output entry in the same order at every block width, so each
@@ -261,6 +264,8 @@ class SparseOperator(LinearOperatorHandle):
     def __init__(self, matrix) -> None:
         super().__init__(*matrix.shape)
         self._mat = matrix.tocsr()
+        if not np.all(np.isfinite(self._mat.data)):
+            raise ValueError("SparseOperator: matrix contains non-finite entries")
         # a CSC view of the same arrays, built once instead of per adjoint
         self._mat_t = self._mat.T
 

@@ -10,12 +10,15 @@ mask's pixels: columns of the ray matrix, phantom entries and pixel centres.
 from __future__ import annotations
 
 import math
+import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .covariance import MaternKernel, RegularGrid, matern_eval
+from .estimate import _blas_on_calling_thread
 from .operators import LinearOperatorHandle, LowerToeplitzOperator, SparseOperator
 
 __all__ = [
@@ -32,6 +35,9 @@ __all__ = [
 ]
 
 PHANTOM_DENSE_CAP = 4096
+
+# OpenBLAS ddot splits a sum across its threads only above this many entries
+_THREADED_DOT_MIN = 10_000
 
 
 @dataclass
@@ -62,8 +68,8 @@ def heat_1d(n: int, kappa: float = 1.0) -> LowerToeplitzOperator:
     it holds O(n) numbers and applies by FFT convolution, within round-off of
     the dense product (about 1e-15 relative), so n = 65536 fits in memory.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
     h = 1.0 / n
@@ -265,19 +271,22 @@ def add_noise(d_clean, noise_level: float, seed=None) -> tuple[np.ndarray, np.nd
     """Additive Gaussian noise scaled to an exact relative norm.
 
     eta = eps * noise_level * ||d_clean|| / ||eps|| with eps standard normal,
-    so ||eta|| = noise_level * ||d_clean|| holds by construction.
+    so ||eta|| = noise_level * ||d_clean|| holds by construction. Norms that
+    OpenBLAS would split across its threads run on the calling thread, so the
+    data do not follow the thread count; shorter ones skip that scope's cost.
     """
     d_clean = np.asarray(d_clean, dtype=float)
     if not 0.0 <= noise_level < math.inf:
         raise ValueError(f"noise level must be finite and nonnegative, got {noise_level}")
     if noise_level == 0.0:
         return d_clean.copy(), np.zeros_like(d_clean)
-    norm = np.linalg.norm(d_clean)
-    if norm == 0.0:
-        raise ValueError("clean data is zero; the noise scale is undefined")
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(d_clean.shape)
-    eta = eps * (noise_level * norm / np.linalg.norm(eps))
+    with _blas_on_calling_thread() if eps.size > _THREADED_DOT_MIN else nullcontext():
+        norm, eps_norm = np.linalg.norm(d_clean), np.linalg.norm(eps)
+    if norm == 0.0:
+        raise ValueError("clean data is zero; the noise scale is undefined")
+    eta = eps * (noise_level * norm / eps_norm)
     return d_clean + eta, eta
 
 

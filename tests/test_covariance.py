@@ -17,7 +17,6 @@ from gkhyper.covariance import (
     matern_deriv,
     matern_eval,
 )
-from gkhyper.gengk import _DerivativeProducts
 from gkhyper.operators import dense_matrix
 
 
@@ -175,7 +174,9 @@ def test_symmetry_and_positive_semidefiniteness(rng):
 
 def _derivative_products(q, x):
     # (dQ/dtheta2 X, dQ/dtheta3 X) as the gradient takes them from a basis X
-    return _DerivativeProducts(q, x).leading(x.shape[1])
+    q_x, dq3_x = q.apply_block_with_theta3_derivative(x)
+    q_x *= 2.0 / q.kernel.prior_std
+    return q_x, dq3_x
 
 
 def _theta3_derivative_apply(q, x):
@@ -398,6 +399,20 @@ def test_apply_block_counts_p_applies_per_operator(rng):
     assert q.matvec_count.snapshot() == (17, 0)
     q.apply_block(rng.standard_normal((36, 3)))
     assert q.matvec_count.snapshot() == (20, 0)
+
+
+def test_dq_count_counts_the_theta3_derivative_columns_only(rng):
+    # p per call of apply_block_with_theta3_derivative, on both backends;
+    # apply and apply_block apply Q alone
+    for geometry in (RegularGrid((6, 6), (0.2, 0.2)), rng.uniform(0, 1, (36, 2))):
+        q = build_cov_operator(geometry, MaternKernel(1.5, 1.0, 0.3))
+        q.apply(rng.standard_normal(36))
+        q.apply_block(rng.standard_normal((36, 3)))
+        assert q.dq_count == 0
+        q.apply_block_with_theta3_derivative(rng.standard_normal((36, 17)))
+        assert q.dq_count == 17
+        q.apply_block_with_theta3_derivative(rng.standard_normal((36, 2)))
+        assert (q.dq_count, q.matvec_count.snapshot()) == (19, (1 + 3 + 19, 0))
 
 
 def test_apply_block_empty_block(rng):

@@ -40,13 +40,24 @@ def _name_reads(tree, name):
     return found
 
 
+def _package_reads(name):
+    # module.scope of every read of name in the package's modules
+    return [f"{path.stem}.{scope}"
+            for path in sorted(Path(gkhyper.__file__).parent.glob("*.py"))
+            for scope in _name_reads(ast.parse(path.read_text()), name)]
+
+
 def test_gengk_bidiag_is_called_only_in_factorize():
     # every factorization is taken by MarginalModel.factorize, which holds the
     # min(k, m, n) clamp; imports of the name are not reads
-    reads = [f"{path.stem}.{scope}"
-             for path in sorted(Path(gkhyper.__file__).parent.glob("*.py"))
-             for scope in _name_reads(ast.parse(path.read_text()), "gengk_bidiag")]
-    assert reads == ["marginal.MarginalModel.factorize"]
+    assert _package_reads("gengk_bidiag") == ["marginal.MarginalModel.factorize"]
+
+
+def test_theta3_derivative_is_applied_only_by_the_products_and_the_dense_assembly():
+    # a factorization caches its dQ V products, which its truncations share,
+    # and the dense oracles read one assembly; no other path applies dQ/dtheta3
+    assert _package_reads("apply_block_with_theta3_derivative") == [
+        "gengk.GenGKFactorization._products", "marginal._dense_assembly"]
 
 
 def test_operators_define_only_block_hooks():

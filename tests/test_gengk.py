@@ -205,6 +205,21 @@ def test_truncate_factorization(rng):
         truncate_factorization(fact, 7)
 
 
+def test_truncation_of_a_truncation_reads_the_root_products(rng):
+    A, R, Q, d = random_setup(rng, 10, 8)
+    fact = gengk_bidiag(A, R, Q, None, d, 6)
+    sub = truncate_factorization(fact, 4)
+    subsub = truncate_factorization(sub, 2)
+    got = subsub.dq_basis()
+    sub.dq_basis()
+    # one products apply, on the root's 6 columns, after the 7 Q applies of
+    # the bidiagonalization
+    assert fact.cov_applies() == (Q.matvec_count.forward, Q.dq_count) == (7 + 6, 6)
+    for block, full in zip(got, fact.dq_basis()):
+        assert np.shares_memory(block, full)
+        assert np.array_equal(block, full[:, :2])
+
+
 def test_dropped_q_is_freed_by_reference_counting(rng):
     # nothing Q applies or caches refers back to it, so a dropped Q (and a
     # dropped factorization with it) is freed without the cycle collector

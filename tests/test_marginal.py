@@ -19,7 +19,7 @@ from gkhyper.marginal import (
 )
 from gkhyper.estimate import map_reconstruct, map_reconstruct_exact
 from gkhyper.operators import DenseOperator, dense_matrix
-from gkhyper.problems import build_heat_problem, build_ray_tomo_problem
+from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, heat_1d
 
 
 def make_dense_model(rng, m=8, n=8, hyperprior=Hyperprior("flat"), grid=True):
@@ -280,6 +280,31 @@ def test_svd_rejects_negative_k():
         with pytest.raises(ValueError, match="nonnegative"):
             objective_svd(model, theta, k)
     assert model.forward.matvec_count.snapshot() == before
+
+
+# each size with its owner's integer rule; an int() cast read 2.5 as 2 and True as 1
+NON_INTEGER_SIZES = {
+    "grid-shape-2.7": lambda model, theta: RegularGrid((2.7,), (1.0,)),
+    "grid-shape-True": lambda model, theta: RegularGrid((True,), (1.0,)),
+    "heat_1d-n": lambda model, theta: heat_1d(2.5),
+    "gengk_bidiag-k": lambda model, theta: gengk_bidiag(
+        model.forward, model.noise_cov(theta), model.prior_cov(theta), model.prior_mean,
+        model.data, 2.5),
+    "objective_gengk-k": lambda model, theta: objective_gengk(model, theta, 2.5),
+    "objective_gengk-k-True": lambda model, theta: objective_gengk(model, theta, True),
+    "map_reconstruct-k": lambda model, theta: map_reconstruct(model, theta, k=2.5),
+    "objective_svd-k": lambda model, theta: objective_svd(model, theta, 2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_SIZES))
+def test_sizes_that_are_not_integers_are_refused_before_any_apply(name):
+    prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
+    model.forward.matvec_count.reset()  # the build applied it to the true signal
+    with pytest.raises(ValueError, match="integer"):
+        NON_INTEGER_SIZES[name](model, HyperParams(np.array(GUARD_THETAS[0])))
+    assert model.forward.matvec_count.snapshot() == (0, 0)
 
 
 def _svd_reference(model, theta, k):

@@ -333,6 +333,17 @@ def test_lower_toeplitz_rejects_a_bad_column(bad):
         LowerToeplitzOperator(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_forward_matrices_with_non_finite_entries_are_refused(bad):
+    # such a matrix used to build and fail only inside a solve; the sparse
+    # check reads the stored entries
+    mat = np.diag([1.0, 2.0, 3.0, 4.0])
+    mat[1, 1] = bad
+    for build in (DenseOperator, lambda m: SparseOperator(sp.csr_matrix(m))):
+        with pytest.raises(ValueError, match="non-finite"):
+            build(mat)
+
+
 THREADS_CHECK = """
 import hashlib
 import numpy as np

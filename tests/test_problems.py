@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import run_at_blas_threads
 from gkhyper import problems
 from gkhyper.covariance import MaternKernel, RegularGrid, matern_eval
 from gkhyper.operators import dense_matrix
@@ -357,6 +358,21 @@ def test_add_noise_seeds_differ(rng):
 def test_add_noise_zero_data_rejected():
     with pytest.raises(ValueError, match="undefined"):
         add_noise(np.zeros(5), 0.1, seed=0)
+
+
+HEAT_DATA_SHA = """
+import hashlib
+from gkhyper.problems import _THREADED_DOT_MIN, build_heat_problem
+for n in (_THREADED_DOT_MIN, 16384):
+    print(hashlib.sha256(build_heat_problem(n=n).data.tobytes()).hexdigest())
+"""
+
+
+def test_heat_data_keep_bits_at_each_blas_thread_count():
+    # above _THREADED_DOT_MIN add_noise takes its two norms on the calling
+    # thread, where OpenBLAS ddot would split each sum across its threads (at
+    # n = 16384 the data followed the thread count); at the limit it needs not
+    assert run_at_blas_threads(HEAT_DATA_SHA, "1") == run_at_blas_threads(HEAT_DATA_SHA, "2")
 
 
 def test_relative_error_values(rng):
