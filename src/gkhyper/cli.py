@@ -202,9 +202,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
             cfg.seed = args.seed
+            cfg.validate()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

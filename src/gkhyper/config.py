@@ -5,14 +5,16 @@ default. Validation then builds the package's records from the sections, so
 each rule on theta, the hyperprior and the optimizer settings is written once,
 in the record that owns it: HyperParams for every theta, Hyperprior,
 OptimizeOptions with its check_start for the bounds and theta0, and
-MaternKernel for nu. The problem section keeps its own checks, written
-NaN-proof as "not 0 < x < inf", since its records are built by code that
-computes. All validation happens before any compute.
+MaternKernel for nu. Every integer field is a count and passes the one count
+rule, operators._check_count: the seed is nonnegative, the active problem's n
+at least 2 and its grid at least 4, and every other count positive. The
+problem section's other checks are its own, written NaN-proof as
+"not 0 < x < inf", since its records are built by code that computes. A
+failure raises ConfigError, before any compute.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -22,6 +24,7 @@ import yaml
 from .covariance import MaternKernel
 from .estimate import OptimizeOptions
 from .marginal import DENSE_CAP_DEFAULT, HyperParams, Hyperprior
+from .operators import _check_count
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_from_dict"]
 
@@ -36,19 +39,17 @@ def _has_bool(value) -> bool:
     return isinstance(value, bool)
 
 
-def _check_numbers(obj, prefix: str = "") -> None:
+def _check_numbers(obj) -> None:
     # NaN passes every "<= 0" test, so non-finite numbers are rejected first;
-    # an integer field takes an integer only, since a fraction, a string or a
-    # bool would otherwise be truncated or fail inside the build; a bool
-    # anywhere else would be read as 0 or 1
+    # an integer field takes a nonnegative integer, not a fraction, a string
+    # or a bool, by the count rule; a bool anywhere else would be read as 0 or 1
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "int":
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
+            _check_count(value, f.name, 0)
             continue
         if _has_bool(value):
-            raise ConfigError(f"{prefix}{f.name} must not be a bool, got {value!r}")
+            raise ValueError(f"{f.name} must not be a bool, got {value!r}")
         if isinstance(value, str):
             continue
         try:
@@ -56,7 +57,7 @@ def _check_numbers(obj, prefix: str = "") -> None:
         except (TypeError, ValueError):
             continue  # not numeric; the section's own checks report it
         if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"{prefix}{f.name} must be finite, got {value!r}")
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -73,10 +74,11 @@ class ProblemConfig:
     def validate(self):
         if self.name not in ("heat1d", "ray_tomo"):
             raise ConfigError(f"unknown problem {self.name!r}")
-        if self.name == "heat1d" and self.n < 2:
-            raise ConfigError("heat1d needs n >= 2")
-        if self.name == "ray_tomo" and (self.grid < 4 or self.n_rays < 1):
-            raise ConfigError("ray_tomo needs grid >= 4 and n_rays >= 1")
+        if self.name == "heat1d":
+            _check_count(self.n, "n", 2)
+        else:
+            _check_count(self.grid, "grid", 4)
+            _check_count(self.n_rays, "n_rays", 1)
         if not 0 <= self.noise_level < np.inf:
             raise ConfigError("noise_level must be finite and nonnegative")
         if not 0 < self.kappa < np.inf:
@@ -133,10 +135,8 @@ class MonitorConfig:
     theta: list = field(default_factory=lambda: [1e-5, 0.4, 0.08])
 
     def validate(self):
-        if self.k_max < 1:
-            raise ConfigError("monitor.k_max must be at least 1")
-        if self.n_mc < 1:
-            raise ConfigError("monitor.n_mc must be at least 1")
+        _check_count(self.k_max, "k_max", 1)
+        _check_count(self.n_mc, "n_mc", 1)
         if self.probe_kind not in ("gaussian", "rademacher"):
             raise ConfigError("probe_kind must be gaussian or rademacher")
         HyperParams(self.theta)
@@ -148,8 +148,7 @@ class ReconstructConfig:
     k: int = 22
 
     def validate(self):
-        if self.k < 1:
-            raise ConfigError("reconstruct.k must be at least 1")
+        _check_count(self.k, "k", 1)
         HyperParams(self.theta)
 
 
@@ -165,21 +164,19 @@ class RunConfig:
     dense_cap: int = DENSE_CAP_DEFAULT
 
     def validate(self):
-        for name in _SECTIONS:
-            section = getattr(self, name)
-            _check_numbers(section, f"{name}.")
-            try:
-                section.validate()
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                # a value of the wrong type, e.g. a string where a number belongs
-                raise ConfigError(f"bad values in {name!r}: {exc}") from exc
-        _check_numbers(self)
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.dense_cap < 1:
-            raise ConfigError("dense_cap must be positive")
+        try:
+            for name in _SECTIONS:
+                where = f"bad values in {name!r}"
+                _check_numbers(getattr(self, name))
+                getattr(self, name).validate()
+            where = "bad top-level values"
+            _check_numbers(self)
+            _check_count(self.dense_cap, "dense_cap", 1)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            # a value of the wrong type or range, e.g. a string for a number
+            raise ConfigError(f"{where}: {exc}") from exc
 
 
 _SECTIONS = {

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .operators import LinearOperatorHandle, _check_block, _per_column
+from .operators import LinearOperatorHandle, _check_block, _check_count, _per_column
 
 __all__ = [
     "MaternKernel",
@@ -147,10 +146,7 @@ class RegularGrid:
     spacing: tuple[float, ...]
 
     def __post_init__(self):
-        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1
-               for s in self.shape):
-            raise ValueError(f"grid shape entries must be positive integers, got {self.shape}")
-        shape = tuple(int(s) for s in self.shape)
+        shape = tuple(_check_count(s, "each grid shape entry", 1) for s in self.shape)
         spacing = tuple(float(h) for h in self.spacing)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)

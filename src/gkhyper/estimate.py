@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ from scipy.optimize import minimize
 from .gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
 from .marginal import (HyperParams, MarginalModel, _check_taken_at, _dense_assembly,
                        _unit_theta, objective_gengk, objective_rescaled)
+from .operators import _check_count
 
 __all__ = [
     "OptimizeOptions",
@@ -59,10 +59,10 @@ class OptimizeOptions:
     """Settings for the outer optimization loop, which searches log theta.
 
     bounds (required, keyword only) holds one finite positive [low, high] row,
-    low < high, per component of theta; k and max_iters are positive integers
-    (not bools), grad_tol is finite and nonnegative, and parameterization
-    accepts only "log". Any other value raises ValueError. check_start holds
-    the rule for a start.
+    low < high, per component of theta; the counts k and max_iters are
+    positive integers by the one count rule (operators._check_count), grad_tol
+    is finite and nonnegative, and parameterization accepts only "log". Any
+    other value raises ValueError. check_start holds the rule for a start.
     """
 
     k: int = 20
@@ -72,11 +72,8 @@ class OptimizeOptions:
     parameterization: str = "log"
 
     def __post_init__(self):
-        for name in ("k", "max_iters"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or not 0 < value < np.inf):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        self.k = _check_count(self.k, "k", 1)
+        self.max_iters = _check_count(self.max_iters, "max_iters", 1)
         if not 0.0 <= self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be finite and nonnegative, got {self.grad_tol}")
         if self.parameterization != "log":

@@ -8,14 +8,13 @@ theta1; no square roots or inverses of Q are ever formed. Weighted norms use
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .covariance import CovarianceOperator
-from .operators import LinearOperatorHandle
+from .operators import LinearOperatorHandle, _check_count
 
 __all__ = [
     "BidiagSpectrum",
@@ -187,7 +186,8 @@ def gengk_bidiag(A: LinearOperatorHandle, R: float,
     """Run k steps of generalized Golub-Kahan bidiagonalization.
 
     R is the noise variance theta1 of the noise covariance R = theta1 I; one
-    that is not finite and positive raises ValueError before any apply.
+    that is not finite and positive, or a step count k the one count rule
+    refuses as nonnegative, raises ValueError before any apply.
     Step 0 is the initialization, taken by the same loop body as every later
     step: its forward residual is d - A mu, and its adjoint half has no
     previous v to subtract or reorthogonalize against. Requires
@@ -199,8 +199,7 @@ def gengk_bidiag(A: LinearOperatorHandle, R: float,
     """
     m, n = A.shape
     R = _check_noise_var(R)
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    k = _check_count(k, "k", 0)
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
     mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
@@ -270,7 +269,8 @@ def gengk_bidiag(A: LinearOperatorHandle, R: float,
 
 
 def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorization:
-    """View of the leading k iterations of an existing factorization.
+    """View of the leading k iterations of an existing factorization, for a k
+    of at most fact.k that the one count rule passes as nonnegative.
 
     The truncation records fact's root (fact itself, unless fact is a
     truncation) and shares its noise_var, q_op and derivative products, not
@@ -278,7 +278,8 @@ def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorizati
     the root's columns, and every later one reads its leading k columns from
     them.
     """
-    if k < 0 or k > fact.k:
+    k = _check_count(k, "k", 0)
+    if k > fact.k:
         raise ValueError(f"k must lie in [0, {fact.k}]")
     return GenGKFactorization(
         u_basis=fact.u_basis[:, : k + 1],

@@ -30,7 +30,6 @@ gradient cost O(k) and apply no operator.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +37,7 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .covariance import CovarianceOperator, MaternKernel, build_cov_operator, normalize_geometry
 from .gengk import BidiagSpectrum, GenGKFactorization, gengk_bidiag
-from .operators import LinearOperatorHandle, dense_matrix
+from .operators import LinearOperatorHandle, _check_count, dense_matrix
 
 __all__ = [
     "HyperParams",
@@ -130,7 +129,8 @@ class MarginalModel:
     applied through that Q: dQ/dtheta2 = (2/theta2) Q, and dQ/dtheta3 by
     Q.apply_block_with_theta3_derivative. prior_mean None means zero. Data or
     a prior mean of the wrong length or with a non-finite entry raises
-    ValueError before any apply.
+    ValueError before any apply, as does a dense_cap (the largest max(m, n) a
+    dense oracle takes) that the one count rule refuses as a positive integer.
     """
 
     forward: LinearOperatorHandle
@@ -142,6 +142,7 @@ class MarginalModel:
     dense_cap: int = DENSE_CAP_DEFAULT
 
     def __post_init__(self):
+        self.dense_cap = _check_count(self.dense_cap, "dense_cap", 1)
         self.data = np.asarray(self.data, dtype=float)
         if self.data.shape != (self.forward.nrows,):
             raise ValueError("data length does not match the forward operator")
@@ -478,8 +479,7 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
     the exact one at k = rank(Ahat); a k that is not a nonnegative integer
     raises ValueError. No gradient.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    k = _check_count(k, "k", 0)
     core = _dense_assembly(model, theta, "the truncated-SVD objective", factor=False)
     gram = core.a @ core.qa / theta.noise_var
     evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .gengk import GenGKFactorization, _check_noise_var
-from .operators import LinearOperatorHandle
+from .operators import LinearOperatorHandle, _check_count
 
 __all__ = [
     "xi_recurrence",
@@ -82,15 +82,16 @@ def mc_xi_estimate(h_apply, Q, fact: GenGKFactorization, n_mc: int,
     normal_matrix_apply's does, with n_mc forward and n_mc adjoint applies.
     It then sweeps k through the cheap projected corrections. probe_kind
     "identity" replaces Omega by the full standard basis, reproducing the
-    exact traces. Q must be the factorization's own ``fact.q_op``, or a
-    ValueError is raised before any apply.
+    exact traces. Q must be the factorization's own ``fact.q_op``; k_max (None:
+    fact.k; capped at it) and n_mc (unless the probes are "identity") must pass
+    the one count rule as positive integers. Else ValueError, before any apply.
     """
     if Q is not fact.q_op:
         raise ValueError("Q must be the prior covariance the factorization was taken with")
-    if probe_kind != "identity" and n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
+    if probe_kind != "identity":
+        n_mc = _check_count(n_mc, "n_mc", 1)
     n = fact.v_basis.shape[0]
-    k_max = fact.k if k_max is None else min(int(k_max), fact.k)
+    k_max = fact.k if k_max is None else min(_check_count(k_max, "k_max", 1), fact.k)
     if k_max < 1:
         raise ValueError("the factorization has no completed iterations")
     rng = np.random.default_rng(seed)
@@ -157,10 +158,11 @@ def sample_size_bound(epsilon: float, delta: float, k_psi: float,
     the unspecified absolute constant c and is exposed as a parameter, so
     the returned count is advisory. Floor at 1.
     """
-    if epsilon <= 0 or not (0 < delta < 1):
-        raise ValueError("epsilon must be positive and delta in (0, 1)")
-    if k_psi <= 0 or fro_norm <= 0 or spec_norm < 0 or trace_val <= 0 or c_hw <= 0:
-        raise ValueError("norms, trace, k_psi and c_hw must be positive")
+    if not (0 < epsilon < math.inf and 0 < delta < 1):
+        raise ValueError("epsilon must be finite and positive and delta in (0, 1)")
+    if not (all(0 < x < math.inf for x in (k_psi, fro_norm, trace_val, c_hw))
+            and 0 <= spec_norm < math.inf):
+        raise ValueError("norms, trace, k_psi and c_hw must be finite and positive")
     lead = k_psi**2 * math.log(2.0 / delta) / (c_hw * epsilon**2)
     inner = (k_psi**2 * fro_norm**2 / trace_val**2
              + epsilon * spec_norm / trace_val)

@@ -23,6 +23,7 @@ the dense product to round-off, not bit for bit.
 
 from __future__ import annotations
 
+import numbers
 from functools import partial
 
 import numpy as np
@@ -69,6 +70,17 @@ class MatvecCounter:
         return f"MatvecCounter(forward={self.forward}, adjoint={self.adjoint})"
 
 
+def _check_count(value, what: str, low: int) -> int:
+    """The one rule for every count (size, steps, probes, iteration limit):
+    value as an int if it is an integer, not a bool, of at least low, else
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            low, f"an integer of at least {low}")
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def _check_vector(x, length: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != length:
@@ -100,10 +112,8 @@ class LinearOperatorHandle:
     """
 
     def __init__(self, nrows: int, ncols: int) -> None:
-        if nrows < 1 or ncols < 1:
-            raise ValueError(f"operator shape must be positive, got ({nrows}, {ncols})")
-        self.nrows = int(nrows)
-        self.ncols = int(ncols)
+        self.nrows = _check_count(nrows, "the operator's row count", 1)
+        self.ncols = _check_count(ncols, "the operator's column count", 1)
         self.matvec_count = MatvecCounter()
 
     @property

@@ -10,7 +10,6 @@ mask's pixels: columns of the ray matrix, phantom entries and pixel centres.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import scipy.sparse as sp
 
 from .covariance import MaternKernel, RegularGrid, matern_eval
 from .estimate import _blas_on_calling_thread
-from .operators import LinearOperatorHandle, LowerToeplitzOperator, SparseOperator
+from .operators import LinearOperatorHandle, LowerToeplitzOperator, SparseOperator, _check_count
 
 __all__ = [
     "ProblemInstance",
@@ -68,8 +67,7 @@ def heat_1d(n: int, kappa: float = 1.0) -> LowerToeplitzOperator:
     it holds O(n) numbers and applies by FFT convolution, within round-off of
     the dense product (about 1e-15 relative), so n = 65536 fits in memory.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    n = _check_count(n, "n", 2)
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
     h = 1.0 / n
@@ -200,10 +198,8 @@ def ray_tomo_2d(g: int, n_rays: int, seed=None) -> LinearOperatorHandle:
 
 def _ray_matrix(g: int, n_rays: int, seed) -> sp.csr_matrix:
     """The n_rays x g^2 CSR matrix of ``ray_tomo_2d``."""
-    if g < 4:
-        raise ValueError("grid must be at least 4 x 4")
-    if n_rays < 1:
-        raise ValueError("need at least one ray")
+    g = _check_count(g, "the grid size g", 4)
+    n_rays = _check_count(n_rays, "n_rays", 1)
     rng = np.random.default_rng(seed)
     rows, cols, vals = [], [], []
     count = 0

@@ -60,6 +60,12 @@ def test_theta3_derivative_is_applied_only_by_the_products_and_the_dense_assembl
         "gengk.GenGKFactorization._products", "marginal._dense_assembly"]
 
 
+def test_the_count_rule_has_one_home():
+    # every owner of a count (a size, a step or probe count, an iteration
+    # limit) calls operators._check_count instead of writing the rule again
+    assert _package_reads("Integral") == ["operators._check_count"]
+
+
 def test_operators_define_only_block_hooks():
     # every operator implements its block apply, one hook per direction; the
     # vector apply is the one-column block apply of LinearOperatorHandle

@@ -18,8 +18,9 @@ from gkhyper.marginal import (
     objective_svd,
 )
 from gkhyper.estimate import map_reconstruct, map_reconstruct_exact
-from gkhyper.operators import DenseOperator, dense_matrix
-from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, heat_1d
+from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply
+from gkhyper.operators import DenseOperator, IdentityOperator, dense_matrix
+from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, heat_1d, ray_tomo_2d
 
 
 def make_dense_model(rng, m=8, n=8, hyperprior=Hyperprior("flat"), grid=True):
@@ -282,18 +283,33 @@ def test_svd_rejects_negative_k():
     assert model.forward.matvec_count.snapshot() == before
 
 
-# each size with its owner's integer rule; an int() cast read 2.5 as 2 and True as 1
+# each count its owner passes through the one count rule, operators._check_count;
+# an int() cast read 2.5 as 2 and True as 1
 NON_INTEGER_SIZES = {
-    "grid-shape-2.7": lambda model, theta: RegularGrid((2.7,), (1.0,)),
-    "grid-shape-True": lambda model, theta: RegularGrid((True,), (1.0,)),
-    "heat_1d-n": lambda model, theta: heat_1d(2.5),
-    "gengk_bidiag-k": lambda model, theta: gengk_bidiag(
+    "grid-shape-2.7": lambda model, theta, fact: RegularGrid((2.7,), (1.0,)),
+    "grid-shape-True": lambda model, theta, fact: RegularGrid((True,), (1.0,)),
+    "heat_1d-n": lambda model, theta, fact: heat_1d(2.5),
+    "gengk_bidiag-k": lambda model, theta, fact: gengk_bidiag(
         model.forward, model.noise_cov(theta), model.prior_cov(theta), model.prior_mean,
         model.data, 2.5),
-    "objective_gengk-k": lambda model, theta: objective_gengk(model, theta, 2.5),
-    "objective_gengk-k-True": lambda model, theta: objective_gengk(model, theta, True),
-    "map_reconstruct-k": lambda model, theta: map_reconstruct(model, theta, k=2.5),
-    "objective_svd-k": lambda model, theta: objective_svd(model, theta, 2.5),
+    "objective_gengk-k": lambda model, theta, fact: objective_gengk(model, theta, 2.5),
+    "objective_gengk-k-True": lambda model, theta, fact: objective_gengk(model, theta, True),
+    "map_reconstruct-k": lambda model, theta, fact: map_reconstruct(model, theta, k=2.5),
+    "objective_svd-k": lambda model, theta, fact: objective_svd(model, theta, 2.5),
+    "truncate_factorization-k-True": lambda model, theta, fact: truncate_factorization(
+        fact, True),
+    "truncate_factorization-k": lambda model, theta, fact: truncate_factorization(fact, 2.5),
+    "mc_xi_estimate-k_max": lambda model, theta, fact: mc_xi_estimate(
+        normal_matrix_apply(model.forward, fact.noise_var), fact.q_op, fact, 4, seed=0,
+        k_max=2.5),
+    "mc_xi_estimate-n_mc": lambda model, theta, fact: mc_xi_estimate(
+        normal_matrix_apply(model.forward, fact.noise_var), fact.q_op, fact, 2.5, seed=0),
+    "ray_tomo_2d-n_rays-True": lambda model, theta, fact: ray_tomo_2d(8, True),
+    "ray_tomo_2d-g": lambda model, theta, fact: ray_tomo_2d(8.0, 10),
+    "IdentityOperator-n": lambda model, theta, fact: IdentityOperator(2.5),
+    **{f"MarginalModel-dense_cap-{cap}": (lambda model, theta, fact, cap=cap: MarginalModel(
+        forward=model.forward, data=model.data, geometry=model.geometry, dense_cap=cap))
+       for cap in (0, 2.5, True, float("nan"))},
 }
 
 
@@ -301,9 +317,13 @@ NON_INTEGER_SIZES = {
 def test_sizes_that_are_not_integers_are_refused_before_any_apply(name):
     prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
     model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
-    model.forward.matvec_count.reset()  # the build applied it to the true signal
+    theta = HyperParams(np.array(GUARD_THETAS[0]))
+    fact = model.factorize(theta, 4)
+    # the build applied the operator to the true signal, and the factorization
+    # applied it too
+    model.forward.matvec_count.reset()
     with pytest.raises(ValueError, match="integer"):
-        NON_INTEGER_SIZES[name](model, HyperParams(np.array(GUARD_THETAS[0])))
+        NON_INTEGER_SIZES[name](model, theta, fact)
     assert model.forward.matvec_count.snapshot() == (0, 0)
 
 

@@ -238,6 +238,14 @@ def test_sample_size_bound_limits():
         sample_size_bound(-1.0, 0.05, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         sample_size_bound(0.1, 1.5, 1.0, 1.0, 1.0, 1.0)
+    # every input must be finite: unchecked, an infinite trace or c_hw gives
+    # N = 1, an infinite norm an overflow and a NaN a failure in math.ceil
+    valid = dict(epsilon=0.1, delta=0.05, k_psi=1.0, fro_norm=1.0, spec_norm=1.0,
+                 trace_val=1.0, c_hw=1.0)
+    for name in valid:
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                sample_size_bound(**{**valid, name: bad})
 
 
 def test_sample_size_bound_empirical_failure_rate(rng):
