@@ -33,10 +33,11 @@ mask slice that reorders the entries within a row shows by name. It prints the
 SHA-256 of the phantom `s_true` and the noisy `data` of `build_ray_tomo_problem`
 at each parameter set in PHANTOMS, with the shipped config's rays, noise, prior
 std and ell, and of the CSR arrays (with their dtypes) of `ray_tomo_2d` at each
-(g, n_rays) in RAYS, seed 0. The heat operator applies by one dense matvec up to
-n = 256 (the shipped heat config's size) and by FFT convolution above, so at each n
-in HEAT_SIZES, on both sides of that switch, it prints the SHA-256 of
-`apply`, `apply_adjoint` and `apply_block` of `heat_1d(n)` on seeded inputs, and
+(g, n_rays) in RAYS, seed 0. `heat_1d(n)` is a dense operator up to n = 256 (the
+shipped heat config's size) and an FFT convolution above, so at each n in HEAT_SIZES,
+on both sides of that switch, it prints the SHA-256 of `apply`, `apply_adjoint`,
+a 5-column `apply_block`, and a 17-column `apply_block` and `apply_adjoint_block`
+(across the 16-column chunk edge) of `heat_1d(n)` on seeded inputs, and
 `objective_gengk` at THETAS with k = HEAT_K on `build_heat_problem(n)` with the
 shipped noise level and seed. The prior covariance Q applies by real transforms on
 a 1-d grid and by complex ones on a 2-d grid, so on each grid in Q_GRIDS (1-d n and
@@ -228,6 +229,10 @@ for n in {HEAT_SIZES!r}:
     show_sha(f"n={{n}}/apply", prob.forward.apply(x))
     show_sha(f"n={{n}}/apply_adjoint", prob.forward.apply_adjoint(y))
     show_sha(f"n={{n}}/apply_block", prob.forward.apply_block(rng.standard_normal((n, 5))))
+    # 17 columns cross the 16-column chunk edge of a block apply
+    block_x, block_y = rng.standard_normal((2, n, 17))
+    show_sha(f"n={{n}}/apply_block/p=17", prob.forward.apply_block(block_x))
+    show_sha(f"n={{n}}/apply_adjoint_block/p=17", prob.forward.apply_adjoint_block(block_y))
     model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
     for theta in {THETAS!r}:
         show(f"n={{n}}/objective_gengk/theta={{theta}}",

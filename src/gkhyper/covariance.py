@@ -4,7 +4,8 @@ The geometry picks the backend, by one rule (normalize_geometry): an
 equispaced RegularGrid gets an FFT circulant embedding (O(n log n) matvecs),
 and a point set gets the dense kernel matrix of its pairwise distances. The
 embedding's eigenvalues are real and symmetric and its inputs real: a 1-d
-grid applies it by real transforms on the half spectrum, and a 2-d grid
+grid applies it by real transforms on the half spectrum, the real-FFT pair
+of ``operators`` that the heat map's convolution also takes, and a 2-d grid
 still by complex ones (see _FFTGridCovariance for why). Each backend
 implements only Q's block apply; the vector apply is the handle's one-column
 block apply, so a block column has the bits of its vector apply by
@@ -25,7 +26,8 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
-from .operators import LinearOperatorHandle, _check_block, _check_count, _per_column
+from .operators import (LinearOperatorHandle, _apply_chunks, _check_block, _check_count,
+                        _irfft_block, _per_column, _rfft_block)
 
 __all__ = [
     "MaternKernel",
@@ -38,11 +40,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# columns per shared forward transform in a block apply: a chunk's complex
-# embedding stays in cache on the shipped grids, where one 120-column block
-# ran slower per column than chunks of 16
-_BLOCK_COLUMNS = 16
 
 # grid shapes whose clipped embedding has been logged at WARNING in this process
 _CLIP_WARNED: set[tuple[int, ...]] = set()
@@ -179,18 +176,19 @@ class CovarianceOperator(LinearOperatorHandle):
 
     ``apply_block`` (the handle's, through its ``_apply_block`` hook) applies
     Q to an (n, p) column block and ``apply_block_with_theta3_derivative``
-    also dQ/dtheta3, both in one chunk loop: ``_forward_block`` takes each
-    chunk of columns to a transform that ``_inverse_block`` finishes into Q X,
-    and into dQ/dtheta3 X from the backend's derivative data, built on first
-    use. dQ/dtheta2 = (2/theta2) Q needs no operator: callers scale Q X.
-    Q is symmetric, so its adjoint block apply is its block apply, and the
-    vector applies are the handle's one-column block applies. The counter
-    goes up by the Q columns applied, and ``dq_count`` by the dQ/dtheta3
-    columns. Each backend names itself in the class attribute ``backend``:
-    "fft" on a RegularGrid, "dense" on a point set. The FFT backend's
-    transforms are real, of L/2 + 1 modes, on a 1-d grid and complex on a 2-d
-    grid; the forward transform of a chunk is shared by Q and dQ/dtheta3
-    either way.
+    also dQ/dtheta3, both in the chunk loop of ``operators._apply_chunks``:
+    ``_forward_block`` takes each chunk of columns to a transform that
+    ``_inverse_block`` finishes into Q X, and into dQ/dtheta3 X from the
+    backend's derivative data, built on first use. dQ/dtheta2 = (2/theta2) Q
+    needs no operator: callers scale Q X. Q is symmetric, so its adjoint block
+    apply is its block apply, and the vector applies are the handle's
+    one-column block applies. The counter goes up by the Q columns applied,
+    and ``dq_count`` by the dQ/dtheta3 columns. Each backend names itself in
+    the class attribute ``backend``: "fft" on a RegularGrid, "dense" on a
+    point set. The FFT backend's transforms are real, of L/2 + 1 modes, on a
+    1-d grid (the pair ``operators._rfft_block``/``_irfft_block``) and complex
+    on a 2-d grid; the forward transform of a chunk is shared by Q and
+    dQ/dtheta3 either way.
     """
 
     # tools that split Q applies from derivative applies read this; every
@@ -209,7 +207,7 @@ class CovarianceOperator(LinearOperatorHandle):
         raise NotImplementedError
 
     def _apply_block(self, x):
-        return self._apply_chunks(x, (self._data,))[0]
+        return _apply_chunks(self._forward_block, self._inverse_block, x, (self._data,))[0]
 
     # symmetric by construction
     _apply_adjoint_block = _apply_block
@@ -223,18 +221,8 @@ class CovarianceOperator(LinearOperatorHandle):
         x = _check_block(x, self.ncols, "apply_block_with_theta3_derivative")
         self.matvec_count.bump_forward(x.shape[1])
         self.dq_count += x.shape[1]
-        return tuple(self._apply_chunks(x, (self._data, self._ell_data)))
-
-    def _apply_chunks(self, x: np.ndarray, datas) -> list[np.ndarray]:
-        # one C-contiguous (n, p) output per product; the forward transform of
-        # each chunk is shared
-        outs = [np.empty(x.shape) for _ in datas]
-        for start in range(0, x.shape[1], _BLOCK_COLUMNS):
-            cols = slice(start, start + _BLOCK_COLUMNS)
-            shared = self._forward_block(x[:, cols])
-            for data, out in zip(datas, outs):
-                self._inverse_block(shared, data, out[:, cols])
-        return outs
+        return tuple(_apply_chunks(self._forward_block, self._inverse_block, x,
+                                   (self._data, self._ell_data)))
 
 
 def normalize_geometry(geometry) -> tuple[RegularGrid | np.ndarray, int]:
@@ -292,13 +280,14 @@ class _FFTGridCovariance(CovarianceOperator):
     eigenvalues are those of the embedded dM/dell, zeroed at Q's clipped
     modes and never clipped by their own sign.
 
-    This class applies the 2-d embedding by complex transforms, one axis at a
-    time; a 1-d grid gets ``_FFTLineCovariance``, which takes real transforms
-    of half the length. Real transforms on the 2-d grid wait on the ray
-    estimate's theta3 gradient: in a prototype with ``rfftn`` (2-CPU host,
-    2 BLAS threads) they cut a ray ``objective_gengk`` from 38-45 ms to
-    32-38 ms, but the moved bits turned ray-estimate's failed solves over
-    workload seeds 0-4 from 6 into 9 of 25, every one an ``unconverged``
+    This class applies the 2-d embedding by complex transforms: ``fftn`` of
+    the zero-padded fields, and an inverse one axis at a time that crops each
+    axis after its pass; a 1-d grid gets ``_FFTLineCovariance``, which takes
+    real transforms of half the length. Real transforms on the 2-d grid wait
+    on the ray estimate's theta3 gradient: in a prototype with ``rfftn``
+    (2-CPU host, 2 BLAS threads) they cut a ray ``objective_gengk`` from 38-45
+    ms to 32-38 ms, but the moved bits turned ray-estimate's failed solves
+    over workload seeds 0-4 from 6 into 9 of 25, every one an ``unconverged``
     stop.
     """
 
@@ -353,12 +342,9 @@ class _FFTGridCovariance(CovarianceOperator):
         return self._clip(self._spectrum(matern_deriv(self.kernel, self._radius())))
 
     def _forward_block(self, x):
-        # fftn of each zero-padded column as a grid field, one axis at a time,
-        # last axis first as fftn goes
+        # fftn of each column as a grid field, zero-padded to the embedding
         fields = x.T.reshape(x.shape[1], *self.grid.shape)
-        for axis in range(fields.ndim - 1, 0, -1):
-            fields = np.fft.fft(fields, n=self._embed_shape[axis - 1], axis=axis)
-        return fields
+        return np.fft.fftn(fields, s=self._embed_shape, axes=tuple(range(1, fields.ndim)))
 
     def _inverse_block(self, spectra, eig, out):
         # ifftn in fftn's axis order, cropping each axis to the grid after its
@@ -375,7 +361,8 @@ class _FFTLineCovariance(_FFTGridCovariance):
 
     The embedding of length L = 2n is real and even, so its eigenvalues are
     real and symmetric, and the inputs are real: ``rfft`` and ``irfft`` do
-    the work of the complex pair on L/2 + 1 modes. Q and dQ/dtheta3 keep
+    the work of the complex pair on L/2 + 1 modes, through the real-FFT pair
+    that ``LowerToeplitzOperator`` also applies. Q and dQ/dtheta3 keep
     their eigenvalues, and Q its clip mask, on those modes only; ``clipped``
     still counts the whole embedding, each mode but the first and last twice.
     """
@@ -389,10 +376,10 @@ class _FFTLineCovariance(_FFTGridCovariance):
         return int(2 * np.count_nonzero(mask) - mask[0] - mask[-1])
 
     def _forward_block(self, x):
-        return np.fft.rfft(x.T, n=self._embed_shape[0], axis=1)
+        return _rfft_block(x, self._embed_shape[0])
 
     def _inverse_block(self, spectra, eig, out):
-        out[...] = np.fft.irfft(eig * spectra, n=self._embed_shape[0], axis=1)[:, :self.ncols].T
+        _irfft_block(spectra, eig, self._embed_shape[0], out)
 
 
 def build_cov_operator(geometry, kernel: MaternKernel) -> CovarianceOperator:

@@ -156,14 +156,23 @@ def sample_size_bound(epsilon: float, delta: float, k_psi: float,
 
     The Frobenius part scales as K^4 and the spectral part as K^2. c_hw is
     the unspecified absolute constant c and is exposed as a parameter, so
-    the returned count is advisory. Floor at 1.
+    the returned count is advisory. Floor at 1. Finite inputs whose count
+    overflows (or whose squares underflow to zero) raise ValueError, as
+    invalid ones do.
     """
     if not (0 < epsilon < math.inf and 0 < delta < 1):
         raise ValueError("epsilon must be finite and positive and delta in (0, 1)")
     if not (all(0 < x < math.inf for x in (k_psi, fro_norm, trace_val, c_hw))
             and 0 <= spec_norm < math.inf):
         raise ValueError("norms, trace, k_psi and c_hw must be finite and positive")
-    lead = k_psi**2 * math.log(2.0 / delta) / (c_hw * epsilon**2)
-    inner = (k_psi**2 * fro_norm**2 / trace_val**2
-             + epsilon * spec_norm / trace_val)
-    return max(1, math.ceil(lead * inner))
+    try:
+        lead = k_psi**2 * math.log(2.0 / delta) / (c_hw * epsilon**2)
+        inner = (k_psi**2 * fro_norm**2 / trace_val**2
+                 + epsilon * spec_norm / trace_val)
+        count = lead * inner
+    except (OverflowError, ZeroDivisionError):
+        count = math.inf
+    # NaN (an overflowed lead times an underflowed inner) fails this too
+    if not count < math.inf:
+        raise ValueError("the probe count is not a finite number for these inputs")
+    return max(1, math.ceil(count))

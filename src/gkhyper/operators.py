@@ -13,22 +13,19 @@ of its own: a masked ray problem keeps the mask's columns of its sparse
 matrix. Nor is the noise covariance R = theta1 I: it is given by the float
 theta1.
 
-The heat problem's lower-triangular Toeplitz (Volterra) operator picks its
-kernel from its size: up to ``_DENSE_MAX`` it keeps the dense matrix and
-applies it by one matvec; above that it keeps only the real FFT of its first
-column, zero-padded to at least 2n, and applies itself as a circulant
-convolution in O(n log n) time and O(n) memory. The convolution agrees with
-the dense product to round-off, not bit for bit.
+The structured operators (the Toeplitz convolution and every prior
+covariance) apply a block in chunks of ``_BLOCK_COLUMNS`` columns through one
+loop, ``_apply_chunks``, which shares each chunk's forward transform. Every
+1-d real circulant, the Toeplitz convolution and Q on a line, takes its
+transforms from one real-FFT pair, ``_rfft_block`` and ``_irfft_block``.
 """
 
 from __future__ import annotations
 
 import numbers
-from functools import partial
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.linalg import toeplitz
 
 __all__ = [
     "LinearOperatorHandle",
@@ -200,31 +197,56 @@ class DenseOperator(LinearOperatorHandle):
         return _per_column(self._mat.T.__matmul__, y, self.ncols)
 
 
-# the largest n whose Toeplitz operator keeps the dense matrix: one forward
-# plus one adjoint dense matvec took 33 us at n = 256 against 41 us for the
-# FFT, and 161 us at n = 512 against 56 us (2-CPU x86, 2 BLAS threads)
-_DENSE_MAX = 256
+# columns per shared forward transform in a block apply: a chunk's spectra
+# stay in cache on the shipped grids, where one 120-column block ran slower
+# per column than chunks of 16
+_BLOCK_COLUMNS = 16
+
+
+def _apply_chunks(forward, inverse, x: np.ndarray, datas) -> list[np.ndarray]:
+    """One C-contiguous output per entry of datas, for an (n, p) block x of a
+    square operator: ``forward`` takes each chunk of at most _BLOCK_COLUMNS
+    columns to a transform, shared by every entry, that ``inverse(shared,
+    data, out)`` finishes into that entry's output columns."""
+    outs = [np.empty(x.shape) for _ in datas]
+    for start in range(0, x.shape[1], _BLOCK_COLUMNS):
+        cols = slice(start, start + _BLOCK_COLUMNS)
+        shared = forward(x[:, cols])
+        for data, out in zip(datas, outs):
+            inverse(shared, data, out[:, cols])
+    return outs
+
+
+def _rfft_block(x: np.ndarray, length: int) -> np.ndarray:
+    """The real FFT of each column of x, zero-padded to length, one row each."""
+    return np.fft.rfft(x.T, n=length, axis=1)
+
+
+def _irfft_block(spectra: np.ndarray, eig: np.ndarray, length: int, out: np.ndarray) -> None:
+    """Write into the columns of out the leading rows of the inverse real FFT
+    of length ``length`` of each row of spectra, multiplied by eig: the
+    circulant with eigenvalues eig applied to the columns _rfft_block took."""
+    out[...] = np.fft.irfft(eig * spectra, n=length, axis=1)[:, :out.shape[0]].T
 
 
 class LowerToeplitzOperator(LinearOperatorHandle):
-    """Lower-triangular Toeplitz operator ``toeplitz(column, zeros(n))``.
+    """Lower-triangular Toeplitz operator ``toeplitz(column, zeros(n))``, applied
+    as a circulant convolution in O(n log n) time and O(n) memory.
 
-    The column must be a nonempty 1-d array of finite numbers. Up to
-    ``_DENSE_MAX`` = 256 the operator holds the dense matrix and applies it by
-    one matvec, with the bits of ``toeplitz(column, zeros(n)) @ x``. Above
-    that it holds only ``c_hat = rfft(column, L)``, L // 2 + 1 complex
-    numbers, and its conjugate, and applies A x = ``irfft(c_hat * rfft(x, L), L)[:n]``
-    and A' y = ``irfft(conj(c_hat) * rfft(y, L), L)[:n]``. L is the smallest
+    The column must be a nonempty 1-d array of finite numbers. The operator
+    holds only ``c_hat = rfft(column, L)``, L // 2 + 1 complex numbers, and
+    its conjugate, and applies A x = ``irfft(c_hat * rfft(x, L), L)[:n]`` and
+    A' y = ``irfft(conj(c_hat) * rfft(y, L), L)[:n]``. L is the smallest
     length of at least 2n with no prime factor above 5 (2n itself at n = 1000,
     2048, 4096): the zero padding past 2n - 1 makes the circular convolution
     (correlation) the Toeplitz product, and the smooth length keeps an n with
     a large prime factor from a transform 4-7 times slower. Those applies agree
     with the dense product to round-off (relative error about 1e-15, and every
     entry within 1e-13 of max|A x|); the entries above the diagonal of a probed
-    matrix are round-off, not zeros. The FFT path uses no BLAS, so its bits do
-    not depend on the BLAS thread count. On both sides a block apply takes one
-    matvec or one pair of transforms per column, so its temporaries beyond the
-    output stay O(n).
+    matrix are round-off, not zeros. A block apply shares the chunk loop and
+    the real-FFT pair of the 1-d prior covariance, so its temporaries beyond
+    the output are O(n) per chunk column. It uses no BLAS, so its bits do not
+    depend on the BLAS thread count.
     """
 
     def __init__(self, column) -> None:
@@ -235,32 +257,22 @@ class LowerToeplitzOperator(LinearOperatorHandle):
             )
         if not np.all(np.isfinite(column)):
             raise ValueError("LowerToeplitzOperator: first column contains non-finite entries")
-        n = column.size
-        super().__init__(n, n)
-        if n <= _DENSE_MAX:
-            self._mat = toeplitz(column, np.zeros(n))
-        else:
-            self._fft_len = next_fast_len(2 * n, real=True)
-            self._chat = np.fft.rfft(column, self._fft_len)
-            self._chat_conj = np.conj(self._chat)
+        super().__init__(column.size, column.size)
+        self._fft_len = next_fast_len(2 * column.size, real=True)
+        self._chat = np.fft.rfft(column, self._fft_len)
+        self._chat_conj = np.conj(self._chat)
 
     def _apply_block(self, x):
-        if self.ncols <= _DENSE_MAX:
-            return _per_column(self._mat.__matmul__, x, self.nrows)
-        return _per_column(partial(self._convolve, self._chat), x, self.nrows)
+        return _apply_chunks(self._forward_block, self._inverse_block, x, (self._chat,))[0]
 
     def _apply_adjoint_block(self, y):
-        if self.nrows <= _DENSE_MAX:
-            return _per_column(self._mat.T.__matmul__, y, self.ncols)
-        return _per_column(partial(self._convolve, self._chat_conj), y, self.ncols)
+        return _apply_chunks(self._forward_block, self._inverse_block, y, (self._chat_conj,))[0]
 
-    def _convolve(self, kernel, x):
-        length = self._fft_len
-        out = np.fft.irfft(kernel * np.fft.rfft(x, length), length)
-        # drop the padding in place, so the result owns a buffer of n entries
-        # without a copy (nothing else refers to out)
-        out.resize(self.ncols, refcheck=False)
-        return out
+    def _forward_block(self, x):
+        return _rfft_block(x, self._fft_len)
+
+    def _inverse_block(self, spectra, kernel, out):
+        _irfft_block(spectra, kernel, self._fft_len, out)
 
 
 class SparseOperator(LinearOperatorHandle):

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import toeplitz
 
 from .covariance import MaternKernel, RegularGrid, matern_eval
 from .estimate import _blas_on_calling_thread
-from .operators import LinearOperatorHandle, LowerToeplitzOperator, SparseOperator, _check_count
+from .operators import (DenseOperator, LinearOperatorHandle, LowerToeplitzOperator,
+                        SparseOperator, _check_count)
 
 __all__ = [
     "ProblemInstance",
@@ -34,6 +36,11 @@ __all__ = [
 ]
 
 PHANTOM_DENSE_CAP = 4096
+
+# the largest n whose heat operator is the dense matrix: one forward plus one
+# adjoint dense matvec took 33 us at n = 256 against 41 us for the FFT, and
+# 161 us at n = 512 against 56 us (2-CPU x86, 2 BLAS threads)
+_HEAT_DENSE_MAX = 256
 
 # OpenBLAS ddot splits a sum across its threads only above this many entries
 _THREADED_DOT_MIN = 10_000
@@ -53,7 +60,7 @@ class ProblemInstance:
     seed: int | None
 
 
-def heat_1d(n: int, kappa: float = 1.0) -> LowerToeplitzOperator:
+def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     """Midpoint-quadrature Volterra operator for 1-d inverse heat conduction.
 
     Output nodes sit at cell right edges t_i = i/n and the integrand is
@@ -62,10 +69,15 @@ def heat_1d(n: int, kappa: float = 1.0) -> LowerToeplitzOperator:
     triangular and every kernel evaluation happens at a strictly positive gap.
     The kernel is k(t) = (4 pi kappa^2)^{-1/2} t^{-3/2} exp(-1 / (4 kappa^2 t));
     kappa = 1 is severely ill-posed, kappa = 5 essentially well-posed.
-    Returns a LowerToeplitzOperator built from the first column. Up to
-    n = 256 it holds the dense matrix and applies it by one matvec; above that
-    it holds O(n) numbers and applies by FFT convolution, within round-off of
-    the dense product (about 1e-15 relative), so n = 65536 fits in memory.
+
+    The size picks the kernel, at the measured crossover ``_HEAT_DENSE_MAX``
+    = 256. Up to n = 256 the result is a DenseOperator of the lower-triangular
+    Toeplitz matrix, applied by one matvec per column with the bits of the
+    dense product. Above that it is a LowerToeplitzOperator of the first
+    column, which holds O(n) numbers and applies a circulant convolution of
+    length at least 2n in O(n log n) time, within round-off of the dense
+    product (about 1e-15 relative, not bit for bit), so n = 65536 fits in
+    memory.
     """
     n = _check_count(n, "n", 2)
     if not 0.0 < kappa < math.inf:
@@ -75,6 +87,8 @@ def heat_1d(n: int, kappa: float = 1.0) -> LowerToeplitzOperator:
     column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(
         4.0 * math.pi * kappa**2
     )
+    if n <= _HEAT_DENSE_MAX:
+        return DenseOperator(toeplitz(column, np.zeros(n)))
     return LowerToeplitzOperator(column)
 
 
@@ -153,7 +167,9 @@ def ray_row(g: int, p0, p1) -> tuple[np.ndarray, np.ndarray, float]:
     by the tracer ``ray_tomo_2d`` uses. Returns (flat_indices, lengths,
     total_length): cells whose piece is longer than 1e-14, and the summed
     length of every piece inside the square (0.0 for a zero-length segment).
+    g must be a positive integer, or ValueError is raised before any tracing.
     """
+    g = _check_count(g, "the grid size g", 1)
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     _, flat, lengths = _trace(g, p0[None, :], p1[None, :])

@@ -23,7 +23,7 @@ def test_module_all_resolves(name):
 
 def _name_reads(tree, name):
     # the enclosing class/def path of every read of name, as a plain name or
-    # as an attribute
+    # as an attribute; an assignment to it is not a read
     found = []
 
     def visit(node, scope):
@@ -31,8 +31,9 @@ def _name_reads(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name):
+            read = (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name)
+            if read and isinstance(child.ctx, ast.Load):
                 found.append(".".join(scope))
             visit(child, scope)
 
@@ -64,6 +65,13 @@ def test_the_count_rule_has_one_home():
     # every owner of a count (a size, a step or probe count, an iteration
     # limit) calls operators._check_count instead of writing the rule again
     assert _package_reads("Integral") == ["operators._check_count"]
+
+
+def test_structured_applies_share_one_chunk_loop_and_one_inverse_real_fft():
+    # the Toeplitz convolution and every FFT covariance apply their blocks in
+    # one chunk loop, and the 1-d circulants take one real-FFT pair
+    assert set(_package_reads("_BLOCK_COLUMNS")) == {"operators._apply_chunks"}
+    assert _package_reads("irfft") == ["operators._irfft_block"]
 
 
 def test_operators_define_only_block_hooks():

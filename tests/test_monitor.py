@@ -248,6 +248,18 @@ def test_sample_size_bound_limits():
                 sample_size_bound(**{**valid, name: bad})
 
 
+def test_sample_size_bound_rejects_a_count_that_is_not_finite():
+    # finite inputs whose count overflows, or whose squares underflow to zero,
+    # used to raise OverflowError or ZeroDivisionError
+    valid = dict(epsilon=0.1, delta=0.05, k_psi=1.0, fro_norm=1.0, spec_norm=1.0,
+                 trace_val=1.0)
+    for extreme in ({"fro_norm": 1e200}, {"epsilon": 1e-200}, {"trace_val": 1e-200}):
+        with pytest.raises(ValueError, match="finite"):
+            sample_size_bound(**{**valid, **extreme})
+    # an ordinary count is unchanged: ceil(log(40) / 0.01 * 1.1)
+    assert sample_size_bound(**valid) == 406
+
+
 def test_sample_size_bound_empirical_failure_rate(rng):
     # informational, since the absolute constant is a stand-in: with c_hw = 1
     # the returned N keeps the empirical failure rate at or below delta

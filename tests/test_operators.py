@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import next_fast_len
 from scipy.linalg import toeplitz
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,7 +136,7 @@ def _block_cases():
     return [
         ("dense tall", lambda: DenseOperator(tall)),
         ("dense wide", lambda: DenseOperator(wide)),
-        ("heat", lambda: heat_1d(600)),  # the FFT side of the kernel switch
+        ("heat", lambda: heat_1d(600)),  # the FFT side of heat's kernel switch
         ("sparse tall", lambda: SparseOperator(sparse_tall)),
         ("sparse wide", lambda: SparseOperator(sparse_wide)),
         ("ray tall", lambda: ray_tomo_2d(8, 100, seed=0)),
@@ -208,7 +209,7 @@ def test_block_applies_reject_bad_input_before_any_apply(monkeypatch, rng):
 
 @pytest.mark.parametrize("make", [
     lambda: DenseOperator(np.random.default_rng(3).standard_normal((7, 11))),
-    lambda: heat_1d(64),  # the dense side of the Toeplitz kernel switch
+    lambda: heat_1d(64),  # the dense side of heat's kernel switch
     lambda: heat_1d(300),  # the FFT side
     lambda: ray_tomo_2d(8, 40, seed=0),
     lambda: IdentityOperator(9),
@@ -239,8 +240,8 @@ def test_dense_matrix_matches_per_column_probe():
 
 # --- the lower-triangular Toeplitz heat operator
 
-# the dense side of the kernel switch at n = 256, and the FFT side: just above
-# it, n whose doubled length has a large prime factor (257, 511, 513), and the
+# heat_1d's dense side up to n = 256, and its FFT side: just above it, n
+# whose doubled length has a large prime factor (257, 511, 513), and the
 # benchmark's n = 2048
 DENSE_SIZES = (2, 3, 63, 64, 65, 256)
 FFT_SIZES = (257, 511, 512, 513, 1000, 2048, 4096)
@@ -255,11 +256,15 @@ def _heat_column(n):
     return gaps ** -1.5 * np.exp(-0.25 / gaps) / (n * np.sqrt(4.0 * np.pi))
 
 
-def _toeplitz_cases(n, rng):
-    # (operator, its first column): the heat column underflows to zero near
-    # the diagonal; a random one does not
+def _fft_cases(n, rng):
+    # (FFT operator, its first column): the heat column underflows to zero
+    # near the diagonal; a random one does not. heat_1d(n) is the FFT
+    # operator only above n = 256
     column = rng.standard_normal(n)
-    return [(heat_1d(n), _heat_column(n)), (LowerToeplitzOperator(column), column)]
+    cases = [(LowerToeplitzOperator(column), column)]
+    if n in FFT_SIZES:
+        cases.append((heat_1d(n), _heat_column(n)))
+    return cases
 
 
 def _applies_against_full(op, full, scale, rng):
@@ -279,21 +284,23 @@ def _applies_against_full(op, full, scale, rng):
 
 @pytest.mark.parametrize("n", DENSE_SIZES)
 def test_lower_toeplitz_applies_keep_the_full_matvec_bits(n, rng):
-    for op, _ in _toeplitz_cases(n, rng):
-        # A e_0 has one product per entry, so it is the column bit for bit
-        e0 = np.zeros(n)
-        e0[0] = 1.0
-        full = toeplitz(op.apply(e0), np.zeros(n))
-        op.matvec_count.reset()
-        for scale in (1e-8, 1.0, 1e8):
-            for got, want in _applies_against_full(op, full, scale, rng):
-                assert np.array_equal(got, want)
-        assert op.matvec_count.snapshot() == (12, 12)
+    # up to n = 256 heat_1d is the dense matrix
+    op = heat_1d(n)
+    assert isinstance(op, DenseOperator)
+    # A e_0 has one product per entry, so it is the column bit for bit
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    full = toeplitz(op.apply(e0), np.zeros(n))
+    op.matvec_count.reset()
+    for scale in (1e-8, 1.0, 1e8):
+        for got, want in _applies_against_full(op, full, scale, rng):
+            assert np.array_equal(got, want)
+    assert op.matvec_count.snapshot() == (12, 12)
 
 
-@pytest.mark.parametrize("n", FFT_SIZES)
+@pytest.mark.parametrize("n", DENSE_SIZES + FFT_SIZES)
 def test_lower_toeplitz_fft_applies_match_the_full_product(n, rng):
-    for op, column in _toeplitz_cases(n, rng):
+    for op, column in _fft_cases(n, rng):
         full = toeplitz(column, np.zeros(n))
         for scale in (1e-8, 1.0, 1e8):
             for got, want in _applies_against_full(op, full, scale, rng):
@@ -310,11 +317,32 @@ def test_lower_toeplitz_fft_applies_match_the_full_product(n, rng):
         assert op.matvec_count.snapshot() == (36, 36)
 
 
+@pytest.mark.parametrize("n", [257, 2048])
+def test_heat_fft_block_applies_keep_the_per_column_convolution_bits(n, rng):
+    # across the 16-column chunk edge, each column of a block apply has the
+    # bits of the per-column convolution irfft(c_hat * rfft(x, L), L)[:n] on
+    # a contiguous column (conj(c_hat) for the adjoint)
+    op = heat_1d(n)
+    assert isinstance(op, LowerToeplitzOperator) and not hasattr(op, "_mat")
+    length = next_fast_len(2 * n, real=True)
+    for p in (1, 15, 16, 17, 40):
+        x = rng.standard_normal((n, p + 1))[:, :p]
+        for apply, kernel in ((op.apply_block, op._chat),
+                              (op.apply_adjoint_block, np.conj(op._chat))):
+            want = np.column_stack([
+                np.fft.irfft(kernel * np.fft.rfft(x[:, j].copy(), length), length)[:n]
+                for j in range(p)])
+            got = apply(x)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want), (apply.__name__, p)
+
+
 @pytest.mark.parametrize("n", [n for n in DENSE_SIZES + FFT_SIZES if n <= 1000])
 def test_heat_dense_matrix_is_the_lower_toeplitz_matrix(n):
     op = heat_1d(n)
     mat = dense_matrix(op)
     if n <= 256:
+        assert isinstance(op, DenseOperator)
         assert np.array_equal(mat, toeplitz(mat[:, 0], np.zeros(n)))
         assert not np.triu(mat, 1).any()
     else:

@@ -269,6 +269,7 @@ def test_rejected_chords_are_redrawn_as_the_per_ray_loop_did(monkeypatch, batch)
     (8, (0.0, 0.0), (0.0, 0.0)),  # zero length at a corner
     (5, (-0.5, 0.2), (1.5, 0.7)),  # partly outside the square
     (16, (0.13, 0.0), (0.91, 1.0)),
+    (1, (0.0, 0.3), (1.0, 0.8)),  # one cell
 ])
 def test_ray_row_matches_per_ray_reference(g, p0, p1):
     got, want = ray_row(g, p0, p1), reference_ray_row(g, p0, p1)
@@ -276,6 +277,17 @@ def test_ray_row_matches_per_ray_reference(g, p0, p1):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     assert float.hex(got[2]) == float.hex(want[2])
+
+
+@pytest.mark.parametrize("g", [0, -1, 2.5, True])
+def test_ray_row_rejects_a_bad_grid_size_before_tracing(g, monkeypatch):
+    # g = 0 used to return cell index -1, and g = 2.5 fractional indices
+    def no_trace(*args):
+        raise AssertionError("a ray was traced for a rejected grid size")
+
+    monkeypatch.setattr(problems, "_trace", no_trace)
+    with pytest.raises(ValueError, match="grid size"):
+        ray_row(g, (0.0, 0.5), (1.0, 0.5))
 
 
 def test_chord_lengths_match_linalg_norm_bit_for_bit():
