@@ -15,7 +15,10 @@ SVD_KS below min(m, n) and at full rank min(m, n); the SHA-256 of
 `precompute_two_param` factorization taken at the theta's correlation length
 with k = `estimate.k`. It does the same for `objective_gengk` read from
 truncations of one factorization, taken at the config's `monitor.theta` with
-K = `monitor.k_max` steps, at the k in SWEEP_KS and at K. From that factorization it
+K = `monitor.k_max` steps, at the k in SWEEP_KS and at K; before those, it prints one
+SHA-256 over the `float.hex` of the `objective_gengk` value at every k = 1..K, read
+from a truncation with no gradient read, so that a value that depends on whether its
+gradient was taken shows by name. From that factorization it
 prints the SHA-256 of its `u_basis`, `v_basis`, `qv_basis`, `alphas` and `betas`,
 so that a moved basis shows by name, the three `verify_relations` residuals as
 `float.hex`, and the SHA-256 of `dense_matrix` of the config's forward
@@ -149,6 +152,11 @@ fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta
                     model.prior_mean, model.data, k_max)
 for name in ("u_basis", "v_basis", "qv_basis", "alphas", "betas"):
     show_sha(f"factorization/theta={{tuple(cfg.monitor.theta)}}/{{name}}", getattr(fact, name))
+values = " ".join(
+    objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)).value.hex()
+    for k in range(1, fact.k + 1))
+print(hashlib.sha256(values.encode()).hexdigest(),
+      f"sweep/theta={{tuple(cfg.monitor.theta)}}/values_without_gradient")
 for k in sorted({{k for k in {SWEEP_KS!r} if k <= fact.k}} | {{fact.k}}):
     show(f"sweep/theta={{tuple(cfg.monitor.theta)}}/k={{k}}",
          objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)))

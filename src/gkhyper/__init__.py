@@ -36,7 +36,6 @@ from .marginal import (
     ObjectiveEvaluation,
     objective_exact,
     objective_gengk,
-    objective_gengk_value,
     objective_rescaled,
     objective_svd,
 )

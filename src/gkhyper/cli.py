@@ -26,7 +26,7 @@ from .marginal import (
     Hyperprior,
     MarginalModel,
     _dense_assembly,
-    objective_gengk_value,
+    objective_gengk,
 )
 from .monitor import err_indicator, mc_xi_estimate, normal_matrix_apply, prop2_bound, xi_recurrence
 from .estimate import map_reconstruct, optimize_hyperparams
@@ -144,7 +144,7 @@ def cmd_monitor(cfg: RunConfig) -> dict[str, str]:
 
     rows = []
     for k in range(1, fact.k + 1):
-        approx = objective_gengk_value(model, theta, truncate_factorization(fact, k))
+        approx = objective_gengk(model, theta, k, fact=truncate_factorization(fact, k))
         if model.dense_ok:
             abs_err = abs(exact.value - approx.value)
             re_obj = abs_err / abs(exact.value)

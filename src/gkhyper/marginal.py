@@ -20,8 +20,10 @@ products dQ/dtheta_i V_k come from the factorization too
 one block apply, whose columns Q counts, gives Q V_K and dQ/dtheta3 V_K, and
 dQ/dtheta2 V_K = (2/theta2) Q V_K. They are cached like the spectrum and shared
 by its truncations, so a sweep of objective_gengk over k builds no covariance
-and applies Q and dQ/dtheta3 to V_K once. objective_gengk_value is the objective
-alone from an existing factorization, for sweeps over k that need no gradient.
+and applies Q and dQ/dtheta3 to V_K once. objective_gengk computes its value
+terms at once and takes its gradient on the first read of .gradient (or of
+.matvec_report, which covers value and gradient), so a sweep over k that reads
+only values applies no dQ and forms no Gram of the gradient.
 objective_rescaled is the fast path with theta3 fixed: since R = theta1 I and
 Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3) rescales
 exactly to any (theta1, theta2), so the objective and its (theta1, theta2)
@@ -30,6 +32,7 @@ gradient cost O(k) and apply no operator.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,7 +49,6 @@ __all__ = [
     "ObjectiveEvaluation",
     "objective_exact",
     "objective_gengk",
-    "objective_gengk_value",
     "objective_rescaled",
     "objective_svd",
 ]
@@ -205,27 +207,48 @@ class ObjectiveEvaluation:
 
     value is neglogprior_term + logdet_term + quad_term, summed in that
     order. k_used is 0 for the dense oracle; matvec_report counts the
-    applications spent on this evaluation: "forward" and "adjoint" of the
-    forward map, "q" of the prior covariance Q and "dq" of dQ/dtheta3, in
-    columns. dQ/dtheta2 = (2/theta2) Q applies nothing of its own: the Q
-    columns it is scaled from count in "q".
+    applications spent on this evaluation, value and gradient: "forward" and
+    "adjoint" of the forward map, "q" of the prior covariance Q and "dq" of
+    dQ/dtheta3, in columns. dQ/dtheta2 = (2/theta2) Q applies nothing of its
+    own: the Q columns it is scaled from count in "q". An evaluation built
+    with _take_gradient takes its gradient, and the report's Q and dQ/dtheta3
+    columns, on the first read of gradient or matvec_report, and then drops
+    _take_gradient and what it holds; a take that raises is made again on the
+    next read.
     """
 
     neglogprior_term: float
     logdet_term: float
     quad_term: float
-    gradient: np.ndarray | None
     k_used: int
-    matvec_report: dict
+    _report: dict
+    _gradient: np.ndarray | None = None
+    _take_gradient: Callable[[], tuple[np.ndarray, dict]] | None = field(default=None,
+                                                                          repr=False)
 
     def __post_init__(self):
         for name in ("value", "neglogprior_term", "logdet_term", "quad_term"):
             if not np.isfinite(getattr(self, name)):
                 raise FloatingPointError(f"objective term {name} is not finite")
 
+    def _take(self) -> None:
+        if self._take_gradient is not None:
+            self._gradient, self._report = self._take_gradient()
+            self._take_gradient = None
+
     @property
     def value(self) -> float:
         return self.neglogprior_term + self.logdet_term + self.quad_term
+
+    @property
+    def gradient(self) -> np.ndarray | None:
+        self._take()
+        return self._gradient
+
+    @property
+    def matvec_report(self) -> dict:
+        self._take()
+        return self._report
 
 
 def _count_delta(op: LinearOperatorHandle, before: tuple[int, int],
@@ -289,9 +312,8 @@ def _dense_assembly(model: MarginalModel, theta: HyperParams, what: str,
         neglogprior_term=model.hyperprior.neglog(theta.values)[0],
         logdet_term=float(np.sum(np.log(np.diag(core.cho[0])))),  # half of logdet Z
         quad_term=0.5 * float(core.r @ core.w),
-        gradient=None,
         k_used=0,
-        matvec_report=core.report,
+        _report=core.report,
     )
     return core
 
@@ -321,7 +343,7 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     ell_term = float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))
     _, hgrad = model.hyperprior.neglog(theta.values)
     return replace(core.evaluation,
-                   gradient=_assemble_gradient(hgrad, noise_term, prior_term, ell_term))
+                   _gradient=_assemble_gradient(hgrad, noise_term, prior_term, ell_term))
 
 
 def _gengk_gradient(model: MarginalModel, theta: HyperParams,
@@ -374,9 +396,8 @@ def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectr
         neglogprior_term=model.hyperprior.neglog(theta.values)[0],
         logdet_term=logdet_term,
         quad_term=quad_term,
-        gradient=None,
         k_used=k,
-        matvec_report={"forward": 0, "adjoint": 0, "q": 0, "dq": 0},
+        _report={"forward": 0, "adjoint": 0, "q": 0, "dq": 0},
     )
 
 
@@ -393,18 +414,6 @@ def _check_taken_at(fact: GenGKFactorization, theta: HyperParams) -> None:
 
 def _unit_theta(ell: float) -> HyperParams:
     return HyperParams(np.array([1.0, 1.0, ell]))
-
-
-def objective_gengk_value(model: MarginalModel, theta: HyperParams,
-                          fact: GenGKFactorization) -> ObjectiveEvaluation:
-    """Approximate objective alone from a factorization computed at theta.
-
-    Reads the factorization's spectral core only: no covariance build, no
-    operator applies and no gradient (gradient is None). A ValueError is
-    raised when the factorization's R and Q are not those of theta.
-    """
-    _check_taken_at(fact, theta)
-    return _spectral_value(model, theta, fact.spectrum, fact.k)
 
 
 def objective_rescaled(model: MarginalModel, theta: HyperParams,
@@ -437,7 +446,7 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
     prior_term = 2.0 * gain / theta2, -ubr_norm2 / theta2
     _, hgrad = model.hyperprior.neglog(theta.values)
     return replace(evaluation,
-                   gradient=_assemble_gradient(hgrad[:2], noise_term, prior_term))
+                   _gradient=_assemble_gradient(hgrad[:2], noise_term, prior_term))
 
 
 def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
@@ -449,24 +458,35 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
     have been computed at the same theta: its R and Q are used as they are,
     and a ValueError is raised, before any apply, when R's variance is not
     theta1 or Q's variance or correlation length is not theta2^2 or theta3.
-    Its derivative products are read from its cache, so in a sweep over
-    truncations of one factorization only the first read applies Q and
-    dQ/dtheta3 to V_K. k_used is the factorization's k.
+    The value terms are computed at once from the factorization's spectral
+    core. The gradient is taken on the first read of .gradient or
+    .matvec_report, with a FloatingPointError there if it is not finite, so a
+    caller that reads only values applies no dQ and forms no Gram. The
+    derivative products are read from the factorization's cache, so in a
+    sweep over truncations of one factorization only the first gradient read
+    applies Q and dQ/dtheta3 to V_K. matvec_report covers value and gradient:
+    the forward and adjoint applies of this call and the Q and dQ/dtheta3
+    columns of a fresh factorization and of the gradient's own take. k_used
+    is the factorization's k.
     """
     before = model.forward.matvec_count.snapshot()
     if fact is None:
         fact = model.factorize(theta, k)
-        cov_before = (0, 0)
+        q_applied = fact.cov_applies()[0]
     else:
-        cov_before = fact.cov_applies()
-    # checks, before any apply, that a supplied factorization was taken at theta
-    evaluation = objective_gengk_value(model, theta, fact)
-    gradient = _gengk_gradient(model, theta, fact)
-    q_after, dq_after = fact.cov_applies()
-    return replace(evaluation, gradient=gradient,
-                   matvec_report=_count_delta(model.forward, before,
-                                              q=q_after - cov_before[0],
-                                              dq=dq_after - cov_before[1]))
+        q_applied = 0
+    _check_taken_at(fact, theta)
+    report = _count_delta(model.forward, before, q=q_applied)
+
+    def take_gradient() -> tuple[np.ndarray, dict]:
+        q_before, dq_before = fact.cov_applies()
+        gradient = _gengk_gradient(model, theta, fact)
+        q_after, dq_after = fact.cov_applies()
+        return gradient, dict(report, q=report["q"] + q_after - q_before,
+                              dq=dq_after - dq_before)
+
+    return replace(_spectral_value(model, theta, fact.spectrum, fact.k),
+                   _report=report, _take_gradient=take_gradient)
 
 
 def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> ObjectiveEvaluation:
@@ -495,7 +515,6 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
         neglogprior_term=model.hyperprior.neglog(theta.values)[0],
         logdet_term=logdet_term,
         quad_term=quad_term,
-        gradient=None,
         k_used=k_eff,
-        matvec_report=core.report,
+        _report=core.report,
     )

@@ -31,9 +31,12 @@ def xi_recurrence(alphas, betas, xi0: float) -> np.ndarray:
     """Trace-gap sequence xi_1 .. xi_k from the bidiagonal coefficients.
 
     xi_{k+1} = xi_k - (alpha_{k+1}^2 + beta_{k+2}^2), started from
-    xi_0 = tr(H_Q) (dense oracle or Monte Carlo estimate). The sequence is
-    monotonically nonincreasing.
+    xi_0 = tr(H_Q) (dense oracle or Monte Carlo estimate), which must be
+    finite, else ValueError. The sequence is monotonically nonincreasing.
     """
+    xi0 = float(xi0)
+    if not -math.inf < xi0 < math.inf:
+        raise ValueError(f"xi0 must be finite, got {xi0}")
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     k = len(alphas) - 1
@@ -42,7 +45,7 @@ def xi_recurrence(alphas, betas, xi0: float) -> np.ndarray:
     if len(betas) != len(alphas):
         raise ValueError("alphas and betas must have equal length")
     drops = alphas[:k] ** 2 + betas[1 : k + 1] ** 2
-    return float(xi0) - np.cumsum(drops)
+    return xi0 - np.cumsum(drops)
 
 
 def normal_matrix_apply(A: LinearOperatorHandle, R: float):
@@ -119,8 +122,11 @@ def err_indicator(xi_hat: float, beta1: float) -> float:
 
     Sampling noise can push xi_hat slightly negative; negative values are
     clamped to zero, with a warning when the excursion is beyond noise level.
+    A xi_hat or beta1 that is not finite raises ValueError.
     """
     xi_hat = float(xi_hat)
+    if not -math.inf < xi_hat < math.inf:
+        raise ValueError(f"the trace-gap estimate must be finite, got {xi_hat}")
     if xi_hat < 0.0:
         if xi_hat < -1e-8 * beta1**2:
             warnings.warn(
@@ -132,10 +138,15 @@ def err_indicator(xi_hat: float, beta1: float) -> float:
 
 
 def prop2_bound(xi_k: float, beta1: float) -> float:
-    """Guaranteed objective-error bound for an exact (nonnegative) trace gap."""
+    """Guaranteed objective-error bound for an exact (nonnegative) trace gap.
+
+    xi_k must be finite and nonnegative and beta1 finite, else ValueError.
+    """
     xi_k = float(xi_k)
-    if xi_k < 0.0:
-        raise ValueError("the exact trace gap must be nonnegative")
+    if not 0.0 <= xi_k < math.inf:
+        raise ValueError(f"the exact trace gap must be finite and nonnegative, got {xi_k}")
+    if not -math.inf < beta1 < math.inf:
+        raise ValueError(f"beta1 must be finite, got {beta1}")
     return 0.5 * (xi_k + beta1**2 * xi_k / (1.0 + xi_k))
 
 

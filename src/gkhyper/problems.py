@@ -97,8 +97,10 @@ def heat_true_signal(n: int) -> np.ndarray:
     half of the domain, zero afterwards (peak value 1, one jump).
 
     Sampled at the quadrature midpoints. The jump keeps the reconstruction
-    problem honest for smooth priors.
+    problem honest for smooth priors. n must be a positive integer, else
+    ValueError.
     """
+    n = _check_count(n, "n", 1)
     s = (np.arange(n) + 0.5) / n
     t = 4.0 * s
     x = np.zeros(n)
@@ -303,9 +305,12 @@ def add_noise(d_clean, noise_level: float, seed=None) -> tuple[np.ndarray, np.nd
 
 
 def relative_error(s_true, s_hat) -> float:
-    """||s_true - s_hat|| / ||s_true||."""
+    """||s_true - s_hat|| / ||s_true||, for two arrays of one shape (else
+    ValueError, so that no broadcast difference is measured)."""
     s_true = np.asarray(s_true, dtype=float)
     s_hat = np.asarray(s_hat, dtype=float)
+    if s_true.shape != s_hat.shape:
+        raise ValueError(f"the signals have shapes {s_true.shape} and {s_hat.shape}")
     norm = np.linalg.norm(s_true)
     if norm == 0.0:
         raise ValueError("the reference signal is zero")

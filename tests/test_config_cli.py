@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import gkhyper
-from gkhyper import estimate
+from gkhyper import estimate, marginal
 from gkhyper.cli import _build_problem, main
 from gkhyper.config import (ConfigError, EstimateConfig, HyperpriorConfig, KernelConfig,
                             MonitorConfig, ProblemConfig, ReconstructConfig, _has_bool,
@@ -482,6 +482,21 @@ def test_monitor_errors_equal_full_evaluation(tmp_path):
                                              / abs(exact.logdet_term))
         assert table["re_quad"][k - 1] == (abs(exact.quad_term - approx.quad_term)
                                            / abs(exact.quad_term))
+
+
+def test_monitor_takes_no_gradient(tmp_path, monkeypatch):
+    # the monitor reads values only: with the gradient refused it writes the
+    # same bytes
+    cfg = write_config(tmp_path, SMALL_HEAT)
+    assert main(["monitor", "--config", str(cfg), "--out", str(tmp_path / "eager")]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the gradient was taken")
+
+    monkeypatch.setattr(marginal, "_gengk_gradient", refuse)
+    assert main(["monitor", "--config", str(cfg), "--out", str(tmp_path / "lazy")]) == 0
+    assert ((tmp_path / "lazy" / "error_vs_k.csv").read_bytes()
+            == (tmp_path / "eager" / "error_vs_k.csv").read_bytes())
 
 
 def test_monitor_single_row(tmp_path):

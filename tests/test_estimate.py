@@ -25,7 +25,6 @@ from gkhyper.marginal import (
     Hyperprior,
     MarginalModel,
     objective_gengk,
-    objective_gengk_value,
     objective_rescaled,
 )
 from gkhyper.operators import DenseOperator
@@ -366,7 +365,7 @@ def test_one_svd_per_factorization(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    objective_gengk_value(model, theta, fact)
+    objective_gengk(model, theta, 10, fact=fact).value
     objective_gengk(model, theta, 10, fact=fact).gradient
     map_reconstruct(model, theta, fact=fact)
     assert calls == [(11, 10)]

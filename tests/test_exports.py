@@ -54,6 +54,12 @@ def test_gengk_bidiag_is_called_only_in_factorize():
     assert _package_reads("gengk_bidiag") == ["marginal.MarginalModel.factorize"]
 
 
+def test_gengk_gradient_is_taken_at_one_site():
+    # objective_gengk takes it on the first read of .gradient; nothing else
+    # assembles a genGK gradient
+    assert _package_reads("_gengk_gradient") == ["marginal.objective_gengk.take_gradient"]
+
+
 def test_theta3_derivative_is_applied_only_by_the_products_and_the_dense_assembly():
     # a factorization caches its dQ V products, which its truncations share,
     # and the dense oracles read one assembly; no other path applies dQ/dtheta3

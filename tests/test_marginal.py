@@ -13,7 +13,6 @@ from gkhyper.marginal import (
     MarginalModel,
     objective_exact,
     objective_gengk,
-    objective_gengk_value,
     objective_rescaled,
     objective_svd,
 )
@@ -600,6 +599,84 @@ def test_matvec_report_counts_q_and_dq_applies():
     assert reports == [{**zero, "q": k_max, "dq": k_max}] + [{**zero, "q": 0, "dq": 0}] * 3
 
 
+def _refuse_gradient(*args):
+    raise AssertionError("the gradient was taken")
+
+
+def _gengk_cases(model, theta, k=8, k_max=12):
+    # a fresh evaluation, whose factorization factorize hands back, and one
+    # read from a truncation of a supplied factorization
+    root = model.factorize(theta, k_max)
+    return [("fresh", lambda: objective_gengk(model, theta, k)),
+            ("supplied", lambda: objective_gengk(model, theta, k,
+                                                 fact=truncate_factorization(root, k)))]
+
+
+@pytest.mark.parametrize("model", _guard_models(), ids=["heat64", "ray8"])
+def test_gengk_value_is_read_without_taking_the_gradient(model, monkeypatch):
+    theta = HyperParams(np.array(GUARD_THETAS[0]))
+    # the value and k_used of evaluations whose gradient was read
+    want = {}
+    for name, call in _gengk_cases(model, theta):
+        ev = call()
+        want[name] = _hex(ev)[0], ev.k_used
+    facts = []
+    factorize = MarginalModel.factorize
+
+    def keep_fact(self, *args):
+        facts.append(factorize(self, *args))
+        return facts[-1]
+
+    monkeypatch.setattr(MarginalModel, "factorize", keep_fact)
+    cases = _gengk_cases(model, theta)
+    root = facts.pop()
+    root_applies = root.cov_applies()
+    monkeypatch.setattr(marginal, "_gengk_gradient", _refuse_gradient)
+    for name, call in cases:
+        ev = call()
+        assert (ev.value.hex(), ev.k_used) == want[name]
+    # the fresh factorization applied Q in its k + 1 steps only, and the
+    # supplied one applied nothing
+    (fresh,) = facts
+    assert fresh.cov_applies() == (9, 0)
+    assert root.cov_applies() == root_applies
+
+
+@pytest.mark.parametrize("model", _guard_models(), ids=["heat64", "ray8"])
+def test_gengk_gradient_is_taken_once_on_first_read(model, monkeypatch):
+    theta = HyperParams(np.array(GUARD_THETAS[1]))
+    calls = []
+    take = marginal._gengk_gradient
+
+    def counting(*args):
+        calls.append(args)
+        return take(*args)
+
+    monkeypatch.setattr(marginal, "_gengk_gradient", counting)
+    for _, call in _gengk_cases(model, theta):
+        calls.clear()
+        ev = call()
+        assert calls == []
+        got = ev.gradient
+        (args,) = calls
+        assert [x.hex() for x in got] == [x.hex() for x in take(*args)]
+        assert ev.gradient is got
+        assert len(calls) == 1
+        # the take drops what it held: the model and the factorization
+        assert ev._take_gradient is None
+
+
+def test_gengk_gradient_that_is_not_finite_raises_on_each_read(monkeypatch):
+    model = _guard_models()[0]
+    theta = HyperParams(np.array(GUARD_THETAS[0]))
+    monkeypatch.setattr(marginal, "_assemble_gradient", lambda *args: np.full(3, np.nan))
+    ev = objective_gengk(model, theta, 8)
+    assert np.isfinite(ev.value)
+    for _ in range(2):
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            ev.gradient
+
+
 @pytest.mark.parametrize("model", _guard_models(), ids=["heat64", "ray8"])
 def test_factorize_is_gengk_bidiag_clamped_to_min_m_n(model):
     # below, at and above min(m, n), against the call written out by hand
@@ -629,8 +706,6 @@ def test_gengk_with_factorization_at_another_theta_raises():
         other = HyperParams(np.array(other))
         with pytest.raises(ValueError, match="factorization was taken"):
             objective_gengk(model, other, 8, fact=fact)
-        with pytest.raises(ValueError, match="factorization was taken"):
-            objective_gengk_value(model, other, fact)
     # rejected before any apply
     assert (model.forward.matvec_count.snapshot(), fact.cov_applies()) == before
     # at its own theta it evaluates
@@ -655,7 +730,6 @@ def test_rescaled_needs_a_unit_factorization():
 # is taken at: objective_rescaled reads a unit one
 SUPPLIED_FACTORIZATION_CALLS = {
     "objective_rescaled": ((1.0, 1.0, 0.1), objective_rescaled),
-    "objective_gengk_value": ((1e-4, 0.5, 0.1), objective_gengk_value),
     "objective_gengk": ((1e-4, 0.5, 0.1), lambda m, t, f: objective_gengk(m, t, 8, fact=f)),
     "map_reconstruct": ((1e-4, 0.5, 0.1), lambda m, t, f: map_reconstruct(m, t, fact=f)),
 }

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,34 @@ def test_prop2_bound_values():
     assert np.isclose(prop2_bound(1.0, 2.0), 1.5)
     with pytest.raises(ValueError):
         prop2_bound(-0.1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bounds_reject_a_gap_or_beta1_that_is_not_finite(bad):
+    # each used to return NaN
+    with pytest.raises(ValueError, match="trace gap"):
+        prop2_bound(bad, 1.0)
+    with pytest.raises(ValueError, match="beta1"):
+        prop2_bound(1.0, bad)
+    with pytest.raises(ValueError, match="trace-gap estimate"):
+        err_indicator(bad, 1.0)
+    with pytest.raises(ValueError, match="beta1"):
+        err_indicator(1.0, bad)
+    with pytest.raises(ValueError, match="xi0"):
+        xi_recurrence(np.ones(3), np.ones(3), bad)
+    with pytest.raises(ValueError, match="xi0"):
+        xi_recurrence(np.ones(3), np.ones(3), -bad)
+
+
+def test_bounds_keep_their_values_on_finite_inputs():
+    xi, beta1 = 0.3, 7.0
+    bound = 0.5 * (xi + beta1**2 * xi / (1.0 + xi))
+    assert prop2_bound(xi, beta1).hex() == bound.hex()
+    assert err_indicator(xi, beta1).hex() == bound.hex()
+    assert err_indicator(-1e-12, beta1) == 0.0
+    alphas, betas = np.array([1.0, 0.5, 0.25]), np.array([2.0, 0.5, 0.125])
+    assert np.array_equal(xi_recurrence(alphas, betas, 3.0),
+                          3.0 - np.cumsum([1.0 + 0.25, 0.25 + 0.015625]))
 
 
 def test_prop2_bound_dominates_on_dense_sweep(rng):

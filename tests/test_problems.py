@@ -396,6 +396,14 @@ def test_relative_error_values(rng):
         relative_error(np.zeros(3), np.ones(3))
 
 
+def test_relative_error_rejects_mismatched_shapes():
+    # a (4,) against a (4, 1) used to broadcast to a 4 x 4 difference
+    for s_hat in (0.5 * np.ones((4, 1)), np.ones(3), np.ones((1, 4))):
+        with pytest.raises(ValueError, match="shapes"):
+            relative_error(np.ones(4), s_hat)
+    assert relative_error(np.ones(4), 0.5 * np.ones(4)) == 0.5
+
+
 @settings(max_examples=30, deadline=None)
 @given(scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**31))
 def test_relative_error_scaling_property(scale, seed):
@@ -414,6 +422,18 @@ def test_heat_problem_invariants():
                - 0.02 * np.linalg.norm(prob.d_clean)) <= 1e-12
     assert isinstance(prob.geometry, RegularGrid)
     assert heat_true_signal(128).max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1, 0])
+def test_heat_true_signal_rejects_a_bad_count(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        heat_true_signal(n)
+
+
+def test_heat_true_signal_at_one_and_two_points():
+    # midpoints 1/2 (t = 2, outside the hump), then 1/4 and 3/4 (t = 1 and 3)
+    assert np.array_equal(heat_true_signal(1), [0.0])
+    assert np.array_equal(heat_true_signal(2), [0.75, 0.0])
 
 
 def test_ray_problem_invariants():
