@@ -13,7 +13,12 @@ SVD_KS below min(m, n) and at full rank min(m, n); the SHA-256 of
 `map_reconstruct_exact`; and the value and two gradient components of
 `objective_rescaled` read from a
 `precompute_two_param` factorization taken at the theta's correlation length
-with k = `estimate.k`. It does the same for `objective_gengk` read from
+with k = `estimate.k`. From a `precompute_two_param` factorization taken at the
+correlation length of the config's `monitor.theta` with k = `estimate.k`, it prints
+one SHA-256 over the `float.hex` of the (lambda, RE) curve of
+`optimal_lambda_sweep` on the LAMBDA_GRID geomspace with theta1 = `monitor.theta[0]`, so that
+a rescaled spectrum's `coefficients()` that moves shows by name. It does the
+same for `objective_gengk` read from
 truncations of one factorization, taken at the config's `monitor.theta` with
 K = `monitor.k_max` steps, at the k in SWEEP_KS and at K; before those, it prints one
 SHA-256 over the `float.hex` of the `objective_gengk` value at every k = 1..K, read
@@ -103,6 +108,9 @@ DENSE_SHAPE = (30, 70)
 # truncations of objective_svd, besides full rank min(m, n)
 SVD_KS = (1, 12, 60)
 
+# the lambda sweep's grid of lambda = 1/theta2: np.geomspace(start, stop, count)
+LAMBDA_GRID = (0.1, 20, 14)
+
 # run by each checkout's own package, so that every number comes from its code
 SHOW = f"""
 import hashlib
@@ -130,21 +138,28 @@ def show_dense(model, theta):
 
 OBJECTIVES = SHOW + f"""
 import sys
+import numpy as np
 from gkhyper.cli import _build_problem
 from gkhyper.config import load_config
-from gkhyper.estimate import precompute_two_param
+from gkhyper.estimate import optimal_lambda_sweep, precompute_two_param
 from gkhyper.gengk import gengk_bidiag, truncate_factorization, verify_relations
 from gkhyper.marginal import objective_rescaled
 from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply
 
 cfg = load_config(sys.argv[1])
-model = _build_problem(cfg)[1]
+prob, model = _build_problem(cfg)
 for theta in {THETAS!r}:
     params = HyperParams(theta)
     show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, cfg.estimate.k))
     show_dense(model, theta)
     unit = precompute_two_param(model, theta[2], cfg.estimate.k)
     show(f"objective_rescaled/theta={{theta}}", objective_rescaled(model, params, unit))
+
+unit = precompute_two_param(model, cfg.monitor.theta[2], cfg.estimate.k)
+_, curve = optimal_lambda_sweep(model, unit, prob.s_true, np.geomspace(*{LAMBDA_GRID!r}),
+                                cfg.monitor.theta[0])
+print(hashlib.sha256(" ".join(float(x).hex() for x in curve.ravel()).encode()).hexdigest(),
+      f"lambda_sweep/theta={{tuple(cfg.monitor.theta)}}/curve")
 
 theta = HyperParams(cfg.monitor.theta)
 k_max = min(cfg.monitor.k_max, model.nrows, model.ncols)

@@ -210,7 +210,7 @@ def main(argv=None) -> int:
 
     try:
         outputs = _COMMANDS[args.command](cfg)
-    except (FloatingPointError, LinAlgError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (FloatingPointError, LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

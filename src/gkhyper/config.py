@@ -9,8 +9,9 @@ MaternKernel for nu. Every integer field is a count and passes the one count
 rule, operators._check_count: the seed is nonnegative, the active problem's n
 at least 2 and its grid at least 4, and every other count positive. The
 problem section's other checks are its own, written NaN-proof as
-"not 0 < x < inf", since its records are built by code that computes. A
-failure raises ConfigError, before any compute.
+"not 0 < x < inf", since its records are built by code that computes; kappa
+and prior_std, which enter squared, pass the builders' rule,
+operators._check_scale. A failure raises ConfigError, before any compute.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import yaml
 from .covariance import MaternKernel
 from .estimate import OptimizeOptions
 from .marginal import DENSE_CAP_DEFAULT, HyperParams, Hyperprior
-from .operators import _check_count
+from .operators import _check_count, _check_scale
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_from_dict"]
 
@@ -81,10 +82,10 @@ class ProblemConfig:
             _check_count(self.n_rays, "n_rays", 1)
         if not 0 <= self.noise_level < np.inf:
             raise ConfigError("noise_level must be finite and nonnegative")
-        if not 0 < self.kappa < np.inf:
-            raise ConfigError("kappa must be finite and positive")
-        if not (0 < self.prior_std < np.inf and 0 < self.ell < np.inf):
-            raise ConfigError("prior_std and ell must be finite and positive")
+        _check_scale(self.kappa, "kappa")
+        _check_scale(self.prior_std, "prior_std")
+        if not 0 < self.ell < np.inf:
+            raise ConfigError("ell must be finite and positive")
 
 
 @dataclass

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 # gengk_bidiag is not called here: perfbench/test_perfbench.py asserts the name
-from .gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
+from .gengk import GenGKFactorization, _check_noise_var, gengk_bidiag, truncate_factorization
 from .marginal import (HyperParams, MarginalModel, _check_taken_at, _dense_assembly,
                        _unit_theta, objective_gengk, objective_rescaled)
 from .operators import _check_count
@@ -304,8 +304,10 @@ def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,
     (theta1, theta2), so the sweep takes one SVD in all. Requires the ground
     truth (synthetic problems only). Returns (best_lambda, re_curve) with
     re_curve of shape (len(grid), 2) holding (lambda, RE). A factorization
-    not taken at (1, 1, ell) raises ValueError.
+    not taken at (1, 1, ell), or a theta1 that the noise-variance rule
+    refuses, raises ValueError before any work.
     """
+    theta1 = _check_noise_var(theta1)
     _check_taken_at(fact_hat, _unit_theta(fact_hat.q_op.kernel.ell))
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:

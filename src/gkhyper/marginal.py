@@ -1,8 +1,13 @@
 """Marginal-posterior objective and gradient for hyperparameter estimation.
 
-Three evaluation paths share one record type: the dense oracle, a truncated-SVD
-variant for bound checks (the spectrum of A (Q A')), and the bidiagonalization
-approximation that never forms Z. No path forms an n x n Q, Q^{1/2} or Q^{-1}.
+Four evaluation paths share one record type: the dense oracle
+(objective_exact), a truncated-SVD variant for bound checks (objective_svd, on
+the spectrum of A (Q A')), the bidiagonalization approximation that never
+forms Z (objective_gengk) and its theta3-fixed rescaling (objective_rescaled).
+Each path writes only its log-determinant, quadratic and gradient terms: every
+record is built by one constructor, _evaluation, which adds the hyperprior
+term, and every gradient by one assembler, _assemble_gradient, which adds the
+hyperprior's gradient. No path forms an n x n Q, Q^{1/2} or Q^{-1}.
 The dense paths, estimate.map_reconstruct_exact and the exact columns of
 `gkhyper monitor` read one data-space assembly: A probed once, Q A' from block
 applies on the m columns of A', and Z = A (Q A') + R factored once. The objective is
@@ -39,8 +44,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .covariance import CovarianceOperator, MaternKernel, build_cov_operator, normalize_geometry
-from .gengk import BidiagSpectrum, GenGKFactorization, gengk_bidiag
-from .operators import LinearOperatorHandle, _check_count, dense_matrix
+from .gengk import GenGKFactorization, gengk_bidiag
+from .operators import LinearOperatorHandle, _check_count, _check_scale, dense_matrix
 
 __all__ = [
     "HyperParams",
@@ -61,7 +66,8 @@ class HyperParams:
     """theta = (noise variance, prior standard deviation, correlation length).
 
     The record owns the rule every reader of theta relies on: three finite,
-    strictly positive values; any other length or value raises ValueError.
+    strictly positive values, with theta2's square, the prior variance,
+    finite and positive too; any other length or value raises ValueError.
     """
 
     values: np.ndarray
@@ -76,6 +82,7 @@ class HyperParams:
                              f"length), got {len(values)} values")
         if not np.all((0.0 < values) & (values < np.inf)):
             raise ValueError(f"hyperparameters must be finite and strictly positive, got {values}")
+        _check_scale(float(values[1]), "the prior std theta2")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -201,20 +208,27 @@ class MarginalModel:
                             self.prior_mean, self.data, min(k, self.nrows, self.ncols))
 
 
+def _check_gradient(gradient: np.ndarray | None) -> None:
+    if gradient is not None and not np.all(np.isfinite(gradient)):
+        raise FloatingPointError(f"non-finite gradient {gradient}")
+
+
 @dataclass
 class ObjectiveEvaluation:
     """Objective value split into its three additive terms, plus gradient.
 
     value is neglogprior_term + logdet_term + quad_term, summed in that
-    order. k_used is 0 for the dense oracle; matvec_report counts the
-    applications spent on this evaluation, value and gradient: "forward" and
-    "adjoint" of the forward map, "q" of the prior covariance Q and "dq" of
-    dQ/dtheta3, in columns. dQ/dtheta2 = (2/theta2) Q applies nothing of its
-    own: the Q columns it is scaled from count in "q". An evaluation built
-    with _take_gradient takes its gradient, and the report's Q and dQ/dtheta3
-    columns, on the first read of gradient or matvec_report, and then drops
-    _take_gradient and what it holds; a take that raises is made again on the
-    next read.
+    order. The record refuses a non-finite value or gradient with a
+    FloatingPointError, whether the gradient is given when it is built or
+    taken on first read. k_used is 0 for the dense oracle; matvec_report
+    counts the applications spent on this evaluation, value and gradient:
+    "forward" and "adjoint" of the forward map, "q" of the prior covariance Q
+    and "dq" of dQ/dtheta3, in columns. dQ/dtheta2 = (2/theta2) Q applies
+    nothing of its own: the Q columns it is scaled from count in "q". An
+    evaluation built with _take_gradient takes its gradient, and the report's
+    Q and dQ/dtheta3 columns, on the first read of gradient or matvec_report,
+    and then drops _take_gradient and what it holds; a take that raises is
+    made again on the next read.
     """
 
     neglogprior_term: float
@@ -230,10 +244,13 @@ class ObjectiveEvaluation:
         for name in ("value", "neglogprior_term", "logdet_term", "quad_term"):
             if not np.isfinite(getattr(self, name)):
                 raise FloatingPointError(f"objective term {name} is not finite")
+        _check_gradient(self._gradient)
 
     def _take(self) -> None:
         if self._take_gradient is not None:
-            self._gradient, self._report = self._take_gradient()
+            gradient, report = self._take_gradient()
+            _check_gradient(gradient)
+            self._gradient, self._report = gradient, report
             self._take_gradient = None
 
     @property
@@ -251,6 +268,14 @@ class ObjectiveEvaluation:
         return self._report
 
 
+def _evaluation(model: MarginalModel, theta: HyperParams, logdet_term: float, quad_term: float,
+                k_used: int, report: dict, gradient: np.ndarray | None = None,
+                take_gradient: Callable | None = None) -> ObjectiveEvaluation:
+    # the one constructor of a record, which adds the hyperprior term for every path
+    return ObjectiveEvaluation(model.hyperprior.neglog(theta.values)[0], logdet_term,
+                               quad_term, k_used, report, gradient, take_gradient)
+
+
 def _count_delta(op: LinearOperatorHandle, before: tuple[int, int],
                  q: int = 0, dq: int = 0) -> dict:
     after = op.matvec_count.snapshot()
@@ -258,9 +283,12 @@ def _count_delta(op: LinearOperatorHandle, before: tuple[int, int],
             "q": q, "dq": dq}
 
 
-def _assemble_gradient(hgrad: np.ndarray, *terms: tuple[float, float]) -> np.ndarray:
+def _assemble_gradient(model: MarginalModel, theta: HyperParams,
+                       *terms: tuple[float, float]) -> np.ndarray:
     # dF/dtheta_i = d(-log pi)/dtheta_i + tr(Z^{-1} dZ_i)/2 - r' dZ_i r/2, with
-    # each term given as (trace, -r' dZ_i r/2)
+    # each term given as (trace, -r' dZ_i r/2); a path with fewer terms than
+    # theta has (theta3 fixed) gets the leading components
+    _, hgrad = model.hyperprior.neglog(theta.values)
     return np.array([h + 0.5 * trace + quad for h, (trace, quad) in zip(hgrad, terms)])
 
 
@@ -308,13 +336,9 @@ def _dense_assembly(model: MarginalModel, theta: HyperParams, what: str,
     except LinAlgError as exc:
         raise LinAlgError("Z is numerically non-SPD after symmetrization") from exc
     core.w = cho_solve(core.cho, core.r)
-    core.evaluation = ObjectiveEvaluation(
-        neglogprior_term=model.hyperprior.neglog(theta.values)[0],
-        logdet_term=float(np.sum(np.log(np.diag(core.cho[0])))),  # half of logdet Z
-        quad_term=0.5 * float(core.r @ core.w),
-        k_used=0,
-        _report=core.report,
-    )
+    # the log-determinant term, half of logdet Z, from the Cholesky diagonal
+    core.evaluation = _evaluation(model, theta, float(np.sum(np.log(np.diag(core.cho[0])))),
+                                  0.5 * float(core.r @ core.w), 0, core.report)
     return core
 
 
@@ -341,9 +365,8 @@ def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvalua
     dz3 = core.a @ core.dq3_a
     dz3 = 0.5 * (dz3 + dz3.T)
     ell_term = float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))
-    _, hgrad = model.hyperprior.neglog(theta.values)
     return replace(core.evaluation,
-                   _gradient=_assemble_gradient(hgrad, noise_term, prior_term, ell_term))
+                   _gradient=_assemble_gradient(model, theta, noise_term, prior_term, ell_term))
 
 
 def _gengk_gradient(model: MarginalModel, theta: HyperParams,
@@ -382,23 +405,7 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
                 -0.5 * float((ub @ (psi_q @ ub_t_r)) @ r_vec))
 
     dq2_vk, dq3_vk = fact.dq_basis()
-    _, hgrad = model.hyperprior.neglog(theta.values)
-    grad = _assemble_gradient(hgrad, noise_term, q_term(dq2_vk), q_term(dq3_vk))
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError(f"non-finite gradient {grad}")
-    return grad
-
-
-def _spectral_value(model: MarginalModel, theta: HyperParams, spec: BidiagSpectrum,
-                    k: int) -> ObjectiveEvaluation:
-    logdet_term, quad_term = spec.terms(model.nrows * np.log(model.noise_cov(theta)))
-    return ObjectiveEvaluation(
-        neglogprior_term=model.hyperprior.neglog(theta.values)[0],
-        logdet_term=logdet_term,
-        quad_term=quad_term,
-        k_used=k,
-        _report={"forward": 0, "adjoint": 0, "q": 0, "dq": 0},
-    )
+    return _assemble_gradient(model, theta, noise_term, q_term(dq2_vk), q_term(dq3_vk))
 
 
 def _check_taken_at(fact: GenGKFactorization, theta: HyperParams) -> None:
@@ -423,12 +430,13 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
     fact_unit must have been computed at (1, 1, theta3), or a ValueError is
     raised. Its spectral core is rescaled to (theta1, theta2) in O(k); no
     covariance is built and no operator is applied. The gradient has two
-    components, since theta3 is held fixed.
+    components, since theta3 is held fixed; a value or gradient that is not
+    finite raises FloatingPointError.
     """
     _check_taken_at(fact_unit, _unit_theta(theta.corr_length))
     theta1, theta2 = theta.noise_var, theta.prior_std
     spec = fact_unit.spectrum.rescaled(theta1, theta2)
-    evaluation = _spectral_value(model, theta, spec, fact_unit.k)
+    logdet_term, quad_term = spec.terms(model.nrows * np.log(model.noise_cov(theta)))
 
     sig2_full = spec.s_full**2
     w_row2 = spec.p[0, :] ** 2
@@ -444,9 +452,9 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
     # dR/dtheta1 = I and dQ/dtheta2 = (2/theta2) Q
     noise_term = model.nrows / theta1 - gain / theta1, -0.5 * r_norm2
     prior_term = 2.0 * gain / theta2, -ubr_norm2 / theta2
-    _, hgrad = model.hyperprior.neglog(theta.values)
-    return replace(evaluation,
-                   _gradient=_assemble_gradient(hgrad[:2], noise_term, prior_term))
+    return _evaluation(model, theta, logdet_term, quad_term, fact_unit.k,
+                       {"forward": 0, "adjoint": 0, "q": 0, "dq": 0},
+                       gradient=_assemble_gradient(model, theta, noise_term, prior_term))
 
 
 def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
@@ -485,8 +493,9 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
         return gradient, dict(report, q=report["q"] + q_after - q_before,
                               dq=dq_after - dq_before)
 
-    return replace(_spectral_value(model, theta, fact.spectrum, fact.k),
-                   _report=report, _take_gradient=take_gradient)
+    logdet_term, quad_term = fact.spectrum.terms(model.nrows * np.log(model.noise_cov(theta)))
+    return _evaluation(model, theta, logdet_term, quad_term, fact.k, report,
+                       take_gradient=take_gradient)
 
 
 def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> ObjectiveEvaluation:
@@ -511,10 +520,4 @@ def objective_svd(model: MarginalModel, theta: HyperParams, k: int) -> Objective
     r_hat = core.r / np.sqrt(theta.noise_var)
     coeff = u_hat.T @ r_hat
     quad_term = 0.5 * (float(r_hat @ r_hat) - float(np.sum(coeff**2 * sk2 / (1.0 + sk2))))
-    return ObjectiveEvaluation(
-        neglogprior_term=model.hyperprior.neglog(theta.values)[0],
-        logdet_term=logdet_term,
-        quad_term=quad_term,
-        k_used=k_eff,
-        _report=core.report,
-    )
+    return _evaluation(model, theta, logdet_term, quad_term, k_eff, core.report)

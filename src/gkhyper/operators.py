@@ -78,6 +78,15 @@ def _check_count(value, what: str, low: int) -> int:
     return int(value)
 
 
+def _check_scale(value, what: str) -> None:
+    """The rule for a scale that enters squared (a prior std, the heat
+    kernel's kappa): it and its square finite and positive, else ValueError.
+    The square is a float product, which overflows to inf where ** raises."""
+    if not (0.0 < value < np.inf and 0.0 < float(value) * float(value) < np.inf):
+        raise ValueError(f"{what} must be finite and positive, with a finite and positive "
+                         f"square, got {value!r}")
+
+
 def _check_vector(x, length: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != length:

@@ -20,7 +20,7 @@ from scipy.linalg import toeplitz
 from .covariance import MaternKernel, RegularGrid, matern_eval
 from .estimate import _blas_on_calling_thread
 from .operators import (DenseOperator, LinearOperatorHandle, LowerToeplitzOperator,
-                        SparseOperator, _check_count)
+                        SparseOperator, _check_count, _check_scale)
 
 __all__ = [
     "ProblemInstance",
@@ -80,8 +80,7 @@ def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     memory.
     """
     n = _check_count(n, "n", 2)
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
+    _check_scale(kappa, "kappa")
     h = 1.0 / n
     gaps = (np.arange(n) + 0.5) * h
     column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(
@@ -345,7 +344,10 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
     order of the unknowns and is checked before any ray is traced. The
     forward operator is then those columns of the full ray matrix, s_true the
     full phantom's entries there and the geometry those pixels' centres.
+    prior_std and its square, the phantom's variance, must be finite and
+    positive, or ValueError is raised before any ray is traced.
     """
+    _check_scale(prior_std, "prior_std")
     grid = RegularGrid((g, g), (1.0 / g, 1.0 / g))
     if mask is not None:
         # integer-valued numbers only: an int cast reads 1.9 and True as pixel 1

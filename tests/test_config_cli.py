@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import gkhyper
-from gkhyper import estimate, marginal
+from gkhyper import estimate, marginal, problems
 from gkhyper.cli import _build_problem, main
 from gkhyper.config import (ConfigError, EstimateConfig, HyperpriorConfig, KernelConfig,
                             MonitorConfig, ProblemConfig, ReconstructConfig, _has_bool,
@@ -19,6 +19,7 @@ from gkhyper.covariance import MaternKernel, RegularGrid
 from gkhyper.estimate import OptimizeOptions
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
 from gkhyper.marginal import HyperParams, Hyperprior, objective_exact, objective_gengk
+from gkhyper.problems import build_ray_tomo_problem, heat_1d
 
 
 SMALL_HEAT = {
@@ -146,6 +147,13 @@ BAD_NUMBERS = [
     {"estimate": {"theta0": [True, 0.5, 0.1]}},
     {"monitor": {"theta": [1e-4, True, 0.08]}},
     {"estimate": {"parameterization": "linear"}},
+    # a scale whose square overflows or underflows to 0
+    {"problem": {"name": "heat1d", "n": 64, "kappa": 1.0e200}},
+    {"problem": {"name": "heat1d", "n": 64, "kappa": 1.0e-200}},
+    {"problem": {"name": "ray_tomo", "grid": 8, "n_rays": 40, "prior_std": 1.0e200}},
+    {"monitor": {"theta": [1.0e-4, 1.0e160, 0.08]}},
+    {"reconstruct": {"theta": [7.7e-6, 1.0e200, 0.185]}},
+    {"monitor": {"theta": [1.0e-4, 1.0e-200, 0.08]}},
 ]
 
 
@@ -238,7 +246,7 @@ def _build_records(name, values):
 
 
 def test_record_payloads_cover_every_record_section():
-    assert len(RECORD_PAYLOADS) == 14
+    assert len(RECORD_PAYLOADS) == 17
     assert {name for payload in RECORD_PAYLOADS for name in payload} == set(RECORD_KEYS)
 
 
@@ -273,6 +281,26 @@ def test_problem_and_kernel_sections_refuse_non_finite_values(name, value):
         return
     with pytest.raises(ValueError):
         section.validate()
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-200, 1.4e154, -0.8])
+def test_owners_refuse_a_scale_whose_square_is_not_finite_and_positive(monkeypatch, value):
+    # the float power of a square that overflows raised OverflowError, and
+    # the ray builder read prior_std = -0.8 as +0.8; each owner now refuses
+    # the value before any ray is traced
+    def no_trace(*args):
+        raise AssertionError("a ray was traced")
+
+    monkeypatch.setattr(problems, "_ray_matrix", no_trace)
+    for name in ("kappa", "prior_std"):
+        with pytest.raises(ValueError, match=name):
+            ProblemConfig(**{name: value}).validate()
+    with pytest.raises(ValueError, match="kappa"):
+        heat_1d(64, kappa=value)
+    with pytest.raises(ValueError, match="prior_std"):
+        build_ray_tomo_problem(g=8, n_rays=40, prior_std=value)
+    with pytest.raises(ValueError, match="theta2|strictly positive"):
+        HyperParams([1e-4, value, 0.1])
 
 
 def test_missing_file_rejected(tmp_path):

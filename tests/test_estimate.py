@@ -445,6 +445,15 @@ def test_lambda_sweep_rejects_a_lambda_that_is_not_finite_and_positive(bad):
         optimal_lambda_sweep(model, fact_hat, prob.s_true, np.array([0.5, bad, 2.0]), 1e-5)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+def test_lambda_sweep_rejects_a_noise_variance_that_is_not_finite_and_positive(bad):
+    # these used to give an all-NaN curve (or one of 1.0 everywhere at inf)
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 8)
+    with pytest.raises(ValueError, match="noise variance must be finite and positive"):
+        optimal_lambda_sweep(model, fact_hat, prob.s_true, np.array([0.5, 2.0]), bad)
+
+
 def test_lambda_sweep_needs_a_unit_factorization():
     prob, model, ell = heat_two_param_setup()
     for values in ((1e-5, 1.0, ell), (1.0, 0.5, ell)):

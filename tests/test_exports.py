@@ -21,24 +21,23 @@ def test_module_all_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def _scoped_nodes(tree, scope=()):
+    # every node below tree, in source order, with its enclosing class/def path
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped_nodes(child, scope + (child.name,))
+            continue
+        yield scope, child
+        yield from _scoped_nodes(child, scope)
+
+
 def _name_reads(tree, name):
     # the enclosing class/def path of every read of name, as a plain name or
     # as an attribute; an assignment to it is not a read
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
-                continue
-            read = (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name)
-            if read and isinstance(child.ctx, ast.Load):
-                found.append(".".join(scope))
-            visit(child, scope)
-
-    visit(tree, ())
-    return found
+    return [".".join(scope) for scope, node in _scoped_nodes(tree)
+            if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name)
+            and isinstance(node.ctx, ast.Load)]
 
 
 def _package_reads(name):
@@ -46,6 +45,16 @@ def _package_reads(name):
     return [f"{path.stem}.{scope}"
             for path in sorted(Path(gkhyper.__file__).parent.glob("*.py"))
             for scope in _name_reads(ast.parse(path.read_text()), name)]
+
+
+def _package_calls(name):
+    # module.scope of every call of name, as a plain name or as an attribute;
+    # an annotation reads the name but does not call it
+    return [f"{path.stem}.{'.'.join(scope)}"
+            for path in sorted(Path(gkhyper.__file__).parent.glob("*.py"))
+            for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
 def test_gengk_bidiag_is_called_only_in_factorize():
@@ -58,6 +67,14 @@ def test_gengk_gradient_is_taken_at_one_site():
     # objective_gengk takes it on the first read of .gradient; nothing else
     # assembles a genGK gradient
     assert _package_reads("_gengk_gradient") == ["marginal.objective_gengk.take_gradient"]
+
+
+def test_every_objective_record_is_built_by_one_constructor():
+    # marginal._evaluation adds the hyperprior term and builds each record;
+    # _assemble_gradient adds the hyperprior's gradient to each gradient
+    assert sorted(_package_reads("neglog")) == ["marginal._assemble_gradient",
+                                                "marginal._evaluation"]
+    assert _package_calls("ObjectiveEvaluation") == ["marginal._evaluation"]
 
 
 def test_theta3_derivative_is_applied_only_by_the_products_and_the_dense_assembly():

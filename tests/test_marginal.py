@@ -16,7 +16,7 @@ from gkhyper.marginal import (
     objective_rescaled,
     objective_svd,
 )
-from gkhyper.estimate import map_reconstruct, map_reconstruct_exact
+from gkhyper.estimate import map_reconstruct, map_reconstruct_exact, precompute_two_param
 from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply
 from gkhyper.operators import DenseOperator, IdentityOperator, dense_matrix
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, heat_1d, ray_tomo_2d
@@ -666,15 +666,37 @@ def test_gengk_gradient_is_taken_once_on_first_read(model, monkeypatch):
         assert ev._take_gradient is None
 
 
-def test_gengk_gradient_that_is_not_finite_raises_on_each_read(monkeypatch):
+@pytest.mark.parametrize("path", ["objective_exact", "objective_rescaled", "objective_gengk"])
+def test_gengk_gradient_that_is_not_finite_raises_on_each_read(monkeypatch, path):
+    # the record holds the one finiteness rule for every path: a gradient
+    # given at once raises as the record is built, the genGK gradient, taken
+    # on first read, on each read of .gradient
     model = _guard_models()[0]
     theta = HyperParams(np.array(GUARD_THETAS[0]))
+    unit = precompute_two_param(model, theta.corr_length, 8)
     monkeypatch.setattr(marginal, "_assemble_gradient", lambda *args: np.full(3, np.nan))
-    ev = objective_gengk(model, theta, 8)
-    assert np.isfinite(ev.value)
-    for _ in range(2):
+    if path == "objective_exact":
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            ev.gradient
+            objective_exact(model, theta)
+    elif path == "objective_rescaled":
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            objective_rescaled(model, theta, unit)
+    else:
+        ev = objective_gengk(model, theta, 8)
+        assert np.isfinite(ev.value)
+        for _ in range(2):
+            with pytest.raises(FloatingPointError, match="non-finite gradient"):
+                ev.gradient
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rescaled_gradient_that_overflows_raises():
+    # theta1 = 1e-200 gives a finite value but a theta1 component of -inf
+    prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
+    unit = precompute_two_param(model, 0.1, 20)
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        objective_rescaled(model, HyperParams(np.array([1e-200, 1.0, 0.1])), unit)
 
 
 @pytest.mark.parametrize("model", _guard_models(), ids=["heat64", "ray8"])
