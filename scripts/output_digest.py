@@ -9,7 +9,9 @@ shipped config it also evaluates `objective_gengk` (at the config's
 `estimate.k`) and `objective_exact` at the theta in THETAS, and prints the
 value and the three gradient components as `float.hex`, which is exact; the
 value, log-determinant and quadratic terms of `objective_svd` at the k in
-SVD_KS below min(m, n) and at full rank min(m, n); the SHA-256 of
+SVD_KS below min(m, n) and at full rank min(m, n); the `objective_exact` value
+read with no gradient read, so that a value that depends on whether its
+gradient was taken shows by name; the SHA-256 of
 `map_reconstruct_exact`; and the value and two gradient components of
 `objective_rescaled` read from a
 `precompute_two_param` factorization taken at the theta's correlation length
@@ -50,9 +52,11 @@ a 5-column `apply_block`, and a 17-column `apply_block` and `apply_adjoint_block
 shipped noise level and seed. The prior covariance Q applies by real transforms on
 a 1-d grid and by complex ones on a 2-d grid, so on each grid in Q_GRIDS (1-d n and
 2-d g by g, spacing 1/n or 1/g) and at the prior std and correlation length of each
-theta in THETAS it prints the SHA-256 of Q's `apply`, `apply_block` and both
-outputs of `apply_block_with_theta3_derivative` on seeded inputs, so that a
-Q-kernel change shows by name which grids moved. Every operator implements one
+theta in THETAS it prints the SHA-256 of Q's `apply`, `apply_block`, both
+outputs of `apply_block_with_theta3_derivative` and `apply_theta3_derivative_block`
+on seeded inputs, so that a Q-kernel change shows by name which grids moved (a
+checkout without `apply_theta3_derivative_block` digests the second output of
+the paired apply, which it must equal). Every operator implements one
 block apply per direction, so it prints the SHA-256 of `apply`, `apply_adjoint`,
 `apply_block` and `apply_adjoint_block` on seeded inputs for the shipped ray
 config's sparse forward operator and for a seeded DENSE_SHAPE `DenseOperator`
@@ -127,6 +131,10 @@ def show_sha(name, array):
 
 def show_dense(model, theta):
     params = HyperParams(theta)
+    # a value read with no gradient read, so that a value that depends on
+    # whether its gradient was taken shows by name
+    print(objective_exact(model, params).value.hex(),
+          f"objective_exact/theta={{theta}}/value_without_gradient")
     show(f"objective_exact/theta={{theta}}", objective_exact(model, params))
     full = min(model.nrows, model.ncols)
     for k in sorted({{k for k in {SVD_KS!r} if k < full}} | {{full}}):
@@ -277,6 +285,11 @@ for shape in {Q_GRIDS!r}:
         q = build_cov_operator(grid, MaternKernel(1.5, theta[1] ** 2, theta[2]))
         outs = {{"apply": q.apply(x), "apply_block": q.apply_block(block)}}
         outs["with_theta3/Q"], outs["with_theta3/dQ"] = q.apply_block_with_theta3_derivative(block)
+        # a checkout without the dQ/dtheta3-only apply digests the output it
+        # must equal, the paired apply's second one
+        outs["theta3_derivative"] = (q.apply_theta3_derivative_block(block)
+                                     if hasattr(q, "apply_theta3_derivative_block")
+                                     else outs["with_theta3/dQ"])
         for name, out in outs.items():
             print(hashlib.sha256(out.tobytes()).hexdigest(), f"{{label}}/theta={{theta}}/{{name}}")
 """

@@ -175,8 +175,9 @@ class CovarianceOperator(LinearOperatorHandle):
     """Symmetric matrix-free Matern covariance Q of the prior.
 
     ``apply_block`` (the handle's, through its ``_apply_block`` hook) applies
-    Q to an (n, p) column block and ``apply_block_with_theta3_derivative``
-    also dQ/dtheta3, both in the chunk loop of ``operators._apply_chunks``:
+    Q to an (n, p) column block, ``apply_block_with_theta3_derivative`` Q and
+    dQ/dtheta3, and ``apply_theta3_derivative_block`` dQ/dtheta3 alone, all in
+    the chunk loop of ``operators._apply_chunks``:
     ``_forward_block`` takes each chunk of columns to a transform that
     ``_inverse_block`` finishes into Q X, and into dQ/dtheta3 X from the
     backend's derivative data, built on first use. dQ/dtheta2 = (2/theta2) Q
@@ -223,6 +224,18 @@ class CovarianceOperator(LinearOperatorHandle):
         self.dq_count += x.shape[1]
         return tuple(_apply_chunks(self._forward_block, self._inverse_block, x,
                                    (self._data, self._ell_data)))
+
+    def apply_theta3_derivative_block(self, x) -> np.ndarray:
+        """dQ/dtheta3 X for an (n, p) block, bit for bit the second output of
+        ``apply_block_with_theta3_derivative``: the same chunk loop, with the
+        derivative data alone.
+
+        Checked as ``apply_block``, and counted as p dQ/dtheta3 columns
+        (dq_count) and no Q column.
+        """
+        x = _check_block(x, self.ncols, "apply_theta3_derivative_block")
+        self.dq_count += x.shape[1]
+        return _apply_chunks(self._forward_block, self._inverse_block, x, (self._ell_data,))[0]
 
 
 def normalize_geometry(geometry) -> tuple[RegularGrid | np.ndarray, int]:
@@ -387,7 +400,7 @@ def build_cov_operator(geometry, kernel: MaternKernel) -> CovarianceOperator:
 
     The geometry picks the backend (normalize_geometry): FFT on a RegularGrid,
     dense on a point set. Q applies its theta-derivatives itself
-    (``apply_block_with_theta3_derivative``).
+    (``apply_block_with_theta3_derivative``, ``apply_theta3_derivative_block``).
     """
     geometry, _ = normalize_geometry(geometry)
     if isinstance(geometry, RegularGrid):

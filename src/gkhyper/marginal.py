@@ -9,8 +9,12 @@ record is built by one constructor, _evaluation, which adds the hyperprior
 term, and every gradient by one assembler, _assemble_gradient, which adds the
 hyperprior's gradient. No path forms an n x n Q, Q^{1/2} or Q^{-1}.
 The dense paths, estimate.map_reconstruct_exact and the exact columns of
-`gkhyper monitor` read one data-space assembly: A probed once, Q A' from block
-applies on the m columns of A', and Z = A (Q A') + R factored once. The objective is
+`gkhyper monitor` read one data-space assembly, which takes no derivative: A
+probed once, Q A' from block applies on the m columns of A', and Z = A (Q A')
++ R factored once. objective_exact takes its gradient on the first read of
+.gradient (or of .matvec_report), by one dQ/dtheta3-only block apply on A'
+with the same Q, so a caller that reads only the value applies no dQ and forms
+no Z^{-1}. The objective is
 
     F(theta) = -log pi(theta) + 1/2 logdet Z + 1/2 ||A mu - d||^2_{Z^{-1}},
 
@@ -27,12 +31,13 @@ dQ/dtheta2 V_K = (2/theta2) Q V_K. They are cached like the spectrum and shared
 by its truncations, so a sweep of objective_gengk over k builds no covariance
 and applies Q and dQ/dtheta3 to V_K once. objective_gengk computes its value
 terms at once and takes its gradient on the first read of .gradient (or of
-.matvec_report, which covers value and gradient), so a sweep over k that reads
-only values applies no dQ and forms no Gram of the gradient.
-objective_rescaled is the fast path with theta3 fixed: since R = theta1 I and
-Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3) rescales
-exactly to any (theta1, theta2), so the objective and its (theta1, theta2)
-gradient cost O(k) and apply no operator.
+.matvec_report, which covers value and gradient), as objective_exact does, so
+a sweep over k that reads only values applies no dQ and forms no Gram of the
+gradient. objective_rescaled is the fast path with theta3 fixed: since R =
+theta1 I and Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3)
+rescales exactly to any (theta1, theta2), so the objective and its (theta1,
+theta2) gradient cost O(k) and apply no operator; it gives its gradient at
+once.
 """
 
 from __future__ import annotations
@@ -225,10 +230,11 @@ class ObjectiveEvaluation:
     "forward" and "adjoint" of the forward map, "q" of the prior covariance Q
     and "dq" of dQ/dtheta3, in columns. dQ/dtheta2 = (2/theta2) Q applies
     nothing of its own: the Q columns it is scaled from count in "q". An
-    evaluation built with _take_gradient takes its gradient, and the report's
-    Q and dQ/dtheta3 columns, on the first read of gradient or matvec_report,
-    and then drops _take_gradient and what it holds; a take that raises is
-    made again on the next read.
+    evaluation built with _take_gradient (the dense oracle's and the genGK
+    one's; objective_rescaled gives its gradient at once) takes its gradient,
+    and the report's Q and dQ/dtheta3 columns, on the first read of gradient
+    or matvec_report, and then drops _take_gradient and what it holds; a take
+    that raises is made again on the next read.
     """
 
     neglogprior_term: float
@@ -294,13 +300,13 @@ def _assemble_gradient(model: MarginalModel, theta: HyperParams,
 
 @dataclass
 class _DenseAssembly:
-    """Dense data-space pieces at one theta: A, Q A', dQ/dtheta3 A' (None without
-    a gradient), r = A mu - d and the applies spent; with Z factored, Z's
-    Cholesky factor, w = Z^{-1} r and the three objective terms (else None)."""
+    """Dense data-space pieces at one theta: Q, A, Q A', r = A mu - d and the
+    applies spent; with Z factored, Z's Cholesky factor, w = Z^{-1} r and the
+    three objective terms (else None)."""
 
+    q_op: CovarianceOperator
     a: np.ndarray
     qa: np.ndarray
-    dq3_a: np.ndarray | None
     r: np.ndarray
     report: dict
     cho: tuple | None = None
@@ -309,24 +315,22 @@ class _DenseAssembly:
 
 
 def _dense_assembly(model: MarginalModel, theta: HyperParams, what: str,
-                    gradient: bool = False, factor: bool = True) -> _DenseAssembly:
-    """The one assembly every dense oracle reads, within the dense cap.
+                    factor: bool = True) -> _DenseAssembly:
+    """The one assembly every dense oracle reads, within the dense cap, for
+    values: it applies no dQ/dtheta3.
 
-    Q is built first, before any apply; A is probed once by dense_matrix;
-    with a gradient one block apply takes Q A' and dQ/dtheta3 A' together
-    (one shared forward transform per chunk). Z = A (Q A') + theta1 I is
-    symmetrized and factored once.
+    Q is built first, before any apply; A is probed once by dense_matrix and
+    Q A' taken by one block apply on its m columns. Z = A (Q A') + theta1 I is
+    symmetrized and factored once. A gradient reader applies dQ/dtheta3 to A'
+    with the Q it carries.
     """
     model.require_dense(what)
     q_op = model.prior_cov(theta)
     before = model.forward.matvec_count.snapshot()
     a = dense_matrix(model.forward)
-    if gradient:
-        qa, dq3_a = q_op.apply_block_with_theta3_derivative(a.T)
-    else:
-        qa, dq3_a = q_op.apply_block(a.T), None
-    core = _DenseAssembly(a, qa, dq3_a, a @ model.mean_vector() - model.data, _count_delta(
-        model.forward, before, q=q_op.matvec_count.forward, dq=q_op.dq_count))
+    qa = q_op.apply_block(a.T)
+    core = _DenseAssembly(q_op, a, qa, a @ model.mean_vector() - model.data,
+                          _count_delta(model.forward, before, q=q_op.matvec_count.forward))
     if not factor:
         return core
     z = a @ qa
@@ -345,28 +349,43 @@ def _dense_assembly(model: MarginalModel, theta: HyperParams, what: str,
 def objective_exact(model: MarginalModel, theta: HyperParams) -> ObjectiveEvaluation:
     """Dense-oracle objective and gradient (guarded by the dense cap).
 
-    The gradient uses dZ/dtheta1 = I, dZ/dtheta2 = (2/theta2)(Z - theta1 I)
-    (from dQ/dtheta2 = (2/theta2) Q), so that the theta2 term is closed form
-    in tr Z^{-1}, w'r and w'w, and dZ/dtheta3 = A (dQ/dtheta3 A'), with a
-    fixed (zero-derivative) prior mean.
+    The value terms come at once from the dense assembly, which applies Q
+    and no dQ/dtheta3. The gradient is taken on the first read of .gradient
+    or .matvec_report, with a FloatingPointError there if it is not finite:
+    it applies dQ/dtheta3 to the m columns of A' with the assembly's Q, and
+    uses dZ/dtheta1 = I, dZ/dtheta2 = (2/theta2)(Z - theta1 I) (from
+    dQ/dtheta2 = (2/theta2) Q), so that the theta2 term is closed form in
+    tr Z^{-1}, w'r and w'w, and dZ/dtheta3 = A (dQ/dtheta3 A'), with a fixed
+    (zero-derivative) prior mean. Until then the record holds A, Z's
+    Cholesky factor, r, w and Q, and it drops them after the take.
+    matvec_report covers value and gradient: the forward and adjoint applies
+    of the probe of A, the m Q columns of Q A' and the m dQ/dtheta3 columns
+    of the take.
     """
-    core = _dense_assembly(model, theta, "the exact objective", gradient=True)
-    core.qa = None  # Q A' is dropped before Z^{-1} is formed
-    r, w, m = core.r, core.w, model.nrows
-    z_inv = cho_solve(core.cho, np.eye(m))
+    core = _dense_assembly(model, theta, "the exact objective")
+    a, cho, r, w, q_op = core.a, core.cho, core.r, core.w, core.q_op
+    report, m = core.report, model.nrows
 
-    theta1, theta2 = theta.noise_var, theta.prior_std
-    r_w = float(r @ w)
-    trace_z_inv, w_norm2 = float(np.trace(z_inv)), float(w @ w)
-    noise_term = trace_z_inv, -0.5 * w_norm2  # dZ/dtheta1 = I
-    # dZ/dtheta2 = (2/theta2)(Z - theta1 I), and Z w = r
-    prior_term = ((2.0 / theta2) * (m - theta1 * trace_z_inv),
-                  -(r_w - theta1 * w_norm2) / theta2)
-    dz3 = core.a @ core.dq3_a
-    dz3 = 0.5 * (dz3 + dz3.T)
-    ell_term = float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))
-    return replace(core.evaluation,
-                   _gradient=_assemble_gradient(model, theta, noise_term, prior_term, ell_term))
+    def take_gradient() -> tuple[np.ndarray, dict]:
+        dq_before = q_op.dq_count
+        dq3_a = q_op.apply_theta3_derivative_block(a.T)
+        z_inv = cho_solve(cho, np.eye(m))
+
+        theta1, theta2 = theta.noise_var, theta.prior_std
+        r_w = float(r @ w)
+        trace_z_inv, w_norm2 = float(np.trace(z_inv)), float(w @ w)
+        noise_term = trace_z_inv, -0.5 * w_norm2  # dZ/dtheta1 = I
+        # dZ/dtheta2 = (2/theta2)(Z - theta1 I), and Z w = r
+        prior_term = ((2.0 / theta2) * (m - theta1 * trace_z_inv),
+                      -(r_w - theta1 * w_norm2) / theta2)
+        dz3 = a @ dq3_a
+        dz3 = 0.5 * (dz3 + dz3.T)
+        ell_term = float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))
+        return (_assemble_gradient(model, theta, noise_term, prior_term, ell_term),
+                dict(report, dq=q_op.dq_count - dq_before))
+
+    # the take holds A, not Q A', which is dropped with core as this returns
+    return replace(core.evaluation, _take_gradient=take_gradient)
 
 
 def _gengk_gradient(model: MarginalModel, theta: HyperParams,
@@ -431,30 +450,33 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
     raised. Its spectral core is rescaled to (theta1, theta2) in O(k); no
     covariance is built and no operator is applied. The gradient has two
     components, since theta3 is held fixed; a value or gradient that is not
-    finite raises FloatingPointError.
+    finite raises FloatingPointError, with no numpy warning before it.
     """
     _check_taken_at(fact_unit, _unit_theta(theta.corr_length))
     theta1, theta2 = theta.noise_var, theta.prior_std
-    spec = fact_unit.spectrum.rescaled(theta1, theta2)
-    logdet_term, quad_term = spec.terms(model.nrows * np.log(model.noise_cov(theta)))
+    # an overflow at an extreme theta1 or theta2 warns nothing: the record's
+    # finiteness rule is the one error, whatever the warning filter
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spec = fact_unit.spectrum.rescaled(theta1, theta2)
+        logdet_term, quad_term = spec.terms(model.nrows * np.log(model.noise_cov(theta)))
 
-    sig2_full = spec.s_full**2
-    w_row2 = spec.p[0, :] ** 2
-    beta1sq = spec.beta1**2
-    denom_full = 1.0 + sig2_full
-    # gain = tr(Z^{-1} A Q A') = sum s^2/(1+s^2) on the projected problem;
-    # ||r||^2 and ||(UB)' r||^2 follow from the weighted orthogonality of the
-    # rescaled bases
-    gain = float(np.sum(spec.s**2 / (1.0 + spec.s**2)))
-    r_norm2 = (beta1sq / theta1) * float(np.sum(w_row2 / denom_full**2))
-    ubr_norm2 = beta1sq * float(np.sum(sig2_full * w_row2 / denom_full**2))
+        sig2_full = spec.s_full**2
+        w_row2 = spec.p[0, :] ** 2
+        beta1sq = spec.beta1**2
+        denom_full = 1.0 + sig2_full
+        # gain = tr(Z^{-1} A Q A') = sum s^2/(1+s^2) on the projected problem;
+        # ||r||^2 and ||(UB)' r||^2 follow from the weighted orthogonality of
+        # the rescaled bases
+        gain = float(np.sum(spec.s**2 / (1.0 + spec.s**2)))
+        r_norm2 = (beta1sq / theta1) * float(np.sum(w_row2 / denom_full**2))
+        ubr_norm2 = beta1sq * float(np.sum(sig2_full * w_row2 / denom_full**2))
 
-    # dR/dtheta1 = I and dQ/dtheta2 = (2/theta2) Q
-    noise_term = model.nrows / theta1 - gain / theta1, -0.5 * r_norm2
-    prior_term = 2.0 * gain / theta2, -ubr_norm2 / theta2
+        # dR/dtheta1 = I and dQ/dtheta2 = (2/theta2) Q
+        noise_term = model.nrows / theta1 - gain / theta1, -0.5 * r_norm2
+        prior_term = 2.0 * gain / theta2, -ubr_norm2 / theta2
+        gradient = _assemble_gradient(model, theta, noise_term, prior_term)
     return _evaluation(model, theta, logdet_term, quad_term, fact_unit.k,
-                       {"forward": 0, "adjoint": 0, "q": 0, "dq": 0},
-                       gradient=_assemble_gradient(model, theta, noise_term, prior_term))
+                       {"forward": 0, "adjoint": 0, "q": 0, "dq": 0}, gradient=gradient)
 
 
 def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,

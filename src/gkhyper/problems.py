@@ -68,7 +68,9 @@ def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     j <= i and zero above the diagonal: the operator is exactly lower
     triangular and every kernel evaluation happens at a strictly positive gap.
     The kernel is k(t) = (4 pi kappa^2)^{-1/2} t^{-3/2} exp(-1 / (4 kappa^2 t));
-    kappa = 1 is severely ill-posed, kappa = 5 essentially well-posed.
+    kappa = 1 is severely ill-posed, kappa = 5 essentially well-posed. A
+    kappa whose normaliser 4 pi kappa^2 is not finite raises ValueError
+    before any array is built.
 
     The size picks the kernel, at the measured crossover ``_HEAT_DENSE_MAX``
     = 256. Up to n = 256 the result is a DenseOperator of the lower-triangular
@@ -81,11 +83,15 @@ def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     """
     n = _check_count(n, "n", 2)
     _check_scale(kappa, "kappa")
+    # a finite kappa^2 can still overflow the normaliser, which would zero
+    # every entry
+    normaliser = 4.0 * math.pi * kappa**2
+    if not math.isfinite(normaliser):
+        raise ValueError(f"kappa gives an infinite heat kernel normaliser 4 pi kappa^2, "
+                         f"got kappa = {kappa!r}")
     h = 1.0 / n
     gaps = (np.arange(n) + 0.5) * h
-    column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(
-        4.0 * math.pi * kappa**2
-    )
+    column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(normaliser)
     if n <= _HEAT_DENSE_MAX:
         return DenseOperator(toeplitz(column, np.zeros(n)))
     return LowerToeplitzOperator(column)

@@ -176,6 +176,19 @@ def test_bad_numbers_exit_one_before_any_build(tmp_path, monkeypatch, capsys, pa
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+def test_kappa_whose_kernel_normaliser_overflows_exits_one(tmp_path, capsys):
+    # the config passes kappa = 1e154 (its square is finite); the build
+    # refuses it by name, before the data are made
+    cfg = write_config(tmp_path, {**SMALL_HEAT, "problem": {**SMALL_HEAT["problem"],
+                                                            "kappa": 1.0e154}})
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid run:") and "kappa" in err
+    assert "clean data is zero" not in err
+
+
 # --- one home for each input rule: the records refuse what the config refuses
 
 BOUNDS = [[1e-10, 1.0], [1e-3, 10.0], [5e-3, 0.5]]

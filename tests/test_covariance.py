@@ -393,6 +393,46 @@ def test_1d_real_transforms_match_the_complex_embedding(rng, n, ell, clipped):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def _transform_reference(q, eig, x):
+    # the transforms of the FFT backends on the whole block: fftn(s=, axes=)
+    # and a per-axis ifft cropped after each pass on a 2-d grid, rfft and
+    # irfft on a line
+    p = x.shape[1]
+    if q.grid.ndim == 1:
+        length = 2 * q.ncols
+        spectra = np.fft.rfft(x.T, n=length, axis=1)
+        return np.fft.irfft(eig * spectra, n=length, axis=1)[:, :q.ncols].T
+    fields = x.T.reshape(p, *q.grid.shape)
+    spectra = eig * np.fft.fftn(fields, s=[2 * s for s in q.grid.shape], axes=(1, 2))
+    for axis in (2, 1):
+        crop = (slice(None),) * axis + (slice(0, q.grid.shape[axis - 1]),)
+        spectra = np.fft.ifft(spectra, axis=axis)[crop]
+    return spectra.real.reshape(p, -1).T
+
+
+TRANSFORM_GRIDS = (((64,), 0.1), ((257,), 0.2), ((2048,), 0.05), ((8, 8), 0.2),
+                   ((24, 24), 0.08), ((32, 32), 0.3), ((16,), 0.9))
+
+
+@pytest.mark.parametrize("shape,ell", TRANSFORM_GRIDS)
+def test_chunked_applies_keep_the_whole_block_transform_bits(rng, shape, ell):
+    # across the 16-column chunk edge, Q, the paired Q and dQ/dtheta3 and the
+    # dQ/dtheta3-only apply keep the bits of the transforms taken on the whole
+    # block; so the dQ/dtheta3-only apply has the paired apply's second output
+    grid = RegularGrid(shape, tuple(1 / s for s in shape))
+    q = build_cov_operator(grid, MaternKernel(1.5, 0.64, ell))
+    if shape == (16,):
+        assert q.clipped  # the clipped embedding
+    for p in BLOCK_WIDTHS:
+        x = rng.standard_normal((q.ncols, p + 1))[:, :p]
+        q_ref, dq_ref = (_transform_reference(q, eig, x) for eig in (q._data, q._ell_data))
+        q_x, dq_x = q.apply_block_with_theta3_derivative(x)
+        for got, want in ((q.apply_block(x), q_ref), (q_x, q_ref), (dq_x, dq_ref),
+                          (q.apply_theta3_derivative_block(x), dq_ref)):
+            assert got.shape == (q.ncols, p) and got.flags.c_contiguous
+            assert np.array_equal(got, want), (shape, p)
+
+
 def test_apply_block_counts_p_applies_per_operator(rng):
     q = build_cov_operator(RegularGrid((6, 6), (0.2, 0.2)), MaternKernel(1.5, 1.0, 0.3))
     q.apply_block_with_theta3_derivative(rng.standard_normal((36, 17)))
@@ -403,7 +443,8 @@ def test_apply_block_counts_p_applies_per_operator(rng):
 
 def test_dq_count_counts_the_theta3_derivative_columns_only(rng):
     # p per call of apply_block_with_theta3_derivative, on both backends;
-    # apply and apply_block apply Q alone
+    # apply and apply_block apply Q alone, and apply_theta3_derivative_block
+    # dQ/dtheta3 alone
     for geometry in (RegularGrid((6, 6), (0.2, 0.2)), rng.uniform(0, 1, (36, 2))):
         q = build_cov_operator(geometry, MaternKernel(1.5, 1.0, 0.3))
         q.apply(rng.standard_normal(36))
@@ -413,14 +454,17 @@ def test_dq_count_counts_the_theta3_derivative_columns_only(rng):
         assert q.dq_count == 17
         q.apply_block_with_theta3_derivative(rng.standard_normal((36, 2)))
         assert (q.dq_count, q.matvec_count.snapshot()) == (19, (1 + 3 + 19, 0))
+        q.apply_theta3_derivative_block(rng.standard_normal((36, 5)))
+        assert (q.dq_count, q.matvec_count.snapshot()) == (24, (1 + 3 + 19, 0))
 
 
 def test_apply_block_empty_block(rng):
     q = build_cov_operator(RegularGrid((8,), (0.1,)), MaternKernel(1.5, 1.0, 0.3))
     for out in (q.apply_block(np.zeros((8, 0))),
-                *q.apply_block_with_theta3_derivative(np.zeros((8, 0)))):
+                *q.apply_block_with_theta3_derivative(np.zeros((8, 0))),
+                q.apply_theta3_derivative_block(np.zeros((8, 0)))):
         assert out.shape == (8, 0)
-    assert q.matvec_count.snapshot() == (0, 0)
+    assert q.matvec_count.snapshot() == (0, 0) and q.dq_count == 0
 
 
 def test_apply_block_rejects_bad_input_before_any_transform(monkeypatch, rng):
@@ -435,9 +479,10 @@ def test_apply_block_rejects_bad_input_before_any_transform(monkeypatch, rng):
     bad_values[5, 1] = np.nan
     for bad in (rng.standard_normal((15, 3)), rng.standard_normal(16),
                 rng.standard_normal((16, 3, 1)), bad_values, np.where(good > 0, np.inf, good)):
-        for apply in (q.apply_block, q.apply_block_with_theta3_derivative):
+        for apply in (q.apply_block, q.apply_block_with_theta3_derivative,
+                      q.apply_theta3_derivative_block):
             with pytest.raises(ValueError):
                 apply(bad)
-    assert q.matvec_count.snapshot() == (0, 0)
+    assert q.matvec_count.snapshot() == (0, 0) and q.dq_count == 0
     # nor is the dQ/dtheta3 embedding built for it
     assert "_ell_data" not in vars(q)

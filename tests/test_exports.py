@@ -77,11 +77,14 @@ def test_every_objective_record_is_built_by_one_constructor():
     assert _package_calls("ObjectiveEvaluation") == ["marginal._evaluation"]
 
 
-def test_theta3_derivative_is_applied_only_by_the_products_and_the_dense_assembly():
+def test_theta3_derivative_is_applied_only_by_the_products_and_the_exact_gradient():
     # a factorization caches its dQ V products, which its truncations share,
-    # and the dense oracles read one assembly; no other path applies dQ/dtheta3
+    # and the dense oracle takes dQ/dtheta3 A' on its gradient's first read;
+    # the dense assembly takes values only, and no other path applies dQ/dtheta3
     assert _package_reads("apply_block_with_theta3_derivative") == [
-        "gengk.GenGKFactorization._products", "marginal._dense_assembly"]
+        "gengk.GenGKFactorization._products"]
+    assert _package_reads("apply_theta3_derivative_block") == [
+        "marginal.objective_exact.take_gradient"]
 
 
 def test_the_count_rule_has_one_home():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -201,7 +203,7 @@ def test_exact_objective_builds_q_once(rng, monkeypatch):
         return build_cov_operator(*args, **kwargs)
 
     monkeypatch.setattr(marginal, "build_cov_operator", counting_build)
-    objective_exact(make_dense_model(rng), HyperParams(np.array([0.2, 1.1, 0.4])))
+    objective_exact(make_dense_model(rng), HyperParams(np.array([0.2, 1.1, 0.4]))).gradient
     assert len(builds) == 1
 
 
@@ -666,37 +668,127 @@ def test_gengk_gradient_is_taken_once_on_first_read(model, monkeypatch):
         assert ev._take_gradient is None
 
 
+def _dense_guard_models():
+    # the guard models and a dense 5 x 4 point set, on which Q takes the
+    # dense backend
+    rng = np.random.default_rng(5)
+    points = RegularGrid((5, 4), (0.2, 0.25)).points()
+    forward = DenseOperator(rng.standard_normal((12, 20)) / np.sqrt(20))
+    point_set = MarginalModel(forward=forward, data=forward.apply(rng.standard_normal(20)),
+                              geometry=points, nu=1.5)
+    return _guard_models() + [point_set]
+
+
+def _eager_exact(model, theta):
+    # objective_exact as it was when it took its gradient at once: one paired
+    # block apply gives Q A' and dQ/dtheta3 A', and the value and gradient
+    # follow in that order
+    a = dense_matrix(model.forward)
+    qa, dq3_a = model.prior_cov(theta).apply_block_with_theta3_derivative(a.T)
+    r, m = a @ model.mean_vector() - model.data, model.nrows
+    z = a @ qa
+    z[np.diag_indices_from(z)] += theta.noise_var
+    cho = cho_factor(0.5 * (z + z.T), lower=True)
+    w = cho_solve(cho, r)
+    neglogprior, hgrad = model.hyperprior.neglog(theta.values)
+    value = neglogprior + float(np.sum(np.log(np.diag(cho[0])))) + 0.5 * float(r @ w)
+    z_inv = cho_solve(cho, np.eye(m))
+    theta1, theta2 = theta.noise_var, theta.prior_std
+    r_w = float(r @ w)
+    trace_z_inv, w_norm2 = float(np.trace(z_inv)), float(w @ w)
+    dz3 = a @ dq3_a
+    dz3 = 0.5 * (dz3 + dz3.T)
+    terms = ((trace_z_inv, -0.5 * w_norm2),
+             ((2.0 / theta2) * (m - theta1 * trace_z_inv), -(r_w - theta1 * w_norm2) / theta2),
+             (float(np.sum(z_inv * dz3)), -0.5 * float(w @ (dz3 @ w))))
+    return [value, *(h + 0.5 * trace + quad for h, (trace, quad) in zip(hgrad, terms))]
+
+
+def _refuse_derivative(*args):
+    raise AssertionError("dQ/dtheta3 was applied")
+
+
+def _keep_prior_cov(monkeypatch):
+    # the covariances the model builds, in order
+    built = []
+    prior_cov = MarginalModel.prior_cov
+
+    def keep(self, theta):
+        built.append(prior_cov(self, theta))
+        return built[-1]
+
+    monkeypatch.setattr(MarginalModel, "prior_cov", keep)
+    return built
+
+
+@pytest.mark.parametrize("model", _dense_guard_models(), ids=["heat64", "ray8", "points5x4"])
+def test_exact_value_is_read_without_applying_the_derivative(model, monkeypatch):
+    theta = HyperParams(np.array(GUARD_THETAS[1]))
+    want = _eager_exact(model, theta)[0]
+    built = _keep_prior_cov(monkeypatch)
+    for name in ("apply_theta3_derivative_block", "apply_block_with_theta3_derivative"):
+        monkeypatch.setattr(CovarianceOperator, name, _refuse_derivative)
+    ev = objective_exact(model, theta)
+    assert ev.value.hex() == want.hex()
+    (q,) = built
+    assert q.dq_count == 0 and q.matvec_count.snapshot() == (model.nrows, 0)
+
+
+@pytest.mark.parametrize("model", _dense_guard_models(), ids=["heat64", "ray8", "points5x4"])
+def test_exact_gradient_is_taken_once_on_first_read(model, monkeypatch):
+    m = model.nrows
+    for values in GUARD_THETAS:
+        theta = HyperParams(np.array(values))
+        want = [x.hex() for x in _eager_exact(model, theta)]
+        with monkeypatch.context() as patch:
+            built = _keep_prior_cov(patch)
+            ev = objective_exact(model, theta)
+            (q,) = built
+            assert ev._take_gradient is not None and q.dq_count == 0
+            got = ev.gradient
+            assert [x.hex() for x in (ev.value, *got)] == want
+            assert ev._take_gradient is None
+            report = dict(ev.matvec_report)
+            assert (report["q"], report["dq"]) == (m, m) and q.dq_count == m
+            # a second read applies nothing
+            patch.setattr(CovarianceOperator, "apply_theta3_derivative_block",
+                          _refuse_derivative)
+            assert ev.gradient is got
+            assert ev.matvec_report == report and q.dq_count == m
+            assert q.matvec_count.snapshot() == (m, 0)
+
+
 @pytest.mark.parametrize("path", ["objective_exact", "objective_rescaled", "objective_gengk"])
 def test_gengk_gradient_that_is_not_finite_raises_on_each_read(monkeypatch, path):
     # the record holds the one finiteness rule for every path: a gradient
-    # given at once raises as the record is built, the genGK gradient, taken
-    # on first read, on each read of .gradient
+    # given at once raises as the record is built, the dense and the genGK
+    # gradients, taken on first read, on each read of .gradient
     model = _guard_models()[0]
     theta = HyperParams(np.array(GUARD_THETAS[0]))
     unit = precompute_two_param(model, theta.corr_length, 8)
     monkeypatch.setattr(marginal, "_assemble_gradient", lambda *args: np.full(3, np.nan))
-    if path == "objective_exact":
-        with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            objective_exact(model, theta)
-    elif path == "objective_rescaled":
+    if path == "objective_rescaled":
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
             objective_rescaled(model, theta, unit)
     else:
-        ev = objective_gengk(model, theta, 8)
+        ev = (objective_exact(model, theta) if path == "objective_exact"
+              else objective_gengk(model, theta, 8))
         assert np.isfinite(ev.value)
         for _ in range(2):
             with pytest.raises(FloatingPointError, match="non-finite gradient"):
                 ev.gradient
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_rescaled_gradient_that_overflows_raises():
-    # theta1 = 1e-200 gives a finite value but a theta1 component of -inf
+    # theta1 = 1e-200 gives a finite value but a theta1 component of -inf; the
+    # record's FloatingPointError is the one error, even when warnings raise
     prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
     model = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
     unit = precompute_two_param(model, 0.1, 20)
-    with pytest.raises(FloatingPointError, match="non-finite gradient"):
-        objective_rescaled(model, HyperParams(np.array([1e-200, 1.0, 0.1])), unit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            objective_rescaled(model, HyperParams(np.array([1e-200, 1.0, 0.1])), unit)
 
 
 @pytest.mark.parametrize("model", _guard_models(), ids=["heat64", "ray8"])

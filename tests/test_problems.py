@@ -111,6 +111,22 @@ def test_kappa_and_noise_level_must_be_finite(bad):
         add_noise(np.ones(5), bad, seed=0)
 
 
+def test_kappa_whose_normaliser_overflows_is_refused_before_any_build(monkeypatch):
+    # kappa^2 is finite at 1e154 but 4 pi kappa^2 is not, which used to zero
+    # every entry; at 1e100 the entries are tiny but not zero
+    def no_build(*args):
+        raise AssertionError("an operator was built")
+
+    with monkeypatch.context() as patch:
+        for name in ("DenseOperator", "LowerToeplitzOperator"):
+            patch.setattr(problems, name, no_build)
+        for n in (64, 512):
+            with pytest.raises(ValueError, match="kappa"):
+                heat_1d(n, kappa=1e154)
+    for n in (64, 512):
+        assert np.max(np.abs(dense_matrix(heat_1d(n, kappa=1e100)))) > 0.0
+
+
 # --- ray tomography
 
 
