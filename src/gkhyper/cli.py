@@ -20,7 +20,7 @@ from scipy.linalg import LinAlgError
 
 from .config import ConfigError, RunConfig, load_config
 # gengk_bidiag is not called here: perfbench/test_perfbench.py asserts the name
-from .gengk import gengk_bidiag, truncate_factorization
+from .gengk import gengk_bidiag
 from .marginal import (
     HyperParams,
     Hyperprior,
@@ -144,7 +144,7 @@ def cmd_monitor(cfg: RunConfig) -> dict[str, str]:
 
     rows = []
     for k in range(1, fact.k + 1):
-        approx = objective_gengk(model, theta, k, fact=truncate_factorization(fact, k))
+        approx = objective_gengk(model, theta, k, fact=fact)
         if model.dense_ok:
             abs_err = abs(exact.value - approx.value)
             re_obj = abs_err / abs(exact.value)

@@ -40,7 +40,7 @@ from scipy.optimize import minimize
 from .gengk import GenGKFactorization, _check_noise_var, gengk_bidiag, truncate_factorization
 from .marginal import (HyperParams, MarginalModel, _check_taken_at, _dense_assembly,
                        _unit_theta, objective_gengk, objective_rescaled)
-from .operators import _check_count
+from .operators import _check_count, _check_vector
 
 __all__ = [
     "OptimizeOptions",
@@ -263,7 +263,8 @@ def map_reconstruct(model: MarginalModel, theta: HyperParams,
     """Projected MAP estimate s = mu + Q V_k z with (I + T_k) z = B' beta1 e1.
 
     Without a supplied factorization, model.factorize(theta, k) is run; a
-    supplied one must have been taken at theta, or a ValueError is raised.
+    supplied one must have been taken at theta on the model's operator, or a
+    ValueError is raised.
     With a supplied factorization, k reads its leading k steps (k = None keeps
     all of them), and a k outside [0, fact.k] raises ValueError. The cached
     Q V columns make the final synthesis free of extra covariance applies.
@@ -271,12 +272,11 @@ def map_reconstruct(model: MarginalModel, theta: HyperParams,
     """
     with _blas_on_calling_thread():
         if fact is not None:
-            _check_taken_at(fact, theta)
-            if k is not None:
-                fact = truncate_factorization(fact, k)
+            _check_taken_at(model, fact, theta)
+            fact = truncate_factorization(fact, fact.k if k is None else k)
+        elif k is None:
+            raise ValueError("either k or an existing factorization is required")
         else:
-            if k is None:
-                raise ValueError("either k or an existing factorization is required")
             fact = model.factorize(theta, k)
         z = fact.spectrum.coefficients()
         return model.mean_vector() + fact.qv_basis[:, : fact.k] @ z
@@ -304,17 +304,18 @@ def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,
     (theta1, theta2), so the sweep takes one SVD in all. Requires the ground
     truth (synthetic problems only). Returns (best_lambda, re_curve) with
     re_curve of shape (len(grid), 2) holding (lambda, RE). A factorization
-    not taken at (1, 1, ell), or a theta1 that the noise-variance rule
-    refuses, raises ValueError before any work.
+    not taken at (1, 1, ell) on the model's operator, a theta1 that the
+    noise-variance rule refuses, or an s_true that is not a finite vector of
+    length n, raises ValueError before any work.
     """
     theta1 = _check_noise_var(theta1)
-    _check_taken_at(fact_hat, _unit_theta(fact_hat.q_op.kernel.ell))
+    _check_taken_at(model, fact_hat, _unit_theta(fact_hat.q_op.kernel.ell))
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ValueError("lambda grid is empty")
     if not np.all((0.0 < lambda_grid) & (lambda_grid < np.inf)):
         raise ValueError(f"lambda values must be finite and positive, got {lambda_grid}")
-    s_true = np.asarray(s_true, dtype=float)
+    s_true = _check_vector(s_true, model.ncols, "s_true")
     s_norm = np.linalg.norm(s_true)
     if s_norm == 0:
         raise ValueError("ground truth must be nonzero")

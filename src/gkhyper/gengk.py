@@ -8,13 +8,13 @@ theta1; no square roots or inverses of Q are ever formed. Weighted norms use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .covariance import CovarianceOperator
-from .operators import LinearOperatorHandle, _check_count
+from .operators import LinearOperatorHandle, _check_count, _check_vector
 
 __all__ = [
     "BidiagSpectrum",
@@ -114,13 +114,14 @@ class GenGKFactorization:
 
     spectrum is the SVD of the bidiagonal, taken on first use and cached; it
     is the one spectral core that the objective, gradient, MAP coefficients
-    and two-parameter fast path read. The derivative products dQ/dtheta2 V_K
-    and dQ/dtheta3 V_K that the gradient reads are cached the same way: one
-    q_op block apply on first use (Q V_K, scaled by 2/theta2, and dQ/dtheta3
-    V_K), counted on q_op. A truncation records its root, the untruncated
-    factorization, and shares the root's noise_var, q_op and products, of
-    which dq_basis reads the leading k columns. The arrays are not to be
-    modified once either has been taken.
+    and two-parameter fast path read. The derivative products dq_basis,
+    (dQ/dtheta2 V_k, dQ/dtheta3 V_k), that the gradient reads are cached the
+    same way: one q_op block apply on first use (Q V_k, scaled by 2/theta2,
+    and dQ/dtheta3 V_k), counted on q_op. Every factorization takes its own,
+    a truncation too; a column's bits do not depend on the block it is
+    applied in, so a truncation's products are the leading columns of its
+    parent's bit for bit. The arrays are not to be modified once either has
+    been taken.
     """
 
     u_basis: np.ndarray
@@ -132,8 +133,6 @@ class GenGKFactorization:
     q_op: CovarianceOperator
     noise_var: float
     breakdown_at: int | None = None
-    # the untruncated factorization a truncation was cut from; None on it
-    _root: GenGKFactorization | None = field(default=None, repr=False, compare=False)
 
     @property
     def beta1(self) -> float:
@@ -151,14 +150,11 @@ class GenGKFactorization:
         return BidiagSpectrum(p, s, s_full, wt.T, self.beta1)
 
     @cached_property
-    def _products(self) -> tuple[np.ndarray, np.ndarray]:
+    def dq_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dQ/dtheta2 V_k, dQ/dtheta3 V_k) of q_op, by one block apply on V_k."""
         q_v, dq3_v = self.q_op.apply_block_with_theta3_derivative(self.v_basis[:, : self.k])
         q_v *= 2.0 / self.q_op.kernel.prior_std
         return q_v, dq3_v
-
-    def dq_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dQ/dtheta2 V_k, dQ/dtheta3 V_k) of q_op: leading-k views of the root's products."""
-        return tuple(block[:, : self.k] for block in (self._root or self)._products)
 
     def cov_applies(self) -> tuple[int, int]:
         """(Q column applies, dQ/dtheta3 column applies) made on q_op so far."""
@@ -186,8 +182,9 @@ def gengk_bidiag(A: LinearOperatorHandle, R: float,
     """Run k steps of generalized Golub-Kahan bidiagonalization.
 
     R is the noise variance theta1 of the noise covariance R = theta1 I; one
-    that is not finite and positive, or a step count k the one count rule
-    refuses as nonnegative, raises ValueError before any apply.
+    that is not finite and positive, a step count k the one count rule
+    refuses as nonnegative, or data d that is not a finite vector of length
+    m, raises ValueError before any apply.
     Step 0 is the initialization, taken by the same loop body as every later
     step: its forward residual is d - A mu, and its adjoint half has no
     previous v to subtract or reorthogonalize against. Requires
@@ -202,8 +199,8 @@ def gengk_bidiag(A: LinearOperatorHandle, R: float,
     k = _check_count(k, "k", 0)
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
+    d = _check_vector(d, m, "data")
     mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
-    d = np.asarray(d, dtype=float)
 
     # working bases; columns past the last step taken stay zero, and ru_basis
     # holds R^{-1} U = U / R
@@ -269,38 +266,32 @@ def gengk_bidiag(A: LinearOperatorHandle, R: float,
 
 
 def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorization:
-    """View of the leading k iterations of an existing factorization, for a k
-    of at most fact.k that the one count rule passes as nonnegative.
+    """fact read at its leading k iterations, for a k of at most fact.k that
+    the one count rule passes as nonnegative; any other k raises ValueError.
 
-    The truncation records fact's root (fact itself, unless fact is a
-    truncation) and shares its noise_var, q_op and derivative products, not
-    copies of them: the first read of dq_basis takes the products for all of
-    the root's columns, and every later one reads its leading k columns from
-    them.
+    At k = fact.k this is fact itself, with whatever it has cached. Below it,
+    a plain view: the leading columns and coefficients of fact's arrays, its
+    noise_var and q_op, and a spectrum and derivative products of its own,
+    taken on first use.
     """
     k = _check_count(k, "k", 0)
     if k > fact.k:
         raise ValueError(f"k must lie in [0, {fact.k}]")
-    return GenGKFactorization(
-        u_basis=fact.u_basis[:, : k + 1],
-        v_basis=fact.v_basis[:, : k + 1],
-        qv_basis=fact.qv_basis[:, : k + 1],
-        alphas=fact.alphas[: k + 1],
-        betas=fact.betas[: k + 1],
-        k=k,
-        q_op=fact.q_op,
-        noise_var=fact.noise_var,
-        breakdown_at=fact.breakdown_at if (fact.breakdown_at or 0) <= k else None,
-        _root=fact._root or fact,
-    )
+    if k == fact.k:
+        return fact
+    return replace(fact, u_basis=fact.u_basis[:, : k + 1], v_basis=fact.v_basis[:, : k + 1],
+                   qv_basis=fact.qv_basis[:, : k + 1], alphas=fact.alphas[: k + 1],
+                   betas=fact.betas[: k + 1], k=k,
+                   breakdown_at=fact.breakdown_at if (fact.breakdown_at or 0) <= k else None)
 
 
 def verify_relations(fact: GenGKFactorization, A, mu, d):
     """Relative residuals of the three bidiagonalization relations.
 
-    R and Q are the ones the factorization was taken with. A Q V_k and
-    A' R^{-1} U_{k+1} are taken by block applies (k forward, k Q and k + 1
-    adjoint applies).
+    R and Q are the ones the factorization was taken with. Bases whose rows
+    do not match A, or data d that is not a finite vector of length m, raise
+    ValueError before any apply. A Q V_k and A' R^{-1} U_{k+1} are taken by
+    block applies (k forward, k Q and k + 1 adjoint applies).
 
     Returns (r_init, r_forward, r_adjoint):
       U_{k+1} beta1 e1 = d - A mu,
@@ -309,9 +300,9 @@ def verify_relations(fact: GenGKFactorization, A, mu, d):
     """
     m, n = A.shape
     mu = np.zeros(n) if mu is None else np.asarray(mu, dtype=float)
-    d = np.asarray(d, dtype=float)
     if fact.u_basis.shape[0] != m or fact.v_basis.shape[0] != n:
         raise ValueError("factorization shapes do not match the operator")
+    d = _check_vector(d, m, "data")
     k = fact.k
     b = fact.bidiagonal()
 

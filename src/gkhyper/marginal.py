@@ -26,18 +26,18 @@ log-determinant and quadratic terms come from BidiagSpectrum.terms, and the
 gradient takes its projected pieces from the same P, s and W. Its derivative
 products dQ/dtheta_i V_k come from the factorization too
 (GenGKFactorization.dq_basis), taken with the Q the factorization carries:
-one block apply, whose columns Q counts, gives Q V_K and dQ/dtheta3 V_K, and
-dQ/dtheta2 V_K = (2/theta2) Q V_K. They are cached like the spectrum and shared
-by its truncations, so a sweep of objective_gengk over k builds no covariance
-and applies Q and dQ/dtheta3 to V_K once. objective_gengk computes its value
-terms at once and takes its gradient on the first read of .gradient (or of
+one block apply, whose columns Q counts, gives Q V_k and dQ/dtheta3 V_k, and
+dQ/dtheta2 V_k = (2/theta2) Q V_k; they are cached like the spectrum. A
+supplied factorization is read at k by gengk.truncate_factorization, as
+estimate.map_reconstruct reads it. objective_gengk computes its value terms at
+once and takes its gradient on the first read of .gradient (or of
 .matvec_report, which covers value and gradient), as objective_exact does, so
-a sweep over k that reads only values applies no dQ and forms no Gram of the
-gradient. objective_rescaled is the fast path with theta3 fixed: since R =
-theta1 I and Q = theta2^2 Q0(theta3), a factorization taken at (1, 1, theta3)
-rescales exactly to any (theta1, theta2), so the objective and its (theta1,
-theta2) gradient cost O(k) and apply no operator; it gives its gradient at
-once.
+a sweep over k that reads only values builds no covariance, applies no Q or
+dQ and forms no Gram of the gradient. objective_rescaled is the fast path
+with theta3 fixed: since R = theta1 I and Q = theta2^2 Q0(theta3), a
+factorization taken at (1, 1, theta3) rescales exactly to any (theta1,
+theta2), so the objective and its (theta1, theta2) gradient cost O(k) and
+apply no operator; it gives its gradient at once.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .covariance import CovarianceOperator, MaternKernel, build_cov_operator, normalize_geometry
-from .gengk import GenGKFactorization, gengk_bidiag
+from .gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
 from .operators import LinearOperatorHandle, _check_count, _check_scale, dense_matrix
 
 __all__ = [
@@ -423,12 +423,16 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
         return (float(np.sum(np.diag(w_mat.T @ psi_q @ w_mat) * gain)),
                 -0.5 * float((ub @ (psi_q @ ub_t_r)) @ r_vec))
 
-    dq2_vk, dq3_vk = fact.dq_basis()
+    dq2_vk, dq3_vk = fact.dq_basis
     return _assemble_gradient(model, theta, noise_term, q_term(dq2_vk), q_term(dq3_vk))
 
 
-def _check_taken_at(fact: GenGKFactorization, theta: HyperParams) -> None:
-    # theta must give the R and Q the factorization carries
+def _check_taken_at(model: MarginalModel, fact: GenGKFactorization, theta: HyperParams) -> None:
+    # the one rule for a supplied factorization: bases with the model's m and
+    # n rows, and the R and Q that theta gives
+    if (fact.u_basis.shape[0], fact.v_basis.shape[0]) != model.forward.shape:
+        raise ValueError("the factorization's bases do not have the model's "
+                         f"m = {model.nrows} and n = {model.ncols} rows")
     kernel = fact.q_op.kernel
     if (fact.noise_var != theta.noise_var or kernel.sigma2 != theta.prior_std**2
             or kernel.ell != theta.corr_length):
@@ -446,13 +450,14 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
                        fact_unit: GenGKFactorization) -> ObjectiveEvaluation:
     """Approximate objective and (theta1, theta2) gradient from a unit run.
 
-    fact_unit must have been computed at (1, 1, theta3), or a ValueError is
-    raised. Its spectral core is rescaled to (theta1, theta2) in O(k); no
-    covariance is built and no operator is applied. The gradient has two
-    components, since theta3 is held fixed; a value or gradient that is not
-    finite raises FloatingPointError, with no numpy warning before it.
+    fact_unit must have been computed at (1, 1, theta3) on the model's
+    operator, or a ValueError is raised. Its spectral core is rescaled to
+    (theta1, theta2) in O(k); no covariance is built and no operator is
+    applied. The gradient has two components, since theta3 is held fixed; a
+    value or gradient that is not finite raises FloatingPointError, with no
+    numpy warning before it.
     """
-    _check_taken_at(fact_unit, _unit_theta(theta.corr_length))
+    _check_taken_at(model, fact_unit, _unit_theta(theta.corr_length))
     theta1, theta2 = theta.noise_var, theta.prior_std
     # an overflow at an extreme theta1 or theta2 warns nothing: the record's
     # finiteness rule is the one error, whatever the warning filter
@@ -484,29 +489,32 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
     """Approximate objective and gradient from k bidiagonalization steps.
 
     When fact is omitted, model.factorize(theta, k) is run fresh (the
-    per-evaluation cost model assumes this). A supplied factorization must
-    have been computed at the same theta: its R and Q are used as they are,
-    and a ValueError is raised, before any apply, when R's variance is not
-    theta1 or Q's variance or correlation length is not theta2^2 or theta3.
-    The value terms are computed at once from the factorization's spectral
-    core. The gradient is taken on the first read of .gradient or
-    .matvec_report, with a FloatingPointError there if it is not finite, so a
-    caller that reads only values applies no dQ and forms no Gram. The
-    derivative products are read from the factorization's cache, so in a
-    sweep over truncations of one factorization only the first gradient read
-    applies Q and dQ/dtheta3 to V_K. matvec_report covers value and gradient:
-    the forward and adjoint applies of this call and the Q and dQ/dtheta3
-    columns of a fresh factorization and of the gradient's own take. k_used
-    is the factorization's k.
+    per-evaluation cost model assumes this). A supplied factorization is read
+    at its leading k steps by truncate_factorization, as map_reconstruct
+    reads it: at k = fact.k that is fact itself, with its cached spectrum and
+    products. It must have been computed on the model's operator at the same
+    theta: its R and Q are used as they are, and a ValueError is raised,
+    before any apply, when its bases do not have the model's m and n rows,
+    when R's variance is not theta1 or Q's variance or correlation length is
+    not theta2^2 or theta3, or when k is not in [0, fact.k]. The value terms
+    are computed at once from the spectral core. The gradient is taken on the
+    first read of .gradient or .matvec_report, with a FloatingPointError there
+    if it is not finite, so a caller that reads only values applies no dQ and
+    forms no Gram; the derivative products are taken then, k Q and k
+    dQ/dtheta3 columns, unless the factorization read has them cached.
+    matvec_report covers value and gradient: the forward and adjoint applies
+    of this call and the Q and dQ/dtheta3 columns of a fresh factorization
+    and of the gradient's own take. k_used is the k of the factorization
+    read.
     """
     before = model.forward.matvec_count.snapshot()
     if fact is None:
         fact = model.factorize(theta, k)
-        q_applied = fact.cov_applies()[0]
+        report = _count_delta(model.forward, before, q=fact.cov_applies()[0])
     else:
-        q_applied = 0
-    _check_taken_at(fact, theta)
-    report = _count_delta(model.forward, before, q=q_applied)
+        _check_taken_at(model, fact, theta)
+        fact = truncate_factorization(fact, k)
+        report = _count_delta(model.forward, before)
 
     def take_gradient() -> tuple[np.ndarray, dict]:
         q_before, dq_before = fact.cov_applies()

@@ -454,6 +454,28 @@ def test_lambda_sweep_rejects_a_noise_variance_that_is_not_finite_and_positive(b
         optimal_lambda_sweep(model, fact_hat, prob.s_true, np.array([0.5, 2.0]), bad)
 
 
+BAD_TRUTHS = {
+    # an (n, 1) truth gave the norm of an n x n broadcast difference, and a
+    # scalar or length-1 one broadcast too
+    "scalar": lambda s: s[0],
+    "length-1": lambda s: s[:1],
+    "column": lambda s: s[:, None],
+    "short": lambda s: s[:-1],
+    "nan": lambda s: np.where(np.arange(s.shape[0]) == 3, np.nan, s),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TRUTHS))
+def test_lambda_sweep_refuses_a_truth_that_is_not_a_finite_n_vector(bad):
+    prob, model, ell = heat_two_param_setup()
+    fact_hat = precompute_two_param(model, ell, 8)
+    with pytest.raises(ValueError, match="s_true"):
+        optimal_lambda_sweep(model, fact_hat, BAD_TRUTHS[bad](prob.s_true),
+                             np.array([0.5, 2.0]), 1e-5)
+    # refused before the spectrum was taken
+    assert "spectrum" not in vars(fact_hat)
+
+
 def test_lambda_sweep_needs_a_unit_factorization():
     prob, model, ell = heat_two_param_setup()
     for values in ((1e-5, 1.0, ell), (1.0, 0.5, ell)):

@@ -78,13 +78,20 @@ def test_every_objective_record_is_built_by_one_constructor():
 
 
 def test_theta3_derivative_is_applied_only_by_the_products_and_the_exact_gradient():
-    # a factorization caches its dQ V products, which its truncations share,
-    # and the dense oracle takes dQ/dtheta3 A' on its gradient's first read;
-    # the dense assembly takes values only, and no other path applies dQ/dtheta3
+    # each factorization caches its own dQ V products, and the dense oracle
+    # takes dQ/dtheta3 A' on its gradient's first read; the dense assembly
+    # takes values only, and no other path applies dQ/dtheta3
     assert _package_reads("apply_block_with_theta3_derivative") == [
-        "gengk.GenGKFactorization._products"]
+        "gengk.GenGKFactorization.dq_basis"]
     assert _package_reads("apply_theta3_derivative_block") == [
         "marginal.objective_exact.take_gradient"]
+
+
+def test_a_supplied_factorization_is_read_at_k_by_one_rule():
+    # objective_gengk and map_reconstruct read a supplied factorization at k
+    # through truncate_factorization; nothing else in the package truncates
+    assert _package_calls("truncate_factorization") == ["estimate.map_reconstruct",
+                                                        "marginal.objective_gengk"]
 
 
 def test_the_count_rule_has_one_home():

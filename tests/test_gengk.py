@@ -187,37 +187,50 @@ def test_oversized_k_rejected(rng):
 def test_truncate_factorization(rng):
     A, R, Q, d = random_setup(rng, 10, 8)
     fact = gengk_bidiag(A, R, Q, None, d, 6)
+    assert truncate_factorization(fact, 6) is fact
     sub = truncate_factorization(fact, 3)
     assert sub.k == 3
     assert sub.u_basis.shape == (10, 4)
     assert np.array_equal(sub.alphas, fact.alphas[:4])
-    # the truncation shares the R, the Q and the derivative products of fact
+    # the truncation reads the R and the Q of fact, and takes derivative
+    # products of its own: one block of its 3 columns, after the 7 Q applies
+    # of the bidiagonalization
     assert sub.noise_var == fact.noise_var == R
     assert sub.q_op is fact.q_op is Q
-    for got, full in zip(sub.dq_basis(), fact.dq_basis()):
-        # the leading columns of fact's one cached block, read in place
-        assert full.flags.c_contiguous and np.shares_memory(got, full)
-        assert np.array_equal(got, full[:, :3])
-    assert fact.cov_applies() == (7 + 6, 6)
+    got = sub.dq_basis
+    assert fact.cov_applies() == (7 + 3, 3)
+    for block, full in zip(got, fact.dq_basis):
+        # the leading columns of fact's products, bit for bit
+        assert block.flags.c_contiguous and not np.shares_memory(block, full)
+        assert np.array_equal(block, full[:, :3])
+    assert fact.cov_applies() == (7 + 3 + 6, 3 + 6)
     res = verify_relations(sub, A, None, d)
     assert all(x < 1e-12 for x in res)
-    with pytest.raises(ValueError):
+    before = A.matvec_count.snapshot(), fact.cov_applies()
+    with pytest.raises(ValueError, match="must lie in"):
         truncate_factorization(fact, 7)
+    assert (A.matvec_count.snapshot(), fact.cov_applies()) == before
 
 
-def test_truncation_of_a_truncation_reads_the_root_products(rng):
+def test_truncation_of_a_truncation_takes_its_own_products(rng):
     A, R, Q, d = random_setup(rng, 10, 8)
     fact = gengk_bidiag(A, R, Q, None, d, 6)
     sub = truncate_factorization(fact, 4)
     subsub = truncate_factorization(sub, 2)
-    got = subsub.dq_basis()
-    sub.dq_basis()
-    # one products apply, on the root's 6 columns, after the 7 Q applies of
-    # the bidiagonalization
-    assert fact.cov_applies() == (Q.matvec_count.forward, Q.dq_count) == (7 + 6, 6)
-    for block, full in zip(got, fact.dq_basis()):
-        assert np.shares_memory(block, full)
-        assert np.array_equal(block, full[:, :2])
+    assert truncate_factorization(subsub, 2) is subsub
+    # each first read applies Q and dQ/dtheta3 to the k columns of its own
+    # V_k, and a second read applies nothing
+    taken = []
+    for part in (subsub, sub, fact):
+        before = part.cov_applies()
+        first = part.dq_basis
+        assert part.dq_basis is first
+        taken.append(tuple(np.subtract(part.cov_applies(), before)))
+    assert taken == [(2, 2), (4, 4), (6, 6)]
+    assert (Q.matvec_count.forward, Q.dq_count) == (7 + 12, 12)
+    for k, part in ((2, subsub), (4, sub)):
+        for block, full in zip(part.dq_basis, fact.dq_basis):
+            assert np.array_equal(block, full[:, :k])
 
 
 def test_dropped_q_is_freed_by_reference_counting(rng):
@@ -236,8 +249,8 @@ def test_dropped_q_is_freed_by_reference_counting(rng):
             A, R, _, d = random_setup(rng, 10, 36)
             Q = build_cov_operator(geometry, MaternKernel(1.5, 1.2, 0.3))
             fact = gengk_bidiag(A, R, Q, None, d, 6)
-            truncate_factorization(fact, 3).dq_basis()
-            fact.dq_basis()
+            truncate_factorization(fact, 3).dq_basis
+            fact.dq_basis
             refs = (weakref.ref(Q), weakref.ref(fact))
             del Q, fact
             assert all(ref() is None for ref in refs)
@@ -260,14 +273,30 @@ def test_zero_residual_data(rng):
         assert not basis.any()
 
 
-def test_non_finite_residual_rejected_by_the_adjoint_apply(rng):
-    # a NaN in d - A mu passes the step-0 norm and is refused by the first
-    # adjoint apply as bad input, after the one forward apply
+BAD_DATA = {
+    # a scalar or a length-1 vector broadcast against A mu and ran the
+    # iteration; a NaN was refused only after the first forward apply
+    "scalar": lambda d: 1.0,
+    "length-1": lambda d: d[:1],
+    "column": lambda d: d[:, None],
+    "short": lambda d: d[:-1],
+    "nan": lambda d: np.where(np.arange(d.shape[0]) == 2, np.nan, d),
+    "inf": lambda d: np.where(np.arange(d.shape[0]) == 2, np.inf, d),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DATA))
+def test_data_that_is_not_a_finite_m_vector_is_refused_before_any_apply(rng, bad):
     A, R, Q, d = random_setup(rng, 6, 5)
-    d[2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        gengk_bidiag(A, R, Q, None, d, 3)
-    assert A.matvec_count.snapshot() == (1, 0)
+    fact = gengk_bidiag(A, R, Q, None, d, 3)
+    A.matvec_count.reset()
+    before = fact.cov_applies()
+    with pytest.raises(ValueError, match="data"):
+        gengk_bidiag(A, R, Q, None, BAD_DATA[bad](d), 3)
+    with pytest.raises(ValueError, match="data"):
+        verify_relations(fact, A, None, BAD_DATA[bad](d))
+    assert A.matvec_count.snapshot() == (0, 0)
+    assert fact.cov_applies() == before
 
 
 @settings(max_examples=20, deadline=None)

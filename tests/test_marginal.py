@@ -18,7 +18,8 @@ from gkhyper.marginal import (
     objective_rescaled,
     objective_svd,
 )
-from gkhyper.estimate import map_reconstruct, map_reconstruct_exact, precompute_two_param
+from gkhyper.estimate import (map_reconstruct, map_reconstruct_exact, optimal_lambda_sweep,
+                               precompute_two_param)
 from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply
 from gkhyper.operators import DenseOperator, IdentityOperator, dense_matrix
 from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, heat_1d, ray_tomo_2d
@@ -590,15 +591,17 @@ def test_matvec_report_counts_q_and_dq_applies():
     fresh = objective_gengk(model, theta, k)
     assert fresh.matvec_report == {"forward": k + 1, "adjoint": k + 1, "q": 2 * k + 1,
                                    "dq": k}
-    # a sweep over truncations of one factorization applies Q and dQ/dtheta3
-    # to V_K on the first read only
+    # a sweep over one supplied factorization reads a truncation at each k
+    # below k_max, whose first gradient read applies Q and dQ/dtheta3 to its
+    # own k columns; at k_max it reads the factorization, whose products stay
+    # cached after the first read
     k_max = 20
     fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
                         model.prior_mean, model.data, k_max)
-    reports = [objective_gengk(model, theta, k, fact=truncate_factorization(fact, k)).matvec_report
-               for k in (5, 1, 20, 17)]
+    ks = (5, 1, 20, 17, 20)
+    reports = [objective_gengk(model, theta, k, fact=fact).matvec_report for k in ks]
     zero = {"forward": 0, "adjoint": 0}
-    assert reports == [{**zero, "q": k_max, "dq": k_max}] + [{**zero, "q": 0, "dq": 0}] * 3
+    assert reports == [{**zero, "q": k, "dq": k} for k in ks[:-1]] + [{**zero, "q": 0, "dq": 0}]
 
 
 def _refuse_gradient(*args):
@@ -824,6 +827,51 @@ def test_gengk_with_factorization_at_another_theta_raises():
     assert (model.forward.matvec_count.snapshot(), fact.cov_applies()) == before
     # at its own theta it evaluates
     assert objective_gengk(model, theta, 8, fact=fact).k_used == 8
+
+
+def _heat_model(n):
+    prob = build_heat_problem(n=n, noise_level=0.02, seed=0)
+    return prob, MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry)
+
+
+def test_gengk_reads_a_supplied_factorization_at_k():
+    # k used to be ignored: k = 5 and k = 40 both gave F_20 and k_used 20
+    _, model = _heat_model(64)
+    theta = HyperParams(np.array([1e-5, 0.4, 0.08]))
+    fact = model.factorize(theta, 20)
+    got = objective_gengk(model, theta, 5, fact=fact)
+    want = objective_gengk(model, theta, 5, fact=truncate_factorization(fact, 5))
+    assert got.k_used == want.k_used == 5
+    assert _hex(got) == _hex(want)
+    fresh = objective_gengk(model, theta, 5)
+    assert abs(got.value - fresh.value) <= 1e-12 * abs(fresh.value)
+    assert objective_gengk(model, theta, 20, fact=fact).k_used == 20
+    before = model.forward.matvec_count.snapshot(), fact.cov_applies()
+    with pytest.raises(ValueError, match="must lie in"):
+        objective_gengk(model, theta, 21, fact=fact)
+    assert (model.forward.matvec_count.snapshot(), fact.cov_applies()) == before
+
+
+def test_a_factorization_of_another_size_is_refused_before_any_work():
+    # a 96-point heat factorization read on a 64-point model gave a value and
+    # a gradient; every reader of a supplied factorization now refuses it
+    prob, model = _heat_model(64)
+    _, other = _heat_model(96)
+    theta = HyperParams(np.array([1e-5, 0.4, 0.08]))
+    fact = other.factorize(theta, 8)
+    unit = precompute_two_param(other, theta.corr_length, 8)
+    model.forward.matvec_count.reset()
+    before = fact.cov_applies(), unit.cov_applies()
+    readers = (lambda: objective_gengk(model, theta, 8, fact=fact),
+               lambda: objective_rescaled(model, theta, unit),
+               lambda: map_reconstruct(model, theta, fact=fact),
+               lambda: optimal_lambda_sweep(model, unit, prob.s_true, [1.0, 2.0], 1e-5))
+    for read in readers:
+        with pytest.raises(ValueError, match="m = 64 and n = 64 rows"):
+            read()
+    assert model.forward.matvec_count.snapshot() == (0, 0)
+    assert (fact.cov_applies(), unit.cov_applies()) == before
+    assert "spectrum" not in vars(fact) and "spectrum" not in vars(unit)
 
 
 def test_rescaled_needs_a_unit_factorization():
