@@ -43,11 +43,12 @@ mask slice that reorders the entries within a row shows by name. It prints the
 SHA-256 of the phantom `s_true` and the noisy `data` of `build_ray_tomo_problem`
 at each parameter set in PHANTOMS, with the shipped config's rays, noise, prior
 std and ell, and of the CSR arrays (with their dtypes) of `ray_tomo_2d` at each
-(g, n_rays) in RAYS, seed 0. `heat_1d(n)` is a dense operator up to n = 256 (the
-shipped heat config's size) and an FFT convolution above, so at each n in HEAT_SIZES,
-on both sides of that switch, it prints the SHA-256 of `apply`, `apply_adjoint`,
-a 5-column `apply_block`, and a 17-column `apply_block` and `apply_adjoint_block`
-(across the 16-column chunk edge) of `heat_1d(n)` on seeded inputs, and
+(g, n_rays) in RAYS, seed 0. The forward operator of `build_heat_problem(n)` is a
+dense operator up to n = 256 (the shipped heat config's size) and an FFT convolution
+above, so at each n in HEAT_SIZES, on both sides of that switch, it prints the SHA-256
+of `apply`, `apply_adjoint`, a 5-column `apply_block`, and a 17-column `apply_block`
+and `apply_adjoint_block` (across the 16-column chunk edge) of that operator on
+seeded inputs, and
 `objective_gengk` at THETAS with k = HEAT_K on `build_heat_problem(n)` with the
 shipped noise level and seed. The prior covariance Q applies by real transforms on
 a 1-d grid and by complex ones on a 2-d grid, so on each grid in Q_GRIDS (1-d n and

@@ -19,7 +19,6 @@ from .covariance import (
     RegularGrid,
     CovarianceOperator,
     matern_eval,
-    matern_deriv,
     build_cov_operator,
 )
 from .gengk import (
@@ -27,7 +26,6 @@ from .gengk import (
     GenGKFactorization,
     gengk_bidiag,
     verify_relations,
-    bidiagonal_matrix,
 )
 from .marginal import (
     HyperParams,
@@ -44,7 +42,6 @@ from .monitor import (
     mc_xi_estimate,
     err_indicator,
     prop2_bound,
-    sample_size_bound,
     normal_matrix_apply,
 )
 from .estimate import (
@@ -59,11 +56,7 @@ from .estimate import (
 )
 from .problems import (
     ProblemInstance,
-    heat_1d,
-    heat_true_signal,
     ray_tomo_2d,
-    smooth_phantom,
-    add_noise,
     relative_error,
     build_heat_problem,
     build_ray_tomo_problem,

@@ -34,7 +34,6 @@ __all__ = [
     "RegularGrid",
     "CovarianceOperator",
     "matern_eval",
-    "matern_deriv",
     "build_cov_operator",
     "normalize_geometry",
 ]
@@ -102,7 +101,7 @@ def matern_eval(kernel: MaternKernel, r):
     return float(out[0]) if scalar else out
 
 
-def matern_deriv(kernel: MaternKernel, r):
+def _matern_deriv(kernel: MaternKernel, r):
     """Derivative dM/dell of the kernel value in the correlation length theta3.
 
     Closed form for every nu: with a = sqrt(2 nu) r / ell, d(a^nu K_nu(a))/da
@@ -186,17 +185,19 @@ class CovarianceOperator(LinearOperatorHandle):
     one-column block applies. The counter goes up by the Q columns applied,
     and ``dq_count`` by the dQ/dtheta3 columns. Each backend names itself in
     the class attribute ``backend``: "fft" on a RegularGrid, "dense" on a
-    point set. The FFT backend's transforms are real, of L/2 + 1 modes, on a
-    1-d grid (the pair ``operators._rfft_block``/``_irfft_block``) and complex
-    on a 2-d grid; the forward transform of a chunk is shared by Q and
-    dQ/dtheta3 either way.
+    point set, and keeps that grid or point set, as normalize_geometry gives
+    it, in ``geometry``. The FFT backend's transforms are real, of L/2 + 1
+    modes, on a 1-d grid (the pair ``operators._rfft_block``/``_irfft_block``)
+    and complex on a 2-d grid; the forward transform of a chunk is shared by Q
+    and dQ/dtheta3 either way.
     """
 
     # tools that split Q applies from derivative applies read this; every
     # covariance operator is Q itself
     deriv_index = 0
 
-    def __init__(self, kernel: MaternKernel, n: int):
+    def __init__(self, kernel: MaternKernel, geometry):
+        self.geometry, n = normalize_geometry(geometry)
         super().__init__(n, n)
         self.kernel = kernel
         self.dq_count = 0
@@ -261,14 +262,13 @@ class _DenseCovariance(CovarianceOperator):
     backend = "dense"
 
     def __init__(self, kernel, points: np.ndarray):
-        super().__init__(kernel, points.shape[0])
         # the points, not the n x n distance matrix, are kept for dQ/dtheta3
-        self._points = points
+        super().__init__(kernel, points)
         self._data = matern_eval(kernel, _distance_matrix(points))
 
     @cached_property
     def _ell_data(self):
-        return matern_deriv(self.kernel, _distance_matrix(self._points))
+        return _matern_deriv(self.kernel, _distance_matrix(self.geometry))
 
     def _forward_block(self, x):
         return x
@@ -307,8 +307,7 @@ class _FFTGridCovariance(CovarianceOperator):
     backend = "fft"
 
     def __init__(self, kernel, grid: RegularGrid):
-        super().__init__(kernel, grid.size)
-        self.grid = grid
+        super().__init__(kernel, grid)
         self._embed_shape = tuple(2 * s for s in grid.shape)
         eig = self._spectrum(matern_eval(kernel, self._radius()))
         self.min_embedding_eig = float(eig.min())
@@ -330,10 +329,10 @@ class _FFTGridCovariance(CovarianceOperator):
     def _radius(self) -> np.ndarray:
         # lag distance of every embedding node on the doubled torus
         lag_axes = []
-        for size, h in zip(self._embed_shape, self.grid.spacing):
+        for size, h in zip(self._embed_shape, self.geometry.spacing):
             idx = np.arange(size)
             lag_axes.append(np.minimum(idx, size - idx) * h)
-        if self.grid.ndim == 1:
+        if self.geometry.ndim == 1:
             return lag_axes[0]
         return np.hypot(lag_axes[0][:, None], lag_axes[1][None, :])
 
@@ -352,11 +351,11 @@ class _FFTGridCovariance(CovarianceOperator):
 
     @cached_property
     def _ell_data(self):
-        return self._clip(self._spectrum(matern_deriv(self.kernel, self._radius())))
+        return self._clip(self._spectrum(_matern_deriv(self.kernel, self._radius())))
 
     def _forward_block(self, x):
         # fftn of each column as a grid field, zero-padded to the embedding
-        fields = x.T.reshape(x.shape[1], *self.grid.shape)
+        fields = x.T.reshape(x.shape[1], *self.geometry.shape)
         return np.fft.fftn(fields, s=self._embed_shape, axes=tuple(range(1, fields.ndim)))
 
     def _inverse_block(self, spectra, eig, out):
@@ -364,7 +363,7 @@ class _FFTGridCovariance(CovarianceOperator):
         # pass: the later passes skip the padding, the kept entries are the same
         spectra = eig * spectra
         for axis in range(spectra.ndim - 1, 0, -1):
-            crop = (slice(None),) * axis + (slice(0, self.grid.shape[axis - 1]),)
+            crop = (slice(None),) * axis + (slice(0, self.geometry.shape[axis - 1]),)
             spectra = np.fft.ifft(spectra, axis=axis)[crop]
         out[...] = spectra.real.reshape(out.shape[1], -1).T
 

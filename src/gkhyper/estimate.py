@@ -20,7 +20,7 @@ woken after every idle gap. In four heat-estimate solves (n = 2048, k = 22,
 the optimizer's gaps between them reached 7.6 ms; at 1 thread the largest
 took 26.0 ms and the gaps stayed at or below 0.6 ms, while a fixed-theta loop
 of objective_gengk ran at about the same speed either way. The monitor, the
-dense oracles and the problem build, but for add_noise's long norms, stay
+dense oracles and the problem build, but for the noise's long norms, stay
 outside the scope: their dense columns round differently at each thread
 count, so the scope would move their bits.
 """
@@ -163,7 +163,7 @@ def _blas_on_calling_thread():
     the wake-up stalls of a pooled worker (see the module docstring): on a
     2-CPU host, heat-estimate eval_ms fell from 20.8 to 14.4 ms (medians of
     10 runs each). The optimizer's minimize, map_reconstruct and
-    problems.add_noise's long norms enter it; the rest runs at the process's
+    problems._add_noise's long norms enter it; the rest runs at the process's
     count. Large solves lose by it: a heat n = 16384, k = 120 evaluation took
     1.49 s at 1 thread against 1.36 s at 2.
     """
@@ -263,8 +263,8 @@ def map_reconstruct(model: MarginalModel, theta: HyperParams,
     """Projected MAP estimate s = mu + Q V_k z with (I + T_k) z = B' beta1 e1.
 
     Without a supplied factorization, model.factorize(theta, k) is run; a
-    supplied one must have been taken at theta on the model's operator, or a
-    ValueError is raised.
+    supplied one must have been taken at theta on the model's operator, nu and
+    geometry, or a ValueError is raised.
     With a supplied factorization, k reads its leading k steps (k = None keeps
     all of them), and a k outside [0, fact.k] raises ValueError. The cached
     Q V columns make the final synthesis free of extra covariance applies.
@@ -304,9 +304,9 @@ def optimal_lambda_sweep(model: MarginalModel, fact_hat: GenGKFactorization,
     (theta1, theta2), so the sweep takes one SVD in all. Requires the ground
     truth (synthetic problems only). Returns (best_lambda, re_curve) with
     re_curve of shape (len(grid), 2) holding (lambda, RE). A factorization
-    not taken at (1, 1, ell) on the model's operator, a theta1 that the
-    noise-variance rule refuses, or an s_true that is not a finite vector of
-    length n, raises ValueError before any work.
+    not taken at (1, 1, ell) on the model's operator, nu and geometry, a
+    theta1 that the noise-variance rule refuses, or an s_true that is not a
+    finite vector of length n, raises ValueError before any work.
     """
     theta1 = _check_noise_var(theta1)
     _check_taken_at(model, fact_hat, _unit_theta(fact_hat.q_op.kernel.ell))

@@ -21,7 +21,6 @@ __all__ = [
     "GenGKFactorization",
     "gengk_bidiag",
     "verify_relations",
-    "bidiagonal_matrix",
     "truncate_factorization",
 ]
 
@@ -36,7 +35,7 @@ def _check_noise_var(theta1) -> float:
     return float(theta1)
 
 
-def bidiagonal_matrix(alphas, betas) -> np.ndarray:
+def _bidiagonal_matrix(alphas, betas) -> np.ndarray:
     """Assemble the (k+1) x k lower bidiagonal matrix from the coefficient runs.
 
     alphas[0..k] and betas[0..k] as stored in a factorization: the diagonal is
@@ -139,7 +138,7 @@ class GenGKFactorization:
         return float(self.betas[0])
 
     def bidiagonal(self) -> np.ndarray:
-        return bidiagonal_matrix(self.alphas, self.betas)
+        return _bidiagonal_matrix(self.alphas, self.betas)
 
     @cached_property
     def spectrum(self) -> BidiagSpectrum:

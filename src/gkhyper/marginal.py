@@ -48,7 +48,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .covariance import CovarianceOperator, MaternKernel, build_cov_operator, normalize_geometry
+from .covariance import (CovarianceOperator, MaternKernel, RegularGrid, build_cov_operator,
+                         normalize_geometry)
 from .gengk import GenGKFactorization, gengk_bidiag, truncate_factorization
 from .operators import LinearOperatorHandle, _check_count, _check_scale, dense_matrix
 
@@ -200,9 +201,11 @@ class MarginalModel:
     def noise_cov(self, theta: HyperParams) -> float:
         return theta.noise_var
 
+    def prior_kernel(self, theta: HyperParams) -> MaternKernel:
+        return MaternKernel(self.nu, theta.prior_std**2, theta.corr_length)
+
     def prior_cov(self, theta: HyperParams) -> CovarianceOperator:
-        kernel = MaternKernel(self.nu, theta.prior_std**2, theta.corr_length)
-        return build_cov_operator(self.geometry, kernel)
+        return build_cov_operator(self.geometry, self.prior_kernel(theta))
 
     def factorize(self, theta: HyperParams, k: int) -> GenGKFactorization:
         """The genGK factorization at theta that every approximate path reads:
@@ -427,19 +430,29 @@ def _gengk_gradient(model: MarginalModel, theta: HyperParams,
     return _assemble_gradient(model, theta, noise_term, q_term(dq2_vk), q_term(dq3_vk))
 
 
+def _same_geometry(a, b) -> bool:
+    # two geometries as normalize_geometry gives them: equal grids, compared
+    # as records in O(1), or the same or equal point arrays
+    if isinstance(a, RegularGrid) or isinstance(b, RegularGrid):
+        return type(a) is type(b) and a == b
+    return a is b or np.array_equal(a, b)
+
+
 def _check_taken_at(model: MarginalModel, fact: GenGKFactorization, theta: HyperParams) -> None:
     # the one rule for a supplied factorization: bases with the model's m and
-    # n rows, and the R and Q that theta gives
+    # n rows, the R that theta gives, and the Q that theta gives with the
+    # model's nu on the model's geometry
     if (fact.u_basis.shape[0], fact.v_basis.shape[0]) != model.forward.shape:
         raise ValueError("the factorization's bases do not have the model's "
                          f"m = {model.nrows} and n = {model.ncols} rows")
-    kernel = fact.q_op.kernel
-    if (fact.noise_var != theta.noise_var or kernel.sigma2 != theta.prior_std**2
-            or kernel.ell != theta.corr_length):
+    kernel = model.prior_kernel(theta)
+    if fact.noise_var != theta.noise_var or fact.q_op.kernel != kernel:
         raise ValueError(
-            f"the factorization was taken with noise variance {fact.noise_var!r}, prior "
-            f"variance {kernel.sigma2!r} and correlation length {kernel.ell!r}, not at "
-            f"theta = {theta.values}")
+            f"the factorization was taken with noise variance {fact.noise_var!r} and "
+            f"{fact.q_op.kernel}, not with {theta.noise_var!r} and {kernel}")
+    if not _same_geometry(fact.q_op.geometry, model.geometry):
+        raise ValueError("the factorization was taken with a Q on another geometry "
+                         "than the model's")
 
 
 def _unit_theta(ell: float) -> HyperParams:
@@ -451,11 +464,11 @@ def objective_rescaled(model: MarginalModel, theta: HyperParams,
     """Approximate objective and (theta1, theta2) gradient from a unit run.
 
     fact_unit must have been computed at (1, 1, theta3) on the model's
-    operator, or a ValueError is raised. Its spectral core is rescaled to
-    (theta1, theta2) in O(k); no covariance is built and no operator is
-    applied. The gradient has two components, since theta3 is held fixed; a
-    value or gradient that is not finite raises FloatingPointError, with no
-    numpy warning before it.
+    operator, nu and geometry, or a ValueError is raised. Its spectral core
+    is rescaled to (theta1, theta2) in O(k); no covariance is built and no
+    operator is applied. The gradient has two components, since theta3 is
+    held fixed; a value or gradient that is not finite raises
+    FloatingPointError, with no numpy warning before it.
     """
     _check_taken_at(model, fact_unit, _unit_theta(theta.corr_length))
     theta1, theta2 = theta.noise_var, theta.prior_std
@@ -495,13 +508,15 @@ def objective_gengk(model: MarginalModel, theta: HyperParams, k: int,
     products. It must have been computed on the model's operator at the same
     theta: its R and Q are used as they are, and a ValueError is raised,
     before any apply, when its bases do not have the model's m and n rows,
-    when R's variance is not theta1 or Q's variance or correlation length is
-    not theta2^2 or theta3, or when k is not in [0, fact.k]. The value terms
-    are computed at once from the spectral core. The gradient is taken on the
-    first read of .gradient or .matvec_report, with a FloatingPointError there
-    if it is not finite, so a caller that reads only values applies no dQ and
-    forms no Gram; the derivative products are taken then, k Q and k
-    dQ/dtheta3 columns, unless the factorization read has them cached.
+    when R's variance is not theta1, when Q's kernel is not the model's nu
+    with variance theta2^2 and correlation length theta3 or Q was taken on
+    another geometry than the model's, or when k is not in [0, fact.k]. The
+    value terms are computed at once from the spectral core. The gradient is
+    taken on the first read of .gradient or .matvec_report, with a
+    FloatingPointError there if it is not finite, so a caller that reads only
+    values applies no dQ and forms no Gram; the derivative products are taken
+    then, k Q and k dQ/dtheta3 columns, unless the factorization read has them
+    cached.
     matvec_report covers value and gradient: the forward and adjoint applies
     of this call and the Q and dQ/dtheta3 columns of a fresh factorization
     and of the gradient's own take. k_used is the k of the factorization

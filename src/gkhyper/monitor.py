@@ -22,7 +22,6 @@ __all__ = [
     "mc_xi_estimate",
     "err_indicator",
     "prop2_bound",
-    "sample_size_bound",
     "normal_matrix_apply",
 ]
 
@@ -148,42 +147,3 @@ def prop2_bound(xi_k: float, beta1: float) -> float:
     if not -math.inf < beta1 < math.inf:
         raise ValueError(f"beta1 must be finite, got {beta1}")
     return 0.5 * (xi_k + beta1**2 * xi_k / (1.0 + xi_k))
-
-
-def sample_size_bound(epsilon: float, delta: float, k_psi: float,
-                      fro_norm: float, spec_norm: float, trace_val: float,
-                      c_hw: float = 1.0) -> int:
-    """Probe count sufficient for relative trace error epsilon at confidence 1-delta.
-
-    For probes with independent entries of sub-Gaussian norm k_psi = K, the
-    Hanson-Wright inequality bounds the miss of an N-probe average of
-    x'Ax by epsilon tr(A) with probability at most
-
-        2 exp(-c N min(eps^2 tr^2 / (K^4 ||A||_F^2), eps tr / (K^2 ||A||_2))),
-
-    so (bounding the max of the two rates by their sum) it suffices that
-
-        N >= K^2 log(2/delta) / (c eps^2) * (K^2 ||A||_F^2 / tr^2 + eps ||A||_2 / tr).
-
-    The Frobenius part scales as K^4 and the spectral part as K^2. c_hw is
-    the unspecified absolute constant c and is exposed as a parameter, so
-    the returned count is advisory. Floor at 1. Finite inputs whose count
-    overflows (or whose squares underflow to zero) raise ValueError, as
-    invalid ones do.
-    """
-    if not (0 < epsilon < math.inf and 0 < delta < 1):
-        raise ValueError("epsilon must be finite and positive and delta in (0, 1)")
-    if not (all(0 < x < math.inf for x in (k_psi, fro_norm, trace_val, c_hw))
-            and 0 <= spec_norm < math.inf):
-        raise ValueError("norms, trace, k_psi and c_hw must be finite and positive")
-    try:
-        lead = k_psi**2 * math.log(2.0 / delta) / (c_hw * epsilon**2)
-        inner = (k_psi**2 * fro_norm**2 / trace_val**2
-                 + epsilon * spec_norm / trace_val)
-        count = lead * inner
-    except (OverflowError, ZeroDivisionError):
-        count = math.inf
-    # NaN (an overflowed lead times an underflowed inner) fails this too
-    if not count < math.inf:
-        raise ValueError("the probe count is not a finite number for these inputs")
-    return max(1, math.ceil(count))

@@ -24,12 +24,7 @@ from .operators import (DenseOperator, LinearOperatorHandle, LowerToeplitzOperat
 
 __all__ = [
     "ProblemInstance",
-    "heat_1d",
-    "heat_true_signal",
     "ray_tomo_2d",
-    "ray_row",
-    "smooth_phantom",
-    "add_noise",
     "relative_error",
     "build_heat_problem",
     "build_ray_tomo_problem",
@@ -60,7 +55,7 @@ class ProblemInstance:
     seed: int | None
 
 
-def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
+def _heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     """Midpoint-quadrature Volterra operator for 1-d inverse heat conduction.
 
     Output nodes sit at cell right edges t_i = i/n and the integrand is
@@ -97,7 +92,7 @@ def heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     return LowerToeplitzOperator(column)
 
 
-def heat_true_signal(n: int) -> np.ndarray:
+def _heat_true_signal(n: int) -> np.ndarray:
     """Default 1-d phantom: quadratic rise and parabolic hump on the first
     half of the domain, zero afterwards (peak value 1, one jump).
 
@@ -166,24 +161,6 @@ def _trace(g: int, p0: np.ndarray, p1: np.ndarray):
     return ray[inside], iy * g + ix, lengths[inside]
 
 
-def ray_row(g: int, p0, p1) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cell indices and intersection lengths of the segment p0 -> p1 on a g x g grid.
-
-    The unit square is split into g x g cells of width 1/g; cells are indexed
-    row-major with x fastest. The segment is traced as a batch of one chord
-    by the tracer ``ray_tomo_2d`` uses. Returns (flat_indices, lengths,
-    total_length): cells whose piece is longer than 1e-14, and the summed
-    length of every piece inside the square (0.0 for a zero-length segment).
-    g must be a positive integer, or ValueError is raised before any tracing.
-    """
-    g = _check_count(g, "the grid size g", 1)
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    _, flat, lengths = _trace(g, p0[None, :], p1[None, :])
-    keep = lengths > 1e-14
-    return flat[keep], lengths[keep], float(lengths.sum())
-
-
 def _random_chords(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of `count` random chords, each on two distinct sides of the square.
 
@@ -210,11 +187,13 @@ def ray_tomo_2d(g: int, n_rays: int, seed=None) -> LinearOperatorHandle:
     Each row integrates the image along one random chord (cell-intersection
     lengths as weights), giving an n_rays x g^2 operator; useful as a
     significantly underdetermined test problem when n_rays << g^2. A chord is
-    rejected and drawn again when its length inside the square (as
-    ``ray_row`` sums it) is below 1e-3 or it keeps no cell. Chords are drawn
-    in batches of at most RAY_BATCH, each batch exactly the rays still
-    needed, so the generator is left where one-chord-at-a-time drawing would
-    leave it, and every batch is traced in one vectorized pass.
+    rejected and drawn again when its length inside the square (the np.sum of
+    its traced pieces) is below 1e-3 or it keeps no piece longer than 1e-14.
+    Chords are drawn in batches of at most RAY_BATCH, each batch exactly the
+    rays still needed, so the generator is left where one-chord-at-a-time
+    drawing would leave it, and every batch is traced in one vectorized pass.
+    A g that is not an integer of at least 4, or an n_rays that is not a
+    positive integer, raises ValueError before any chord is traced.
     """
     return SparseOperator(_ray_matrix(g, n_rays, seed))
 
@@ -230,9 +209,10 @@ def _ray_matrix(g: int, n_rays: int, seed) -> sp.csr_matrix:
         batch = min(n_rays - count, RAY_BATCH)
         ray, flat, lengths = _trace(g, *_random_chords(rng, batch))
         keep = lengths > 1e-14
-        # bincount sums a chord's pieces in order, np.sum (ray_row's total)
-        # pairwise; both lie within a relative n 2^-53 of the exact sum of n
-        # nonnegative pieces, so only chords under 2e-3 need np.sum's bits
+        # a chord's length is the np.sum of its pieces, which sums pairwise;
+        # bincount sums them in order. Both lie within a relative n 2^-53 of
+        # the exact sum of n nonnegative pieces, so only chords under 2e-3
+        # need np.sum's bits
         total = np.bincount(ray, weights=lengths, minlength=batch)
         for r in np.flatnonzero(total < 2e-3):
             total[r] = lengths[ray == r].sum()
@@ -270,7 +250,7 @@ def _grid_covariance(grid: RegularGrid, kernel: MaternKernel) -> np.ndarray:
     return table[tuple(index)].reshape(grid.size, grid.size)
 
 
-def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, seed=None) -> np.ndarray:
+def _smooth_phantom(grid: RegularGrid, kernel: MaternKernel, seed=None) -> np.ndarray:
     """Random smooth field from the full eigenexpansion of the covariance.
 
     The dense covariance is the kernel evaluated at the grid's lag distances.
@@ -286,7 +266,7 @@ def smooth_phantom(grid: RegularGrid, kernel: MaternKernel, seed=None) -> np.nda
     return evecs[:, order] @ (np.sqrt(np.clip(evals[order], 0.0, None)) * coeff)
 
 
-def add_noise(d_clean, noise_level: float, seed=None) -> tuple[np.ndarray, np.ndarray]:
+def _add_noise(d_clean, noise_level: float, seed=None) -> tuple[np.ndarray, np.ndarray]:
     """Additive Gaussian noise scaled to an exact relative norm.
 
     eta = eps * noise_level * ||d_clean|| / ||eps|| with eps standard normal,
@@ -324,10 +304,10 @@ def relative_error(s_true, s_hat) -> float:
 
 def build_heat_problem(n: int = 256, noise_level: float = 0.02, seed=0,
                        kappa: float = 1.0) -> ProblemInstance:
-    forward = heat_1d(n, kappa)
-    s_true = heat_true_signal(n)
+    forward = _heat_1d(n, kappa)
+    s_true = _heat_true_signal(n)
     d_clean = forward.apply(s_true)
-    data, eta = add_noise(d_clean, noise_level, seed)
+    data, eta = _add_noise(d_clean, noise_level, seed)
     return ProblemInstance(
         forward=forward,
         s_true=s_true,
@@ -366,7 +346,7 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
         keep = keep.astype(int)
     rng = np.random.SeedSequence(seed).spawn(3)
     mat = _ray_matrix(g, n_rays, rng[0])
-    s_true = smooth_phantom(grid, MaternKernel(nu, prior_std**2, ell), seed=rng[1])
+    s_true = _smooth_phantom(grid, MaternKernel(nu, prior_std**2, ell), seed=rng[1])
     geometry = grid
     if mask is not None:
         # the column slice keeps each row's entries in the full matrix's
@@ -374,7 +354,7 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
         mat, s_true, geometry = mat[:, keep], s_true[keep], grid.points()[keep]
     forward = SparseOperator(mat)
     d_clean = forward.apply(s_true)
-    data, eta = add_noise(d_clean, noise_level, seed=rng[2])
+    data, eta = _add_noise(d_clean, noise_level, seed=rng[2])
     return ProblemInstance(
         forward=forward,
         s_true=s_true,

@@ -19,7 +19,7 @@ from gkhyper.covariance import MaternKernel, RegularGrid
 from gkhyper.estimate import OptimizeOptions
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
 from gkhyper.marginal import HyperParams, Hyperprior, objective_exact, objective_gengk
-from gkhyper.problems import build_ray_tomo_problem, heat_1d
+from gkhyper.problems import build_ray_tomo_problem, _heat_1d
 
 
 SMALL_HEAT = {
@@ -309,7 +309,7 @@ def test_owners_refuse_a_scale_whose_square_is_not_finite_and_positive(monkeypat
         with pytest.raises(ValueError, match=name):
             ProblemConfig(**{name: value}).validate()
     with pytest.raises(ValueError, match="kappa"):
-        heat_1d(64, kappa=value)
+        _heat_1d(64, kappa=value)
     with pytest.raises(ValueError, match="prior_std"):
         build_ray_tomo_problem(g=8, n_rays=40, prior_std=value)
     with pytest.raises(ValueError, match="theta2|strictly positive"):

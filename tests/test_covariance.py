@@ -14,7 +14,7 @@ from gkhyper.covariance import (
     MaternKernel,
     RegularGrid,
     build_cov_operator,
-    matern_deriv,
+    _matern_deriv,
     matern_eval,
 )
 from gkhyper.operators import dense_matrix
@@ -66,7 +66,7 @@ def test_negative_distance_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         matern_eval(MaternKernel(1.5, 1.0, 1.0), -0.1)
     with pytest.raises(ValueError, match="nonnegative"):
-        matern_deriv(MaternKernel(1.5, 1.0, 1.0), -0.1)
+        _matern_deriv(MaternKernel(1.5, 1.0, 1.0), -0.1)
 
 
 def test_kernel_parameter_validation():
@@ -79,7 +79,7 @@ def test_kernel_parameter_validation():
 
 def test_ell_derivative_at_origin_vanishes():
     for nu in (0.5, 1.5, 2.5):
-        assert matern_deriv(MaternKernel(nu, 2.0, 0.4), 0.0) == 0.0
+        assert _matern_deriv(MaternKernel(nu, 2.0, 0.4), 0.0) == 0.0
 
 
 def test_ell_derivative_matches_finite_difference():
@@ -87,7 +87,7 @@ def test_ell_derivative_matches_finite_difference():
     h = 1e-6 * 0.5
     fd = (matern_eval(MaternKernel(1.5, 1.0, 0.5 + h), 0.5)
           - matern_eval(MaternKernel(1.5, 1.0, 0.5 - h), 0.5)) / (2 * h)
-    assert np.isclose(matern_deriv(k, 0.5), fd, rtol=1e-6)
+    assert np.isclose(_matern_deriv(k, 0.5), fd, rtol=1e-6)
 
 
 def test_ell_derivative_random_pairs(rng):
@@ -100,12 +100,12 @@ def test_ell_derivative_random_pairs(rng):
             h = 1e-6 * ell
             fd = (matern_eval(MaternKernel(nu, 1.7, ell + h), r)
                   - matern_eval(MaternKernel(nu, 1.7, ell - h), r)) / (2 * h)
-            assert np.isclose(matern_deriv(k, r), fd, rtol=1e-5, atol=1e-12)
+            assert np.isclose(_matern_deriv(k, r), fd, rtol=1e-5, atol=1e-12)
 
 
 def test_unsupported_nu_falls_back_to_finite_difference():
     k = MaternKernel(1.2, 1.0, 0.4)
-    val = matern_deriv(k, 0.3)
+    val = _matern_deriv(k, 0.3)
     h = 1e-6 * 0.4
     fd = (bessel_reference(1.2, 1.0, 0.4 + h, 0.3)
           - bessel_reference(1.2, 1.0, 0.4 - h, 0.3)) / (2 * h)
@@ -118,11 +118,11 @@ def test_ell_derivative_is_closed_form_for_every_nu():
     r = np.linspace(0.0, 1.5, 31)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        general = matern_deriv(MaternKernel(1.2, 1.3, 0.4), r)
-        near = {nu: matern_deriv(MaternKernel(nu + 1e-9, 1.3, 0.4), r) for nu in (0.5, 1.5, 2.5)}
+        general = _matern_deriv(MaternKernel(1.2, 1.3, 0.4), r)
+        near = {nu: _matern_deriv(MaternKernel(nu + 1e-9, 1.3, 0.4), r) for nu in (0.5, 1.5, 2.5)}
     assert general[0] == 0.0 and np.all(general[1:] > 0.0)
     for nu, values in near.items():
-        exact = matern_deriv(MaternKernel(nu, 1.3, 0.4), r)
+        exact = _matern_deriv(MaternKernel(nu, 1.3, 0.4), r)
         assert np.allclose(values, exact, rtol=1e-7, atol=0.0)
 
 
@@ -378,7 +378,7 @@ def test_1d_real_transforms_match_the_complex_embedding(rng, n, ell, clipped):
     lags = np.minimum(idx, 2 * n - idx) * grid.spacing[0]
     eig = np.fft.fft(matern_eval(kernel, lags)).real
     clip = eig < 0.0
-    eigs = [np.where(clip, 0.0, e) for e in (eig, np.fft.fft(matern_deriv(kernel, lags)).real)]
+    eigs = [np.where(clip, 0.0, e) for e in (eig, np.fft.fft(_matern_deriv(kernel, lags)).real)]
 
     def reference(e, x):
         return np.fft.ifft(e[:, None] * np.fft.fft(x, 2 * n, axis=0), axis=0).real[:n]
@@ -398,14 +398,14 @@ def _transform_reference(q, eig, x):
     # and a per-axis ifft cropped after each pass on a 2-d grid, rfft and
     # irfft on a line
     p = x.shape[1]
-    if q.grid.ndim == 1:
+    if q.geometry.ndim == 1:
         length = 2 * q.ncols
         spectra = np.fft.rfft(x.T, n=length, axis=1)
         return np.fft.irfft(eig * spectra, n=length, axis=1)[:, :q.ncols].T
-    fields = x.T.reshape(p, *q.grid.shape)
-    spectra = eig * np.fft.fftn(fields, s=[2 * s for s in q.grid.shape], axes=(1, 2))
+    fields = x.T.reshape(p, *q.geometry.shape)
+    spectra = eig * np.fft.fftn(fields, s=[2 * s for s in q.geometry.shape], axes=(1, 2))
     for axis in (2, 1):
-        crop = (slice(None),) * axis + (slice(0, q.grid.shape[axis - 1]),)
+        crop = (slice(None),) * axis + (slice(0, q.geometry.shape[axis - 1]),)
         spectra = np.fft.ifft(spectra, axis=axis)[crop]
     return spectra.real.reshape(p, -1).T
 

@@ -1,8 +1,10 @@
 """Every exported name resolves, so a deletion cannot leave a stale entry
-that fails only under ``from gkhyper.<module> import *``."""
+that fails only under ``from gkhyper.<module> import *``, and every exported
+function has a reader outside its own module and the unit tests."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -11,6 +13,8 @@ import pytest
 import gkhyper
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(gkhyper.__path__))
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -119,13 +123,60 @@ def test_operators_define_only_block_hooks():
     assert defined == []
 
 
-def test_package_reexports_resolve():
-    # the names gkhyper/__init__.py imports from its modules, read from its source
+def _reexports():
+    # (home module, name) of every name gkhyper/__init__.py imports, read
+    # from its source
     tree = ast.parse(Path(gkhyper.__file__).read_text())
-    reexports = [(node.module, alias.name) for node in tree.body
-                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_package_reexports_resolve():
+    reexports = _reexports()
     assert reexports
     for home, name in reexports:
         module = importlib.import_module(f"gkhyper.{home}")
         assert name in module.__all__, f"{home}.{name}"
         assert getattr(gkhyper, name) is getattr(module, name)
+
+
+def _strings(node):
+    # the strings an assigned value joins, each f-string field read as None
+    if isinstance(node, ast.BinOp):
+        return _strings(node.left) + _strings(node.right)
+    if isinstance(node, ast.JoinedStr):
+        return ["".join(part.value if isinstance(part, ast.Constant) else "None"
+                        for part in node.values)]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def _digest_programs():
+    # the programs scripts/output_digest.py runs in its subprocesses, which
+    # it holds as module-level strings (SHOW and the scripts built on it)
+    tree = ast.parse((ROOT / "scripts" / "output_digest.py").read_text())
+    return [ast.parse(text) for node in tree.body if isinstance(node, ast.Assign)
+            for text in _strings(node.value)]
+
+
+def _reads(tree, name) -> bool:
+    # a load of name, or name as a string of its own (perfbench's tracer
+    # wraps functions by getattr); a docstring that mentions it is neither
+    return bool(_name_reads(tree, name)) or any(
+        isinstance(node, ast.Constant) and node.value == name for node in ast.walk(tree))
+
+
+def test_every_reexported_function_is_read_outside_its_module_and_the_unit_tests():
+    # a reader is another package module, a perfbench file, a program the
+    # output digest runs or the acceptance tests; a function that only its own
+    # module and the unit tests read is private, or gone
+    programs = _digest_programs()
+    assert programs
+    readers = [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers += [*programs, ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())]
+    unread = [f"{home}.{name}" for home, name in _reexports()
+              if inspect.isfunction(getattr(gkhyper, name))
+              and not any(read.split(".")[0] != home for read in _package_reads(name))
+              and not any(_reads(tree, name) for tree in readers)]
+    assert unread == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
 from gkhyper.gengk import (
     BREAKDOWN_RTOL,
-    bidiagonal_matrix,
+    _bidiagonal_matrix,
     gengk_bidiag,
     truncate_factorization,
     verify_relations,
@@ -76,7 +76,7 @@ def test_orthogonality_in_weighted_inner_products(rng):
 
 
 def test_bidiagonal_assembly():
-    b = bidiagonal_matrix([2.0, 3.0, 4.0], [1.0, 5.0, 6.0])
+    b = _bidiagonal_matrix([2.0, 3.0, 4.0], [1.0, 5.0, 6.0])
     expected = np.array([[2.0, 0.0], [5.0, 3.0], [0.0, 6.0]])
     assert np.array_equal(b, expected)
     assert np.all(b >= 0.0)

@@ -22,7 +22,7 @@ from gkhyper.estimate import (map_reconstruct, map_reconstruct_exact, optimal_la
                                precompute_two_param)
 from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply
 from gkhyper.operators import DenseOperator, IdentityOperator, dense_matrix
-from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, heat_1d, ray_tomo_2d
+from gkhyper.problems import build_heat_problem, build_ray_tomo_problem, _heat_1d, ray_tomo_2d
 
 
 def make_dense_model(rng, m=8, n=8, hyperprior=Hyperprior("flat"), grid=True):
@@ -290,7 +290,7 @@ def test_svd_rejects_negative_k():
 NON_INTEGER_SIZES = {
     "grid-shape-2.7": lambda model, theta, fact: RegularGrid((2.7,), (1.0,)),
     "grid-shape-True": lambda model, theta, fact: RegularGrid((True,), (1.0,)),
-    "heat_1d-n": lambda model, theta, fact: heat_1d(2.5),
+    "heat_1d-n": lambda model, theta, fact: _heat_1d(2.5),
     "gengk_bidiag-k": lambda model, theta, fact: gengk_bidiag(
         model.forward, model.noise_cov(theta), model.prior_cov(theta), model.prior_mean,
         model.data, 2.5),
@@ -852,26 +852,60 @@ def test_gengk_reads_a_supplied_factorization_at_k():
     assert (model.forward.matvec_count.snapshot(), fact.cov_applies()) == before
 
 
-def test_a_factorization_of_another_size_is_refused_before_any_work():
-    # a 96-point heat factorization read on a 64-point model gave a value and
-    # a gradient; every reader of a supplied factorization now refuses it
-    prob, model = _heat_model(64)
-    _, other = _heat_model(96)
+def _assert_every_reader_refuses(prob, model, other, match):
+    # factorizations taken on the other model, at theta and at its unit
+    # theta, are refused by each of the four readers of a supplied one,
+    # before any apply and before any spectrum
     theta = HyperParams(np.array([1e-5, 0.4, 0.08]))
-    fact = other.factorize(theta, 8)
-    unit = precompute_two_param(other, theta.corr_length, 8)
+    fact = other.factorize(theta, 10)
+    unit = precompute_two_param(other, theta.corr_length, 10)
     model.forward.matvec_count.reset()
     before = fact.cov_applies(), unit.cov_applies()
-    readers = (lambda: objective_gengk(model, theta, 8, fact=fact),
+    readers = (lambda: objective_gengk(model, theta, 10, fact=fact),
                lambda: objective_rescaled(model, theta, unit),
                lambda: map_reconstruct(model, theta, fact=fact),
                lambda: optimal_lambda_sweep(model, unit, prob.s_true, [1.0, 2.0], 1e-5))
     for read in readers:
-        with pytest.raises(ValueError, match="m = 64 and n = 64 rows"):
+        with pytest.raises(ValueError, match=match):
             read()
     assert model.forward.matvec_count.snapshot() == (0, 0)
     assert (fact.cov_applies(), unit.cov_applies()) == before
     assert "spectrum" not in vars(fact) and "spectrum" not in vars(unit)
+
+
+def test_a_factorization_of_another_size_is_refused_before_any_work():
+    # a 96-point heat factorization read on a 64-point model gave a value and
+    # a gradient; every reader of a supplied factorization now refuses it
+    prob, model = _heat_model(64)
+    _assert_every_reader_refuses(prob, model, _heat_model(96)[1], "m = 64 and n = 64 rows")
+
+
+def test_a_factorization_with_another_nu_is_refused_before_any_work():
+    # a nu = 2.5 factorization read on the nu = 1.5 model gave F_10 = -319.0281,
+    # where the model's own F_10 is -319.1443
+    prob, model = _heat_model(64)
+    other = MarginalModel(forward=prob.forward, data=prob.data, geometry=prob.geometry, nu=2.5)
+    _assert_every_reader_refuses(prob, model, other, r"factorization was taken .*\(nu=2\.5")
+
+
+def test_a_factorization_on_another_geometry_is_refused_before_any_work():
+    # a factorization on a grid of spacing 2/64 read on the 1/64 model gave
+    # F_10 = -317.0532, where the model's own is -319.1443
+    prob = build_heat_problem(n=64, noise_level=0.02, seed=0)
+    points = prob.geometry.points()
+
+    def on(geometry):
+        return MarginalModel(forward=prob.forward, data=prob.data, geometry=geometry)
+
+    # and a point set against its grid, either way, and against other points
+    for geometry, taken_on in ((prob.geometry, RegularGrid((64,), (2 / 64,))),
+                               (prob.geometry, points), (points, prob.geometry),
+                               (points, 2.0 * points)):
+        _assert_every_reader_refuses(prob, on(geometry), on(taken_on), "another geometry")
+    # an equal point array that is not the model's own is the same geometry
+    theta = HyperParams(np.array([1e-5, 0.4, 0.08]))
+    fact = on(points.copy()).factorize(theta, 10)
+    assert objective_gengk(on(points), theta, 10, fact=fact).k_used == 10
 
 
 def test_rescaled_needs_a_unit_factorization():

@@ -13,7 +13,6 @@ from gkhyper.monitor import (
     mc_xi_estimate,
     normal_matrix_apply,
     prop2_bound,
-    sample_size_bound,
     xi_recurrence,
 )
 from gkhyper.gengk import truncate_factorization
@@ -251,65 +250,6 @@ def test_err_mc_tracks_true_error_on_heat():
         if err > 1e-8 * abs(exact.value):
             # within one order of magnitude wherever the error is resolvable
             assert indicator >= err / 10.0
-
-
-def test_sample_size_bound_limits():
-    assert sample_size_bound(1e9, 0.05, 1.0, 3.0, 1.0, 10.0) == 1
-    # Hanson-Wright exponents: doubling the sub-Gaussian norm K scales the
-    # Frobenius part (K^4 ||A||_F^2 / (eps tr)^2) sixteenfold ...
-    base = sample_size_bound(1e-3, 0.05, 1.0, 50.0, 0.0, 10.0)
-    quad = sample_size_bound(1e-3, 0.05, 2.0, 50.0, 0.0, 10.0)
-    assert abs(quad / base - 16.0) < 0.01
-    # ... and the spectral part (K^2 ||A||_2 / (eps tr)) fourfold
-    base = sample_size_bound(1e-3, 0.05, 1.0, 1e-6, 50.0, 10.0)
-    quad = sample_size_bound(1e-3, 0.05, 2.0, 1e-6, 50.0, 10.0)
-    assert abs(quad / base - 4.0) < 0.01
-    with pytest.raises(ValueError):
-        sample_size_bound(-1.0, 0.05, 1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        sample_size_bound(0.1, 1.5, 1.0, 1.0, 1.0, 1.0)
-    # every input must be finite: unchecked, an infinite trace or c_hw gives
-    # N = 1, an infinite norm an overflow and a NaN a failure in math.ceil
-    valid = dict(epsilon=0.1, delta=0.05, k_psi=1.0, fro_norm=1.0, spec_norm=1.0,
-                 trace_val=1.0, c_hw=1.0)
-    for name in valid:
-        for bad in (float("inf"), float("nan")):
-            with pytest.raises(ValueError):
-                sample_size_bound(**{**valid, name: bad})
-
-
-def test_sample_size_bound_rejects_a_count_that_is_not_finite():
-    # finite inputs whose count overflows, or whose squares underflow to zero,
-    # used to raise OverflowError or ZeroDivisionError
-    valid = dict(epsilon=0.1, delta=0.05, k_psi=1.0, fro_norm=1.0, spec_norm=1.0,
-                 trace_val=1.0)
-    for extreme in ({"fro_norm": 1e200}, {"epsilon": 1e-200}, {"trace_val": 1e-200}):
-        with pytest.raises(ValueError, match="finite"):
-            sample_size_bound(**{**valid, **extreme})
-    # an ordinary count is unchanged: ceil(log(40) / 0.01 * 1.1)
-    assert sample_size_bound(**valid) == 406
-
-
-def test_sample_size_bound_empirical_failure_rate(rng):
-    # informational, since the absolute constant is a stand-in: with c_hw = 1
-    # the returned N keeps the empirical failure rate at or below delta
-    n = 32
-    a = rng.standard_normal((n, n)) / np.sqrt(n)
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    q = q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T
-    hq = a.T @ a @ q
-    trace = np.trace(hq)
-    eps, delta = 0.5, 0.1
-    n_samp = sample_size_bound(eps, delta, 1.0, np.linalg.norm(hq, "fro"),
-                               np.linalg.norm(hq, 2), trace, c_hw=1.0)
-    fails = 0
-    trials = 1000
-    for _ in range(trials):
-        omega = rng.standard_normal((n, n_samp))
-        est = np.sum(omega * (hq @ omega)) / n_samp
-        fails += abs(est - trace) > eps * abs(trace)
-    # binomial 99% upper band around delta
-    assert fails / trials <= delta + 3 * np.sqrt(delta * (1 - delta) / trials)
 
 
 @settings(max_examples=50, deadline=None)

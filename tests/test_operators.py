@@ -19,7 +19,7 @@ from gkhyper.operators import (
     SparseOperator,
     dense_matrix,
 )
-from gkhyper.problems import build_ray_tomo_problem, heat_1d, ray_tomo_2d
+from gkhyper.problems import build_ray_tomo_problem, _heat_1d, ray_tomo_2d
 
 
 def adjoint_probe_defect(op, n_probes: int = 20, rng=None) -> float:
@@ -136,7 +136,7 @@ def _block_cases():
     return [
         ("dense tall", lambda: DenseOperator(tall)),
         ("dense wide", lambda: DenseOperator(wide)),
-        ("heat", lambda: heat_1d(600)),  # the FFT side of heat's kernel switch
+        ("heat", lambda: _heat_1d(600)),  # the FFT side of heat's kernel switch
         ("sparse tall", lambda: SparseOperator(sparse_tall)),
         ("sparse wide", lambda: SparseOperator(sparse_wide)),
         ("ray tall", lambda: ray_tomo_2d(8, 100, seed=0)),
@@ -209,8 +209,8 @@ def test_block_applies_reject_bad_input_before_any_apply(monkeypatch, rng):
 
 @pytest.mark.parametrize("make", [
     lambda: DenseOperator(np.random.default_rng(3).standard_normal((7, 11))),
-    lambda: heat_1d(64),  # the dense side of heat's kernel switch
-    lambda: heat_1d(300),  # the FFT side
+    lambda: _heat_1d(64),  # the dense side of heat's kernel switch
+    lambda: _heat_1d(300),  # the FFT side
     lambda: ray_tomo_2d(8, 40, seed=0),
     lambda: IdentityOperator(9),
 ], ids=["dense", "toeplitz64", "toeplitz300", "ray", "identity"])
@@ -240,7 +240,7 @@ def test_dense_matrix_matches_per_column_probe():
 
 # --- the lower-triangular Toeplitz heat operator
 
-# heat_1d's dense side up to n = 256, and its FFT side: just above it, n
+# _heat_1d's dense side up to n = 256, and its FFT side: just above it, n
 # whose doubled length has a large prime factor (257, 511, 513), and the
 # benchmark's n = 2048
 DENSE_SIZES = (2, 3, 63, 64, 65, 256)
@@ -251,19 +251,19 @@ FFT_TOL = 1e-13
 
 
 def _heat_column(n):
-    # heat_1d's first column (kappa = 1), from the quadrature formula
+    # _heat_1d's first column (kappa = 1), from the quadrature formula
     gaps = (np.arange(n) + 0.5) / n
     return gaps ** -1.5 * np.exp(-0.25 / gaps) / (n * np.sqrt(4.0 * np.pi))
 
 
 def _fft_cases(n, rng):
     # (FFT operator, its first column): the heat column underflows to zero
-    # near the diagonal; a random one does not. heat_1d(n) is the FFT
+    # near the diagonal; a random one does not. _heat_1d(n) is the FFT
     # operator only above n = 256
     column = rng.standard_normal(n)
     cases = [(LowerToeplitzOperator(column), column)]
     if n in FFT_SIZES:
-        cases.append((heat_1d(n), _heat_column(n)))
+        cases.append((_heat_1d(n), _heat_column(n)))
     return cases
 
 
@@ -284,8 +284,8 @@ def _applies_against_full(op, full, scale, rng):
 
 @pytest.mark.parametrize("n", DENSE_SIZES)
 def test_lower_toeplitz_applies_keep_the_full_matvec_bits(n, rng):
-    # up to n = 256 heat_1d is the dense matrix
-    op = heat_1d(n)
+    # up to n = 256 _heat_1d is the dense matrix
+    op = _heat_1d(n)
     assert isinstance(op, DenseOperator)
     # A e_0 has one product per entry, so it is the column bit for bit
     e0 = np.zeros(n)
@@ -322,7 +322,7 @@ def test_heat_fft_block_applies_keep_the_per_column_convolution_bits(n, rng):
     # across the 16-column chunk edge, each column of a block apply has the
     # bits of the per-column convolution irfft(c_hat * rfft(x, L), L)[:n] on
     # a contiguous column (conj(c_hat) for the adjoint)
-    op = heat_1d(n)
+    op = _heat_1d(n)
     assert isinstance(op, LowerToeplitzOperator) and not hasattr(op, "_mat")
     length = next_fast_len(2 * n, real=True)
     for p in (1, 15, 16, 17, 40):
@@ -339,7 +339,7 @@ def test_heat_fft_block_applies_keep_the_per_column_convolution_bits(n, rng):
 
 @pytest.mark.parametrize("n", [n for n in DENSE_SIZES + FFT_SIZES if n <= 1000])
 def test_heat_dense_matrix_is_the_lower_toeplitz_matrix(n):
-    op = heat_1d(n)
+    op = _heat_1d(n)
     mat = dense_matrix(op)
     if n <= 256:
         assert isinstance(op, DenseOperator)
@@ -377,13 +377,13 @@ import hashlib
 import numpy as np
 from scipy.linalg import toeplitz
 from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
-from gkhyper.problems import heat_1d
+from gkhyper.problems import _heat_1d
 
 def show(out):
     print(hashlib.sha256(out.tobytes()).hexdigest())
 
 for n in (256, 2048):
-    op = heat_1d(n)
+    op = _heat_1d(n)
     x, y = np.random.default_rng(0).standard_normal((2, n))
     block = np.random.default_rng(1).standard_normal((n, 3))
     if n == 256:

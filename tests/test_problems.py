@@ -12,15 +12,14 @@ from gkhyper import problems
 from gkhyper.covariance import MaternKernel, RegularGrid, matern_eval
 from gkhyper.operators import dense_matrix
 from gkhyper.problems import (
-    add_noise,
+    _add_noise,
+    _heat_1d,
+    _heat_true_signal,
+    _smooth_phantom,
     build_heat_problem,
     build_ray_tomo_problem,
-    heat_1d,
-    heat_true_signal,
-    ray_row,
     ray_tomo_2d,
     relative_error,
-    smooth_phantom,
 )
 
 
@@ -28,7 +27,7 @@ from gkhyper.problems import (
 
 
 def heat_kernel_value(gap: float, kappa: float = 1.0) -> float:
-    """Causal heat kernel value at time gap t - s > 0 (reference for heat_1d).
+    """Causal heat kernel value at time gap t - s > 0 (reference for _heat_1d).
 
     k(t - s) = (4 pi kappa^2)^{-1/2} (t - s)^{-3/2} exp(-1 / (4 kappa^2 (t-s))).
     """
@@ -41,7 +40,7 @@ def heat_kernel_value(gap: float, kappa: float = 1.0) -> float:
 
 def test_heat_operator_causality():
     n = 32
-    op = heat_1d(n)
+    op = _heat_1d(n)
     e_last = np.zeros(n)
     e_last[-1] = 1.0
     out = op.apply(e_last)
@@ -50,7 +49,7 @@ def test_heat_operator_causality():
 
 
 def test_heat_operator_lower_triangular():
-    mat = dense_matrix(heat_1d(96))
+    mat = dense_matrix(_heat_1d(96))
     assert np.array_equal(mat, np.tril(mat))
     assert np.all(np.diag(mat) > 0)
 
@@ -64,7 +63,7 @@ def test_heat_row_matches_independent_assembly(rng):
         for j in range(i + 1):
             gap = (i - j + 0.5) * h
             ref[i, j] = h * heat_kernel_value(gap, kappa)
-    op = heat_1d(n, kappa)
+    op = _heat_1d(n, kappa)
     x = rng.standard_normal(n)
     assert np.linalg.norm(op.apply(x) - ref @ x) <= 1e-14 * np.linalg.norm(ref @ x)
 
@@ -77,27 +76,27 @@ def test_heat_entry_against_fine_quadrature():
     t_i = (i + 1) * h
     cell = (j * h, (j + 1) * h)
     oracle, _ = quad(lambda s: heat_kernel_value(t_i - s), *cell)
-    entry = dense_matrix(heat_1d(n))[i, j]
+    entry = dense_matrix(_heat_1d(n))[i, j]
     assert abs(entry - oracle) <= 1e-4 * abs(oracle)
 
 
 def test_heat_singular_values_decay():
-    s = np.linalg.svd(dense_matrix(heat_1d(64)), compute_uv=False)
+    s = np.linalg.svd(dense_matrix(_heat_1d(64)), compute_uv=False)
     assert np.all(np.diff(s) <= 0)
     assert s[-1] / s[0] < 1e-10  # severely ill-posed
 
 
 def test_heat_kappa_controls_conditioning():
-    s1 = np.linalg.svd(dense_matrix(heat_1d(48, kappa=1.0)), compute_uv=False)
-    s5 = np.linalg.svd(dense_matrix(heat_1d(48, kappa=5.0)), compute_uv=False)
+    s1 = np.linalg.svd(dense_matrix(_heat_1d(48, kappa=1.0)), compute_uv=False)
+    s5 = np.linalg.svd(dense_matrix(_heat_1d(48, kappa=5.0)), compute_uv=False)
     assert s5[-1] / s5[0] > s1[-1] / s1[0]
 
 
 def test_heat_validation():
     with pytest.raises(ValueError):
-        heat_1d(1)
+        _heat_1d(1)
     with pytest.raises(ValueError):
-        heat_1d(16, kappa=0.0)
+        _heat_1d(16, kappa=0.0)
     with pytest.raises(ValueError):
         heat_kernel_value(0.0)
 
@@ -106,9 +105,9 @@ def test_heat_validation():
 def test_kappa_and_noise_level_must_be_finite(bad):
     # each builder refuses the value by its own rule, not a later operator's
     with pytest.raises(ValueError, match="kappa must be finite"):
-        heat_1d(64, kappa=bad)
+        _heat_1d(64, kappa=bad)
     with pytest.raises(ValueError, match="noise level must be finite"):
-        add_noise(np.ones(5), bad, seed=0)
+        _add_noise(np.ones(5), bad, seed=0)
 
 
 def test_kappa_whose_normaliser_overflows_is_refused_before_any_build(monkeypatch):
@@ -122,18 +121,28 @@ def test_kappa_whose_normaliser_overflows_is_refused_before_any_build(monkeypatc
             patch.setattr(problems, name, no_build)
         for n in (64, 512):
             with pytest.raises(ValueError, match="kappa"):
-                heat_1d(n, kappa=1e154)
+                _heat_1d(n, kappa=1e154)
     for n in (64, 512):
-        assert np.max(np.abs(dense_matrix(heat_1d(n, kappa=1e100)))) > 0.0
+        assert np.max(np.abs(dense_matrix(_heat_1d(n, kappa=1e100)))) > 0.0
 
 
 # --- ray tomography
 
 
+def traced_row(g, p0, p1):
+    """The chord p0 -> p1 traced by problems._trace as a batch of one: the
+    cells whose piece is longer than 1e-14, those pieces, and the summed
+    length of every piece inside the square."""
+    _, flat, lengths = problems._trace(g, np.array([p0], dtype=float),
+                                       np.array([p1], dtype=float))
+    keep = lengths > 1e-14
+    return flat[keep], lengths[keep], float(lengths.sum())
+
+
 def test_axis_aligned_ray_row():
     g = 8
     y = (3 + 0.5) / g  # through the middle of grid row 3
-    idx, lengths, total = ray_row(g, (0.0, y), (1.0, y))
+    idx, lengths, total = traced_row(g, (0.0, y), (1.0, y))
     assert np.allclose(lengths, 1.0 / g)
     assert len(idx) == g
     assert np.isclose(lengths.sum(), 1.0)
@@ -157,7 +166,7 @@ def test_uniform_image_integrates_to_ray_length(rng):
 
 def test_ray_row_geometric_oracle():
     # diagonal of the unit square: total intersection length is sqrt(2)
-    idx, lengths, total = ray_row(6, (0.0, 0.0), (1.0, 1.0))
+    idx, lengths, total = traced_row(6, (0.0, 0.0), (1.0, 1.0))
     assert np.isclose(total, math.sqrt(2.0))
     assert np.isclose(lengths.sum(), math.sqrt(2.0))
 
@@ -168,10 +177,22 @@ def test_ray_tomo_paper_scale_shape():
 
 
 def test_ray_tomo_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid size"):
         ray_tomo_2d(2, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_rays"):
         ray_tomo_2d(8, 0)
+
+
+@pytest.mark.parametrize("g", [0, -1, 2.5, True])
+def test_ray_row_rejects_a_bad_grid_size_before_tracing(g, monkeypatch):
+    # every bad size is refused before any chord is traced; in a one-chord
+    # tracer, g = 0 gave cell index -1 and g = 2.5 fractional indices
+    def no_trace(*args):
+        raise AssertionError("a ray was traced for a rejected grid size")
+
+    monkeypatch.setattr(problems, "_trace", no_trace)
+    with pytest.raises(ValueError, match="grid size"):
+        ray_tomo_2d(g, 10)
 
 
 def reference_ray_row(g, p0, p1):
@@ -288,22 +309,11 @@ def test_rejected_chords_are_redrawn_as_the_per_ray_loop_did(monkeypatch, batch)
     (1, (0.0, 0.3), (1.0, 0.8)),  # one cell
 ])
 def test_ray_row_matches_per_ray_reference(g, p0, p1):
-    got, want = ray_row(g, p0, p1), reference_ray_row(g, p0, p1)
+    got, want = traced_row(g, p0, p1), reference_ray_row(g, p0, p1)
     for a, b in zip(got[:2], want[:2]):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     assert float.hex(got[2]) == float.hex(want[2])
-
-
-@pytest.mark.parametrize("g", [0, -1, 2.5, True])
-def test_ray_row_rejects_a_bad_grid_size_before_tracing(g, monkeypatch):
-    # g = 0 used to return cell index -1, and g = 2.5 fractional indices
-    def no_trace(*args):
-        raise AssertionError("a ray was traced for a rejected grid size")
-
-    monkeypatch.setattr(problems, "_trace", no_trace)
-    with pytest.raises(ValueError, match="grid size"):
-        ray_row(g, (0.0, 0.5), (1.0, 0.5))
 
 
 def test_chord_lengths_match_linalg_norm_bit_for_bit():
@@ -348,7 +358,7 @@ def test_phantom_covariance_statistic(rng):
     i, j = 44, 45  # horizontally adjacent, distance 0.1
     n_draws = 500
     draws = np.array([
-        smooth_phantom(grid, kernel, seed=s) for s in range(n_draws)
+        _smooth_phantom(grid, kernel, seed=s) for s in range(n_draws)
     ])
     sample_cov = np.mean(draws[:, i] * draws[:, j])
     target = matern_eval(kernel, 0.1)
@@ -363,29 +373,29 @@ def test_phantom_covariance_statistic(rng):
 
 def test_add_noise_zero_level(rng):
     d = rng.standard_normal(9)
-    noisy, eta = add_noise(d, 0.0, seed=4)
+    noisy, eta = _add_noise(d, 0.0, seed=4)
     assert np.array_equal(noisy, d)
     assert not eta.any()
 
 
 def test_add_noise_norm_identity(rng):
     d = rng.standard_normal(50)
-    noisy, eta = add_noise(d, 0.02, seed=4)
+    noisy, eta = _add_noise(d, 0.02, seed=4)
     assert abs(np.linalg.norm(eta) - 0.02 * np.linalg.norm(d)) <= 1e-14
     assert np.allclose(noisy, d + eta)
 
 
 def test_add_noise_seeds_differ(rng):
     d = rng.standard_normal(30)
-    _, eta1 = add_noise(d, 0.05, seed=1)
-    _, eta2 = add_noise(d, 0.05, seed=2)
+    _, eta1 = _add_noise(d, 0.05, seed=1)
+    _, eta2 = _add_noise(d, 0.05, seed=2)
     assert not np.allclose(eta1, eta2)
     assert np.isclose(np.linalg.norm(eta1), np.linalg.norm(eta2))
 
 
 def test_add_noise_zero_data_rejected():
     with pytest.raises(ValueError, match="undefined"):
-        add_noise(np.zeros(5), 0.1, seed=0)
+        _add_noise(np.zeros(5), 0.1, seed=0)
 
 
 HEAT_DATA_SHA = """
@@ -397,7 +407,7 @@ for n in (_THREADED_DOT_MIN, 16384):
 
 
 def test_heat_data_keep_bits_at_each_blas_thread_count():
-    # above _THREADED_DOT_MIN add_noise takes its two norms on the calling
+    # above _THREADED_DOT_MIN _add_noise takes its two norms on the calling
     # thread, where OpenBLAS ddot would split each sum across its threads (at
     # n = 16384 the data followed the thread count); at the limit it needs not
     assert run_at_blas_threads(HEAT_DATA_SHA, "1") == run_at_blas_threads(HEAT_DATA_SHA, "2")
@@ -437,19 +447,19 @@ def test_heat_problem_invariants():
     assert abs(np.linalg.norm(prob.data - prob.d_clean)
                - 0.02 * np.linalg.norm(prob.d_clean)) <= 1e-12
     assert isinstance(prob.geometry, RegularGrid)
-    assert heat_true_signal(128).max() <= 1.0
+    assert _heat_true_signal(128).max() <= 1.0
 
 
 @pytest.mark.parametrize("n", [2.5, True, -1, 0])
 def test_heat_true_signal_rejects_a_bad_count(n):
     with pytest.raises(ValueError, match="n must be a positive integer"):
-        heat_true_signal(n)
+        _heat_true_signal(n)
 
 
 def test_heat_true_signal_at_one_and_two_points():
     # midpoints 1/2 (t = 2, outside the hump), then 1/4 and 3/4 (t = 1 and 3)
-    assert np.array_equal(heat_true_signal(1), [0.0])
-    assert np.array_equal(heat_true_signal(2), [0.75, 0.0])
+    assert np.array_equal(_heat_true_signal(1), [0.0])
+    assert np.array_equal(_heat_true_signal(2), [0.75, 0.0])
 
 
 def test_ray_problem_invariants():
