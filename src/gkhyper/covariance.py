@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv
 
 from .operators import (LinearOperatorHandle, _apply_chunks, _check_block, _check_count,
                         _irfft_block, _per_column, _rfft_block)
@@ -93,11 +91,13 @@ def matern_eval(kernel: MaternKernel, r):
         a = math.sqrt(5.0) * r / ell
         out = s2 * (1.0 + a + a * a / 3.0) * np.exp(-a)
     else:
+        from scipy.special import gamma, kv  # here: a closed-form nu never loads it
+
         out = np.full_like(r, s2)
         pos = r > 0
         if np.any(pos):
             a = math.sqrt(2.0 * nu) * r[pos] / ell
-            out[pos] = s2 * (2.0 ** (1.0 - nu) / gamma_fn(nu)) * a**nu * kv(nu, a)
+            out[pos] = s2 * (2.0 ** (1.0 - nu) / gamma(nu)) * a**nu * kv(nu, a)
     return float(out[0]) if scalar else out
 
 
@@ -125,11 +125,13 @@ def _matern_deriv(kernel: MaternKernel, r):
         a = math.sqrt(5.0) * r / ell
         out = s2 * a * a * (1.0 + a) * np.exp(-a) / (3.0 * ell)
     else:
+        from scipy.special import gamma, kv
+
         out = np.zeros_like(r)
         pos = r > 0
         if np.any(pos):
             a = math.sqrt(2.0 * nu) * r[pos] / ell
-            out[pos] = (s2 * (2.0 ** (1.0 - nu) / gamma_fn(nu)) * a ** (nu + 1.0)
+            out[pos] = (s2 * (2.0 ** (1.0 - nu) / gamma(nu)) * a ** (nu + 1.0)
                         * kv(nu - 1.0, a) / ell)
     return float(out[0]) if scalar else out
 

@@ -23,6 +23,12 @@ of objective_gengk ran at about the same speed either way. The monitor, the
 dense oracles and the problem build, but for the noise's long norms, stay
 outside the scope: their dense columns round differently at each thread
 count, so the scope would move their bits.
+
+scipy.optimize is imported inside _run_lbfgsb, at the first optimization:
+a process that only monitors or reconstructs never loads it, nor the
+scipy.fft and scipy.special it imports (about 19 MB together). It calls
+scipy's OpenBLAS, which scipy.linalg has mapped with the package, so the
+scope's setters are complete before any scope is entered.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 # gengk_bidiag is not called here: perfbench/test_perfbench.py asserts the name
 from .gengk import GenGKFactorization, _check_noise_var, gengk_bidiag, truncate_factorization
@@ -130,8 +135,11 @@ def _openblas_thread_setters() -> tuple:
     this process, found by name in /proc/self/maps (numpy and scipy each
     ship their own); empty where there is no such library, symbol or file.
 
-    Cached: numpy and scipy.optimize, imported with this module, have loaded
-    their libraries by the first call.
+    Cached: both libraries are mapped once the package is imported, numpy's
+    by numpy and scipy's by scipy.linalg (which marginal imports), so a scope
+    entered before any optimization pins the library that L-BFGS-B and
+    cho_factor call; scipy.optimize, imported at the first optimization,
+    maps no further OpenBLAS.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -191,6 +199,9 @@ def _run_lbfgsb(eval_fn, theta0, opts: OptimizeOptions) -> tuple[np.ndarray, Opt
         gx = grad * theta
         trace.record(theta, evaluation.value, np.max(np.abs(gx)))
         return evaluation.value, gx
+
+    # here: a monitor or reconstruct process never loads the optimizer
+    from scipy.optimize import minimize
 
     with _blas_on_calling_thread():
         res = minimize(

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 __all__ = [
     "LinearOperatorHandle",
@@ -267,6 +266,8 @@ class LowerToeplitzOperator(LinearOperatorHandle):
         if not np.all(np.isfinite(column)):
             raise ValueError("LowerToeplitzOperator: first column contains non-finite entries")
         super().__init__(column.size, column.size)
+        from scipy.fft import next_fast_len  # here: a process with no Toeplitz map never loads it
+
         self._fft_len = next_fast_len(2 * column.size, real=True)
         self._chat = np.fft.rfft(column, self._fft_len)
         self._chat_conj = np.conj(self._chat)

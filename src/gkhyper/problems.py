@@ -97,10 +97,8 @@ def _heat_true_signal(n: int) -> np.ndarray:
     half of the domain, zero afterwards (peak value 1, one jump).
 
     Sampled at the quadrature midpoints. The jump keeps the reconstruction
-    problem honest for smooth priors. n must be a positive integer, else
-    ValueError.
+    problem honest for smooth priors.
     """
-    n = _check_count(n, "n", 1)
     s = (np.arange(n) + 0.5) / n
     t = 4.0 * s
     x = np.zeros(n)

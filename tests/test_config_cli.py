@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import gkhyper
+from conftest import run_at_blas_threads
 from gkhyper import estimate, marginal, problems
 from gkhyper.cli import _build_problem, main
 from gkhyper.config import (ConfigError, EstimateConfig, HyperpriorConfig, KernelConfig,
@@ -605,6 +606,77 @@ def test_reconstruct_command(tmp_path):
     assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 0
     rec = read_csv(out / "reconstruction.csv")
     assert len(rec["s_hat"]) == 64
+
+
+LAZY_SUBPACKAGES = ("scipy.optimize", "scipy.fft", "scipy.special")
+
+SUBPACKAGES_LOADED = """
+import json, sys
+from pathlib import Path
+
+import yaml
+
+def loaded():
+    return [name for name in %r if name in sys.modules]
+
+from gkhyper.cli import main
+
+out, step = Path(sys.argv[1]), sys.argv[2]
+steps = {"import": loaded()}
+if step == "monitor-and-reconstruct":
+    cfg = out / "ray.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "problem": {"name": "ray_tomo", "grid": 8, "n_rays": 40, "ell": 0.2},
+        "monitor": {"k_max": 5, "n_mc": 2, "theta": [1e-4, 0.8, 0.2]},
+        "reconstruct": {"theta": [1e-4, 0.8, 0.2], "k": 5},
+        "seed": 1,
+    }))
+    for command in ("monitor", "reconstruct"):
+        assert main([command, "--config", str(cfg), "--out", str(out / command)]) == 0
+        steps[command] = loaded()
+else:
+    import numpy as np
+    from gkhyper.covariance import MaternKernel, RegularGrid, build_cov_operator
+    from gkhyper.problems import _heat_1d
+
+    build_cov_operator(RegularGrid((16,), (1 / 16,)), MaternKernel(1.2, 1.0, 0.1)).apply(
+        np.ones(16))
+    steps["nu=1.2 Q"] = loaded()
+    _heat_1d(300)
+    steps["heat n=300"] = loaded()
+    cfg = out / "heat.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "problem": {"name": "heat1d", "n": 300},
+        "estimate": {"k": 5, "max_iters": 2, "theta0": [1e-4, 0.5, 0.1]},
+    }))
+    assert main(["estimate", "--config", str(cfg), "--out", str(out / "estimate")]) == 0
+    steps["estimate"] = loaded()
+print(json.dumps(steps))
+""" % (LAZY_SUBPACKAGES,)
+
+
+def test_monitor_and_reconstruct_load_no_optimizer_fft_or_bessel(tmp_path):
+    # in a fresh interpreter: neither command optimizes, a ray grid takes no
+    # Toeplitz map and nu = 1.5 no Bessel form, so none of the three (19 MB
+    # together) loads
+    (line,) = run_at_blas_threads(SUBPACKAGES_LOADED, None, str(tmp_path),
+                                  "monitor-and-reconstruct")
+    assert json.loads(line) == {"import": [], "monitor": [], "reconstruct": []}
+    assert read_csv(tmp_path / "monitor" / "error_vs_k.csv")["k"].tolist() == [1, 2, 3, 4, 5]
+    assert len(read_csv(tmp_path / "reconstruct" / "reconstruction.csv")["s_hat"]) == 64
+
+
+def test_each_step_loads_the_scipy_subpackage_it_calls(tmp_path):
+    # the Bessel form loads scipy.special, the FFT heat map scipy.fft (which
+    # imports scipy.special), and an estimate the optimizer
+    (line,) = run_at_blas_threads(SUBPACKAGES_LOADED, None, str(tmp_path), "estimate")
+    assert json.loads(line) == {
+        "import": [],
+        "nu=1.2 Q": ["scipy.special"],
+        "heat n=300": ["scipy.fft", "scipy.special"],
+        "estimate": list(LAZY_SUBPACKAGES),
+    }
+    assert (tmp_path / "estimate" / "theta_star.json").exists()
 
 
 def test_ray_tomo_estimate_smoke(tmp_path):

@@ -1,4 +1,6 @@
 import functools
+import json
+import os
 from contextlib import nullcontext
 from pathlib import Path
 from types import SimpleNamespace
@@ -541,6 +543,37 @@ def test_blas_scope_is_a_no_op_without_openblas(monkeypatch, rng):
                                              OptimizeOptions(k=4, bounds=WIDE_BOUNDS))
     assert trace.converged
     assert np.all(np.isfinite(map_reconstruct(model, theta_star, k=4)))
+
+
+OPENBLAS_MAPPINGS = """
+import json, os, sys
+
+def openblas_paths():
+    with open("/proc/self/maps") as maps:
+        return sorted({fields[5].rstrip("\\n")
+                       for fields in (line.split(maxsplit=5) for line in maps)
+                       if len(fields) == 6
+                       and "openblas" in os.path.basename(fields[5]).lower()})
+
+from gkhyper import estimate
+setters = estimate._openblas_thread_setters()
+before = openblas_paths()
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+print(json.dumps([before, openblas_paths(), len(setters)]))
+"""
+
+
+@pytest.mark.skipif(not os.access("/proc/self/maps", os.R_OK),
+                    reason="/proc/self/maps cannot be read")
+def test_blas_scope_finds_every_openblas_before_the_optimizer_is_imported():
+    # scipy.optimize is imported at the first optimization, but a scope can be
+    # entered before it (map_reconstruct, the noise's long norms): the package
+    # import alone must map every OpenBLAS that L-BFGS-B and cho_factor call
+    (line,) = run_at_blas_threads(OPENBLAS_MAPPINGS, None)
+    before, after, n_setters = json.loads(line)
+    assert before == after
+    assert n_setters == len(after)
 
 
 def _blas_threads(setter):

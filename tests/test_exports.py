@@ -111,6 +111,35 @@ def test_structured_applies_share_one_chunk_loop_and_one_inverse_real_fft():
     assert _package_reads("irfft") == ["operators._irfft_block"]
 
 
+def _scipy_imports(subpackages):
+    # module.scope of every import of one of the subpackages, as a module
+    # (import scipy.fft) or from it (from scipy.fft import ..., from scipy
+    # import fft); a module-level import has the empty scope
+    found = {name: [] for name in subpackages}
+    for path in sorted(Path(gkhyper.__file__).parent.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for module in set(modules) & set(subpackages):
+                found[module].append(f"{path.stem}.{'.'.join(scope)}")
+    return found
+
+
+def test_optimizer_fft_and_bessel_load_only_where_they_are_called():
+    # scipy.optimize, scipy.fft and scipy.special hold 19 MB that a monitor
+    # or a reconstruction never reads: none is imported at module level, and
+    # each only in the function that calls it
+    assert _scipy_imports(("scipy.optimize", "scipy.fft", "scipy.special")) == {
+        "scipy.optimize": ["estimate._run_lbfgsb"],
+        "scipy.fft": ["operators.LowerToeplitzOperator.__init__"],
+        "scipy.special": ["covariance.matern_eval", "covariance._matern_deriv"],
+    }
+
+
 def test_operators_define_only_block_hooks():
     # every operator implements its block apply, one hook per direction; the
     # vector apply is the one-column block apply of LinearOperatorHandle

@@ -451,9 +451,16 @@ def test_heat_problem_invariants():
 
 
 @pytest.mark.parametrize("n", [2.5, True, -1, 0])
-def test_heat_true_signal_rejects_a_bad_count(n):
-    with pytest.raises(ValueError, match="n must be a positive integer"):
-        _heat_true_signal(n)
+def test_heat_problem_rejects_a_bad_count(monkeypatch, n):
+    # _heat_1d's count rule refuses n before any operator, signal or noise is made
+    def built(*args, **kwargs):
+        raise AssertionError("built before the count was checked")
+
+    for name in ("DenseOperator", "LowerToeplitzOperator", "_heat_true_signal", "_add_noise"):
+        monkeypatch.setattr(problems, name, built)
+    with pytest.raises(ValueError, match="n must be an integer of at least 2") as excinfo:
+        build_heat_problem(n)
+    assert "_heat_1d" in [entry.name for entry in excinfo.traceback]
 
 
 def test_heat_true_signal_at_one_and_two_points():
