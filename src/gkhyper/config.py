@@ -41,24 +41,15 @@ def _has_bool(value) -> bool:
 
 
 def _check_numbers(obj) -> None:
-    # NaN passes every "<= 0" test, so non-finite numbers are rejected first;
+    # a non-finite number is refused by the section check or record that owns it;
     # an integer field takes a nonnegative integer, not a fraction, a string
     # or a bool, by the count rule; a bool anywhere else would be read as 0 or 1
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "int":
             _check_count(value, f.name, 0)
-            continue
-        if _has_bool(value):
+        elif _has_bool(value):
             raise ValueError(f"{f.name} must not be a bool, got {value!r}")
-        if isinstance(value, str):
-            continue
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            continue  # not numeric; the section's own checks report it
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass

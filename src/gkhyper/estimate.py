@@ -192,11 +192,9 @@ def _run_lbfgsb(eval_fn, theta0, opts: OptimizeOptions) -> tuple[np.ndarray, Opt
     def wrapped(x):
         theta = np.exp(x)
         evaluation = eval_fn(theta)
-        # objective_gengk takes its gradient on this first read, inside the BLAS scope
-        grad = evaluation.gradient
-        if not np.isfinite(evaluation.value) or not np.all(np.isfinite(grad)):
-            raise FloatingPointError(f"objective or gradient is not finite at theta = {theta}")
-        gx = grad * theta
+        # objective_gengk takes its gradient on this first read, inside the BLAS scope;
+        # the record refuses a non-finite value when built and a non-finite gradient here
+        gx = evaluation.gradient * theta
         trace.record(theta, evaluation.value, np.max(np.abs(gx)))
         return evaluation.value, gx
 

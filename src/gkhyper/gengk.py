@@ -281,7 +281,8 @@ def truncate_factorization(fact: GenGKFactorization, k: int) -> GenGKFactorizati
     return replace(fact, u_basis=fact.u_basis[:, : k + 1], v_basis=fact.v_basis[:, : k + 1],
                    qv_basis=fact.qv_basis[:, : k + 1], alphas=fact.alphas[: k + 1],
                    betas=fact.betas[: k + 1], k=k,
-                   breakdown_at=fact.breakdown_at if (fact.breakdown_at or 0) <= k else None)
+                   # a factorization that broke down did so at its last step, fact.k > k
+                   breakdown_at=None)
 
 
 def verify_relations(fact: GenGKFactorization, A, mu, d):

@@ -250,7 +250,9 @@ class ObjectiveEvaluation:
                                                                           repr=False)
 
     def __post_init__(self):
-        for name in ("value", "neglogprior_term", "logdet_term", "quad_term"):
+        # each term first, so a non-finite term is refused by name; then their sum,
+        # which overflows from finite terms
+        for name in ("neglogprior_term", "logdet_term", "quad_term", "value"):
             if not np.isfinite(getattr(self, name)):
                 raise FloatingPointError(f"objective term {name} is not finite")
         _check_gradient(self._gradient)

@@ -50,9 +50,7 @@ class ProblemInstance:
     d_clean: np.ndarray
     data: np.ndarray
     noise: np.ndarray
-    noise_level: float
     geometry: object
-    seed: int | None
 
 
 def _heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
@@ -312,9 +310,7 @@ def build_heat_problem(n: int = 256, noise_level: float = 0.02, seed=0,
         d_clean=d_clean,
         data=data,
         noise=eta,
-        noise_level=noise_level,
         geometry=RegularGrid((n,), (1.0 / n,)),
-        seed=seed,
     )
 
 
@@ -359,7 +355,5 @@ def build_ray_tomo_problem(g: int = 32, n_rays: int = 360,
         d_clean=d_clean,
         data=data,
         noise=eta,
-        noise_level=noise_level,
         geometry=geometry,
-        seed=seed,
     )

@@ -3,13 +3,12 @@ import json
 import os
 from contextlib import nullcontext
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import run_at_blas_threads
-from gkhyper import estimate
+from gkhyper import estimate, marginal
 from gkhyper.covariance import RegularGrid
 from gkhyper.estimate import (
     OptimizeOptions,
@@ -80,21 +79,26 @@ def test_func_count_matches_forward_applications():
     assert after[1] - before[1] == trace.func_count * (k + 1)
 
 
-@pytest.mark.parametrize("bad_call, value, grad", [(1, np.nan, 1.0), (2, 1.0, np.inf)])
-def test_nonfinite_evaluation_raises(monkeypatch, rng, bad_call, value, grad):
-    # the check covers every evaluation the optimizer asks for, not only theta0
+@pytest.mark.parametrize("bad_call, logdet, grad, message", [
+    (1, np.nan, 1.0, "term logdet_term is not finite"),
+    (2, 1.0, np.inf, "non-finite gradient"),
+], ids=["1-nan-1.0", "2-1.0-inf"])
+def test_nonfinite_evaluation_raises(monkeypatch, rng, bad_call, logdet, grad, message):
+    # the record refuses a non-finite value when built and a non-finite gradient
+    # on the optimizer's read, at every evaluation it asks for, not only theta0
     model, _ = zero_model(rng)
     thetas = []
 
     def fake_objective(model, theta, k):
         thetas.append(theta.values)
         if len(thetas) < bad_call:
-            return SimpleNamespace(value=float(theta.values @ theta.values),
-                                   gradient=2.0 * theta.values)
-        return SimpleNamespace(value=value, gradient=np.full(len(theta), grad))
+            return marginal._evaluation(model, theta, float(theta.values @ theta.values), 0.0,
+                                        k, {}, take_gradient=lambda: (2.0 * theta.values, {}))
+        return marginal._evaluation(model, theta, logdet, 0.0, k, {},
+                                    take_gradient=lambda: (np.full(len(theta), grad), {}))
 
     monkeypatch.setattr(estimate, "objective_gengk", fake_objective)
-    with pytest.raises(FloatingPointError, match="not finite"):
+    with pytest.raises(FloatingPointError, match=message):
         optimize_hyperparams(model, HyperParams(np.ones(3)),
                              OptimizeOptions(k=4, bounds=WIDE_BOUNDS))
     assert len(thetas) == bad_call

@@ -212,6 +212,20 @@ def test_truncate_factorization(rng):
     assert (A.matvec_count.snapshot(), fact.cov_applies()) == before
 
 
+def test_truncation_below_a_breakdown_reports_none(rng):
+    # a factorization breaks down at its last step, so every k below it reads
+    # no breakdown, and k at the breakdown step is fact itself
+    m, n, r = 12, 10, 4
+    A = DenseOperator(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)))
+    Q = build_cov_operator(rng.uniform(0, 1, (n, 2)), MaternKernel(1.5, 1.0, 0.4))
+    fact = gengk_bidiag(A, 0.8, Q, None, A.apply(rng.standard_normal(n)), 10)
+    j = fact.breakdown_at
+    assert j is not None and j == fact.k > 0
+    assert truncate_factorization(fact, j) is fact
+    for k in range(j):
+        assert truncate_factorization(fact, k).breakdown_at is None
+
+
 def test_truncation_of_a_truncation_takes_its_own_products(rng):
     A, R, Q, d = random_setup(rng, 10, 8)
     fact = gengk_bidiag(A, R, Q, None, d, 6)

@@ -794,6 +794,14 @@ def test_rescaled_gradient_that_overflows_raises():
             objective_rescaled(model, HyperParams(np.array([1e-200, 1.0, 0.1])), unit)
 
 
+def test_record_refuses_a_non_finite_term_by_name_before_the_sum():
+    # a non-finite term is named; finite terms whose sum overflows name the value
+    with pytest.raises(FloatingPointError, match="logdet_term"):
+        marginal.ObjectiveEvaluation(0.0, np.inf, 0.0, 0, {})
+    with pytest.raises(FloatingPointError, match="term value is not finite"):
+        marginal.ObjectiveEvaluation(0.0, 1e308, 1e308, 0, {})
+
+
 @pytest.mark.parametrize("model", _guard_models(), ids=["heat64", "ray8"])
 def test_factorize_is_gengk_bidiag_clamped_to_min_m_n(model):
     # below, at and above min(m, n), against the call written out by hand
