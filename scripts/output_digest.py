@@ -67,7 +67,10 @@ the exit status is 1 if any do. BLAS and OpenMP threads are pinned to the CPUs t
 use, as perfbench does, so that two checkouts digested on one host can be
 compared. The `gkhyper estimate` outputs are digested once more at 1 BLAS thread,
 as entries named `threads=1/<config>/estimate/<file>`, so that an estimate whose bits
-depend on the thread count shows by name.
+depend on the thread count shows by name. The problem of a shipped config is built
+by `gkhyper.workflow.build`, the build every command runs, or on a checkout from
+before that module by `gkhyper.cli._build_problem`, so that a checkout on either
+side of the move can be digested against the other.
 """
 
 import hashlib
@@ -148,7 +151,10 @@ def show_dense(model, theta):
 OBJECTIVES = SHOW + f"""
 import sys
 import numpy as np
-from gkhyper.cli import _build_problem
+try:
+    from gkhyper.workflow import build
+except ImportError:  # a checkout from before gkhyper.workflow
+    from gkhyper.cli import _build_problem as build
 from gkhyper.config import load_config
 from gkhyper.estimate import optimal_lambda_sweep, precompute_two_param
 from gkhyper.gengk import gengk_bidiag, truncate_factorization, verify_relations
@@ -156,7 +162,7 @@ from gkhyper.marginal import objective_rescaled
 from gkhyper.monitor import mc_xi_estimate, normal_matrix_apply
 
 cfg = load_config(sys.argv[1])
-prob, model = _build_problem(cfg)
+prob, model = build(cfg)
 for theta in {THETAS!r}:
     params = HyperParams(theta)
     show(f"objective_gengk/theta={{theta}}", objective_gengk(model, params, cfg.estimate.k))
@@ -300,12 +306,15 @@ FORWARD_APPLIES = f"""
 import hashlib
 import sys
 import numpy as np
-from gkhyper.cli import _build_problem
+try:
+    from gkhyper.workflow import build
+except ImportError:  # a checkout from before gkhyper.workflow
+    from gkhyper.cli import _build_problem as build
 from gkhyper.config import load_config
 from gkhyper.operators import DenseOperator
 
 mat = np.random.default_rng(0).standard_normal({DENSE_SHAPE!r})
-ops = {{"ray": _build_problem(load_config(sys.argv[1]))[1].forward,
+ops = {{"ray": build(load_config(sys.argv[1]))[1].forward,
         "dense": DenseOperator(mat), "dense_transposed": DenseOperator(mat.T)}}
 for label, op in ops.items():
     rng = np.random.default_rng(op.nrows)

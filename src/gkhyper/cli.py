@@ -1,4 +1,10 @@
-"""Command-line driver: the estimate, monitor and reconstruct workflows.
+"""Command-line driver: parses the arguments, loads the run configuration, runs
+the command's flow from ``gkhyper.workflow`` and renders its results to files.
+
+Each command's flow (the problem build, then the estimate, the monitor or the
+reconstruction) lives in ``gkhyper.workflow``; this module holds no flow of
+its own, only argument parsing, exit codes, CSV/JSON rendering and the write.
+main builds the problem once and hands it to the command.
 
 Exit codes: 0 success, 1 usage/configuration/validation error or outputs that
 cannot be written, 2 numerical failure. All numeric CSV/JSON fields are written
@@ -15,34 +21,21 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 from scipy.linalg import LinAlgError
 
+from . import workflow
 from .config import ConfigError, RunConfig, load_config
 # gengk_bidiag is not called here: perfbench/test_perfbench.py asserts the name
 from .gengk import gengk_bidiag
-from .marginal import (
-    HyperParams,
-    Hyperprior,
-    MarginalModel,
-    _dense_assembly,
-    objective_gengk,
-)
-from .monitor import err_indicator, mc_xi_estimate, normal_matrix_apply, prop2_bound, xi_recurrence
-from .estimate import map_reconstruct, optimize_hyperparams
-from .problems import build_heat_problem, build_ray_tomo_problem, relative_error
+from .problems import relative_error
 
 __all__ = ["main", "cmd_estimate", "cmd_monitor", "cmd_reconstruct"]
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _render_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -65,46 +58,23 @@ def _write_outputs(out_dir: Path, outputs: dict[str, str]) -> None:
         partial.replace(target)
 
 
-def _build_problem(cfg: RunConfig):
-    pc = cfg.problem
-    if pc.name == "heat1d":
-        prob = build_heat_problem(n=pc.n, noise_level=pc.noise_level,
-                                  seed=cfg.seed, kappa=pc.kappa)
-    else:
-        prob = build_ray_tomo_problem(g=pc.grid, n_rays=pc.n_rays,
-                                      noise_level=pc.noise_level, seed=cfg.seed,
-                                      nu=cfg.kernel.nu, prior_std=pc.prior_std,
-                                      ell=pc.ell)
-    hyperprior = Hyperprior(cfg.hyperprior.kind, cfg.hyperprior.gamma)
-    model = MarginalModel(forward=prob.forward, data=prob.data,
-                          geometry=prob.geometry, nu=cfg.kernel.nu,
-                          hyperprior=hyperprior, dense_cap=cfg.dense_cap)
-    return prob, model
-
-
 def _reconstruction_csv(s_true, s_hat) -> str:
     re = relative_error(s_true, s_hat)
     rows = [[t, h, re] for t, h in zip(s_true, s_hat)]
     return _render_csv(["s_true", "s_hat", "re"], rows)
 
 
-def cmd_estimate(cfg: RunConfig) -> dict[str, str]:
-    prob, model = _build_problem(cfg)
-    ec = cfg.estimate
-    opts, theta0 = ec.records()
-    theta_star, trace = optimize_hyperparams(model, theta0, opts)
-    s_hat = map_reconstruct(model, theta_star, k=ec.k)
-    re = relative_error(prob.s_true, s_hat)
-
+def cmd_estimate(cfg: RunConfig, prob, model) -> dict[str, str]:
+    theta_star, trace, s_hat = workflow.run_estimate(cfg, model)
     summary = {
         "theta_star": [float(v) for v in theta_star.values],
         "objective": trace.objective,
-        "relative_error": re,
+        "relative_error": relative_error(prob.s_true, s_hat),
         "converged": trace.converged,
         "reason": trace.reason,
         "iterations": trace.iterations,
         "func_count": trace.func_count,
-        "k": ec.k,
+        "k": cfg.estimate.k,
         "seed": cfg.seed,
         "trace": [
             {"theta": [float(v) for v in th], "objective": val, "grad_norm": gn}
@@ -124,60 +94,18 @@ def cmd_estimate(cfg: RunConfig) -> dict[str, str]:
     }
 
 
-def cmd_monitor(cfg: RunConfig) -> dict[str, str]:
-    prob, model = _build_problem(cfg)
-    mc = cfg.monitor
-    theta = HyperParams(np.asarray(mc.theta, dtype=float))
-    fact = model.factorize(theta, mc.k_max)
-
-    xi_hat = mc_xi_estimate(normal_matrix_apply(model.forward, fact.noise_var), fact.q_op,
-                            fact, mc.n_mc, seed=cfg.seed, k_max=fact.k,
-                            probe_kind=mc.probe_kind)
-    err_mc = np.array([err_indicator(x, fact.beta1) for x in xi_hat])
-
-    if model.dense_ok:
-        core = _dense_assembly(model, theta, "the exact objective")
-        exact = core.evaluation
-        # xi_0 = tr(A' R^{-1} A Q) = tr(A (Q A')) / theta1, on the Q A' of Z
-        xi0 = float(np.sum(core.a * core.qa.T)) / theta.noise_var
-        xi_exact = xi_recurrence(fact.alphas, fact.betas, xi0)
-
-    rows = []
-    for k in range(1, fact.k + 1):
-        approx = objective_gengk(model, theta, k, fact=fact)
-        if model.dense_ok:
-            abs_err = abs(exact.value - approx.value)
-            re_obj = abs_err / abs(exact.value)
-            re_logdet = abs(exact.logdet_term - approx.logdet_term) / abs(exact.logdet_term)
-            re_quad = abs(exact.quad_term - approx.quad_term) / abs(exact.quad_term)
-            bound = prop2_bound(max(xi_exact[k - 1], 0.0), fact.beta1)
-        else:
-            abs_err = re_obj = re_logdet = re_quad = bound = float("nan")
-        rows.append([k, re_obj, abs_err, re_logdet, re_quad,
-                     xi_hat[k - 1], err_mc[k - 1], bound])
-
-    return {
-        "error_vs_k.csv": _render_csv(
-            ["k", "re_objective", "abs_err_objective", "re_logdet", "re_quad",
-             "xi_hat", "err_mc", "prop2_bound"],
-            rows,
-        )
-    }
+def cmd_monitor(cfg: RunConfig, prob, model) -> dict[str, str]:
+    header = ["k", "re_objective", "abs_err_objective", "re_logdet", "re_quad", "xi_hat",
+              "err_mc", "prop2_bound"]
+    return {"error_vs_k.csv": _render_csv(header, workflow.run_monitor(cfg, model))}
 
 
-def cmd_reconstruct(cfg: RunConfig) -> dict[str, str]:
-    prob, model = _build_problem(cfg)
-    rc = cfg.reconstruct
-    theta = HyperParams(np.asarray(rc.theta, dtype=float))
-    s_hat = map_reconstruct(model, theta, k=rc.k)
+def cmd_reconstruct(cfg: RunConfig, prob, model) -> dict[str, str]:
+    s_hat = workflow.run_reconstruct(cfg, model)
     return {"reconstruction.csv": _reconstruction_csv(prob.s_true, s_hat)}
 
 
-_COMMANDS = {
-    "estimate": cmd_estimate,
-    "monitor": cmd_monitor,
-    "reconstruct": cmd_reconstruct,
-}
+_COMMANDS = {"estimate": cmd_estimate, "monitor": cmd_monitor, "reconstruct": cmd_reconstruct}
 
 
 def main(argv=None) -> int:
@@ -209,7 +137,8 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        outputs = _COMMANDS[args.command](cfg)
+        prob, model = workflow.build(cfg)
+        outputs = _COMMANDS[args.command](cfg, prob, model)
     except (FloatingPointError, LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -8,24 +8,28 @@ OptimizeOptions with its check_start for the bounds and theta0, and
 MaternKernel for nu. Every integer field is a count and passes the one count
 rule, operators._check_count: the seed is nonnegative, the active problem's n
 at least 2 and its grid at least 4, and every other count positive. The
-problem section's other checks are its own, written NaN-proof as
-"not 0 < x < inf", since its records are built by code that computes; kappa
-and prior_std, which enter squared, pass the builders' rule,
-operators._check_scale. A failure raises ConfigError, before any compute.
+problem section runs the builders' own rules: the name and the sizes come from
+the one table of problems, workflow.PROBLEMS (a ray grid within the phantom's
+dense cap); the noise level passes the noise's rule, kappa the heat kernel's
+(its square and its normaliser 4 pi kappa^2 finite), prior_std the scale rule
+operators._check_scale, and ell the phantom's MaternKernel. The sections and
+the top-level numbers are read from RunConfig's fields. A failure raises
+ConfigError, before any compute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .covariance import MaternKernel
 from .estimate import OptimizeOptions
 from .marginal import DENSE_CAP_DEFAULT, HyperParams, Hyperprior
 from .operators import _check_count, _check_scale
+from .problems import _check_noise_level, _heat_normaliser
+from .workflow import PROBLEMS
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_from_dict"]
 
@@ -64,19 +68,14 @@ class ProblemConfig:
     ell: float = 0.08
 
     def validate(self):
-        if self.name not in ("heat1d", "ray_tomo"):
+        if self.name not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.name!r}")
-        if self.name == "heat1d":
-            _check_count(self.n, "n", 2)
-        else:
-            _check_count(self.grid, "grid", 4)
-            _check_count(self.n_rays, "n_rays", 1)
-        if not 0 <= self.noise_level < np.inf:
-            raise ConfigError("noise_level must be finite and nonnegative")
-        _check_scale(self.kappa, "kappa")
+        PROBLEMS[self.name].check(self)
+        _check_noise_level(self.noise_level)
+        _heat_normaliser(self.kappa)
         _check_scale(self.prior_std, "prior_std")
-        if not 0 < self.ell < np.inf:
-            raise ConfigError("ell must be finite and positive")
+        # the phantom's kernel; nu is the kernel section's
+        MaternKernel(1.0, self.prior_std**2, self.ell)
 
 
 @dataclass
@@ -171,14 +170,9 @@ class RunConfig:
             raise ConfigError(f"{where}: {exc}") from exc
 
 
-_SECTIONS = {
-    "problem": ProblemConfig,
-    "kernel": KernelConfig,
-    "hyperprior": HyperpriorConfig,
-    "estimate": EstimateConfig,
-    "monitor": MonitorConfig,
-    "reconstruct": ReconstructConfig,
-}
+# the sections, by name, and their classes; the other fields are top-level numbers
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)
+             if f.default_factory is not MISSING}
 
 
 def _build_section(cls, payload, where):
@@ -194,14 +188,13 @@ def _build_section(cls, payload, where):
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
-    known = set(_SECTIONS) | {"seed", "dense_cap"}
-    unknown = set(raw) - known
+    names = [f.name for f in fields(RunConfig)]
+    unknown = set(raw) - set(names)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    kwargs = {name: raw[name] for name in ("seed", "dense_cap") if name in raw}
-    for name, cls in _SECTIONS.items():
-        if name in raw:
-            kwargs[name] = _build_section(cls, raw[name], name)
+    kwargs = {name: _build_section(_SECTIONS[name], raw[name], name)
+              if name in _SECTIONS else raw[name]
+              for name in names if name in raw}
     cfg = RunConfig(**kwargs)
     cfg.validate()
     return cfg

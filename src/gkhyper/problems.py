@@ -74,7 +74,24 @@ def _heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     product (about 1e-15 relative, not bit for bit), so n = 65536 fits in
     memory.
     """
-    n = _check_count(n, "n", 2)
+    n = _check_heat_size(n)
+    normaliser = _heat_normaliser(kappa)
+    h = 1.0 / n
+    gaps = (np.arange(n) + 0.5) * h
+    column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(normaliser)
+    if n <= _HEAT_DENSE_MAX:
+        return DenseOperator(toeplitz(column, np.zeros(n)))
+    return LowerToeplitzOperator(column)
+
+
+def _check_heat_size(n) -> int:
+    """The heat operator's rule on n: an integer of at least 2, else ValueError."""
+    return _check_count(n, "n", 2)
+
+
+def _heat_normaliser(kappa: float) -> float:
+    """The heat kernel's normaliser 4 pi kappa^2, for a kappa that passes the
+    scale rule and whose normaliser is finite, else ValueError."""
     _check_scale(kappa, "kappa")
     # a finite kappa^2 can still overflow the normaliser, which would zero
     # every entry
@@ -82,12 +99,7 @@ def _heat_1d(n: int, kappa: float = 1.0) -> LinearOperatorHandle:
     if not math.isfinite(normaliser):
         raise ValueError(f"kappa gives an infinite heat kernel normaliser 4 pi kappa^2, "
                          f"got kappa = {kappa!r}")
-    h = 1.0 / n
-    gaps = (np.arange(n) + 0.5) * h
-    column = h * gaps ** (-1.5) * np.exp(-1.0 / (4.0 * kappa**2 * gaps)) / math.sqrt(normaliser)
-    if n <= _HEAT_DENSE_MAX:
-        return DenseOperator(toeplitz(column, np.zeros(n)))
-    return LowerToeplitzOperator(column)
+    return normaliser
 
 
 def _heat_true_signal(n: int) -> np.ndarray:
@@ -194,10 +206,15 @@ def ray_tomo_2d(g: int, n_rays: int, seed=None) -> LinearOperatorHandle:
     return SparseOperator(_ray_matrix(g, n_rays, seed))
 
 
+def _check_ray_sizes(g, n_rays) -> tuple[int, int]:
+    """The ray matrix's rule on its sizes: g an integer of at least 4 and
+    n_rays a positive integer, else ValueError."""
+    return _check_count(g, "the grid size g", 4), _check_count(n_rays, "n_rays", 1)
+
+
 def _ray_matrix(g: int, n_rays: int, seed) -> sp.csr_matrix:
     """The n_rays x g^2 CSR matrix of ``ray_tomo_2d``."""
-    g = _check_count(g, "the grid size g", 4)
-    n_rays = _check_count(n_rays, "n_rays", 1)
+    g, n_rays = _check_ray_sizes(g, n_rays)
     rng = np.random.default_rng(seed)
     rows, cols, vals = [], [], []
     count = 0
@@ -246,6 +263,13 @@ def _grid_covariance(grid: RegularGrid, kernel: MaternKernel) -> np.ndarray:
     return table[tuple(index)].reshape(grid.size, grid.size)
 
 
+def _check_phantom_size(n: int) -> None:
+    """The phantom's rule: its dense covariance has at most PHANTOM_DENSE_CAP
+    nodes, else ValueError."""
+    if n > PHANTOM_DENSE_CAP:
+        raise ValueError(f"grid size {n} exceeds the phantom dense cap {PHANTOM_DENSE_CAP}")
+
+
 def _smooth_phantom(grid: RegularGrid, kernel: MaternKernel, seed=None) -> np.ndarray:
     """Random smooth field from the full eigenexpansion of the covariance.
 
@@ -254,12 +278,17 @@ def _smooth_phantom(grid: RegularGrid, kernel: MaternKernel, seed=None) -> np.nd
     eigenvalue first.
     """
     n = grid.size
-    if n > PHANTOM_DENSE_CAP:
-        raise ValueError(f"grid size {n} exceeds the phantom dense cap {PHANTOM_DENSE_CAP}")
+    _check_phantom_size(n)
     evals, evecs = np.linalg.eigh(_grid_covariance(grid, kernel))
     order = np.argsort(evals)[::-1]
     coeff = np.random.default_rng(seed).standard_normal(n)
     return evecs[:, order] @ (np.sqrt(np.clip(evals[order], 0.0, None)) * coeff)
+
+
+def _check_noise_level(noise_level: float) -> None:
+    """The noise's rule: a finite, nonnegative relative level, else ValueError."""
+    if not 0.0 <= noise_level < math.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {noise_level}")
 
 
 def _add_noise(d_clean, noise_level: float, seed=None) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +300,7 @@ def _add_noise(d_clean, noise_level: float, seed=None) -> tuple[np.ndarray, np.n
     data do not follow the thread count; shorter ones skip that scope's cost.
     """
     d_clean = np.asarray(d_clean, dtype=float)
-    if not 0.0 <= noise_level < math.inf:
-        raise ValueError(f"noise level must be finite and nonnegative, got {noise_level}")
+    _check_noise_level(noise_level)
     if noise_level == 0.0:
         return d_clean.copy(), np.zeros_like(d_clean)
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ import yaml
 import gkhyper
 from conftest import run_at_blas_threads
 from gkhyper import estimate, marginal, problems
-from gkhyper.cli import _build_problem, main
+from gkhyper.cli import main
 from gkhyper.config import (ConfigError, EstimateConfig, HyperpriorConfig, KernelConfig,
                             MonitorConfig, ProblemConfig, ReconstructConfig, _has_bool,
                             config_from_dict, load_config)
@@ -21,6 +21,7 @@ from gkhyper.estimate import OptimizeOptions
 from gkhyper.gengk import gengk_bidiag, truncate_factorization
 from gkhyper.marginal import HyperParams, Hyperprior, objective_exact, objective_gengk
 from gkhyper.problems import build_ray_tomo_problem, _heat_1d
+from gkhyper.workflow import build
 
 
 SMALL_HEAT = {
@@ -115,7 +116,7 @@ def test_bad_theta_exits_one_before_any_build(tmp_path, monkeypatch):
     def no_build(cfg):
         raise AssertionError("the problem was built")
 
-    monkeypatch.setattr("gkhyper.cli._build_problem", no_build)
+    monkeypatch.setattr("gkhyper.workflow.build", no_build)
     for i, payload in enumerate(BAD_THETA):
         cfg = write_config(tmp_path, {**SMALL_HEAT, **payload}, name=f"bad{i}.yaml")
         out = tmp_path / f"out{i}"
@@ -155,6 +156,10 @@ BAD_NUMBERS = [
     {"monitor": {"theta": [1.0e-4, 1.0e160, 0.08]}},
     {"reconstruct": {"theta": [7.7e-6, 1.0e200, 0.185]}},
     {"monitor": {"theta": [1.0e-4, 1.0e-200, 0.08]}},
+    # what only a builder refused before: a heat kernel normaliser 4 pi kappa^2
+    # that overflows, and a phantom over its dense cap of 4096 points
+    {"problem": {"name": "heat1d", "n": 64, "kappa": 1.0e154}},
+    {"problem": {"name": "ray_tomo", "grid": 100, "n_rays": 40}},
 ]
 
 
@@ -169,7 +174,7 @@ def test_bad_numbers_exit_one_before_any_build(tmp_path, monkeypatch, capsys, pa
     def no_build(cfg):
         raise AssertionError("the problem was built")
 
-    monkeypatch.setattr("gkhyper.cli._build_problem", no_build)
+    monkeypatch.setattr("gkhyper.workflow.build", no_build)
     cfg = write_config(tmp_path, {**SMALL_HEAT, **payload})
     out = tmp_path / "out"
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
@@ -178,15 +183,15 @@ def test_bad_numbers_exit_one_before_any_build(tmp_path, monkeypatch, capsys, pa
 
 
 def test_kappa_whose_kernel_normaliser_overflows_exits_one(tmp_path, capsys):
-    # the config passes kappa = 1e154 (its square is finite); the build
-    # refuses it by name, before the data are made
+    # kappa = 1e154 has a finite square; the config refuses it by name, by
+    # the heat builder's own rule, before the data are made
     cfg = write_config(tmp_path, {**SMALL_HEAT, "problem": {**SMALL_HEAT["problem"],
                                                             "kappa": 1.0e154}})
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("invalid run:") and "kappa" in err
+    assert err.startswith("configuration error:") and "kappa" in err
     assert "clean data is zero" not in err
 
 
@@ -509,7 +514,7 @@ def test_monitor_errors_equal_full_evaluation(tmp_path):
     table = read_csv(out / "error_vs_k.csv")
 
     cfg = load_config(cfg_path)
-    _, model = _build_problem(cfg)
+    _, model = build(cfg)
     theta = HyperParams(np.asarray(cfg.monitor.theta, dtype=float))
     fact = gengk_bidiag(model.forward, model.noise_cov(theta), model.prior_cov(theta),
                         model.prior_mean, model.data, cfg.monitor.k_max)
@@ -578,11 +583,11 @@ def test_monitor_probes_the_forward_map_once(tmp_path, monkeypatch):
     models = []
 
     def keep_model(cfg):
-        prob, model = _build_problem(cfg)
+        prob, model = build(cfg)
         models.append(model)
         return prob, model
 
-    monkeypatch.setattr("gkhyper.cli._build_problem", keep_model)
+    monkeypatch.setattr("gkhyper.workflow.build", keep_model)
     payload = {
         "problem": {"name": "ray_tomo", "grid": 10, "n_rays": 80,
                     "noise_level": 0.02, "prior_std": 0.8, "ell": 0.1},

@@ -601,15 +601,12 @@ def test_blas_scope_pins_numpys_openblas_to_one_thread_and_restores_it():
 ESTIMATE_BITS = """
 import hashlib
 import sys
-from gkhyper.cli import _build_problem
+from gkhyper import workflow
 from gkhyper.config import load_config
-from gkhyper.estimate import map_reconstruct, optimize_hyperparams
 
 def run(cfg):
-    prob, model = _build_problem(cfg)
-    opts, theta0 = cfg.estimate.records()
-    theta_star, trace = optimize_hyperparams(model, theta0, opts)
-    s_hat = map_reconstruct(model, theta_star, k=opts.k)
+    prob, model = workflow.build(cfg)
+    theta_star, trace, s_hat = workflow.run_estimate(cfg, model)
     print(*(float(v).hex() for v in theta_star.values))
     print(*(float(v).hex() for v in trace.values))
     print(hashlib.sha256(s_hat.tobytes()).hexdigest())

@@ -209,3 +209,67 @@ def test_every_reexported_function_is_read_outside_its_module_and_the_unit_tests
               and not any(read.split(".")[0] != home for read in _package_reads(name))
               and not any(_reads(tree, name) for tree in readers)]
     assert unread == []
+
+
+def _import_resolves(node) -> bool:
+    # a `from gkhyper.<m> import <names>` names a module and attributes of
+    # this checkout; any other statement is not such an import
+    if not (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gkhyper")):
+        return True
+    try:
+        module = importlib.import_module(node.module)
+    except ImportError:
+        return False
+    return all(hasattr(module, alias.name) for alias in node.names)
+
+
+def _branch_resolves(statements) -> bool:
+    return all(_import_resolves(node) for statement in statements for node in ast.walk(statement))
+
+
+def test_every_package_import_of_the_digest_resolves():
+    # a rename fails here, not in the next change's digest; of a try whose
+    # handler takes ImportError (a fallback to a parent's name), one branch
+    # resolving is enough
+    programs = _digest_programs()
+    assert programs
+    for program in programs:
+        guarded = set()
+        for node in ast.walk(program):
+            if isinstance(node, ast.Try) and any(
+                    getattr(handler.type, "id", None) == "ImportError"
+                    for handler in node.handlers):
+                branches = [node.body, *(handler.body for handler in node.handlers)]
+                assert any(_branch_resolves(branch) for branch in branches), ast.unparse(node)
+                guarded |= {id(inner) for branch in branches for statement in branch
+                            for inner in ast.walk(statement)}
+        unresolved = [ast.unparse(node) for node in ast.walk(program)
+                      if id(node) not in guarded and not _import_resolves(node)]
+        assert unresolved == []
+
+
+def _package_imports(tree):
+    # "<module>.<name>" of every package name a module imports, relative or
+    # absolute, and "<module>" for a module imported whole
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gkhyper")):
+            module = node.module if node.level else node.module.partition(".")[2]
+            found += [f"{module}.{alias.name}" if module else alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [alias.name.partition(".")[2] for alias in node.names
+                      if alias.name.startswith("gkhyper.")]
+    return found
+
+
+def test_cli_holds_no_flow():
+    # cli parses the arguments, loads the config, renders and writes: every
+    # command's flow, the problem build included, lives in gkhyper.workflow.
+    # So from the package it imports only the config, the workflow, the
+    # relative error it writes and gengk_bidiag, whose name perfbench asserts
+    tree = ast.parse((Path(gkhyper.__file__).parent / "cli.py").read_text())
+    imported = _package_imports(tree)
+    assert "workflow" in imported
+    assert [name for name in imported
+            if name.split(".")[0] not in ("config", "workflow")
+            and name not in ("problems.relative_error", "gengk.gengk_bidiag")] == []
